@@ -1,15 +1,20 @@
 //! Criterion benches for the interned-frontier hot-path kernels (§2.5):
 //! intern lookup, the `StepMasks` flat-arena step kernels, the
-//! `AppUnion` prefix-mask build shape, and the full trial loop with a
-//! reused [`UnionScratch`]. These are the pieces the count/sample/share
+//! `AppUnion` prefix-mask build shape, the full trial loop with a
+//! reused [`UnionScratch`], and one warm sampler walk (walk-cache hits,
+//! memo probes, categorical draws). These are the pieces the count/sample/share
 //! passes execute millions of times per run; `cargo bench --bench
 //! kernels` tracks their per-call cost so a regression to per-key
 //! allocation shows up as a step change.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fpras_automata::{StateSet, StepMasks, Word};
+use fpras_automata::regex::compile_regex;
+use fpras_automata::{Alphabet, StateSet, StepMasks, Word};
 use fpras_core::sample_set::{SampleEntry, SampleSet};
-use fpras_core::{app_union, FrontierInterner, Params, RunStats, UnionScratch, UnionSetInput};
+use fpras_core::{
+    app_union, FprasRun, FrontierInterner, Params, RunStats, UniformGenerator, UnionScratch,
+    UnionSetInput,
+};
 use fpras_numeric::ExtFloat;
 use fpras_workloads::{random_nfa, RandomNfaConfig};
 use rand::{rngs::SmallRng, RngExt, SeedableRng};
@@ -147,5 +152,29 @@ fn bench_appunion_trials(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_intern, bench_step, bench_prefix_masks, bench_appunion_trials);
+/// One warm `UniformGenerator::generate` call on the 25-state regex of
+/// ROADMAP.md at `n = 28` (75 distinct frontiers): after the warm-up
+/// every walk step is a walk-cache hit plus memo probes and the
+/// categorical draw, so this is the per-trial cost of the sample pass.
+fn bench_sampler_walk(c: &mut Criterion) {
+    const REGEX25: &str = "(0|1)*1(0|1)(0|1)(0|1)(0|1)(0|1)(0|1)(0|1)(0|1)((00)*|(111)*)";
+    let nfa = compile_regex(REGEX25, &Alphabet::binary()).expect("regex compiles");
+    let params = Params::practical(0.3, 0.05, nfa.num_states(), 28);
+    let run = FprasRun::run(&nfa, 28, &params, &mut SmallRng::seed_from_u64(1)).expect("run");
+    let mut generator = UniformGenerator::new(run);
+    let mut rng = SmallRng::seed_from_u64(5);
+    for _ in 0..64 {
+        generator.generate(&mut rng); // warm: walk nodes built, memo filled
+    }
+    c.bench_function("sampler_walk", |b| b.iter(|| generator.generate(&mut rng)));
+}
+
+criterion_group!(
+    benches,
+    bench_intern,
+    bench_step,
+    bench_prefix_masks,
+    bench_appunion_trials,
+    bench_sampler_walk
+);
 criterion_main!(benches);

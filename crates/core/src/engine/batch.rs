@@ -127,7 +127,7 @@ impl LevelPlan {
     }
 
     /// The memo key for group `gi` — also the sampler-memo key its
-    /// estimate is seeded under. Keys are `Copy` integer triples, so
+    /// estimate is seeded under. Keys are `Copy` integer pairs, so
     /// this returns by value.
     pub fn key(&self, gi: usize) -> MemoKey {
         self.keys[gi]

@@ -77,9 +77,19 @@ impl UnionMemo {
         UnionMemo::default()
     }
 
-    /// Looks up `key`, overlay first, then the shared base layer.
+    /// Looks up `key` in either layer.
     pub fn get(&self, key: &MemoKey) -> Option<MemoEntry> {
-        self.overlay.get(key).or_else(|| self.base.get(key)).copied()
+        self.get_node(key.node())
+    }
+
+    /// [`UnionMemo::get`] by a key's packed `(level, frontier)` node
+    /// ([`MemoKey::node_of`]) — a probe that needs no RNG tag, so the
+    /// sampler's walk cache can look entries up from bare frontier ids.
+    /// The layers are disjoint, so probing the base first (where a
+    /// sample pass finds nearly every entry) answers exactly what the
+    /// overlay-first order would, in one probe instead of two.
+    pub(crate) fn get_node(&self, node: u64) -> Option<MemoEntry> {
+        self.base.get(&node).or_else(|| self.overlay.get(&node)).copied()
     }
 
     /// True iff either layer holds `key`.

@@ -23,7 +23,7 @@ use crate::engine::pool::Pool;
 use crate::engine::LevelPlan;
 use crate::run_stats::{PoolStats, RunStats};
 use crate::sampler::{estimate_frontier_union, SamplerScratch};
-use crate::table::MemoKey;
+use crate::table::{splitmix64, MemoKey};
 use fpras_automata::StateId;
 use fpras_numeric::ExtFloat;
 use rand::{rngs::SmallRng, Rng, RngExt, SeedableRng};
@@ -36,7 +36,9 @@ thread_local! {
     /// (every buffer is rebuilt per call), so reuse across passes, runs
     /// and policies is safe by construction.
     static UNION_SCRATCH: RefCell<UnionScratch> = RefCell::new(UnionScratch::new());
-    /// Per-worker sampler scratch, same reasoning.
+    /// Per-worker sampler scratch, same reasoning: its walk cache holds
+    /// successor ids, never values, and starts over under a new
+    /// interner (`sampler.rs`).
     static SAMPLER_SCRATCH: RefCell<SamplerScratch> = RefCell::new(SamplerScratch::new());
 }
 
@@ -211,18 +213,22 @@ impl<R: Rng + ?Sized> ExecutionPolicy for Serial<'_, R> {
         memo: &mut UnionMemo,
         ops_remaining: Option<u64>,
     ) -> Vec<SampleOut> {
-        let mut used = 0u64;
-        let mut scratch = SamplerScratch::new();
-        let mut outs = Vec::with_capacity(cells.len());
-        for &q in cells {
-            let out = sample_cell(ctx, table, memo, ell, q, self.rng, &mut scratch);
-            used += out.stats.membership_ops;
-            outs.push(out);
-            if budget_spent(used, ops_remaining) {
-                break;
+        // The thread-local scratch keeps its walk cache from level to
+        // level (and pass to pass) of the run, as under Deterministic.
+        SAMPLER_SCRATCH.with(|s| {
+            let scratch = &mut s.borrow_mut();
+            let mut used = 0u64;
+            let mut outs = Vec::with_capacity(cells.len());
+            for &q in cells {
+                let out = sample_cell(ctx, table, memo, ell, q, self.rng, scratch);
+                used += out.stats.membership_ops;
+                outs.push(out);
+                if budget_spent(used, ops_remaining) {
+                    break;
+                }
             }
-        }
-        outs
+            outs
+        })
     }
 
     fn share_pass(
@@ -459,14 +465,6 @@ impl ExecutionPolicy for Deterministic {
     fn take_pool_stats(&mut self) -> PoolStats {
         self.pool.take_stats()
     }
-}
-
-/// SplitMix64 — a tiny, well-mixed hash for deriving per-cell seeds.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
 }
 
 /// Independent RNG stream for one `(level, state, phase)` cell.

@@ -17,7 +17,7 @@
 //! index probe returning the existing id. The frontier's canonical RNG
 //! tag ([`MemoKey::rng_tag`]) is computed *at intern time* and carried
 //! inside the returned key, so the memo maps never touch frontier words
-//! again — a [`MemoKey`] is a `Copy` integer triple.
+//! again — a [`MemoKey`] is a `Copy` integer pair.
 //!
 //! # Ids are schedule-dependent; keys are not
 //!
@@ -46,7 +46,7 @@ use std::sync::RwLock;
 /// sampler interning is schedule-dependent — compare frontiers by
 /// content ([`FrontierInterner::compare`]) wherever order matters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct FrontierId(u32);
+pub struct FrontierId(pub(crate) u32);
 
 impl FrontierId {
     /// The id as an array index into per-frontier side tables.
@@ -125,6 +125,8 @@ struct InternerInner {
 /// `universe`.
 #[derive(Debug)]
 pub struct FrontierInterner {
+    /// Process-unique instance id (see [`FrontierInterner::uid`]).
+    uid: u64,
     universe: usize,
     /// Words per frontier: `⌈universe/64⌉`.
     stride: usize,
@@ -135,12 +137,22 @@ pub struct FrontierInterner {
 impl FrontierInterner {
     /// An empty interner for frontiers over `0..universe`.
     pub fn new(universe: usize) -> Self {
+        static NEXT_UID: AtomicU64 = AtomicU64::new(1);
         FrontierInterner {
+            uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
             universe,
             stride: universe.div_ceil(64),
             hits: AtomicU64::new(0),
             inner: RwLock::new(InternerInner::default()),
         }
+    }
+
+    /// Process-unique instance id, never 0. Caches of [`FrontierId`]s
+    /// outside the interner (the sampler's walk cache) record it to
+    /// tell whose ids they hold: an address could be reused by the next
+    /// interner, a uid is never handed out twice.
+    pub(crate) fn uid(&self) -> u64 {
+        self.uid
     }
 
     /// The state universe the interner was built for.
@@ -194,6 +206,19 @@ impl FrontierInterner {
         let inner = self.inner.read().expect("interner lock poisoned");
         let at = id.index() * self.stride;
         f(&inner.arena[at..at + self.stride])
+    }
+
+    /// Copies the content of `id` into `into` and returns its memo key
+    /// at `level` (tag computed from the arena words, one read lock, no
+    /// index probe). The way back from a bare id to a set and a key, for
+    /// the sampler's cold paths.
+    pub(crate) fn load(&self, level: usize, id: FrontierId, into: &mut StateSet) -> MemoKey {
+        debug_assert_eq!(into.universe(), self.universe, "buffer universe mismatch");
+        self.with_words(id, |words| {
+            into.clear();
+            into.union_with_words(words);
+            MemoKey::from_parts(level as u32, id, frontier_tag(level as u32, words))
+        })
     }
 
     /// Schedule-independent total order on interned frontiers:

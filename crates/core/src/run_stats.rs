@@ -224,6 +224,14 @@ pub struct RunStats {
     /// Failures because every branch estimate was zero (possible only
     /// under noise injection or exhausted estimates).
     pub fail_dead_end: u64,
+    /// Backward steps taken by sampler walks (one per level walked).
+    pub walk_steps: u64,
+    /// Walk nodes whose successor frontiers a sampler scratch had to
+    /// derive and intern (walk-cache misses); every other step reused
+    /// them. Per-scratch, so under a multi-worker pool it depends on
+    /// which worker walked where — like the pool counters, evidence of
+    /// work, not part of the output.
+    pub walk_nodes_built: u64,
     /// Cells whose sample set needed padding (Algorithm 3 lines 27–30).
     pub padded_cells: u64,
     /// Padding entries appended in total.
@@ -327,6 +335,8 @@ impl RunStats {
         self.fail_phi_gt_one += other.fail_phi_gt_one;
         self.fail_rejected += other.fail_rejected;
         self.fail_dead_end += other.fail_dead_end;
+        self.walk_steps += other.walk_steps;
+        self.walk_nodes_built += other.walk_nodes_built;
         self.padded_cells += other.padded_cells;
         self.padded_entries += other.padded_entries;
         self.samples_stored += other.samples_stored;

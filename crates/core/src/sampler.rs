@@ -13,11 +13,26 @@
 //! [`ExtFloat`] for `φ` (which starts near `1/N(qℓ)`, far below `f64`
 //! range for large `n`), and optionally memoizes the union estimates per
 //! `(level, frontier)` — see DESIGN.md D4 and the `memoize_unions` knob.
-//! The per-level inner loop is allocation-free: backward steps run
-//! through the [`StepMasks`](fpras_automata::masks::StepMasks) arena
-//! kernels into reusable frontier
-//! buffers, and all working memory lives in a caller-owned
-//! `SamplerScratch` threaded through every call.
+//! All working memory lives in a caller-owned `SamplerScratch` threaded
+//! through every call.
+//!
+//! # Walk cache
+//!
+//! The branches a walk step sees depend only on the step's *node* — the
+//! level and the frontier, or the start cell `(ℓ, q)` on the first step
+//! — never on the calling cell or the RNG. The scratch therefore keeps a
+//! walk cache from each visited node to its `k` successor
+//! [`FrontierId`]s (`step_back(P, b) ∩ reach(ℓ−1)`, interned at `ℓ−1`).
+//! A step at a known node is one cache probe plus the per-branch memo
+//! probes by bare `(level, id)` and the categorical draw; only a node
+//! the scratch has not seen runs the backward-step kernels and the
+//! interner. The cache holds structure, never estimates: union sizes
+//! come from the memo (or a fresh `AppUnion`) on every step, so every
+//! memo hit, miss and insertion is what the uncached walk did.
+//! Successor ids are valid for as long as their interner lives (built
+//! levels never change, D11); the cache records the interner's
+//! process-unique `uid` and starts over under another one.
+//! See DESIGN.md §2.5.
 //!
 //! # Frontier-keyed union randomness (D9)
 //!
@@ -37,13 +52,14 @@ use crate::appunion::{app_union, frontier_inputs, UnionScratch};
 use crate::engine::memo::{MemoTier, UnionMemo};
 use crate::engine::policy::{PHASE_SALT, PHASE_SAMPLER_UNION};
 use crate::engine::substrate::LeveledSubstrate;
-use crate::intern::FrontierInterner;
+use crate::intern::{FrontierId, FrontierInterner};
 use crate::params::Params;
 use crate::run_stats::RunStats;
-use crate::table::{splitmix64, MemoKey, RunTable, SampleOutcome};
+use crate::table::{splitmix64, BuildKeyHasher, MemoKey, RunTable, SampleOutcome};
 use fpras_automata::{StateId, StateSet, Word};
 use fpras_numeric::{sample_extfloat_weights_with, ExtFloat};
 use rand::{rngs::SmallRng, Rng, RngExt, SeedableRng};
+use std::collections::HashMap;
 
 /// The read-only context one sampler invocation runs against: the
 /// resolved parameters, the run's leveled substrate (stepping kernels +
@@ -62,15 +78,20 @@ pub(crate) struct SamplerEnv<'a> {
     pub sampler_seed: u64,
 }
 
-/// Reusable working memory for [`sample_word`]: the walked frontier, the
-/// per-symbol branch buffers, the reversed symbol trail, the categorical
-/// draw's rescale buffer, and the nested `AppUnion` scratch. Sized
-/// lazily to the automaton on first use; a fresh scratch is equivalent
-/// to a reused one, so callers keep one per worker and a whole sample
-/// pass allocates only for the successful words it returns.
+/// Reusable working memory for [`sample_word`]: the walk cache, the
+/// cold-path frontier buffers, the per-symbol branch sizes, the
+/// reversed symbol trail, the categorical draw's rescale buffer, and the
+/// nested `AppUnion` scratch. A fresh scratch is equivalent to a reused
+/// one — the cache changes how much work a step does, never its result
+/// — so callers keep one per worker and a whole sample pass allocates
+/// only for the nodes it builds and the words it returns.
 pub(crate) struct SamplerScratch {
+    walk: WalkCache,
+    /// Set of the node being built, or of a frontier whose union is
+    /// estimated afresh.
     frontier: StateSet,
-    branch_fronts: Vec<StateSet>,
+    /// One predecessor frontier of the node being built.
+    branch: StateSet,
     branch_sizes: Vec<ExtFloat>,
     rev_syms: Vec<u8>,
     scaled: Vec<f64>,
@@ -78,11 +99,12 @@ pub(crate) struct SamplerScratch {
 }
 
 impl SamplerScratch {
-    /// An empty scratch; buffers are sized on first `sample_word` call.
+    /// An empty scratch; bound to an interner on first `sample_word` call.
     pub(crate) fn new() -> Self {
         SamplerScratch {
+            walk: WalkCache::default(),
             frontier: StateSet::empty(0),
-            branch_fronts: Vec::new(),
+            branch: StateSet::empty(0),
             branch_sizes: Vec::new(),
             rev_syms: Vec::new(),
             scaled: Vec::new(),
@@ -90,12 +112,89 @@ impl SamplerScratch {
         }
     }
 
-    fn ensure(&mut self, universe: usize, k: usize) {
-        if self.frontier.universe() != universe || self.branch_fronts.len() != k {
-            self.frontier = StateSet::empty(universe);
-            self.branch_fronts = (0..k).map(|_| StateSet::empty(universe)).collect();
+    /// Readies the scratch for walks under `interner`: drops a walk
+    /// cache built under another interner and sizes the set buffers to
+    /// its universe.
+    fn bind(&mut self, interner: &FrontierInterner) {
+        if self.walk.interner != interner.uid() {
+            self.walk.nodes.clear();
+            self.walk.succ.clear();
+            self.walk.interner = interner.uid();
+        }
+        if self.frontier.universe() != interner.universe() {
+            self.frontier = StateSet::empty(interner.universe());
+            self.branch = StateSet::empty(interner.universe());
         }
     }
+
+    /// Loads the set of the walk node `node` at level `ell` into
+    /// `frontier`: `{q}` for a start cell, the interned frontier
+    /// otherwise.
+    fn load_node(&mut self, interner: &FrontierInterner, node: u64, ell: usize) {
+        if node & START_NODE != 0 {
+            self.frontier.clear();
+            self.frontier.insert(node as u32 as usize);
+        } else {
+            interner.load(ell, FrontierId(node as u32), &mut self.frontier);
+        }
+    }
+
+    /// Offset in the walk cache of `node`'s successor ids, building
+    /// them on the first visit: the node's set stepped back by every
+    /// symbol, cut to the states reachable at `ell − 1`, interned there.
+    fn successors(
+        &mut self,
+        env: &SamplerEnv<'_>,
+        node: u64,
+        ell: usize,
+        stats: &mut RunStats,
+    ) -> usize {
+        if let Some(&at) = self.walk.nodes.get(&node) {
+            return at as usize;
+        }
+        stats.walk_nodes_built += 1;
+        self.load_node(env.interner, node, ell);
+        let at = self.walk.succ.len();
+        for sym in 0..env.substrate.width() as u8 {
+            env.substrate.step_back_into(&self.frontier, sym, &mut self.branch);
+            self.branch.intersect_with(env.substrate.reachable(ell - 1));
+            self.walk.succ.push(if self.branch.is_empty() {
+                EMPTY_BRANCH
+            } else {
+                env.interner.intern(ell - 1, &self.branch).frontier().0
+            });
+        }
+        self.walk.nodes.insert(node, u32::try_from(at).expect("walk cache offset fits u32"));
+        at
+    }
+}
+
+/// Successor id of a branch whose predecessor frontier is empty.
+const EMPTY_BRANCH: u32 = u32::MAX;
+
+/// Walk-cache key flag of a start cell `(ℓ, q)`. Frontier nodes use the
+/// memo's packed `(level, id)` ([`MemoKey::node_of`]), whose bit 63 is
+/// always clear, so the two kinds never collide — and start singletons
+/// need not be interned.
+const START_NODE: u64 = 1 << 63;
+
+fn start_node(level: usize, q: StateId) -> u64 {
+    START_NODE | (level as u64) << 32 | u64::from(q)
+}
+
+/// Per-scratch map from walk nodes to their successor frontier ids —
+/// see the module docs. Memory: one map entry (a `u64` key and a `u32`
+/// offset) plus `k` `u32` successor ids per built node.
+#[derive(Default)]
+struct WalkCache {
+    /// [`FrontierInterner::uid`] of the interner the ids belong to; 0
+    /// (no interner) until the first bind.
+    interner: u64,
+    /// Node → offset of its `k` successor ids in `succ`.
+    nodes: HashMap<u64, u32, BuildKeyHasher>,
+    /// Successor ids, `k` per node in symbol order, [`EMPTY_BRANCH`]
+    /// for an empty branch.
+    succ: Vec<u32>,
 }
 
 /// Independent RNG stream for one sampler union estimation, keyed by the
@@ -140,23 +239,24 @@ pub(crate) fn estimate_frontier_union(
     .value
 }
 
-/// Estimates `|⋃_{p ∈ frontier} L(p^level)|`, consulting and filling the
-/// memo when enabled.
+/// Estimates `|⋃_{p ∈ F} L(p^level)|` for the interned frontier
+/// `F = id`, consulting and filling the memo when enabled. Only a memo
+/// miss or the paper path reads `F`'s states back (into `frontier`).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn union_size<R: Rng + ?Sized>(
+fn union_size<R: Rng + ?Sized>(
     env: &SamplerEnv<'_>,
     table: &RunTable,
     memo: &mut UnionMemo,
     level: usize,
-    frontier: &StateSet,
+    id: FrontierId,
     rng: &mut R,
+    frontier: &mut StateSet,
     scratch: &mut UnionScratch,
     stats: &mut RunStats,
 ) -> ExtFloat {
     let params = env.params;
     if params.memoize_unions {
-        let key = env.interner.intern(level, frontier);
-        if let Some(entry) = memo.get(&key) {
+        if let Some(entry) = memo.get_node(MemoKey::node_of(level as u32, id)) {
             stats.memo_hits += 1;
             if entry.tier == MemoTier::Shared {
                 stats.share.preestimate_hits += 1;
@@ -164,6 +264,7 @@ pub(crate) fn union_size<R: Rng + ?Sized>(
             return entry.value;
         }
         stats.memo_misses += 1;
+        let key = env.interner.load(level, id, frontier);
         let est =
             estimate_frontier_union(params, table, key, frontier, env.sampler_seed, scratch, stats);
         memo.insert_first_wins(key, est, MemoTier::Sampler);
@@ -171,6 +272,7 @@ pub(crate) fn union_size<R: Rng + ?Sized>(
     }
     // Paper path (D4 off): a fresh estimate from the caller's stream on
     // every query — the paper's independent-draws reading.
+    env.interner.load(level, id, frontier);
     let inputs = frontier_inputs(table, level, frontier);
     let eps_sz = params.eps_sz_at_level(params.beta_count, level + 1);
     app_union(
@@ -211,23 +313,18 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
     let mut phi = ExtFloat::from_f64(env.params.gamma_scale) / n_start;
 
     let k = env.substrate.width();
-    scratch.ensure(table.num_states(), k);
-    scratch.frontier.clear();
-    scratch.frontier.insert(start as usize);
+    scratch.bind(env.interner);
     scratch.rev_syms.clear();
+    let mut node = start_node(level, start);
 
     for ell in (1..=level).rev() {
+        stats.walk_steps += 1;
         // Lines 8–11: per-symbol predecessor frontiers and union sizes.
+        let at = scratch.successors(env, node, ell, stats);
         scratch.branch_sizes.clear();
-        for sym in 0..k as u8 {
-            env.substrate.step_back_into(
-                &scratch.frontier,
-                sym,
-                &mut scratch.branch_fronts[sym as usize],
-            );
-            let fb = &mut scratch.branch_fronts[sym as usize];
-            fb.intersect_with(env.substrate.reachable(ell - 1));
-            let sz = if fb.is_empty() {
+        for sym in 0..k {
+            let id = scratch.walk.succ[at + sym];
+            let sz = if id == EMPTY_BRANCH {
                 ExtFloat::ZERO
             } else {
                 union_size(
@@ -235,8 +332,9 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
                     table,
                     memo,
                     ell - 1,
-                    &scratch.branch_fronts[sym as usize],
+                    FrontierId(id),
                     rng,
+                    &mut scratch.frontier,
                     &mut scratch.union,
                     stats,
                 )
@@ -258,14 +356,17 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
         // Line 16's recursive call carries φ / pr_b.
         phi = phi * total / scratch.branch_sizes[choice];
         scratch.rev_syms.push(choice as u8);
-        scratch.frontier.copy_from(&scratch.branch_fronts[choice]);
+        node = MemoKey::node_of((ell - 1) as u32, FrontierId(scratch.walk.succ[at + choice]));
     }
 
     // Base case (lines 4–6). The frontier must contain the initial state:
     // every chosen branch had a positive union estimate, and level-0
     // estimates are positive only for the initial state.
     debug_assert!(
-        scratch.frontier.contains(env.substrate.initial()),
+        {
+            scratch.load_node(env.interner, node, 0);
+            scratch.frontier.contains(env.substrate.initial())
+        },
         "sampled path must lead back to the initial state"
     );
     if phi > ExtFloat::ONE {
@@ -336,6 +437,61 @@ mod tests {
                 + stats.fail_dead_end,
             200
         );
+    }
+
+    /// A scratch reused across two runs, each with its own interner that
+    /// is created and then dropped, must draw exactly what fresh scratches
+    /// draw. The second interner lives in the first one's slot — the same
+    /// address — and mints different ids for the same frontiers, so a
+    /// walk cache that kept the first run's ids would walk wrong
+    /// branches: only the uid check tells the two interners apart.
+    #[test]
+    fn reused_scratch_matches_fresh_scratch() {
+        let nfa = fpras_automata::regex::compile_regex(
+            "(0|1)*1(0|1)(0|1)(0|1)((00)*|(111)*)",
+            &Alphabet::binary(),
+        )
+        .unwrap();
+        let n = 10;
+        let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
+        let run = FprasRun::run(&nfa, n, &params, &mut SmallRng::seed_from_u64(5)).unwrap();
+        let (table, substrate) = run.parts_for_test();
+        let q_final = run.inner.as_ref().unwrap().q_final;
+        let m = table.num_states();
+        let draw = |interner: &FrontierInterner, scratch: &mut SamplerScratch| {
+            let env = SamplerEnv { params: &params, substrate, interner, sampler_seed: 99 };
+            let mut memo = UnionMemo::new();
+            let mut rng = SmallRng::seed_from_u64(17);
+            let mut stats = RunStats::default();
+            let outs: Vec<SampleOutcome> = (0..64)
+                .map(|_| {
+                    sample_word(&env, table, &mut memo, q_final, n, &mut rng, scratch, &mut stats)
+                })
+                .collect();
+            assert!(outs.iter().any(|o| matches!(o, SampleOutcome::Word(_))));
+            outs
+        };
+        // The second run's interner sees every singleton first, in
+        // reverse, so its ids differ from the first run's.
+        let shifted = || {
+            let interner = FrontierInterner::new(m);
+            for q in (0..m).rev() {
+                interner.intern(0, &StateSet::singleton(m, q));
+            }
+            interner
+        };
+
+        let mut reused = SamplerScratch::new();
+        let mut interner = FrontierInterner::new(m);
+        let slot = std::ptr::addr_of!(interner);
+        let first = draw(&interner, &mut reused);
+        interner = shifted();
+        assert_eq!(slot, std::ptr::addr_of!(interner), "the new interner reuses the slot");
+        let second = draw(&interner, &mut reused);
+        drop(interner);
+
+        assert_eq!(first, draw(&FrontierInterner::new(m), &mut SamplerScratch::new()));
+        assert_eq!(second, draw(&shifted(), &mut SamplerScratch::new()));
     }
 
     #[test]

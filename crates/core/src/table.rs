@@ -86,19 +86,20 @@ impl RunTable {
 /// — one RNG stream, which is what makes batched and unbatched count
 /// passes bit-identical.
 ///
-/// Keys are built only by
+/// Keys are built only by the interner —
 /// [`FrontierInterner::intern`](crate::intern::FrontierInterner::intern),
 /// which hash-conses the frontier's bitset words into a dense
 /// [`FrontierId`] (equal content ⇔ equal id, per interner) and computes
-/// the tag once at intern time. The key itself is a `Copy` integer
-/// triple: map probes hash two integers instead of re-walking a boxed
-/// word slice, and constructing a key allocates nothing.
+/// the tag once at intern time, or `FrontierInterner::load` for an id
+/// it already minted. The key itself is a `Copy` pair of integers, the
+/// packed `(level, id)` node and the tag: map probes hash one integer
+/// instead of re-walking a boxed word slice, and constructing a key
+/// allocates nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct MemoKey {
-    /// Level `ℓ` of the sets `L(pℓ)` being unioned.
-    level: u32,
-    /// Interned id of the frontier's content.
-    frontier: FrontierId,
+    /// `(level << 32) | frontier id` — the key's whole identity (see
+    /// [`MemoKey::node`]).
+    node: u64,
     /// Cached canonical tag of `(level, frontier content)` — derived
     /// data, excluded from equality and hashing.
     tag: u64,
@@ -106,7 +107,7 @@ pub struct MemoKey {
 
 impl PartialEq for MemoKey {
     fn eq(&self, other: &Self) -> bool {
-        self.level == other.level && self.frontier == other.frontier
+        self.node == other.node
     }
 }
 
@@ -114,14 +115,23 @@ impl Eq for MemoKey {}
 
 impl std::hash::Hash for MemoKey {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64((u64::from(self.level) << 32) | self.frontier.index() as u64);
+        // Exactly `u64::hash` of the node, which is what lets maps keyed
+        // by `MemoKey` be probed by the bare node (`Borrow<u64>`).
+        state.write_u64(self.node);
     }
 }
 
-/// SplitMix64 finalizer (the same mixer the engine's per-cell streams
-/// use), duplicated here so the key layer has no dependency on the
-/// policy layer. Shared with the sampler's frontier-keyed union streams
-/// (DESIGN.md D9) and the interner's tag fold.
+impl std::borrow::Borrow<u64> for MemoKey {
+    fn borrow(&self) -> &u64 {
+        &self.node
+    }
+}
+
+/// SplitMix64 finalizer: the one mixer behind every derived RNG stream
+/// (the policies' per-cell and per-group seeds, the sampler's
+/// frontier-keyed union streams, DESIGN.md D9) and the interner's tag
+/// fold. It lives in the key layer so that layer needs nothing from
+/// the policies.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -134,17 +144,31 @@ impl MemoKey {
     /// calls this; going through it is what guarantees the id/content
     /// bijection the `Eq`/`Hash` impls rely on.
     pub(crate) fn from_parts(level: u32, frontier: FrontierId, tag: u64) -> Self {
-        MemoKey { level, frontier, tag }
+        MemoKey { node: MemoKey::node_of(level, frontier), tag }
+    }
+
+    /// The packed `(level, frontier)` identity of a key, without its
+    /// tag: what a memo probe hashes and compares. Levels stay below
+    /// `2³¹`, so bit 63 is free for callers that key other nodes in the
+    /// same space (the sampler's walk cache).
+    pub(crate) fn node_of(level: u32, frontier: FrontierId) -> u64 {
+        (u64::from(level) << 32) | u64::from(frontier.0)
+    }
+
+    /// This key's packed `(level, frontier)` identity
+    /// ([`MemoKey::node_of`]).
+    pub(crate) fn node(&self) -> u64 {
+        self.node
     }
 
     /// Level `ℓ` of the sets `L(pℓ)` being unioned.
     pub fn level(&self) -> u32 {
-        self.level
+        (self.node >> 32) as u32
     }
 
     /// The interned id of the frontier's content.
     pub fn frontier(&self) -> FrontierId {
-        self.frontier
+        FrontierId(self.node as u32)
     }
 
     /// The 64-bit canonical tag of `(level, frontier)`, used to derive

@@ -314,6 +314,8 @@ fn report_stats(s: &RunStats) {
     println!("  intern distinct      {}", s.intern.distinct_frontiers);
     println!("  intern hits          {}", s.intern.intern_hits);
     println!("  intern arena bytes   {}", s.intern.arena_bytes);
+    println!("  walk steps           {}", s.walk_steps);
+    println!("  walk nodes built     {}", s.walk_nodes_built);
     match s.pool.ops_balance_ratio() {
         Some(r) => println!("  pool ops balance     {r:.3}"),
         None => println!("  pool ops balance     n/a"),

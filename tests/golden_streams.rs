@@ -58,15 +58,27 @@ const GOLDEN: &[(&str, u64, &str, u64)] = &[
     ("4th-from-end", 99, "det", 4638707616191610880),
 ];
 
-fn serial_estimate(nfa: &fpras_automata::Nfa, n: usize, seed: u64) -> u64 {
+fn serial_run(nfa: &fpras_automata::Nfa, n: usize, seed: u64) -> FprasRun {
     let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
     let mut rng = SmallRng::seed_from_u64(seed);
-    FprasRun::run(nfa, n, &params, &mut rng).unwrap().estimate().to_f64().to_bits()
+    FprasRun::run(nfa, n, &params, &mut rng).unwrap()
+}
+
+fn det_run(nfa: &fpras_automata::Nfa, n: usize, seed: u64, threads: usize) -> FprasRun {
+    let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
+    run_parallel(nfa, n, &params, seed, threads).unwrap()
+}
+
+fn bits(run: &FprasRun) -> u64 {
+    run.estimate().to_f64().to_bits()
+}
+
+fn serial_estimate(nfa: &fpras_automata::Nfa, n: usize, seed: u64) -> u64 {
+    bits(&serial_run(nfa, n, seed))
 }
 
 fn det_estimate(nfa: &fpras_automata::Nfa, n: usize, seed: u64, threads: usize) -> u64 {
-    let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
-    run_parallel(nfa, n, &params, seed, threads).unwrap().estimate().to_f64().to_bits()
+    bits(&det_run(nfa, n, seed, threads))
 }
 
 #[test]
@@ -109,21 +121,41 @@ fn golden_streams_match_pinned_bits() {
 /// the pinned NFA matrix with a live trace sink and stats collection
 /// enabled must reproduce the exact pinned bits. Tracing reads the
 /// computation — if enabling it shifts even one estimate bit, an RNG
-/// stream was touched from an observability hook.
+/// stream was touched from an observability hook. The sampler's walk
+/// counters must not move either: `walk_steps` is part of the output
+/// under both policies, and so is `walk_nodes_built` under `Serial`
+/// (at two threads it depends on which worker walked where).
 #[test]
 fn golden_streams_survive_tracing() {
     if std::env::var("GOLDEN_RECORD").is_ok() {
         return; // recording runs own the table; nothing to rerecord here
+    }
+    // (serial walk steps, serial nodes built, det walk steps) per row.
+    let walks = |serial: &FprasRun, det: &FprasRun| {
+        let (s, d) = (serial.stats(), det.stats());
+        assert!(s.walk_nodes_built > 0 && s.walk_nodes_built < s.walk_steps, "no walk reuse");
+        assert!(d.walk_nodes_built > 0 && d.walk_nodes_built < d.walk_steps, "no walk reuse");
+        (s.walk_steps, s.walk_nodes_built, d.walk_steps)
+    };
+    let mut untraced = Vec::new();
+    for (_, nfa, n) in matrix() {
+        for seed in [7u64, 99] {
+            untraced.push(walks(&serial_run(&nfa, n, seed), &det_run(&nfa, n, seed, 2)));
+        }
     }
     let path =
         std::env::temp_dir().join(format!("fpras-golden-trace-{}.jsonl", std::process::id()));
     let path_str = path.to_str().expect("utf-8 temp path");
     fpras_core::obs::install_sink(Box::new(JsonlSink::create(path_str).expect("trace file")));
     let mut observed: Vec<(String, u64, &'static str, u64)> = Vec::new();
+    let mut traced = Vec::new();
     for (label, nfa, n) in matrix() {
         for seed in [7u64, 99] {
-            observed.push((label.to_string(), seed, "serial", serial_estimate(&nfa, n, seed)));
-            observed.push((label.to_string(), seed, "det", det_estimate(&nfa, n, seed, 2)));
+            let serial = serial_run(&nfa, n, seed);
+            let det = det_run(&nfa, n, seed, 2);
+            observed.push((label.to_string(), seed, "serial", bits(&serial)));
+            observed.push((label.to_string(), seed, "det", bits(&det)));
+            traced.push(walks(&serial, &det));
         }
     }
     fpras_core::obs::take_sink();
@@ -133,6 +165,7 @@ fn golden_streams_survive_tracing() {
             "{label} seed {seed} policy {policy}: tracing shifted the estimate bits"
         );
     }
+    assert_eq!(traced, untraced, "tracing moved the sampler's walk counters");
     // And the trace itself is non-empty, line-delimited JSON objects.
     let trace = std::fs::read_to_string(&path).expect("trace file readable");
     let _ = std::fs::remove_file(&path);
@@ -225,5 +258,199 @@ fn robp_golden_streams_match_pinned_bits() {
             "{label} seed {seed} policy {policy}: estimate bits shifted \
              ({bits} vs pinned {g_bits}) — an RNG stream moved"
         );
+    }
+}
+
+/// The 25-state re-anchor regex of ROADMAP.md: 75 distinct sampler
+/// frontiers, heavy walk reuse. Small enough at `n = 14` for the test
+/// suite, deep enough that every sampler walk revisits its frontiers.
+const REGEX25: &str = "(0|1)*1(0|1)(0|1)(0|1)(0|1)(0|1)(0|1)(0|1)(0|1)((00)*|(111)*)";
+/// Word length of the regex fixtures.
+const REGEX25_N: usize = 14;
+/// Words drawn per sampler fixture.
+const WORDS: usize = 16;
+
+fn regex25() -> fpras_automata::Nfa {
+    fpras_automata::regex::compile_regex(REGEX25, &fpras_automata::Alphabet::binary()).unwrap()
+}
+
+/// The paper path of the sampler: practical constants with the union
+/// memo off, so every walk step runs a fresh `AppUnion` from the
+/// caller's stream.
+fn memo_off_params(m: usize, n: usize) -> Params {
+    Params { memoize_unions: false, ..Params::practical(0.3, 0.1, m, n) }.into_custom()
+}
+
+fn word_bits(w: &fpras_automata::Word) -> String {
+    w.symbols().iter().map(|&s| char::from(b'0' + s)).collect()
+}
+
+/// Pinned run observations: label, exact estimate bits, membership ops.
+/// Recorded before the sampler's walk cache existed; the cache must
+/// reproduce every bit and every op.
+const GOLDEN_RUNS: &[(&str, u64, u64)] = &[
+    ("regex25-serial", 4666676090793200847, 4366868),
+    ("regex25-det", 4666634099905545144, 4366868),
+    ("contains-101-memo-off", 4643977299944759206, 43189465),
+];
+
+/// Pinned sampler outputs: label and the first [`WORDS`] words drawn.
+const GOLDEN_WORDS: &[(&str, [&str; WORDS])] = &[
+    (
+        "regex25-generate",
+        [
+            "00010100101111",
+            "00011110001101",
+            "01010110111001",
+            "10010111000001",
+            "10110101000110",
+            "00011111100011",
+            "11010010011000",
+            "11101000111111",
+            "01111000101000",
+            "10110111001000",
+            "10100101100111",
+            "10100111100110",
+            "01101011111111",
+            "10110111100111",
+            "01111000001100",
+            "01101101101101",
+        ],
+    ),
+    (
+        "regex25-session",
+        [
+            "10110100001100",
+            "11010100010100",
+            "10010000010100",
+            "11100101000000",
+            "11010101000000",
+            "10111101011111",
+            "11111101110101",
+            "11111010100000",
+            "01000110101110",
+            "00111011101000",
+            "01011010001000",
+            "10101110000101",
+            "01000100000100",
+            "11100101101111",
+            "10111011011111",
+            "01101101001001",
+        ],
+    ),
+    (
+        "contains-101-memo-off-generate",
+        [
+            "010001011",
+            "100010101",
+            "011011110",
+            "100000101",
+            "001000101",
+            "101111001",
+            "110111111",
+            "000010110",
+            "000001101",
+            "101001000",
+            "100101010",
+            "101110101",
+            "011001011",
+            "001111101",
+            "010111000",
+            "001001010",
+        ],
+    ),
+];
+
+/// Runs every [`GOLDEN_RUNS`] configuration.
+fn observe_runs() -> Vec<(&'static str, u64, u64)> {
+    let nfa = regex25();
+    let n = REGEX25_N;
+    let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
+    let mut out = Vec::new();
+    let run = FprasRun::run(&nfa, n, &params, &mut SmallRng::seed_from_u64(7)).unwrap();
+    out.push(("regex25-serial", run.estimate().to_f64().to_bits(), run.stats().membership_ops));
+    let t1 = run_parallel(&nfa, n, &params, 7, 1).unwrap();
+    let t2 = run_parallel(&nfa, n, &params, 7, 2).unwrap();
+    assert_eq!(t1.estimate().to_f64().to_bits(), t2.estimate().to_f64().to_bits());
+    assert_eq!(t1.stats().membership_ops, t2.stats().membership_ops);
+    out.push(("regex25-det", t1.estimate().to_f64().to_bits(), t1.stats().membership_ops));
+    let c101 = families::contains_substring(&[1, 0, 1]);
+    let paper = memo_off_params(c101.num_states(), 9);
+    let run = FprasRun::run(&c101, 9, &paper, &mut SmallRng::seed_from_u64(7)).unwrap();
+    out.push((
+        "contains-101-memo-off",
+        run.estimate().to_f64().to_bits(),
+        run.stats().membership_ops,
+    ));
+    out
+}
+
+/// Draws every [`GOLDEN_WORDS`] sequence.
+fn observe_words() -> Vec<(&'static str, Vec<String>)> {
+    use fpras_core::service::{QuerySession, SessionPolicy};
+    use fpras_core::UniformGenerator;
+    let nfa = regex25();
+    let n = REGEX25_N;
+    let draw = |generator: &mut UniformGenerator, seed: u64| -> Vec<String> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..WORDS).map(|_| word_bits(&generator.generate(&mut rng).expect("a word"))).collect()
+    };
+    let mut out = Vec::new();
+    let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
+    let run = FprasRun::run(&nfa, n, &params, &mut SmallRng::seed_from_u64(7)).unwrap();
+    out.push(("regex25-generate", draw(&mut UniformGenerator::new(run), 11)));
+    let session_params = Params::for_session(0.3, 0.1, nfa.num_states(), n);
+    let policy = SessionPolicy::Deterministic { seed: 7, threads: 2 };
+    let mut session = QuerySession::new(&nfa, session_params, policy).unwrap();
+    let mut rng = SmallRng::seed_from_u64(13);
+    let words = (0..WORDS)
+        .map(|_| word_bits(&session.sample(n, &mut rng).unwrap().expect("a word")))
+        .collect();
+    out.push(("regex25-session", words));
+    let c101 = families::contains_substring(&[1, 0, 1]);
+    let paper = memo_off_params(c101.num_states(), 9);
+    let run = FprasRun::run(&c101, 9, &paper, &mut SmallRng::seed_from_u64(7)).unwrap();
+    out.push(("contains-101-memo-off-generate", draw(&mut UniformGenerator::new(run), 11)));
+    out
+}
+
+/// The sampler's own output, pinned: final estimates and membership
+/// ops of the 25-state regex (Serial, and Deterministic at threads
+/// 1/2) and of one memo-off row, plus the first words drawn by
+/// `UniformGenerator::generate` and `QuerySession::sample`. The
+/// estimate table above cannot see the sampler on two of its four
+/// families (their estimates are exact for every seed); these rows
+/// can.
+#[test]
+fn sampler_streams_match_pinned_words() {
+    let runs = observe_runs();
+    let words = observe_words();
+    if std::env::var("GOLDEN_RECORD").is_ok() {
+        println!("const GOLDEN_RUNS: &[(&str, u64, u64)] = &[");
+        for (label, bits, ops) in &runs {
+            println!("    (\"{label}\", {bits}, {ops}),");
+        }
+        println!("];");
+        println!("const GOLDEN_WORDS: &[(&str, [&str; WORDS])] = &[");
+        for (label, ws) in &words {
+            println!("    (\"{label}\", [");
+            for w in ws {
+                println!("        \"{w}\",");
+            }
+            println!("    ]),");
+        }
+        println!("];");
+        return;
+    }
+    assert_eq!(runs.len(), GOLDEN_RUNS.len(), "run fixtures drifted from the pinned table");
+    for ((label, bits, ops), (g_label, g_bits, g_ops)) in runs.iter().zip(GOLDEN_RUNS) {
+        assert_eq!(label, g_label);
+        assert_eq!(bits, g_bits, "{label}: estimate bits shifted — an RNG stream moved");
+        assert_eq!(ops, g_ops, "{label}: membership ops changed");
+    }
+    assert_eq!(words.len(), GOLDEN_WORDS.len(), "word fixtures drifted from the pinned table");
+    for ((label, ws), (g_label, g_ws)) in words.iter().zip(GOLDEN_WORDS) {
+        assert_eq!(label, g_label);
+        assert_eq!(ws, g_ws, "{label}: sampled words shifted — a sampler stream moved");
     }
 }
