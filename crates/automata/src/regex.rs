@@ -214,6 +214,13 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Most ε-NFA states [`compile_regex`] builds for one pattern. The
+/// Thompson construction unfolds every bounded repetition, so without a
+/// cap a short pattern such as `0{99999999999}` asks for unbounded time
+/// and memory; ε-elimination also keeps one closure per state, which
+/// can grow quadratically in the state count.
+pub const MAX_COMPILED_STATES: usize = 4096;
+
 impl Regex {
     /// Parses a pattern over the given alphabet.
     pub fn parse(pattern: &str, alphabet: &Alphabet) -> Result<Regex, RegexError> {
@@ -351,6 +358,27 @@ impl Regex {
         }
     }
 
+    /// The number of ε-NFA states the Thompson construction creates for
+    /// this tree, saturating at `usize::MAX`. Computed from the tree
+    /// alone, so an oversized repetition is rejected before any of it
+    /// is unfolded.
+    pub fn compiled_states(&self) -> usize {
+        let sum = |base: usize, items: &[Regex]| {
+            items.iter().fold(base, |n, r| n.saturating_add(r.compiled_states()))
+        };
+        match self {
+            Regex::Empty => 1,
+            Regex::Symbol(_) | Regex::Class(_) => 2,
+            Regex::Concat(parts) => sum(1, parts),
+            Regex::Alt(arms) => sum(2, arms),
+            Regex::Star(inner) | Regex::Opt(inner) => inner.compiled_states().saturating_add(2),
+            Regex::Plus(inner) => inner.compiled_states().saturating_add(1),
+            Regex::Repeat(inner, _, hi) => {
+                inner.compiled_states().saturating_mul(*hi).saturating_add(2)
+            }
+        }
+    }
+
     /// Compiles to a trimmed NFA via Thompson construction and
     /// ε-elimination.
     ///
@@ -379,8 +407,21 @@ fn matches_seq(parts: &[Regex], word: &[Symbol]) -> bool {
 /// that an NFA cannot represent the *totally* empty language without a
 /// dummy accepting state — patterns always match something, so this does
 /// not arise from parsing.
+///
+/// Fails without building anything when the pattern needs more than
+/// [`MAX_COMPILED_STATES`] ε-NFA states.
 pub fn compile_regex(pattern: &str, alphabet: &Alphabet) -> Result<Nfa, RegexError> {
     let re = Regex::parse(pattern, alphabet)?;
+    let states = re.compiled_states();
+    if states > MAX_COMPILED_STATES {
+        let size = if states == usize::MAX { "too many".to_string() } else { states.to_string() };
+        return Err(RegexError {
+            position: 0,
+            message: format!(
+                "pattern compiles to {size} states, above the limit of {MAX_COMPILED_STATES}"
+            ),
+        });
+    }
     re.compile(alphabet)
         .ok_or(RegexError { position: 0, message: "pattern denotes the empty language".into() })
 }
@@ -510,31 +551,31 @@ impl EpsNfa {
     }
 
     /// Eliminates ε-transitions and trims.
-    #[allow(clippy::needless_range_loop)] // q indexes both closures and the builder
     fn to_nfa(&self, alphabet: &Alphabet, start: usize, end: usize) -> Option<Nfa> {
         let mut adj = vec![Vec::new(); self.num_states];
         for &(a, b) in &self.eps {
             adj[a].push(b);
         }
-        let closures: Vec<Vec<usize>> =
-            (0..self.num_states).map(|q| self.closure(&adj, q)).collect();
+        let mut out = vec![Vec::new(); self.num_states];
+        for &(f, sym, t) in &self.trans {
+            out[f].push((sym, t));
+        }
 
         let mut b = NfaBuilder::new(alphabet.clone());
         b.add_states(self.num_states);
         b.set_initial(start as StateId);
-        // q accepting iff end ∈ closure(q).
+        // One closure at a time: all of them at once can take memory
+        // quadratic in the state count.
         for q in 0..self.num_states {
-            if closures[q].contains(&end) {
+            let closure = self.closure(&adj, q);
+            // q accepting iff end ∈ closure(q).
+            if closure.contains(&end) {
                 b.add_accepting(q as StateId);
             }
-        }
-        // q --sym--> r  iff  ∃ p ∈ closure(q) with (p, sym, r) ∈ Δ.
-        for q in 0..self.num_states {
-            for &p in &closures[q] {
-                for &(f, sym, t) in &self.trans {
-                    if f == p {
-                        b.add_transition(q as StateId, sym, t as StateId);
-                    }
+            // q --sym--> r  iff  ∃ p ∈ closure(q) with (p, sym, r) ∈ Δ.
+            for &p in &closure {
+                for &(sym, t) in &out[p] {
+                    b.add_transition(q as StateId, sym, t as StateId);
                 }
             }
         }
@@ -644,6 +685,58 @@ mod tests {
         assert!(Regex::parse("1{3,1}", &a).is_err());
         assert!(Regex::parse("x", &a).is_err());
         assert!(Regex::parse("[^01]", &a).is_err()); // empty class
+    }
+
+    #[test]
+    fn compiled_states_counts_the_construction() {
+        let a = Alphabet::binary();
+        for pattern in [
+            "",
+            "0",
+            ".",
+            "[01]1",
+            "01|10|11",
+            "0*1+",
+            "(01)*",
+            "1?0?1",
+            "1{3}",
+            "(0|1){2,4}",
+            "0{0,2}1",
+            "((0|1)0)*1?",
+            "(0*|1*)(01)+",
+            "(0?){5}",
+            "((0|1){2}){3,4}",
+        ] {
+            let re = Regex::parse(pattern, &a).unwrap();
+            let mut eps = EpsNfa::new();
+            eps.insert(&re);
+            assert_eq!(re.compiled_states(), eps.num_states, "pattern {pattern:?}");
+        }
+    }
+
+    /// A repetition above the state cap is rejected from the parse tree,
+    /// before any unfolding: no hang, no allocation proportional to it.
+    #[test]
+    fn huge_repetition_fails_fast() {
+        let a = Alphabet::binary();
+        for pattern in [
+            "0{99999}",
+            "0{99999999999}",
+            "(0{1000}){1000}",
+            "((0|1){99999}){99999}{99999}",
+            "1(0{3000}|1)",
+        ] {
+            let err = compile_regex(pattern, &a).unwrap_err();
+            assert!(err.to_string().contains("limit"), "pattern {pattern:?}: {err}");
+        }
+        let err = compile_regex("0{99999999999}{99999999999}", &a).unwrap_err();
+        assert!(err.message.contains("too many"), "{err}");
+        // Just under the cap still compiles, including the shape whose
+        // ε-closures are quadratic in its size.
+        let widest = format!("(0?){{{}}}", (MAX_COMPILED_STATES - 2) / 4);
+        assert!(Regex::parse(&widest, &a).unwrap().compiled_states() <= MAX_COMPILED_STATES);
+        let nfa = compile_regex(&widest, &a).unwrap();
+        assert_eq!(count_exact(&nfa, 3).unwrap().to_u64(), Some(1));
     }
 
     #[test]

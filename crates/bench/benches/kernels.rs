@@ -110,42 +110,58 @@ fn bench_prefix_masks(c: &mut Criterion) {
 }
 
 /// The full `AppUnion` trial loop with a reused scratch — the dominant
-/// cost of every count pass and sampler memo miss.
+/// cost of every count pass and sampler memo miss — in the shape of the
+/// dense 48-state workload: `k` frontier states out of 48 and 63
+/// samples per list. At ε = 0.15 the calls run 2.3 k, 7.8 k and 18.7 k
+/// trials; the workload averages ~12 k per call over 16 sets.
 fn bench_appunion_trials(c: &mut Criterion) {
+    const UNIVERSE: usize = 48;
+    const SAMPLES: usize = 63;
     let mut group = c.benchmark_group("appunion_trial_loop");
-    let k = 8usize;
-    let mut rng = SmallRng::seed_from_u64(31);
-    let sets: Vec<(SampleSet, u64)> = (0..k)
-        .map(|i| {
-            let mut s = SampleSet::empty();
-            for _ in 0..2000 {
-                let w = rng.random_range(0..4096u64);
-                s.push(SampleEntry {
-                    word: Word::from_index(w, 12, 2),
-                    reach: StateSet::from_iter(k, [i, (i + w as usize) % k]),
-                });
-            }
-            (s, 4096)
-        })
-        .collect();
-    let inputs: Vec<UnionSetInput<'_>> = sets
-        .iter()
-        .enumerate()
-        .map(|(i, (s, sz))| UnionSetInput {
-            samples: s,
-            size_est: ExtFloat::from_u64(*sz),
-            state: i as u32,
-        })
-        .collect();
-    let params = Params::practical(0.2, 0.05, k, 8);
-    for eps in [0.3f64, 0.1] {
-        group.bench_with_input(BenchmarkId::from_parameter(eps), &eps, |b, &eps| {
+    group.sample_size(50);
+    let params = Params::practical(0.2, 0.05, UNIVERSE, 8);
+    for k in [4usize, 16, 40] {
+        let mut rng = SmallRng::seed_from_u64(31 + k as u64);
+        let lists: Vec<SampleSet> = (0..k)
+            .map(|_| {
+                let mut s = SampleSet::empty();
+                for _ in 0..SAMPLES {
+                    let w = rng.random_range(0..1024u64);
+                    let reach = (0..UNIVERSE).filter(|_| rng.random_range(0..8u8) == 0);
+                    s.push(SampleEntry {
+                        word: Word::from_index(w, 10, 2),
+                        reach: StateSet::from_iter(UNIVERSE, reach),
+                    });
+                }
+                s
+            })
+            .collect();
+        let inputs: Vec<UnionSetInput<'_>> = lists
+            .iter()
+            .enumerate()
+            .map(|(i, s)| UnionSetInput {
+                samples: s,
+                size_est: ExtFloat::from_u64(rng.random_range(50..400u64)),
+                state: (i * UNIVERSE / k) as u32,
+            })
+            .collect();
+        group.bench_with_input(BenchmarkId::new("k", k), &k, |b, _| {
             let mut rng = SmallRng::seed_from_u64(11);
             let mut scratch = UnionScratch::new();
             b.iter(|| {
                 let mut stats = RunStats::default();
-                app_union(&params, eps, 0.05, 0.0, &inputs, k, &mut rng, &mut scratch, &mut stats)
-                    .value
+                app_union(
+                    &params,
+                    0.15,
+                    0.05,
+                    0.0,
+                    &inputs,
+                    UNIVERSE,
+                    &mut rng,
+                    &mut scratch,
+                    &mut stats,
+                )
+                .value
             });
         });
     }

@@ -12,6 +12,14 @@
 //! sampled word (`σ ∈ T_j = L(p_jℓ)` iff `p_j ∈ reach(σ)`); the "does any
 //! earlier set contain σ" test of line 9 collapses to one bitset
 //! intersection against a precomputed prefix mask.
+//!
+//! The trial loop only draws: each trial picks `i` (through a guided
+//! [`WeightTable`]) and takes the next sample of `S_i`. Which samples a
+//! set hands out depends only on how many were taken, so line 9's tests
+//! run afterwards, at most once per list position of each set, and `Y`
+//! is their tally. `Y`, the estimate and every RNG word
+//! are those of the per-trial loop; `membership_ops` still counts one
+//! oracle query per trial, the paper's cost measure.
 
 use crate::params::{CursorPolicy, Params};
 use crate::run_stats::RunStats;
@@ -82,6 +90,8 @@ pub struct UnionEstimate {
 pub struct UnionScratch {
     /// Selection weights `sz_i / max sz` (line 6).
     weights: Vec<f64>,
+    /// Guide table for drawing from `weights` (see [`WeightTable::guided`]).
+    guide: Vec<u32>,
     /// Flat prefix-mask buffer: block `i` (words
     /// `[i·stride, (i+1)·stride)`) holds `{p_0, …, p_{i-1}}`.
     prefix: Vec<u64>,
@@ -135,15 +145,16 @@ pub fn app_union<R: Rng + ?Sized>(
     let m_hat = total.ratio(&max).ceil().max(1.0) as usize;
     let t = params.appunion_trials(eps, delta, eps_sz, m_hat);
 
-    let UnionScratch { weights, prefix, cursors, consumed } = scratch;
+    let UnionScratch { weights, guide, prefix, cursors, consumed } = scratch;
 
     // Selection weights sz_i / Σ sz (line 6), renormalized through the
     // maximum so extreme exponents survive the f64 conversion. The total
-    // is hoisted into a `WeightTable` so the trial loop does not re-sum
-    // the vector per draw (draw-identical to `sample_weights`).
+    // is hoisted into a `WeightTable`, guided when t pays for it, so a
+    // draw is usually one bucket lookup (draw-identical to
+    // `sample_weights`).
     weights.clear();
     weights.extend(sets.iter().map(|s| s.size_est.ratio(&max)));
-    let table = WeightTable::new(weights);
+    let table = WeightTable::guided(weights, t, guide);
 
     // Prefix masks: block i = {p_0, …, p_{i-1}} (line 9's "∃ j < i"),
     // built incrementally: copy block i-1, set bit p_{i-1}.
@@ -169,36 +180,45 @@ pub fn app_union<R: Rng + ?Sized>(
     consumed.clear();
     consumed.resize(sets.len(), 0);
 
-    let mut y: u64 = 0;
+    // Lines 5–8: draw the pairs (σ, i). Trial m of set i takes sample
+    // (cursors[i] + m) mod |S_i|, so counting draws per set fixes them.
+    let paper_break = params.cursor == CursorPolicy::PaperBreak;
     let mut trials_run = 0usize;
     let mut broke_early = false;
     for _ in 0..t {
         let Some(i) = table.sample(rng) else { break };
-        let list = sets[i].samples;
-        let len = list.len();
-        if len == 0 {
-            // A positive estimate with no samples: treat as the paper's
-            // exhausted-list break (can only arise under noise injection).
+        let len = sets[i].samples.len();
+        // A positive estimate with no samples is treated as the paper's
+        // exhausted-list break (can only arise under noise injection).
+        if len == 0 || (paper_break && consumed[i] >= len) {
             broke_early = true;
             break;
         }
-        match params.cursor {
-            CursorPolicy::PaperBreak => {
-                if consumed[i] >= len {
-                    broke_early = true;
-                    break;
-                }
-            }
-            CursorPolicy::Cyclic => {}
-        }
-        let idx = (cursors[i] + consumed[i]) % len;
         consumed[i] += 1;
-        let entry = list.get(idx);
-        stats.membership_ops += 1;
-        if !entry.reach.intersects_words(&prefix[i * stride..(i + 1) * stride]) {
-            y += 1;
-        }
         trials_run += 1;
+    }
+    stats.membership_ops += trials_run as u64;
+
+    // Line 9, tallied: set i's c draws are c / |S_i| full cycles of its
+    // list plus the c mod |S_i| samples from its cursor on. Test each
+    // sample at most once: the partial window, then the rest of the
+    // cycle only if a full cycle was taken.
+    let mut y: u64 = 0;
+    for (i, set) in sets.iter().enumerate() {
+        let (list, taken) = (set.samples, consumed[i]);
+        if taken == 0 {
+            continue;
+        }
+        let len = list.len();
+        let mask = &prefix[i * stride..(i + 1) * stride];
+        let unique = |offset: usize| {
+            let entry = list.get((cursors[i] + offset) % len);
+            u64::from(!entry.reach.intersects_words(mask))
+        };
+        let (cycles, partial) = (taken / len, taken % len);
+        let window: u64 = (0..partial).map(unique).sum();
+        let rest: u64 = if cycles > 0 { (partial..len).map(unique).sum() } else { 0 };
+        y += cycles as u64 * (window + rest) + window;
     }
 
     // Line 10: (Y/t)·Σ sz. The divisor is the *requested* t, matching the
@@ -239,6 +259,180 @@ mod tests {
         let mut p = Params::practical(0.2, 0.05, 8, 8);
         p.rotate_cursor = false;
         p
+    }
+
+    /// The per-trial loop `app_union` replaced: draw `(σ, i)` through an
+    /// unguided table and test `σ` at once. The reference the tallied,
+    /// guided loop must match bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn app_union_reference<R: Rng + ?Sized>(
+        params: &Params,
+        eps: f64,
+        delta: f64,
+        eps_sz: f64,
+        sets: &[UnionSetInput<'_>],
+        universe: usize,
+        rng: &mut R,
+        stats: &mut RunStats,
+    ) -> UnionEstimate {
+        stats.appunion_calls += 1;
+        let zero = UnionEstimate { value: ExtFloat::ZERO, trials_run: 0, broke_early: false };
+        let total: ExtFloat = sets.iter().map(|s| s.size_est).sum();
+        if sets.is_empty() || total.is_zero() {
+            return zero;
+        }
+        let max =
+            sets.iter()
+                .map(|s| s.size_est)
+                .fold(ExtFloat::ZERO, |acc, v| if v > acc { v } else { acc });
+        let m_hat = total.ratio(&max).ceil().max(1.0) as usize;
+        let t = params.appunion_trials(eps, delta, eps_sz, m_hat);
+        let weights: Vec<f64> = sets.iter().map(|s| s.size_est.ratio(&max)).collect();
+        let table = WeightTable::new(&weights);
+        let prefix: Vec<StateSet> = (0..sets.len())
+            .map(|i| StateSet::from_iter(universe, sets[..i].iter().map(|s| s.state as usize)))
+            .collect();
+        let cursors: Vec<usize> = sets
+            .iter()
+            .map(|s| {
+                if params.rotate_cursor && !s.samples.is_empty() {
+                    rng.random_range(0..s.samples.len())
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let mut consumed = vec![0usize; sets.len()];
+        let (mut y, mut trials_run, mut broke_early) = (0u64, 0usize, false);
+        for _ in 0..t {
+            let Some(i) = table.sample(rng) else { break };
+            let list = sets[i].samples;
+            let len = list.len();
+            if len == 0 {
+                broke_early = true;
+                break;
+            }
+            if params.cursor == CursorPolicy::PaperBreak && consumed[i] >= len {
+                broke_early = true;
+                break;
+            }
+            let idx = (cursors[i] + consumed[i]) % len;
+            consumed[i] += 1;
+            stats.membership_ops += 1;
+            if !list.get(idx).reach.intersects(&prefix[i]) {
+                y += 1;
+            }
+            trials_run += 1;
+        }
+        let value = if y == 0 { ExtFloat::ZERO } else { total.scale(y as f64 / t as f64) };
+        UnionEstimate { value, trials_run, broke_early }
+    }
+
+    /// `k` random sample lists over `universe` states: genuine samples
+    /// with random reach sets, some followed by padding; list `empty`
+    /// (if any) has no samples at all.
+    fn random_lists(
+        k: usize,
+        universe: usize,
+        empty: Option<usize>,
+        rng: &mut SmallRng,
+    ) -> Vec<SampleSet> {
+        let entry = |rng: &mut SmallRng| SampleEntry {
+            word: Word::from_index(rng.random_range(0..256u64), 8, 2),
+            reach: StateSet::from_iter(
+                universe,
+                (0..universe).filter(|_| rng.random_range(0..3u8) == 0),
+            ),
+        };
+        (0..k)
+            .map(|i| {
+                let mut s = SampleSet::empty();
+                if empty == Some(i) {
+                    return s;
+                }
+                for _ in 0..rng.random_range(1..40usize) {
+                    s.push(entry(rng));
+                }
+                if rng.random_bool(0.5) {
+                    let pad = entry(rng);
+                    s.pad(pad, rng.random_range(1..30usize));
+                }
+                s
+            })
+            .collect()
+    }
+
+    /// The tallied, guided loop is the per-trial loop: equal
+    /// `UnionEstimate`, membership ops and RNG state under both cursor
+    /// policies, cursor rotation on and off, padded and empty lists, and
+    /// `t` on both sides of the guide threshold.
+    #[test]
+    fn tallied_loop_matches_per_trial_reference() {
+        let (mut guided, mut unguided) = (0, 0);
+        let mut scratch = UnionScratch::new();
+        for cursor in [CursorPolicy::Cyclic, CursorPolicy::PaperBreak] {
+            for rotate_cursor in [false, true] {
+                let mut params = test_params();
+                params.cursor = cursor;
+                params.rotate_cursor = rotate_cursor;
+                for (k, eps) in [(1, 0.2), (2, 3.0), (5, 0.1), (12, 1.0), (12, 0.3), (40, 0.15)] {
+                    for seed in 0..4u64 {
+                        let universe = k + 70;
+                        let mut setup = SmallRng::seed_from_u64(seed * 1000 + k as u64);
+                        let empty = (seed == 3 && k > 1).then_some(k / 2);
+                        let lists = random_lists(k, universe, empty, &mut setup);
+                        let sets: Vec<UnionSetInput<'_>> = lists
+                            .iter()
+                            .enumerate()
+                            .map(|(i, samples)| UnionSetInput {
+                                samples,
+                                // Sizes spread over ~2^±40 around 1.
+                                size_est: ExtFloat::from_u64(setup.random_range(1..1000u64))
+                                    * ExtFloat::pow2(setup.random_range(-40..=0i64)),
+                                state: ((i * 7 + seed as usize) % universe) as StateId,
+                            })
+                            .collect();
+                        let (mut a_stats, mut b_stats) = (RunStats::default(), RunStats::default());
+                        let mut a = SmallRng::seed_from_u64(seed);
+                        let mut b = SmallRng::seed_from_u64(seed);
+                        let got = app_union(
+                            &params,
+                            eps,
+                            0.05,
+                            0.1,
+                            &sets,
+                            universe,
+                            &mut a,
+                            &mut scratch,
+                            &mut a_stats,
+                        );
+                        let want = app_union_reference(
+                            &params,
+                            eps,
+                            0.05,
+                            0.1,
+                            &sets,
+                            universe,
+                            &mut b,
+                            &mut b_stats,
+                        );
+                        let case = format!(
+                            "{cursor:?} rotate={rotate_cursor} k={k} eps={eps} seed={seed}"
+                        );
+                        assert_eq!(got, want, "{case}");
+                        assert_eq!(got.value.to_f64().to_bits(), want.value.to_f64().to_bits());
+                        assert_eq!(a_stats.membership_ops, b_stats.membership_ops, "{case}");
+                        assert_eq!(a.random::<u64>(), b.random::<u64>(), "{case}");
+                        if scratch.guide.is_empty() {
+                            unguided += 1;
+                        } else {
+                            guided += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(guided > 0 && unguided > 0, "guided {guided}, unguided {unguided}");
     }
 
     /// Two disjoint sets of sizes 60 and 40: union is 100.

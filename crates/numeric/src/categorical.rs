@@ -3,9 +3,15 @@
 //! Both `AppUnion` (Algorithm 1, line 6: pick a set with probability
 //! `szᵢ/Σszⱼ`) and the backward sampler (Algorithm 2, line 13: pick the
 //! next symbol proportionally to the union estimates) need categorical
-//! draws over a handful of weights. The weight vectors here are tiny
-//! (bounded by the alphabet size or the in-degree of a state), so a linear
-//! cumulative scan beats alias-table setup.
+//! draws over a handful of weights. Every draw is the same linear
+//! cumulative scan: one uniform `u`, then `u·total` minus each weight in
+//! turn until the running value goes negative. The sampler draws once per
+//! weight vector, so the scan is all it needs. `AppUnion` instead draws
+//! thousands of times from one vector of up to a few dozen weights, so
+//! [`WeightTable`] can put a guide table (Chen and Asau's cutpoint
+//! method) in front of the scan. The guide answers most draws with one
+//! lookup and returns exactly the scan's index, from the same single
+//! `u`, so guided and unguided draw sequences are bit-identical.
 
 use crate::ExtFloat;
 use rand::{Rng, RngExt};
@@ -30,27 +36,93 @@ pub fn sample_weights<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> Option<u
     weights.iter().rposition(|&w| w > 0.0)
 }
 
+/// Marks a guide bucket whose draws do not all select the same index.
+const AMBIGUOUS: u32 = u32::MAX;
+
+/// Fewest guide buckets worth building.
+const MIN_GUIDE_BUCKETS: usize = 16;
+
+/// Most guide buckets (4 KiB of guide).
+const MAX_GUIDE_BUCKETS: usize = 1024;
+
+/// Guide buckets per weight: at most `k − 1` buckets straddle an index
+/// boundary, so at most one draw in this many falls back to the scan.
+const GUIDE_BUCKETS_PER_WEIGHT: usize = 8;
+
+/// Draws per guide bucket needed to build the guide. Building costs two
+/// scans per bucket and a guided draw saves about one, so this leaves the
+/// build at most half of what it saves.
+const GUIDE_DRAWS_PER_BUCKET: usize = 4;
+
 /// A weight vector with its total precomputed, for repeated categorical
 /// draws over the *same* weights.
 ///
 /// [`sample_weights`] re-sums the whole vector on every call — fine for
 /// one-shot draws, pure waste inside `AppUnion`'s trial loop, which
 /// draws thousands of times from one fixed vector. `WeightTable` hoists
-/// the summation; [`WeightTable::sample`] keeps the scalar subtraction
-/// loop of `sample_weights` verbatim (same total, same fold order, same
+/// the summation; its scan keeps the scalar subtraction loop of
+/// `sample_weights` verbatim (same total, same fold order, same
 /// fallback), so the two produce **bit-identical** draw sequences from
 /// any RNG state — a property the `table_matches_sample_weights`
 /// proptest pins down.
+///
+/// A table built by [`WeightTable::guided`] also splits `[0, 1)` into
+/// `M = 2^b` equal buckets and stores, per bucket, the index the scan
+/// returns for every `u` in it, when that index is unique. The scan's
+/// index is monotone non-decreasing in `u`: `fl(u·total)` and each
+/// `fl(r − w)` are monotone, so raising `u` can only move the first
+/// negative running value later, and the `rposition` fallback is at or
+/// after any index a negative value can select (a zero weight never
+/// turns the running value negative). So if the scan gives one index at
+/// both the smallest and the largest double of a bucket, it gives that
+/// index for every `u` in between, and the stored answer is exact. A
+/// draw still takes exactly one `random_range(0.0..1.0)` and scans only
+/// when its bucket straddles an index boundary.
 pub struct WeightTable<'a> {
     weights: &'a [f64],
     total: f64,
+    /// Per-bucket index, or [`AMBIGUOUS`]; empty when unguided.
+    guide: &'a [u32],
+    /// `guide.len()` as a float, the bucket scale for `u`.
+    buckets: f64,
 }
 
 impl<'a> WeightTable<'a> {
     /// Precomputes the total of `weights`.
     pub fn new(weights: &'a [f64]) -> Self {
         debug_assert!(weights.iter().all(|&w| w >= 0.0 && w.is_finite()));
-        WeightTable { weights, total: weights.iter().sum() }
+        WeightTable { weights, total: weights.iter().sum(), guide: &[], buckets: 0.0 }
+    }
+
+    /// A table for about `draws` draws: like [`WeightTable::new`], plus a
+    /// guide table written into the caller-owned `guide` buffer when
+    /// `draws` pays for building it. Draws are bit-identical either way;
+    /// the guide only makes them cheaper.
+    pub fn guided(weights: &'a [f64], draws: usize, guide: &'a mut Vec<u32>) -> Self {
+        let mut table = WeightTable::new(weights);
+        guide.clear();
+        let buckets = (GUIDE_BUCKETS_PER_WEIGHT * weights.len())
+            .next_power_of_two()
+            .clamp(MIN_GUIDE_BUCKETS, MAX_GUIDE_BUCKETS);
+        if weights.len() >= 2
+            && table.total > 0.0
+            && table.total.is_finite()
+            && draws / GUIDE_DRAWS_PER_BUCKET >= buckets
+        {
+            let scale = buckets as f64;
+            guide.extend((0..buckets).map(|j| {
+                // The smallest and largest doubles in [j/M, (j+1)/M).
+                let lo = table.scan(j as f64 / scale);
+                let hi = table.scan(((j + 1) as f64 / scale).next_down());
+                match (lo, hi) {
+                    (Some(a), Some(b)) if a == b => a as u32,
+                    _ => AMBIGUOUS,
+                }
+            }));
+            table.buckets = scale;
+        }
+        table.guide = guide;
+        table
     }
 
     /// True iff every weight is zero (or the slice is empty): no draw is
@@ -61,11 +133,24 @@ impl<'a> WeightTable<'a> {
 
     /// Samples an index proportionally to the table's weights — the
     /// draw-identical counterpart of [`sample_weights`].
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
         if self.total <= 0.0 {
             return None;
         }
-        let mut target = rng.random_range(0.0..1.0) * self.total;
+        let u = rng.random_range(0.0..1.0);
+        // `u·M` is exact (M is a power of two) and below M, so the cast
+        // is the bucket of `u`; an unguided table has no buckets.
+        match self.guide.get((u * self.buckets) as usize) {
+            Some(&i) if i != AMBIGUOUS => Some(i as usize),
+            _ => self.scan(u),
+        }
+    }
+
+    /// The reference draw for a given uniform `u ∈ [0, 1)`: the
+    /// subtraction loop of [`sample_weights`].
+    fn scan(&self, u: f64) -> Option<usize> {
+        let mut target = u * self.total;
         for (i, &w) in self.weights.iter().enumerate() {
             target -= w;
             if target < 0.0 {
@@ -152,6 +237,100 @@ mod tests {
             // Identical RNG states after the draws.
             prop_assert_eq!(a.random::<u64>(), b.random::<u64>());
         }
+
+        /// Guided draws are the scan's draws: 1–64 weights mixing zeros,
+        /// O(1) weights and weights down to ~1e-300 of them, drawn
+        /// through a guide and through `sample_weights` from one seed,
+        /// give the same indices and leave the RNG in the same state.
+        #[test]
+        fn guided_table_matches_sample_weights(
+            spec in proptest::collection::vec((0u8..4, 1.0f64..10.0, 0i32..=300), 1..65),
+            seed in any::<u64>(),
+        ) {
+            let weights = spread_weights(&spec);
+            let mut guide = Vec::new();
+            let table = WeightTable::guided(&weights, usize::MAX, &mut guide);
+            let mut a = SmallRng::seed_from_u64(seed);
+            let mut b = SmallRng::seed_from_u64(seed);
+            for _ in 0..256 {
+                prop_assert_eq!(table.sample(&mut a), sample_weights(&mut b, &weights));
+            }
+            prop_assert_eq!(a.random::<u64>(), b.random::<u64>());
+        }
+
+        /// Every bucket's two extreme draws, `j/M` and `(j+1)/M − 2⁻⁵³`,
+        /// give the same index through the guide as through the scan.
+        #[test]
+        fn guide_bucket_edges_match_scan(
+            spec in proptest::collection::vec((0u8..4, 1.0f64..10.0, 0i32..=300), 1..65),
+        ) {
+            let weights = spread_weights(&spec);
+            let mut guide = Vec::new();
+            let table = WeightTable::guided(&weights, usize::MAX, &mut guide);
+            let buckets = table.guide.len();
+            prop_assert!(buckets > 0 || weights.len() < 2 || table.is_zero());
+            let ulp = 1.0 / (1u64 << 53) as f64;
+            for j in 0..buckets {
+                for u in [j as f64 / buckets as f64, (j + 1) as f64 / buckets as f64 - ulp] {
+                    prop_assert_eq!(
+                        table.sample(&mut FixedUnit::new(u)),
+                        sample_weights(&mut FixedUnit::new(u), &weights),
+                        "bucket {} of {}, u = {}", j, buckets, u
+                    );
+                }
+            }
+        }
+    }
+
+    /// Weights from `(kind, mantissa, exponent)` triples: kind 0 is a
+    /// zero weight, kind 1 an O(1) weight, and kinds 2–3 are
+    /// `mantissa · 10^-exponent`, down to ~1e-300.
+    fn spread_weights(spec: &[(u8, f64, i32)]) -> Vec<f64> {
+        spec.iter()
+            .map(|&(kind, m, e)| match kind {
+                0 => 0.0,
+                1 => m,
+                _ => m * 10f64.powi(-e),
+            })
+            .collect()
+    }
+
+    /// An RNG whose next `random_range(0.0..1.0)` is exactly `u` (a
+    /// multiple of 2⁻⁵³ in `[0, 1)`), for pushing chosen draws through
+    /// both routines.
+    struct FixedUnit(u64);
+
+    impl FixedUnit {
+        fn new(u: f64) -> Self {
+            let mut rng = FixedUnit(((u * (1u64 << 53) as f64) as u64) << 11);
+            assert_eq!(rng.random_range(0.0..1.0), u);
+            rng
+        }
+    }
+
+    impl Rng for FixedUnit {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn guide_built_only_when_draws_pay() {
+        let weights = [1.0, 2.0, 0.0, 4.0];
+        let mut guide = Vec::new();
+        WeightTable::guided(&weights, 10, &mut guide);
+        assert!(guide.is_empty(), "10 draws do not pay for a guide");
+        WeightTable::guided(&weights, 1 << 20, &mut guide);
+        assert_eq!(guide.len(), 32);
+        // Stale contents never survive a rebuild that skips the guide.
+        WeightTable::guided(&[3.0], 1 << 20, &mut guide);
+        assert!(guide.is_empty(), "one weight needs no guide");
+        WeightTable::guided(&[0.0, 0.0], 1 << 20, &mut guide);
+        assert!(guide.is_empty(), "all-zero weights have no draws");
+        // Most buckets resolve without the scan.
+        WeightTable::guided(&weights, 1 << 20, &mut guide);
+        let ambiguous = guide.iter().filter(|&&g| g == AMBIGUOUS).count();
+        assert!(ambiguous < weights.len(), "{ambiguous} ambiguous buckets");
     }
 
     #[test]

@@ -249,4 +249,11 @@ fn bad_usage_fails_fast() {
     let (_, stderr, ok) = run(&["--regex", "((", "-n", "4"]);
     assert!(!ok);
     assert!(stderr.contains("cannot compile regex"), "{stderr}");
+
+    // A repetition too large to unfold is refused before it is built.
+    for pattern in ["0{99999}", "0{99999999999}"] {
+        let (_, stderr, ok) = run(&["--regex", pattern, "-n", "2"]);
+        assert!(!ok);
+        assert!(stderr.contains("above the limit"), "{pattern}: {stderr}");
+    }
 }

@@ -160,6 +160,17 @@ fn serve_multiplexes_named_sessions_bit_identically() {
 }
 
 #[test]
+fn serve_refuses_oversized_regex_and_keeps_serving() {
+    let input = "open big --regex 0{99999999999}\nopen a --regex 1*\nestimate 3\nquit\n";
+    let (stdout, stderr, ok) = run_with_stdin(&["serve"], input);
+    assert!(ok, "stderr: {stderr}");
+    let errors: Vec<&str> = stdout.lines().filter(|l| l.starts_with("error: ")).collect();
+    assert_eq!(errors.len(), 1, "{stdout}");
+    assert!(errors[0].contains("above the limit"), "{stdout}");
+    assert!(stdout.contains("estimate 3 = 1"), "{stdout}");
+}
+
+#[test]
 fn serve_answers_every_bad_line_with_one_error() {
     // Malformed input of every stripe: each bad line gets exactly one
     // `error:` response and the process survives to answer the good
