@@ -43,6 +43,13 @@ pub mod stateset;
 pub mod unroll;
 pub mod word;
 
+/// Most states an automaton read from untrusted text may have: the
+/// `states` count of the `.nfa` format ([`parse::from_text`]) and the
+/// Thompson states of a regex pattern ([`regex::MAX_COMPILED_STATES`]).
+/// Without it a one-line file such as `states 9999999999` asks the
+/// builder for hundreds of gigabytes and the allocator aborts the process.
+pub const MAX_INPUT_STATES: usize = 4096;
+
 pub use alphabet::Alphabet;
 pub use dfa::Dfa;
 pub use enumerate::{enumerate_slice, Enumerator};

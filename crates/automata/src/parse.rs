@@ -18,10 +18,12 @@
 //!
 //! `alphabet` lists single-character symbol names in id order; `trans`
 //! lines are `FROM SYMBOL_CHAR TO`. Blank lines and `#` comments are
-//! ignored. [`to_text`] and [`from_text`] round-trip.
+//! ignored. [`to_text`] and [`from_text`] round-trip. A `states` count
+//! above [`MAX_INPUT_STATES`] is refused before anything is allocated.
 
 use crate::alphabet::Alphabet;
 use crate::nfa::{Nfa, NfaBuilder};
+use crate::MAX_INPUT_STATES;
 use std::fmt;
 
 /// Parse errors with line numbers.
@@ -88,6 +90,12 @@ pub fn from_text(text: &str) -> Result<Nfa, ParseNfaError> {
                     .get(1)
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| err(lineno, "states needs a count".into()))?;
+                if count > MAX_INPUT_STATES {
+                    return Err(err(
+                        lineno,
+                        format!("{count} states is above the limit of {MAX_INPUT_STATES}"),
+                    ));
+                }
                 let mut b = NfaBuilder::new(a);
                 b.add_states(count);
                 *builder = Some(b);
@@ -221,6 +229,20 @@ trans 2 1 2
 
         assert!(from_text("").is_err());
         assert!(from_text("states 1\n").is_err(), "alphabet must come first");
+    }
+
+    /// The cap itself parses; one more, or a count no allocator could
+    /// serve, is a parse error on the `states` line, not an abort.
+    #[test]
+    fn states_count_is_capped() {
+        let text = |count: usize| format!("alphabet 01\nstates {count}\ninitial 0\naccepting 0\n");
+        let nfa = from_text(&text(MAX_INPUT_STATES)).unwrap();
+        assert_eq!(nfa.num_states(), MAX_INPUT_STATES);
+        for count in [MAX_INPUT_STATES + 1, 9_999_999_999] {
+            let e = from_text(&text(count)).unwrap_err();
+            assert_eq!(e.line, 2, "{e}");
+            assert!(e.message.contains("above the limit"), "{e}");
+        }
     }
 
     #[test]

@@ -218,8 +218,9 @@ impl<'a> Parser<'a> {
 /// Thompson construction unfolds every bounded repetition, so without a
 /// cap a short pattern such as `0{99999999999}` asks for unbounded time
 /// and memory; ε-elimination also keeps one closure per state, which
-/// can grow quadratically in the state count.
-pub const MAX_COMPILED_STATES: usize = 4096;
+/// can grow quadratically in the state count. The same cap as the
+/// `.nfa` format's `states` count.
+pub const MAX_COMPILED_STATES: usize = crate::MAX_INPUT_STATES;
 
 impl Regex {
     /// Parses a pattern over the given alphabet.

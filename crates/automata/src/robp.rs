@@ -462,6 +462,12 @@ pub fn from_text(text: &str) -> Result<Robp, ParseRobpError> {
                         if (node as usize) >= b.num_nodes() {
                             return Err(err(lineno, format!("source node {node} out of range")));
                         }
+                        if b.levels[node as usize] != 0 {
+                            return Err(err(
+                                lineno,
+                                format!("source node {node} must be at level 0"),
+                            ));
+                        }
                         b.set_source(node);
                     }
                     "accepting" => {
@@ -471,6 +477,12 @@ pub fn from_text(text: &str) -> Result<Robp, ParseRobpError> {
                             .ok_or_else(|| err(lineno, "accepting needs a node id".into()))?;
                         if (node as usize) >= b.num_nodes() {
                             return Err(err(lineno, format!("accepting node {node} out of range")));
+                        }
+                        if b.levels[node as usize] as usize != b.depth {
+                            return Err(err(
+                                lineno,
+                                format!("accepting node {node} must be at the last level"),
+                            ));
                         }
                         b.add_accepting(node);
                     }
@@ -693,5 +705,22 @@ mod tests {
         assert!(e.message.contains("advance exactly one level"));
 
         assert!(from_text("").is_err());
+    }
+
+    /// `accepting` on a node below the last level is a parse error on
+    /// its line, not a builder panic.
+    #[test]
+    fn accepting_off_last_level_is_a_parse_error() {
+        let e = from_text("alphabet 01\ndepth 2\nlevels 0 1\naccepting 1\n").unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
+        assert!(e.message.contains("must be at the last level"), "{e}");
+    }
+
+    /// `source` on a node off level 0 is a parse error on its line.
+    #[test]
+    fn source_off_level_zero_is_a_parse_error() {
+        let e = from_text("alphabet 01\ndepth 2\nlevels 0 1 2\nsource 2\n").unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
+        assert!(e.message.contains("must be at level 0"), "{e}");
     }
 }

@@ -109,11 +109,12 @@ fn bench_prefix_masks(c: &mut Criterion) {
     group.finish();
 }
 
-/// The full `AppUnion` trial loop with a reused scratch — the dominant
-/// cost of every count pass and sampler memo miss — in the shape of the
-/// dense 48-state workload: `k` frontier states out of 48 and 63
-/// samples per list. At ε = 0.15 the calls run 2.3 k, 7.8 k and 18.7 k
-/// trials; the workload averages ~12 k per call over 16 sets.
+/// One full `AppUnion` call with a reused scratch — the cost of every
+/// count-pass union and sampler memo miss — in the shape of the dense
+/// 48-state workload: `k` frontier states out of 48 and 63 samples per
+/// list. At ε = 0.15 the calls run 2.3 k, 7.8 k and 18.7 k trials (the
+/// workload averages ~12 k per call over 16 sets), drawn as `k` per-set
+/// counts, so the time is mostly the tally's bit tests.
 fn bench_appunion_trials(c: &mut Criterion) {
     const UNIVERSE: usize = 48;
     const SAMPLES: usize = 63;

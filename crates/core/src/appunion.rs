@@ -13,20 +13,25 @@
 //! earlier set contain σ" test of line 9 collapses to one bitset
 //! intersection against a precomputed prefix mask.
 //!
-//! The trial loop only draws: each trial picks `i` (through a guided
-//! [`WeightTable`]) and takes the next sample of `S_i`. Which samples a
-//! set hands out depends only on how many were taken, so line 9's tests
-//! run afterwards, at most once per list position of each set, and `Y`
-//! is their tally. `Y`, the estimate and every RNG word
-//! are those of the per-trial loop; `membership_ops` still counts one
-//! oracle query per trial, the paper's cost measure.
+//! The trials are drawn as counts. With cyclic cursors, which samples a
+//! set hands out depends only on how many draws it got, so `Y` depends
+//! on the `t` draws only through the per-set counts
+//! `(c_1, …, c_k) ~ Multinomial(t; szᵢ/Σsz)`. `app_union` draws those
+//! counts directly ([`sample_multinomial`], `O(k)` RNG words) and then
+//! runs line 9's tests at most once per list position of each set; `Y`
+//! is their tally. The law of `Y`, and with it Theorem 1's guarantee, is
+//! the per-trial loop's. [`CursorPolicy::PaperBreak`] and inputs with an
+//! empty sample list keep a per-trial draw loop, because the paper's
+//! break depends on draw order. `membership_ops` still counts one oracle
+//! query per trial, the paper's cost measure; `union_bit_tests` counts
+//! the tests the tally actually ran.
 
 use crate::params::{CursorPolicy, Params};
 use crate::run_stats::RunStats;
 use crate::sample_set::SampleSet;
 use crate::table::RunTable;
 use fpras_automata::{StateId, StateSet};
-use fpras_numeric::{ExtFloat, WeightTable};
+use fpras_numeric::{sample_multinomial, ExtFloat, WeightTable};
 use rand::{Rng, RngExt};
 
 /// One input set `T_i = L(p_iℓ)` for `AppUnion`.
@@ -84,14 +89,17 @@ pub struct UnionEstimate {
 /// prefix masks (one flat word buffer, not one `StateSet` per input
 /// set), and the per-set cursor state. A fresh scratch is equivalent to
 /// a reused one — every buffer is cleared and rebuilt per call — so
-/// callers thread one scratch through an entire pass and the trial loop
+/// callers thread one scratch through an entire pass and every call
 /// runs allocation-free.
 #[derive(Debug, Default)]
 pub struct UnionScratch {
     /// Selection weights `sz_i / max sz` (line 6).
     weights: Vec<f64>,
-    /// Guide table for drawing from `weights` (see [`WeightTable::guided`]).
+    /// Guide table for the per-trial loop's draws (see
+    /// [`WeightTable::guided`]).
     guide: Vec<u32>,
+    /// Suffix sums of `weights` for the multinomial count draw.
+    suffix: Vec<f64>,
     /// Flat prefix-mask buffer: block `i` (words
     /// `[i·stride, (i+1)·stride)`) holds `{p_0, …, p_{i-1}}`.
     prefix: Vec<u64>,
@@ -145,16 +153,12 @@ pub fn app_union<R: Rng + ?Sized>(
     let m_hat = total.ratio(&max).ceil().max(1.0) as usize;
     let t = params.appunion_trials(eps, delta, eps_sz, m_hat);
 
-    let UnionScratch { weights, guide, prefix, cursors, consumed } = scratch;
+    let UnionScratch { weights, guide, suffix, prefix, cursors, consumed } = scratch;
 
     // Selection weights sz_i / Σ sz (line 6), renormalized through the
-    // maximum so extreme exponents survive the f64 conversion. The total
-    // is hoisted into a `WeightTable`, guided when t pays for it, so a
-    // draw is usually one bucket lookup (draw-identical to
-    // `sample_weights`).
+    // maximum so extreme exponents survive the f64 conversion.
     weights.clear();
     weights.extend(sets.iter().map(|s| s.size_est.ratio(&max)));
-    let table = WeightTable::guided(weights, t, guide);
 
     // Prefix masks: block i = {p_0, …, p_{i-1}} (line 9's "∃ j < i"),
     // built incrementally: copy block i-1, set bit p_{i-1}.
@@ -181,22 +185,32 @@ pub fn app_union<R: Rng + ?Sized>(
     consumed.resize(sets.len(), 0);
 
     // Lines 5–8: draw the pairs (σ, i). Trial m of set i takes sample
-    // (cursors[i] + m) mod |S_i|, so counting draws per set fixes them.
+    // (cursors[i] + m) mod |S_i|, so the draws matter only through the
+    // per-set counts, one multinomial draw. The paper's break and an
+    // empty list (noise injection only) depend on draw order, so they
+    // keep the per-trial loop, its draws through a guided table.
     let paper_break = params.cursor == CursorPolicy::PaperBreak;
-    let mut trials_run = 0usize;
-    let mut broke_early = false;
-    for _ in 0..t {
-        let Some(i) = table.sample(rng) else { break };
-        let len = sets[i].samples.len();
-        // A positive estimate with no samples is treated as the paper's
-        // exhausted-list break (can only arise under noise injection).
-        if len == 0 || (paper_break && consumed[i] >= len) {
-            broke_early = true;
-            break;
+    let (trials_run, broke_early) = if paper_break || sets.iter().any(|s| s.samples.is_empty()) {
+        let table = WeightTable::guided(weights, t, guide);
+        let mut trials_run = 0;
+        let mut broke_early = false;
+        for _ in 0..t {
+            let Some(i) = table.sample(rng) else { break };
+            let len = sets[i].samples.len();
+            // A positive estimate with no samples is treated as the
+            // paper's exhausted-list break.
+            if len == 0 || (paper_break && consumed[i] >= len) {
+                broke_early = true;
+                break;
+            }
+            consumed[i] += 1;
+            trials_run += 1;
         }
-        consumed[i] += 1;
-        trials_run += 1;
-    }
+        (trials_run, broke_early)
+    } else {
+        sample_multinomial(rng, t, weights, suffix, consumed);
+        (t, false)
+    };
     stats.membership_ops += trials_run as u64;
 
     // Line 9, tallied: set i's c draws are c / |S_i| full cycles of its
@@ -219,6 +233,7 @@ pub fn app_union<R: Rng + ?Sized>(
         let window: u64 = (0..partial).map(unique).sum();
         let rest: u64 = if cycles > 0 { (partial..len).map(unique).sum() } else { 0 };
         y += cycles as u64 * (window + rest) + window;
+        stats.union_bit_tests += taken.min(len) as u64;
     }
 
     // Line 10: (Y/t)·Σ sz. The divisor is the *requested* t, matching the
@@ -233,6 +248,7 @@ mod tests {
     use crate::sample_set::SampleEntry;
     use fpras_automata::Word;
     use rand::{rngs::SmallRng, SeedableRng};
+    use std::collections::HashMap;
 
     /// Builds a sample set for a synthetic `T_i ⊆ {0..universe_words}`:
     /// `count` uniform samples from the listed words, where each word's
@@ -261,9 +277,9 @@ mod tests {
         p
     }
 
-    /// The per-trial loop `app_union` replaced: draw `(σ, i)` through an
-    /// unguided table and test `σ` at once. The reference the tallied,
-    /// guided loop must match bit for bit.
+    /// Algorithm 1 trial by trial: draw `(σ, i)` through an unguided
+    /// table and test `σ` at once. `app_union`'s per-trial path must
+    /// match it bit for bit, and its counts draw must match its law.
     #[allow(clippy::too_many_arguments)]
     fn app_union_reference<R: Rng + ?Sized>(
         params: &Params,
@@ -362,13 +378,16 @@ mod tests {
             .collect()
     }
 
-    /// The tallied, guided loop is the per-trial loop: equal
-    /// `UnionEstimate`, membership ops and RNG state under both cursor
-    /// policies, cursor rotation on and off, padded and empty lists, and
-    /// `t` on both sides of the guide threshold.
+    /// Where `app_union` keeps a per-trial loop (`PaperBreak`, or a set
+    /// with an empty list) it is the reference: equal `UnionEstimate`,
+    /// membership ops and RNG state under cursor rotation on and off,
+    /// padded and empty lists, and `t` on both sides of the guide
+    /// threshold. Elsewhere it draws counts, runs the same `t` trials
+    /// and charges the same ops; `counts_draw_has_the_per_trial_law`
+    /// checks what it estimates.
     #[test]
     fn tallied_loop_matches_per_trial_reference() {
-        let (mut guided, mut unguided) = (0, 0);
+        let (mut guided, mut unguided, mut counted) = (0, 0, 0);
         let mut scratch = UnionScratch::new();
         for cursor in [CursorPolicy::Cyclic, CursorPolicy::PaperBreak] {
             for rotate_cursor in [false, true] {
@@ -419,6 +438,17 @@ mod tests {
                         let case = format!(
                             "{cursor:?} rotate={rotate_cursor} k={k} eps={eps} seed={seed}"
                         );
+                        let tests: usize =
+                            lists.iter().zip(&scratch.consumed).map(|(l, &c)| c.min(l.len())).sum();
+                        assert_eq!(a_stats.union_bit_tests, tests as u64, "{case}");
+                        assert!(a_stats.union_bit_tests <= a_stats.membership_ops, "{case}");
+                        if cursor == CursorPolicy::Cyclic && empty.is_none() {
+                            counted += 1;
+                            assert_eq!(got.trials_run, want.trials_run, "{case}");
+                            assert!(!got.broke_early, "{case}");
+                            assert_eq!(a_stats.membership_ops, b_stats.membership_ops, "{case}");
+                            continue;
+                        }
                         assert_eq!(got, want, "{case}");
                         assert_eq!(got.value.to_f64().to_bits(), want.value.to_f64().to_bits());
                         assert_eq!(a_stats.membership_ops, b_stats.membership_ops, "{case}");
@@ -433,6 +463,111 @@ mod tests {
             }
         }
         assert!(guided > 0 && unguided > 0, "guided {guided}, unguided {unguided}");
+        assert!(counted > 0);
+    }
+
+    /// Pearson's two-sample statistic for equal-size samples `a` and `b`
+    /// (outcome → count), with cells merged in key order until each
+    /// holds at least 20 observations, and its degrees of freedom.
+    fn homogeneity_chi_square(a: &HashMap<u64, u64>, b: &HashMap<u64, u64>) -> (f64, usize) {
+        let mut keys: Vec<u64> = a.keys().chain(b.keys()).copied().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut cells: Vec<(u64, u64)> = Vec::new();
+        let mut cell = (0u64, 0u64);
+        for key in keys {
+            cell.0 += a.get(&key).copied().unwrap_or(0);
+            cell.1 += b.get(&key).copied().unwrap_or(0);
+            if cell.0 + cell.1 >= 20 {
+                cells.push(std::mem::take(&mut cell));
+            }
+        }
+        match cells.last_mut() {
+            Some(last) => {
+                last.0 += cell.0;
+                last.1 += cell.1;
+            }
+            None => cells.push(cell),
+        }
+        let stat = cells.iter().map(|&(x, y)| (x as f64 - y as f64).powi(2) / (x + y) as f64).sum();
+        (stat, cells.len() - 1)
+    }
+
+    /// Drawing the per-set counts as one multinomial gives `Y` — so the
+    /// estimate — the law of the per-trial loop: on small fixed inputs
+    /// (k ≤ 4, t ≤ 40, lists short enough to cycle, cursor rotation on
+    /// and off), the estimates of 10⁵ seeds of each pass a two-sample
+    /// chi-square test at level 10⁻⁶.
+    #[test]
+    fn counts_draw_has_the_per_trial_law() {
+        const SEEDS: u64 = 100_000;
+        let universe = 4;
+        // Reach sets over states {0, 1, 2, 3}: set i is unique unless it
+        // also reaches an earlier set's state.
+        let list = |reaches: &[&[usize]]| {
+            let mut s = SampleSet::empty();
+            for (w, reach) in reaches.iter().enumerate() {
+                s.push(SampleEntry {
+                    word: Word::from_index(w as u64, 8, 2),
+                    reach: StateSet::from_iter(universe, reach.iter().copied()),
+                });
+            }
+            s
+        };
+        let l0 = list(&[&[0], &[0, 1], &[0, 2], &[0]]);
+        let l1 = list(&[&[1], &[0, 1], &[1, 2], &[1], &[0, 1, 3]]);
+        let l2 = list(&[&[2, 0], &[2], &[2, 1]]);
+        let l3 = list(&[&[3], &[3, 0], &[3], &[3, 1, 2], &[3], &[3, 2], &[3]]);
+        let input = |samples, size: u64, state| UnionSetInput {
+            samples,
+            size_est: ExtFloat::from_u64(size),
+            state,
+        };
+        // (sets, eps): t = 36 for the first two, 24 for the third.
+        let cases: Vec<(Vec<UnionSetInput<'_>>, f64)> = vec![
+            (vec![input(&l0, 5, 0), input(&l1, 3, 1)], 1.0),
+            (vec![input(&l0, 5, 0), input(&l1, 3, 1), input(&l2, 8, 2)], 1.0),
+            (vec![input(&l0, 4, 0), input(&l1, 9, 1), input(&l2, 2, 2), input(&l3, 6, 3)], 1.5),
+        ];
+        let mut scratch = UnionScratch::new();
+        for rotate_cursor in [false, true] {
+            let params = Params { rotate_cursor, ..test_params() };
+            for (c, (sets, eps)) in cases.iter().enumerate() {
+                let mut stats = RunStats::default();
+                let (mut counted, mut reference) = (HashMap::new(), HashMap::new());
+                for seed in 0..SEEDS {
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let got = app_union(
+                        &params,
+                        *eps,
+                        0.05,
+                        0.0,
+                        sets,
+                        universe,
+                        &mut rng,
+                        &mut scratch,
+                        &mut stats,
+                    );
+                    *counted.entry(got.value.to_f64().to_bits()).or_insert(0u64) += 1;
+                    let mut rng = SmallRng::seed_from_u64(SEEDS + seed);
+                    let want = app_union_reference(
+                        &params, *eps, 0.05, 0.0, sets, universe, &mut rng, &mut stats,
+                    );
+                    *reference.entry(want.value.to_f64().to_bits()).or_insert(0u64) += 1;
+                }
+                let t = stats.membership_ops / (2 * SEEDS);
+                assert!(t <= 40, "case {c}: t = {t}");
+                let (stat, df) = homogeneity_chi_square(&counted, &reference);
+                assert!(df >= 4, "case {c} rotate={rotate_cursor}: only {df} df");
+                // Wilson–Hilferty upper 10⁻⁶ quantile of χ²(df).
+                let h = 2.0 / (9.0 * df as f64);
+                let crit = df as f64 * (1.0 - h + 4.753 * h.sqrt()).powi(3);
+                assert!(
+                    stat <= crit,
+                    "case {c} rotate={rotate_cursor}: χ² = {stat:.1} on {df} df > {crit:.1}"
+                );
+            }
+        }
     }
 
     /// Two disjoint sets of sizes 60 and 40: union is 100.
@@ -622,6 +757,8 @@ mod tests {
         );
         assert!(!est.broke_early);
         assert!(est.trials_run > 3);
+        // Every trial cycles the 3-sample list; each sample is tested once.
+        assert_eq!(stats.union_bit_tests, 3);
         // Single set: everything is unique, estimate = sz exactly.
         assert!((est.value.to_f64() - 10.0).abs() < 1e-9);
     }

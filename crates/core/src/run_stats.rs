@@ -206,6 +206,10 @@ pub struct RunStats {
     /// Membership-oracle operations (Algorithm 1 line 9 equivalents) —
     /// the paper's unit of time complexity.
     pub membership_ops: u64,
+    /// Sample-reach bit tests `AppUnion`'s tally actually ran: at most
+    /// `min(c, |S_i|)` per set drawn `c` times, so at most
+    /// `membership_ops` — the real work beside the paper's measure.
+    pub union_bit_tests: u64,
     /// Total `AppUnion` invocations that ran trials (memo misses included,
     /// memo hits excluded).
     pub appunion_calls: u64,
@@ -327,6 +331,7 @@ impl RunStats {
     /// folding many sessions together.
     pub fn merge(&mut self, other: &RunStats) {
         self.membership_ops += other.membership_ops;
+        self.union_bit_tests += other.union_bit_tests;
         self.appunion_calls += other.appunion_calls;
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;
@@ -373,10 +378,21 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let mut a = RunStats { membership_ops: 5, sample_calls: 2, ..Default::default() };
-        let b = RunStats { membership_ops: 7, sample_calls: 1, ..Default::default() };
+        let mut a = RunStats {
+            membership_ops: 5,
+            union_bit_tests: 4,
+            sample_calls: 2,
+            ..Default::default()
+        };
+        let b = RunStats {
+            membership_ops: 7,
+            union_bit_tests: 3,
+            sample_calls: 1,
+            ..Default::default()
+        };
         a.merge(&b);
         assert_eq!(a.membership_ops, 12);
+        assert_eq!(a.union_bit_tests, 7);
         assert_eq!(a.sample_calls, 3);
     }
 

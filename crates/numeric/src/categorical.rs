@@ -6,12 +6,15 @@
 //! draws over a handful of weights. Every draw is the same linear
 //! cumulative scan: one uniform `u`, then `u·total` minus each weight in
 //! turn until the running value goes negative. The sampler draws once per
-//! weight vector, so the scan is all it needs. `AppUnion` instead draws
-//! thousands of times from one vector of up to a few dozen weights, so
-//! [`WeightTable`] can put a guide table (Chen and Asau's cutpoint
-//! method) in front of the scan. The guide answers most draws with one
-//! lookup and returns exactly the scan's index, from the same single
-//! `u`, so guided and unguided draw sequences are bit-identical.
+//! weight vector, so the scan is all it needs. `AppUnion` usually draws
+//! no indices at all: it draws its per-set trial counts as one
+//! multinomial ([`crate::binomial`]). Only its per-trial loop, kept for
+//! the paper's `PaperBreak` cursor and for empty sample lists, draws
+//! thousands of times from one vector of up to a few dozen weights. For
+//! that loop [`WeightTable`] can put a guide table (Chen and Asau's
+//! cutpoint method) in front of the scan. The guide answers most draws
+//! with one lookup and returns exactly the scan's index, from the same
+//! single `u`, so guided and unguided draw sequences are bit-identical.
 
 use crate::ExtFloat;
 use rand::{Rng, RngExt};
@@ -58,7 +61,7 @@ const GUIDE_DRAWS_PER_BUCKET: usize = 4;
 /// draws over the *same* weights.
 ///
 /// [`sample_weights`] re-sums the whole vector on every call — fine for
-/// one-shot draws, pure waste inside `AppUnion`'s trial loop, which
+/// one-shot draws, pure waste inside `AppUnion`'s per-trial loop, which
 /// draws thousands of times from one fixed vector. `WeightTable` hoists
 /// the summation; its scan keeps the scalar subtraction loop of
 /// `sample_weights` verbatim (same total, same fold order, same

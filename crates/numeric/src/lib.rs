@@ -10,6 +10,8 @@
 //!   probability `φ` (which starts near `1/N(qℓ)`) span the same dynamic
 //!   range in both directions — these are held in [`ExtFloat`], a float
 //!   with an `i64` exponent;
+//! * `AppUnion`'s per-set trial counts are one multinomial draw, taken
+//!   as exact binomials in [`binomial`];
 //! * trial sizing, confidence intervals and uniformity measurements for
 //!   the experiment harness live in [`stats`].
 //!
@@ -17,11 +19,13 @@
 //! here from scratch (see `DESIGN.md` §2).
 
 pub mod biguint;
+pub mod binomial;
 pub mod categorical;
 pub mod extfloat;
 pub mod stats;
 
 pub use biguint::BigUint;
+pub use binomial::sample_multinomial;
 pub use categorical::{
     sample_extfloat_weights, sample_extfloat_weights_with, sample_weights, WeightTable,
 };

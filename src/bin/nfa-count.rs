@@ -266,11 +266,12 @@ fn load_automaton(regex_pattern: Option<&str>, file: Option<&str>) -> Result<Nfa
     }
 }
 
-/// [`load_automaton`] for the one-shot paths: any failure is fatal.
+/// [`load_automaton`] for the one-shot paths: any failure is a usage
+/// error (exit 2).
 fn load_automaton_or_exit(regex_pattern: Option<&str>, file: Option<&str>) -> Nfa {
     load_automaton(regex_pattern, file).unwrap_or_else(|e| {
         eprintln!("{e}");
-        std::process::exit(1);
+        std::process::exit(2);
     })
 }
 
@@ -284,6 +285,7 @@ fn report_stats(s: &RunStats) {
     println!("stats:");
     println!("  membership ops       {}", s.membership_ops);
     println!("  appunion calls       {}", s.appunion_calls);
+    println!("  union bit tests      {}", s.union_bit_tests);
     println!("  memo hit rate        {:.4}", s.memo_hit_rate());
     println!("  sample calls         {}", s.sample_calls);
     println!("  rejection rate       {:.4}", s.rejection_rate());
@@ -542,6 +544,11 @@ fn query_main(argv: &[String]) {
 /// client cannot pin unbounded memory (evicted sessions rebuild on
 /// demand — eviction is not rejection).
 const DEFAULT_REGISTRY_CAPACITY: usize = 8;
+
+/// Most words one serve `sample N COUNT` line may ask for. Each line is
+/// answered in full before the next is read, so an unbounded `COUNT`
+/// would stream words forever and starve every other tenant.
+const MAX_SAMPLES_PER_LINE: usize = 4096;
 
 /// Per-tenant construction inputs for one named serve session.
 #[derive(Clone)]
@@ -927,11 +934,11 @@ fn serve_main(argv: &[String]) -> i32 {
                     let count = match words.next() {
                         None => 1,
                         Some(raw) => match raw.parse::<usize>() {
-                            Ok(c) if c >= 1 => c,
+                            Ok(c) if (1..=MAX_SAMPLES_PER_LINE).contains(&c) => c,
                             _ => {
                                 println!(
                                     "error: usage: sample N [COUNT] \
-                                     (COUNT must be a positive integer)"
+                                     (COUNT must be a positive integer, at most {MAX_SAMPLES_PER_LINE})"
                                 );
                                 continue;
                             }
@@ -1103,7 +1110,7 @@ fn robp_main(argv: &[String]) {
     });
     let robp = fpras_automata::robp::from_text(&text).unwrap_or_else(|e| {
         eprintln!("cannot parse {path}: {e}");
-        std::process::exit(1);
+        std::process::exit(2);
     });
     let n = robp.depth();
     eprintln!(

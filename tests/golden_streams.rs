@@ -11,9 +11,14 @@
 //!
 //! These fixtures pin the exact output bits of a small `(nfa, params,
 //! seed)` matrix for the `Serial` policy and for `Deterministic` at
-//! threads 1/2/8. The pinned values were recorded from the pre-intern
-//! engine (PR 5); any change to them is a *stream break* and needs an
-//! explicit decision, not a rerecord-and-move-on.
+//! threads 1/2/8. Any change to them is a *stream break* and needs an
+//! explicit decision, not a rerecord-and-move-on. Every table here was
+//! last recorded when `AppUnion` began drawing its per-set trial counts
+//! as one multinomial instead of `t` categorical draws (DESIGN.md D16):
+//! the estimator's law is unchanged, but every union estimate, sampled
+//! word and op count moved with the new draws. The relational
+//! invariants (threads, batching, sharing, sessions, tracing) passed
+//! unchanged across that break.
 //!
 //! To rerecord after an intentional stream change:
 //! `GOLDEN_RECORD=1 cargo test --test golden_streams -- --nocapture`
@@ -40,14 +45,14 @@ fn matrix() -> Vec<(&'static str, fpras_automata::Nfa, usize)> {
 /// One pinned observation: family label, seed, policy label, exact bits
 /// of the final estimate as `f64`.
 const GOLDEN: &[(&str, u64, &str, u64)] = &[
-    ("contains-11", 7, "serial", 4650946615226167820),
-    ("contains-11", 7, "det", 4650523677361334194),
-    ("contains-11", 99, "serial", 4650621341773058339),
-    ("contains-11", 99, "det", 4650880040781815456),
-    ("contains-101", 7, "serial", 4644246466317442312),
-    ("contains-101", 7, "det", 4644401687708306237),
-    ("contains-101", 99, "serial", 4644225917658009212),
-    ("contains-101", 99, "det", 4644182837809465614),
+    ("contains-11", 7, "serial", 4651011123222545126),
+    ("contains-11", 7, "det", 4650530302229222004),
+    ("contains-11", 99, "serial", 4650651614059254926),
+    ("contains-11", 99, "det", 4650905736607774919),
+    ("contains-101", 7, "serial", 4644250024502407954),
+    ("contains-101", 7, "det", 4644424692501905706),
+    ("contains-101", 99, "serial", 4644219424750742048),
+    ("contains-101", 99, "det", 4644177995967973863),
     ("ones-mod-3", 7, "serial", 4640185359819341824),
     ("ones-mod-3", 7, "det", 4640185359819341824),
     ("ones-mod-3", 99, "serial", 4640185359819341824),
@@ -121,21 +126,25 @@ fn golden_streams_match_pinned_bits() {
 /// the pinned NFA matrix with a live trace sink and stats collection
 /// enabled must reproduce the exact pinned bits. Tracing reads the
 /// computation — if enabling it shifts even one estimate bit, an RNG
-/// stream was touched from an observability hook. The sampler's walk
-/// counters must not move either: `walk_steps` is part of the output
-/// under both policies, and so is `walk_nodes_built` under `Serial`
-/// (at two threads it depends on which worker walked where).
+/// stream was touched from an observability hook. The work counters
+/// must not move either: `walk_steps` and `AppUnion`'s tally bit tests
+/// are part of the output under both policies, and so is
+/// `walk_nodes_built` under `Serial` (at two threads it depends on
+/// which worker walked where).
 #[test]
 fn golden_streams_survive_tracing() {
     if std::env::var("GOLDEN_RECORD").is_ok() {
         return; // recording runs own the table; nothing to rerecord here
     }
-    // (serial walk steps, serial nodes built, det walk steps) per row.
+    // (serial walk steps, serial nodes built, det walk steps, serial
+    // and det union bit tests) per row.
     let walks = |serial: &FprasRun, det: &FprasRun| {
         let (s, d) = (serial.stats(), det.stats());
         assert!(s.walk_nodes_built > 0 && s.walk_nodes_built < s.walk_steps, "no walk reuse");
         assert!(d.walk_nodes_built > 0 && d.walk_nodes_built < d.walk_steps, "no walk reuse");
-        (s.walk_steps, s.walk_nodes_built, d.walk_steps)
+        assert!(s.union_bit_tests > 0 && s.union_bit_tests <= s.membership_ops);
+        assert!(d.union_bit_tests > 0 && d.union_bit_tests <= d.membership_ops);
+        (s.walk_steps, s.walk_nodes_built, d.walk_steps, s.union_bit_tests, d.union_bit_tests)
     };
     let mut untraced = Vec::new();
     for (_, nfa, n) in matrix() {
@@ -165,7 +174,7 @@ fn golden_streams_survive_tracing() {
             "{label} seed {seed} policy {policy}: tracing shifted the estimate bits"
         );
     }
-    assert_eq!(traced, untraced, "tracing moved the sampler's walk counters");
+    assert_eq!(traced, untraced, "tracing moved the walk or union bit-test counters");
     // And the trace itself is non-empty, line-delimited JSON objects.
     let trace = std::fs::read_to_string(&path).expect("trace file readable");
     let _ = std::fs::remove_file(&path);
@@ -177,9 +186,10 @@ fn golden_streams_survive_tracing() {
 }
 
 /// The nROBP fixture matrix: two seeded random programs spanning shape
-/// parameters and one robp-encoded NFA slice. These streams were
-/// recorded when the `RobpSubstrate` front-end shipped; they pin the
-/// substrate's set contents (reach sets, predecessor frontiers) the same
+/// parameters and one robp-encoded NFA slice. These streams were first
+/// recorded when the `RobpSubstrate` front-end shipped (re-recorded at
+/// the multinomial break, see the module doc); they pin the substrate's
+/// set contents (reach sets, predecessor frontiers) the same
 /// way the NFA table pins the unrolling's.
 fn robp_matrix() -> Vec<(&'static str, Robp)> {
     vec![
@@ -200,18 +210,18 @@ fn robp_matrix() -> Vec<(&'static str, Robp)> {
 
 /// Pinned nROBP observations, same shape as [`GOLDEN`].
 const GOLDEN_ROBP: &[(&str, u64, &str, u64)] = &[
-    ("robp-rand-8x4", 7, "serial", 4641011155659719978),
-    ("robp-rand-8x4", 7, "det", 4641211541442034334),
-    ("robp-rand-8x4", 99, "serial", 4640995411869113877),
-    ("robp-rand-8x4", 99, "det", 4641110039692581988),
-    ("robp-rand-6x3-k3", 7, "serial", 4649518868123005944),
-    ("robp-rand-6x3-k3", 7, "det", 4649996576775794328),
-    ("robp-rand-6x3-k3", 99, "serial", 4649834873716670598),
-    ("robp-rand-6x3-k3", 99, "det", 4649545467042715238),
-    ("robp-contains-11", 7, "serial", 4641206002967414036),
-    ("robp-contains-11", 7, "det", 4641381254353891876),
-    ("robp-contains-11", 99, "serial", 4640991106553651699),
-    ("robp-contains-11", 99, "det", 4641481652780049242),
+    ("robp-rand-8x4", 7, "serial", 4640941878727551433),
+    ("robp-rand-8x4", 7, "det", 4641034886560060887),
+    ("robp-rand-8x4", 99, "serial", 4641052522455351458),
+    ("robp-rand-8x4", 99, "det", 4640982381162429259),
+    ("robp-rand-6x3-k3", 7, "serial", 4649722670255929206),
+    ("robp-rand-6x3-k3", 7, "det", 4649922371316266843),
+    ("robp-rand-6x3-k3", 99, "serial", 4649648972833068097),
+    ("robp-rand-6x3-k3", 99, "det", 4649437058744498280),
+    ("robp-contains-11", 7, "serial", 4641476154422627270),
+    ("robp-contains-11", 7, "det", 4641371499197305340),
+    ("robp-contains-11", 99, "serial", 4641269255611677684),
+    ("robp-contains-11", 99, "det", 4641485106729098562),
 ];
 
 fn serial_robp_estimate(robp: &Robp, seed: u64) -> u64 {
@@ -286,12 +296,13 @@ fn word_bits(w: &fpras_automata::Word) -> String {
 }
 
 /// Pinned run observations: label, exact estimate bits, membership ops.
-/// Recorded before the sampler's walk cache existed; the cache must
-/// reproduce every bit and every op.
+/// First recorded before the sampler's walk cache existed, which
+/// reproduced every bit and every op; re-recorded at the multinomial
+/// break (see the module doc).
 const GOLDEN_RUNS: &[(&str, u64, u64)] = &[
-    ("regex25-serial", 4666676090793200847, 4366868),
-    ("regex25-det", 4666634099905545144, 4366868),
-    ("contains-101-memo-off", 4643977299944759206, 43189465),
+    ("regex25-serial", 4666680033353614794, 4366868),
+    ("regex25-det", 4666637746481825248, 4366868),
+    ("contains-101-memo-off", 4644095127770726138, 42983728),
 ];
 
 /// Pinned sampler outputs: label and the first [`WORDS`] words drawn.
@@ -341,22 +352,22 @@ const GOLDEN_WORDS: &[(&str, [&str; WORDS])] = &[
     (
         "contains-101-memo-off-generate",
         [
-            "010001011",
-            "100010101",
-            "011011110",
-            "100000101",
-            "001000101",
-            "101111001",
-            "110111111",
-            "000010110",
-            "000001101",
-            "101001000",
-            "100101010",
-            "101110101",
-            "011001011",
-            "001111101",
+            "101001010",
+            "001010000",
+            "101000011",
+            "100110101",
+            "001101010",
+            "011011111",
+            "001100101",
+            "010111110",
+            "110111011",
+            "101000110",
+            "001001101",
+            "101011101",
+            "101101101",
             "010111000",
-            "001001010",
+            "010100111",
+            "111010011",
         ],
     ),
 ];

@@ -47,6 +47,34 @@ fn robp_subcommand_rejects_missing_and_bad_input() {
     let bad = write_fixture("bad.robp", "alphabet 01\ndepth 1\nlevels 0 9\n");
     let (_, _, ok) = run(&["robp", "--file", bad.to_str().unwrap()]);
     assert!(!ok, "malformed program must fail");
+    // A mislevelled `accepting` is a parse error (exit 2), not a panic.
+    let bad = write_fixture("mislevelled.robp", "alphabet 01\ndepth 2\nlevels 0 1\naccepting 1\n");
+    let (code, stderr) = exit_code(&["robp", "--file", bad.to_str().unwrap()]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("must be at the last level"), "{stderr}");
+}
+
+/// Exit code and stderr of one `nfa-count` run (`None` if a signal
+/// ended it).
+fn exit_code(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_nfa-count"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// A `states` count above the cap is refused as a usage error before
+/// anything is allocated; `states 9999999999` used to abort the process
+/// on a 240 GB allocation.
+#[test]
+fn oversized_nfa_file_is_a_usage_error() {
+    for (name, count) in [("cap-plus-one.nfa", "4097"), ("huge.nfa", "9999999999")] {
+        let path = write_fixture(name, &format!("alphabet 01\nstates {count}\n"));
+        let (code, stderr) = exit_code(&["--file", path.to_str().unwrap(), "-n", "4"]);
+        assert_eq!(code, Some(2), "{name}: {stderr}");
+        assert!(stderr.contains("above the limit of 4096"), "{name}: {stderr}");
+    }
 }
 
 #[test]

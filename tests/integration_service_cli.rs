@@ -3,7 +3,7 @@
 //! query loop, and the centralized parameter validation.
 
 mod common;
-use common::{run, run_with_stdin, run_with_stdin_bytes};
+use common::{run, run_with_stdin, run_with_stdin_bytes, write_fixture};
 
 fn estimate_line<'a>(stdout: &'a str, needle: &str) -> &'a str {
     stdout.lines().find(|l| l.contains(needle)).unwrap_or_else(|| panic!("no {needle}: {stdout}"))
@@ -168,6 +168,37 @@ fn serve_refuses_oversized_regex_and_keeps_serving() {
     assert_eq!(errors.len(), 1, "{stdout}");
     assert!(errors[0].contains("above the limit"), "{stdout}");
     assert!(stdout.contains("estimate 3 = 1"), "{stdout}");
+}
+
+#[test]
+fn serve_refuses_oversized_nfa_file_and_keeps_serving() {
+    let big = write_fixture("serve-huge.nfa", "alphabet 01\nstates 9999999999\n");
+    let input = format!(
+        "open big --file {}\nopen a --regex 1*\nestimate 3\nquit\n",
+        big.to_str().expect("utf-8 path")
+    );
+    let (stdout, stderr, ok) = run_with_stdin(&["serve"], &input);
+    assert!(ok, "stderr: {stderr}");
+    let errors: Vec<&str> = stdout.lines().filter(|l| l.starts_with("error: ")).collect();
+    assert_eq!(errors.len(), 1, "{stdout}");
+    assert!(errors[0].contains("above the limit of 4096"), "{stdout}");
+    assert!(stdout.contains("estimate 3 = 1"), "{stdout}");
+}
+
+#[test]
+fn serve_caps_words_per_sample_line() {
+    let input = "open a --regex 1*\nsample 3 4097\nsample 8 999999999999\nsample 3 4096\nquit\n";
+    let (stdout, stderr, ok) = run_with_stdin(&["serve"], input);
+    assert!(ok, "stderr: {stderr}");
+    let errors: Vec<&str> = stdout.lines().filter(|l| l.starts_with("error: ")).collect();
+    assert_eq!(errors.len(), 2, "{stdout}");
+    for e in &errors {
+        assert!(e.contains("error: usage: sample N [COUNT]"), "{e}");
+        assert!(e.contains("at most 4096"), "{e}");
+    }
+    // The cap itself is served in full, and nothing of the refused lines.
+    assert_eq!(stdout.lines().filter(|l| l.starts_with("sample 3 = ")).count(), 4096, "{stdout}");
+    assert!(!stdout.contains("sample 8 = "), "{stdout}");
 }
 
 #[test]
