@@ -147,6 +147,14 @@ impl StateSet {
         &self.words
     }
 
+    /// The raw words, for kernels that compute a whole set at once
+    /// ([`crate::StepMasks`]'s byte tables). Callers keep bits at and
+    /// above the universe clear.
+    #[inline]
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// In-place union with a raw word slice (an arena row covering the
     /// same universe). The kernel form of [`StateSet::union_with`]: the
     /// flat-arena callers ([`crate::StepMasks`], the interner) keep rows

@@ -1,19 +1,19 @@
 //! Criterion benches for the interned-frontier hot-path kernels (§2.5):
-//! intern lookup, the `StepMasks` flat-arena step kernels, the
-//! `AppUnion` prefix-mask build shape, the full trial loop with a
-//! reused [`UnionScratch`], and one warm sampler walk (walk-cache hits,
-//! memo probes, categorical draws). These are the pieces the count/sample/share
-//! passes execute millions of times per run; `cargo bench --bench
-//! kernels` tracks their per-call cost so a regression to per-key
-//! allocation shows up as a step change.
+//! intern lookup, the `StepMasks` step kernels and a word's forward
+//! simulation (`reach`), the `AppUnion` prefix-mask build shape, the
+//! full trial loop with a reused [`UnionScratch`], and warm sampler
+//! walks (compiled-record replays, categorical draws). These are the
+//! pieces the count/sample/share passes execute millions of times per
+//! run; `cargo bench --bench kernels` tracks their per-call cost so a
+//! regression to per-key allocation shows up as a step change.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpras_automata::regex::compile_regex;
 use fpras_automata::{Alphabet, StateSet, StepMasks, Word};
 use fpras_core::sample_set::{SampleEntry, SampleSet};
 use fpras_core::{
-    app_union, FprasRun, FrontierInterner, Params, RunStats, UniformGenerator, UnionScratch,
-    UnionSetInput,
+    app_union, FprasRun, FrontierInterner, Params, QuerySession, RunStats, SessionPolicy,
+    UniformGenerator, UnionScratch, UnionSetInput,
 };
 use fpras_numeric::ExtFloat;
 use fpras_workloads::{random_nfa, RandomNfaConfig};
@@ -73,6 +73,36 @@ fn bench_step(c: &mut Criterion) {
             b.iter(|| {
                 masks.step_back_into(&from, 1, &mut out);
                 out.len()
+            });
+        });
+    }
+    group.finish();
+}
+
+/// One accepted word's forward simulation — the reach set the sample
+/// pass stores with every sampled word (§4.3) — in the shapes of the two
+/// count workloads: the 25-state regex at `n = 28` and a dense 48-state
+/// NFA at `n = 10`. Both fit one word, so this is the byte-table path:
+/// `⌈m/8⌉` lookups per symbol.
+fn bench_reach(c: &mut Criterion) {
+    let mut group = c.benchmark_group("reach");
+    let regex = compile_regex(REGEX25, &Alphabet::binary()).expect("regex compiles");
+    let dense = random_nfa(
+        &RandomNfaConfig { states: 48, alphabet: 2, density: 2.5, accepting: 2 },
+        &mut SmallRng::seed_from_u64(7),
+    );
+    for (nfa, n) in [(regex, 28usize), (dense, 10)] {
+        let masks = StepMasks::new(&nfa);
+        let mut rng = SmallRng::seed_from_u64(13);
+        let words: Vec<Word> =
+            (0..64).map(|_| Word::from_index(rng.random_range(0..1u64 << n), n, 2)).collect();
+        let label = format!("m={}/n={n}", nfa.num_states());
+        group.bench_with_input(BenchmarkId::from_parameter(label), &n, |b, _| {
+            let mut i = 0usize;
+            b.iter(|| {
+                let reach = masks.reach(&words[i % words.len()]);
+                i += 1;
+                reach.len()
             });
         });
     }
@@ -169,13 +199,24 @@ fn bench_appunion_trials(c: &mut Criterion) {
     group.finish();
 }
 
-/// One warm `UniformGenerator::generate` call on the 25-state regex of
-/// ROADMAP.md at `n = 28` (75 distinct frontiers): after the warm-up
-/// every walk step is a walk-cache hit plus memo probes and the
-/// categorical draw, so this is the per-trial cost of the sample pass.
+/// The 25-state regex of ROADMAP.md's count workload (75 distinct
+/// frontiers at `n = 28`).
+const REGEX25: &str = "(0|1)*1(0|1)(0|1)(0|1)(0|1)(0|1)(0|1)(0|1)(0|1)((00)*|(111)*)";
+
+/// Warm sampler walks on the 25-state regex at `n = 28`:
+///
+/// * `generator` — one `UniformGenerator::generate` call (up to its
+///   retries) after a warm-up: nodes built, the memo filled; the steps
+///   whose branches the run's last sample pass left in the memo's
+///   overlay stay uncompiled.
+/// * `base_hits` — one `QuerySession::sample` call at `n = 28` on a
+///   session built to `n = 30`, so every entry the walk reads was
+///   committed by a later level: after the warm-up every step is a
+///   compiled-record replay (checked below), the per-step cost of the
+///   sample pass.
 fn bench_sampler_walk(c: &mut Criterion) {
-    const REGEX25: &str = "(0|1)*1(0|1)(0|1)(0|1)(0|1)(0|1)(0|1)(0|1)(0|1)((00)*|(111)*)";
     let nfa = compile_regex(REGEX25, &Alphabet::binary()).expect("regex compiles");
+    let mut group = c.benchmark_group("sampler_walk");
     let params = Params::practical(0.3, 0.05, nfa.num_states(), 28);
     let run = FprasRun::run(&nfa, 28, &params, &mut SmallRng::seed_from_u64(1)).expect("run");
     let mut generator = UniformGenerator::new(run);
@@ -183,13 +224,32 @@ fn bench_sampler_walk(c: &mut Criterion) {
     for _ in 0..64 {
         generator.generate(&mut rng); // warm: walk nodes built, memo filled
     }
-    c.bench_function("sampler_walk", |b| b.iter(|| generator.generate(&mut rng)));
+    group.bench_function("generator", |b| b.iter(|| generator.generate(&mut rng)));
+
+    let params = Params::for_session(0.3, 0.05, nfa.num_states(), 30);
+    let policy = SessionPolicy::Deterministic { seed: 1, threads: 1 };
+    let mut session = QuerySession::new(&nfa, params, policy).expect("session");
+    session.estimate(30).expect("build");
+    for _ in 0..64 {
+        session.sample(28, &mut rng).expect("sample"); // warm: records compiled
+    }
+    let before = session.query_run_stats().clone();
+    for _ in 0..64 {
+        session.sample(28, &mut rng).expect("sample");
+    }
+    let after = session.query_run_stats();
+    let steps = after.walk_steps - before.walk_steps;
+    let hits = after.walk_table_hits - before.walk_table_hits;
+    assert!(hits * 100 >= steps * 99, "only {hits} of {steps} warm steps were table hits");
+    group.bench_function("base_hits", |b| b.iter(|| session.sample(28, &mut rng)));
+    group.finish();
 }
 
 criterion_group!(
     benches,
     bench_intern,
     bench_step,
+    bench_reach,
     bench_prefix_masks,
     bench_appunion_trials,
     bench_sampler_walk

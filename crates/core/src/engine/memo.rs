@@ -28,11 +28,33 @@
 //! inserts count-phase seeds before shared pre-estimates before
 //! sampler insertions, so the tier order doubles as the precision
 //! order, DESIGN.md D4).
+//!
+//! # Lineage
+//!
+//! A committed base entry never changes, so the sampler may compile a
+//! walk node's base-layer branch values once and replay them
+//! (`sampler.rs`, DESIGN.md D17). That is sound only against memos
+//! whose base layers agree. Each memo therefore carries a process-unique
+//! **lineage** id. [`UnionMemo::new`] and `clone` mint a fresh one;
+//! [`UnionMemo::snapshot`] keeps it, since a snapshot's base *is* its
+//! parent's. A commit into a base that a live snapshot still shares
+//! mints a fresh id, since the two bases diverge from there. So all
+//! live memos of one lineage share one base, and that base only grows:
+//! an entry a record read from it is there, unchanged, for every later
+//! call under the same id.
 
 use crate::table::{BuildKeyHasher, MemoKey};
 use fpras_numeric::ExtFloat;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Source of [`UnionMemo`] lineage ids; 0 is never handed out.
+static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(1);
+
+fn mint_lineage() -> u64 {
+    NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Which phase produced a memo entry (first-wins precedence order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,33 +85,66 @@ pub struct MemoEntry {
 /// refuses to overwrite an existing key in either layer, which is the
 /// whole memo discipline (count seeds outrank shared pre-estimates
 /// outrank sampler insertions purely by insertion order).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct UnionMemo {
     /// The committed, immutable level-start layer (shared by snapshots).
     base: Arc<HashMap<MemoKey, MemoEntry, BuildKeyHasher>>,
     /// Entries inserted since the last [`UnionMemo::commit`].
     overlay: HashMap<MemoKey, MemoEntry, BuildKeyHasher>,
+    /// Lineage id (see the module docs).
+    lineage: u64,
+}
+
+impl Default for UnionMemo {
+    fn default() -> Self {
+        UnionMemo::new()
+    }
+}
+
+impl Clone for UnionMemo {
+    /// A deep copy in a fresh lineage: the copy and the original may
+    /// commit different values from here on.
+    fn clone(&self) -> Self {
+        UnionMemo {
+            base: Arc::clone(&self.base),
+            overlay: self.overlay.clone(),
+            lineage: mint_lineage(),
+        }
+    }
 }
 
 impl UnionMemo {
-    /// An empty memo.
+    /// An empty memo in a fresh lineage.
     pub fn new() -> Self {
-        UnionMemo::default()
+        UnionMemo { base: Arc::default(), overlay: HashMap::default(), lineage: mint_lineage() }
+    }
+
+    /// The memo's lineage id — see the module docs. Two calls that see
+    /// the same id see one base layer, possibly grown in between.
+    pub(crate) fn lineage(&self) -> u64 {
+        self.lineage
     }
 
     /// Looks up `key` in either layer.
     pub fn get(&self, key: &MemoKey) -> Option<MemoEntry> {
-        self.get_node(key.node())
+        self.get_node(key.node()).map(|(entry, _)| entry)
     }
 
     /// [`UnionMemo::get`] by a key's packed `(level, frontier)` node
     /// ([`MemoKey::node_of`]) — a probe that needs no RNG tag, so the
-    /// sampler's walk cache can look entries up from bare frontier ids.
-    /// The layers are disjoint, so probing the base first (where a
-    /// sample pass finds nearly every entry) answers exactly what the
-    /// overlay-first order would, in one probe instead of two.
-    pub(crate) fn get_node(&self, node: u64) -> Option<MemoEntry> {
-        self.base.get(&node).or_else(|| self.overlay.get(&node)).copied()
+    /// sampler's compiled walk can look entries up from bare frontier
+    /// ids — also telling whether the entry sits in the committed base
+    /// layer (`true`) or the overlay. Only base entries may be compiled
+    /// into a sampler walk record. The layers are disjoint, so probing
+    /// the base first (where a sample pass finds nearly every entry)
+    /// answers exactly what the overlay-first order would, in one probe
+    /// instead of two.
+    #[inline]
+    pub(crate) fn get_node(&self, node: u64) -> Option<(MemoEntry, bool)> {
+        match self.base.get(&node) {
+            Some(entry) => Some((*entry, true)),
+            None => self.overlay.get(&node).map(|entry| (*entry, false)),
+        }
     }
 
     /// True iff either layer holds `key`.
@@ -128,6 +183,10 @@ impl UnionMemo {
             return 0;
         }
         let promoted = self.overlay.len();
+        if Arc::strong_count(&self.base) > 1 {
+            // A live snapshot keeps the old base; the two diverge now.
+            self.lineage = mint_lineage();
+        }
         let base = Arc::make_mut(&mut self.base);
         for (key, entry) in self.overlay.drain() {
             // Disjoint by construction (first-wins insertion checks the
@@ -146,7 +205,11 @@ impl UnionMemo {
             "snapshot of an uncommitted memo would miss {} overlay entries",
             self.overlay.len()
         );
-        UnionMemo { base: Arc::clone(&self.base), overlay: HashMap::default() }
+        UnionMemo {
+            base: Arc::clone(&self.base),
+            overlay: HashMap::default(),
+            lineage: self.lineage,
+        }
     }
 
     /// Consumes the memo and returns its overlay — exactly the entries
@@ -250,6 +313,24 @@ mod tests {
         memo.insert_first_wins(key(0, &[3]), ExtFloat::ONE, MemoTier::Sampler);
         assert_eq!(memo.commit(), 1);
         assert_eq!(memo.base_len(), 2);
+    }
+
+    #[test]
+    fn lineage_follows_the_base_layer() {
+        let mut memo = UnionMemo::new();
+        assert_ne!(memo.lineage(), UnionMemo::new().lineage());
+        assert_ne!(memo.lineage(), memo.clone().lineage(), "a clone may commit other values");
+        memo.insert_first_wins(key(1, &[6]), ExtFloat::ONE, MemoTier::Count);
+        let id = memo.lineage();
+        memo.commit();
+        assert_eq!(memo.lineage(), id, "an unshared commit only grows the base");
+        let snap = memo.snapshot();
+        assert_eq!(snap.lineage(), id, "a snapshot shares the base");
+        // A commit under a live snapshot splits the two bases.
+        memo.insert_first_wins(key(2, &[6]), ExtFloat::ONE, MemoTier::Sampler);
+        memo.commit();
+        assert_ne!(memo.lineage(), snap.lineage());
+        assert!(!snap.contains_key(&key(2, &[6])));
     }
 
     #[test]

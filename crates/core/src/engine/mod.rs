@@ -465,6 +465,7 @@ pub(crate) fn run_level<P: ExecutionPolicy>(
         phase: "plan",
         items: plan.groups().len() as u64,
         wall_us: plan_wall.as_micros() as u64,
+        walk_table_hits: 0,
     });
 
     let count_start = Instant::now();
@@ -476,6 +477,7 @@ pub(crate) fn run_level<P: ExecutionPolicy>(
         phase: "count",
         items: useful.len() as u64,
         wall_us: count_wall.as_micros() as u64,
+        walk_table_hits: 0,
     });
     debug_assert!(pass.groups.len() <= plan.groups().len(), "count pass exceeds group list");
     debug_assert!(pass.cells.len() <= useful.len(), "count pass output exceeds cell list");
@@ -533,6 +535,7 @@ pub(crate) fn run_level<P: ExecutionPolicy>(
             phase: "share",
             items: jobs.len() as u64,
             wall_us: share_wall.as_micros() as u64,
+            walk_table_hits: 0,
         });
         check_budget(params, stats)?;
         debug_assert!(!share_truncated, "a pass may only stop early when the budget is spent");
@@ -564,6 +567,7 @@ pub(crate) fn run_level<P: ExecutionPolicy>(
         phase: "sample",
         items: live.len() as u64,
         wall_us: sample_wall.as_micros() as u64,
+        walk_table_hits: sampled.iter().map(|out| out.stats.walk_table_hits).sum(),
     });
     debug_assert!(sampled.len() <= live.len(), "sample pass output exceeds cell list");
     let sample_truncated = sampled.len() < live.len();
@@ -584,6 +588,7 @@ pub(crate) fn run_level<P: ExecutionPolicy>(
         phase: "merge",
         items: promoted as u64,
         wall_us: merge_wall.as_micros() as u64,
+        walk_table_hits: 0,
     });
     check_budget(params, stats)?;
     debug_assert!(!sample_truncated, "a pass may only stop early when the budget is spent");

@@ -36,9 +36,10 @@ thread_local! {
     /// (every buffer is rebuilt per call), so reuse across passes, runs
     /// and policies is safe by construction.
     static UNION_SCRATCH: RefCell<UnionScratch> = RefCell::new(UnionScratch::new());
-    /// Per-worker sampler scratch, same reasoning: its walk cache holds
-    /// successor ids, never values, and starts over under a new
-    /// interner (`sampler.rs`).
+    /// Per-worker sampler scratch, same reasoning: its compiled walk
+    /// holds successor slots and, per node, only branch values read
+    /// from the memo's committed base layer, which never change; it
+    /// starts over under a new interner or memo lineage (`sampler.rs`).
     static SAMPLER_SCRATCH: RefCell<SamplerScratch> = RefCell::new(SamplerScratch::new());
 }
 
@@ -213,7 +214,7 @@ impl<R: Rng + ?Sized> ExecutionPolicy for Serial<'_, R> {
         memo: &mut UnionMemo,
         ops_remaining: Option<u64>,
     ) -> Vec<SampleOut> {
-        // The thread-local scratch keeps its walk cache from level to
+        // The thread-local scratch keeps its compiled walk from level to
         // level (and pass to pass) of the run, as under Deterministic.
         SAMPLER_SCRATCH.with(|s| {
             let scratch = &mut s.borrow_mut();

@@ -148,7 +148,7 @@ impl FrontierInterner {
     }
 
     /// Process-unique instance id, never 0. Caches of [`FrontierId`]s
-    /// outside the interner (the sampler's walk cache) record it to
+    /// outside the interner (the sampler's compiled walk) record it to
     /// tell whose ids they hold: an address could be reused by the next
     /// interner, a uid is never handed out twice.
     pub(crate) fn uid(&self) -> u64 {

@@ -245,6 +245,10 @@ pub enum TraceEvent {
         items: u64,
         /// Pass wall time in microseconds.
         wall_us: u64,
+        /// Sampler walk steps served by a compiled node record
+        /// ([`crate::RunStats::walk_table_hits`]); 0 outside the sample
+        /// phase. Scheduling evidence at `threads > 1`.
+        walk_table_hits: u64,
     },
     /// The end-of-level memo commit ran.
     MemoCommit {
@@ -312,9 +316,10 @@ impl TraceEvent {
             TraceEvent::RunEnd { ops, wall_us } => {
                 format!("{{\"ev\": \"run_end\", \"ops\": {ops}, \"wall_us\": {wall_us}}}")
             }
-            TraceEvent::Pass { level, phase, items, wall_us } => format!(
+            TraceEvent::Pass { level, phase, items, wall_us, walk_table_hits } => format!(
                 "{{\"ev\": \"pass\", \"level\": {level}, \"phase\": \"{phase}\", \
-                 \"items\": {items}, \"wall_us\": {wall_us}}}"
+                 \"items\": {items}, \"wall_us\": {wall_us}, \
+                 \"walk_table_hits\": {walk_table_hits}}}"
             ),
             TraceEvent::MemoCommit { level, promoted } => {
                 format!("{{\"ev\": \"memo_commit\", \"level\": {level}, \"promoted\": {promoted}}}")
@@ -604,7 +609,13 @@ mod tests {
         let events = [
             TraceEvent::RunStart { substrate: "nfa", policy: "serial", n: 8, from_level: 1 },
             TraceEvent::RunEnd { ops: 42, wall_us: 7 },
-            TraceEvent::Pass { level: 3, phase: "count", items: 5, wall_us: 11 },
+            TraceEvent::Pass {
+                level: 3,
+                phase: "sample",
+                items: 5,
+                wall_us: 11,
+                walk_table_hits: 40,
+            },
             TraceEvent::MemoCommit { level: 3, promoted: 2 },
             TraceEvent::PoolSummary {
                 parallel_passes: 2,
@@ -624,6 +635,7 @@ mod tests {
             assert!(!j.contains('\n'), "{j}");
         }
         assert!(events[5].to_json().contains("a\\\"b"));
+        assert!(events[2].to_json().contains("\"walk_table_hits\": 40"));
     }
 
     /// A sink sharing its event log with the test that installed it

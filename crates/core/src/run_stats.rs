@@ -236,6 +236,12 @@ pub struct RunStats {
     /// which worker walked where — like the pool counters, evidence of
     /// work, not part of the output.
     pub walk_nodes_built: u64,
+    /// Walk steps served by a compiled node record (a table hit): the
+    /// step replayed the node's stored branch sizes and draw weights
+    /// instead of probing the memo. Per-scratch like
+    /// [`walk_nodes_built`](RunStats::walk_nodes_built), so under a
+    /// multi-worker pool it depends on which worker walked where.
+    pub walk_table_hits: u64,
     /// Cells whose sample set needed padding (Algorithm 3 lines 27–30).
     pub padded_cells: u64,
     /// Padding entries appended in total.
@@ -342,6 +348,7 @@ impl RunStats {
         self.fail_dead_end += other.fail_dead_end;
         self.walk_steps += other.walk_steps;
         self.walk_nodes_built += other.walk_nodes_built;
+        self.walk_table_hits += other.walk_table_hits;
         self.padded_cells += other.padded_cells;
         self.padded_entries += other.padded_entries;
         self.samples_stored += other.samples_stored;

@@ -16,23 +16,41 @@
 //! All working memory lives in a caller-owned `SamplerScratch` threaded
 //! through every call.
 //!
-//! # Walk cache
+//! # Compiled walk
 //!
 //! The branches a walk step sees depend only on the step's *node* — the
 //! level and the frontier, or the start cell `(ℓ, q)` on the first step
-//! — never on the calling cell or the RNG. The scratch therefore keeps a
-//! walk cache from each visited node to its `k` successor
-//! [`FrontierId`]s (`step_back(P, b) ∩ reach(ℓ−1)`, interned at `ℓ−1`).
-//! A step at a known node is one cache probe plus the per-branch memo
-//! probes by bare `(level, id)` and the categorical draw; only a node
-//! the scratch has not seen runs the backward-step kernels and the
-//! interner. The cache holds structure, never estimates: union sizes
-//! come from the memo (or a fresh `AppUnion`) on every step, so every
-//! memo hit, miss and insertion is what the uncached walk did.
-//! Successor ids are valid for as long as their interner lives (built
-//! levels never change, D11); the cache records the interner's
-//! process-unique `uid` and starts over under another one.
-//! See DESIGN.md §2.5.
+//! — never on the calling cell or the RNG. The scratch therefore
+//! compiles the walk into a table of node records: each visited node
+//! gets a slot in a flat array, and its record holds the node's `k`
+//! successor **slots** (`step_back(P, b) ∩ reach(ℓ−1)`, interned at
+//! `ℓ−1`, then given a slot of their own), so the next step indexes the
+//! table instead of probing a map. Only a node the scratch has not
+//! built runs the backward-step kernels and the interner.
+//!
+//! With memoization on, a node's branch sizes are a pure function of the
+//! node once they sit in the memo's committed base layer: base entries
+//! are first-wins and never change. The first step at a node whose every
+//! non-empty branch was a base hit also stores, in the node's record,
+//! the `k` branch sizes, their total, the categorical draw's rescaled
+//! `f64` weights and the number of memo hits and `Shared`-tier hits the
+//! step counted. Every later step at that node (a *table hit*) replays
+//! those counters, draws from the stored weights through the same
+//! `sample_weights` call, and updates `φ` as `φ · total / size[b]` —
+//! the cold step's expression, in its order, since [`ExtFloat`]
+//! normalises after every operation. So a table hit consumes the same
+//! RNG draws and produces the same bits and counters as the cold step it
+//! replaces. A branch served from the memo's overlay (not yet committed)
+//! or estimated afresh keeps the node cold, so what a record holds never
+//! depends on which worker inserted what; and the memo-off paper path
+//! never compiles, keeping its fresh estimate per step.
+//!
+//! Records are keyed on the interner's process-unique `uid` (successor
+//! ids mean nothing under another interner; built levels never change,
+//! D11) and on the memo's lineage id ([`UnionMemo`]): a memo of another
+//! lineage may lack or differ in the entries a record replays, while
+//! every memo of one lineage reads one base layer that only grows. Under
+//! any other key the table starts over. See DESIGN.md §2.5 and D17.
 //!
 //! # Frontier-keyed union randomness (D9)
 //!
@@ -57,7 +75,7 @@ use crate::params::Params;
 use crate::run_stats::RunStats;
 use crate::table::{splitmix64, BuildKeyHasher, MemoKey, RunTable, SampleOutcome};
 use fpras_automata::{StateId, StateSet, Word};
-use fpras_numeric::{sample_extfloat_weights_with, ExtFloat};
+use fpras_numeric::{sample_extfloat_weights_with, sample_weights, ExtFloat};
 use rand::{rngs::SmallRng, Rng, RngExt, SeedableRng};
 use std::collections::HashMap;
 
@@ -78,15 +96,15 @@ pub(crate) struct SamplerEnv<'a> {
     pub sampler_seed: u64,
 }
 
-/// Reusable working memory for [`sample_word`]: the walk cache, the
+/// Reusable working memory for [`sample_word`]: the compiled walk, the
 /// cold-path frontier buffers, the per-symbol branch sizes, the
 /// reversed symbol trail, the categorical draw's rescale buffer, and the
 /// nested `AppUnion` scratch. A fresh scratch is equivalent to a reused
-/// one — the cache changes how much work a step does, never its result
-/// — so callers keep one per worker and a whole sample pass allocates
-/// only for the nodes it builds and the words it returns.
+/// one — the walk table changes how much work a step does, never its
+/// result — so callers keep one per worker and a whole sample pass
+/// allocates only for the nodes it builds and the words it returns.
 pub(crate) struct SamplerScratch {
-    walk: WalkCache,
+    walk: WalkTable,
     /// Set of the node being built, or of a frontier whose union is
     /// estimated afresh.
     frontier: StateSet,
@@ -99,10 +117,11 @@ pub(crate) struct SamplerScratch {
 }
 
 impl SamplerScratch {
-    /// An empty scratch; bound to an interner on first `sample_word` call.
+    /// An empty scratch; bound to an interner and a memo on first
+    /// `sample_word` call.
     pub(crate) fn new() -> Self {
         SamplerScratch {
-            walk: WalkCache::default(),
+            walk: WalkTable::default(),
             frontier: StateSet::empty(0),
             branch: StateSet::empty(0),
             branch_sizes: Vec::new(),
@@ -112,14 +131,14 @@ impl SamplerScratch {
         }
     }
 
-    /// Readies the scratch for walks under `interner`: drops a walk
-    /// cache built under another interner and sizes the set buffers to
-    /// its universe.
-    fn bind(&mut self, interner: &FrontierInterner) {
-        if self.walk.interner != interner.uid() {
-            self.walk.nodes.clear();
-            self.walk.succ.clear();
-            self.walk.interner = interner.uid();
+    /// Readies the scratch for walks of width `k` under `interner` and
+    /// `memo`: drops a walk table built under another interner or memo
+    /// lineage, and sizes the set buffers to the interner's universe.
+    fn bind(&mut self, interner: &FrontierInterner, memo: &UnionMemo, k: usize) {
+        let key = (interner.uid(), memo.lineage(), k);
+        if (self.walk.interner, self.walk.lineage, self.walk.k) != key {
+            let (interner, lineage, k) = key;
+            self.walk = WalkTable { interner, lineage, k, ..WalkTable::default() };
         }
         if self.frontier.universe() != interner.universe() {
             self.frontier = StateSet::empty(interner.universe());
@@ -139,40 +158,38 @@ impl SamplerScratch {
         }
     }
 
-    /// Offset in the walk cache of `node`'s successor ids, building
-    /// them on the first visit: the node's set stepped back by every
-    /// symbol, cut to the states reachable at `ell − 1`, interned there.
-    fn successors(
-        &mut self,
-        env: &SamplerEnv<'_>,
-        node: u64,
-        ell: usize,
-        stats: &mut RunStats,
-    ) -> usize {
-        if let Some(&at) = self.walk.nodes.get(&node) {
-            return at as usize;
-        }
+    /// Fills in the successor slots of the unbuilt node at `slot` (its
+    /// first visit): the node's set stepped back by every symbol, cut to
+    /// the states reachable at `ell − 1`, interned there and given a
+    /// slot.
+    #[cold]
+    fn build(&mut self, env: &SamplerEnv<'_>, slot: usize, ell: usize, stats: &mut RunStats) {
+        let k = self.walk.k;
         stats.walk_nodes_built += 1;
-        self.load_node(env.interner, node, ell);
-        let at = self.walk.succ.len();
-        for sym in 0..env.substrate.width() as u8 {
-            env.substrate.step_back_into(&self.frontier, sym, &mut self.branch);
+        self.load_node(env.interner, self.walk.records[slot].node, ell);
+        for sym in 0..k {
+            env.substrate.step_back_into(&self.frontier, sym as u8, &mut self.branch);
             self.branch.intersect_with(env.substrate.reachable(ell - 1));
-            self.walk.succ.push(if self.branch.is_empty() {
+            self.walk.succ[slot * k + sym] = if self.branch.is_empty() {
                 EMPTY_BRANCH
             } else {
-                env.interner.intern(ell - 1, &self.branch).frontier().0
-            });
+                let id = env.interner.intern(ell - 1, &self.branch).frontier();
+                self.walk.slot(MemoKey::node_of((ell - 1) as u32, id))
+            };
         }
-        self.walk.nodes.insert(node, u32::try_from(at).expect("walk cache offset fits u32"));
-        at
     }
 }
 
-/// Successor id of a branch whose predecessor frontier is empty.
+/// Successor slot of a branch whose predecessor frontier is empty.
 const EMPTY_BRANCH: u32 = u32::MAX;
 
-/// Walk-cache key flag of a start cell `(ℓ, q)`. Frontier nodes use the
+/// First successor slot of a node whose successors are not built yet.
+const UNBUILT: u32 = u32::MAX - 1;
+
+/// Branch-table index of a node that is not compiled.
+const NO_TABLE: u32 = u32::MAX;
+
+/// Walk-table key flag of a start cell `(ℓ, q)`. Frontier nodes use the
 /// memo's packed `(level, id)` ([`MemoKey::node_of`]), whose bit 63 is
 /// always clear, so the two kinds never collide — and start singletons
 /// need not be interned.
@@ -182,19 +199,81 @@ fn start_node(level: usize, q: StateId) -> u64 {
     START_NODE | (level as u64) << 32 | u64::from(q)
 }
 
-/// Per-scratch map from walk nodes to their successor frontier ids —
-/// see the module docs. Memory: one map entry (a `u64` key and a `u32`
-/// offset) plus `k` `u32` successor ids per built node.
+/// One walk node's record: its key and, once compiled, its branch table.
+/// Its `k` successor slots live at `slot·k` in [`WalkTable::succ`].
+struct NodeRecord {
+    /// The node: a packed `(level, id)` or a [`START_NODE`] key.
+    node: u64,
+    /// Index into [`WalkTable::tables`], or [`NO_TABLE`].
+    table: u32,
+}
+
+/// A compiled node's step: what the cold step computed from the memo's
+/// base layer, in the form a warm step replays. Its `k` branch sizes and
+/// rescaled draw weights live at `table·k` in [`WalkTable::sizes`] and
+/// [`WalkTable::weights`].
+struct BranchTable {
+    /// Sum of the branch sizes, in the cold step's fold order.
+    total: ExtFloat,
+    /// Memo hits the cold step counted (its non-empty branches).
+    hits: u32,
+    /// How many of those hits were `Shared`-tier entries.
+    shared: u32,
+}
+
+/// Per-scratch compiled walk — see the module docs. Memory per node:
+/// one map entry (a `u64` key and a `u32` slot), a 16-byte record and
+/// `k` `u32` successor slots; a compiled node adds a 24-byte branch
+/// table and `k` sizes (16 bytes) and weights (8 bytes).
 #[derive(Default)]
-struct WalkCache {
-    /// [`FrontierInterner::uid`] of the interner the ids belong to; 0
-    /// (no interner) until the first bind.
+struct WalkTable {
+    /// [`FrontierInterner::uid`] of the interner the slots' ids belong
+    /// to; 0 (no interner) until the first bind.
     interner: u64,
-    /// Node → offset of its `k` successor ids in `succ`.
-    nodes: HashMap<u64, u32, BuildKeyHasher>,
-    /// Successor ids, `k` per node in symbol order, [`EMPTY_BRANCH`]
-    /// for an empty branch.
+    /// Lineage id of the memo the branch tables were read from.
+    lineage: u64,
+    /// Alphabet width: successor, size and weight rows are `k` long.
+    k: usize,
+    /// Node key → slot.
+    slots: HashMap<u64, u32, BuildKeyHasher>,
+    /// Node records by slot.
+    records: Vec<NodeRecord>,
+    /// Successor slots, `k` per node in symbol order: [`EMPTY_BRANCH`]
+    /// for an empty branch, all [`UNBUILT`] before the node's first
+    /// visit.
     succ: Vec<u32>,
+    /// Branch tables of the compiled nodes.
+    tables: Vec<BranchTable>,
+    /// Branch sizes, `k` per branch table.
+    sizes: Vec<ExtFloat>,
+    /// Rescaled draw weights, `k` per branch table.
+    weights: Vec<f64>,
+}
+
+impl WalkTable {
+    /// The slot of `node`, adding an unbuilt record on first sight.
+    fn slot(&mut self, node: u64) -> u32 {
+        let WalkTable { slots, records, succ, k, .. } = self;
+        *slots.entry(node).or_insert_with(|| {
+            let slot = u32::try_from(records.len())
+                .ok()
+                .filter(|&s| s < UNBUILT)
+                .expect("walk table slot fits below the sentinels");
+            records.push(NodeRecord { node, table: NO_TABLE });
+            succ.resize(succ.len() + *k, UNBUILT);
+            slot
+        })
+    }
+
+    /// Compiles the node at `slot` from a cold step whose every
+    /// non-empty branch was a base-layer hit.
+    fn compile(&mut self, slot: usize, sizes: &[ExtFloat], weights: &[f64], t: BranchTable) {
+        self.records[slot].table =
+            u32::try_from(self.tables.len()).expect("branch table index fits u32");
+        self.tables.push(t);
+        self.sizes.extend_from_slice(sizes);
+        self.weights.extend_from_slice(weights);
+    }
 }
 
 /// Independent RNG stream for one sampler union estimation, keyed by the
@@ -242,6 +321,8 @@ pub(crate) fn estimate_frontier_union(
 /// Estimates `|⋃_{p ∈ F} L(p^level)|` for the interned frontier
 /// `F = id`, consulting and filling the memo when enabled. Only a memo
 /// miss or the paper path reads `F`'s states back (into `frontier`).
+/// Also returns the entry's tier when the memo's committed base layer
+/// served it — the only answer a walk record may replay.
 #[allow(clippy::too_many_arguments)]
 fn union_size<R: Rng + ?Sized>(
     env: &SamplerEnv<'_>,
@@ -253,29 +334,29 @@ fn union_size<R: Rng + ?Sized>(
     frontier: &mut StateSet,
     scratch: &mut UnionScratch,
     stats: &mut RunStats,
-) -> ExtFloat {
+) -> (ExtFloat, Option<MemoTier>) {
     let params = env.params;
     if params.memoize_unions {
-        if let Some(entry) = memo.get_node(MemoKey::node_of(level as u32, id)) {
+        if let Some((entry, committed)) = memo.get_node(MemoKey::node_of(level as u32, id)) {
             stats.memo_hits += 1;
             if entry.tier == MemoTier::Shared {
                 stats.share.preestimate_hits += 1;
             }
-            return entry.value;
+            return (entry.value, committed.then_some(entry.tier));
         }
         stats.memo_misses += 1;
         let key = env.interner.load(level, id, frontier);
         let est =
             estimate_frontier_union(params, table, key, frontier, env.sampler_seed, scratch, stats);
         memo.insert_first_wins(key, est, MemoTier::Sampler);
-        return est;
+        return (est, None);
     }
     // Paper path (D4 off): a fresh estimate from the caller's stream on
     // every query — the paper's independent-draws reading.
     env.interner.load(level, id, frontier);
     let inputs = frontier_inputs(table, level, frontier);
     let eps_sz = params.eps_sz_at_level(params.beta_count, level + 1);
-    app_union(
+    let est = app_union(
         params,
         params.beta_sample,
         params.delta_sample_inner(),
@@ -286,7 +367,8 @@ fn union_size<R: Rng + ?Sized>(
         scratch,
         stats,
     )
-    .value
+    .value;
+    (est, None)
 }
 
 /// Runs one trial of Algorithm 2 from the singleton frontier `{start}` at
@@ -313,50 +395,86 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
     let mut phi = ExtFloat::from_f64(env.params.gamma_scale) / n_start;
 
     let k = env.substrate.width();
-    scratch.bind(env.interner);
+    scratch.bind(env.interner, memo, k);
     scratch.rev_syms.clear();
-    let mut node = start_node(level, start);
+    let mut slot = scratch.walk.slot(start_node(level, start)) as usize;
 
     for ell in (1..=level).rev() {
         stats.walk_steps += 1;
-        // Lines 8–11: per-symbol predecessor frontiers and union sizes.
-        let at = scratch.successors(env, node, ell, stats);
-        scratch.branch_sizes.clear();
-        for sym in 0..k {
-            let id = scratch.walk.succ[at + sym];
-            let sz = if id == EMPTY_BRANCH {
-                ExtFloat::ZERO
-            } else {
-                union_size(
-                    env,
-                    table,
-                    memo,
-                    ell - 1,
-                    FrontierId(id),
-                    rng,
-                    &mut scratch.frontier,
-                    &mut scratch.union,
-                    stats,
-                )
+        let at = slot * k;
+        if scratch.walk.succ[at] == UNBUILT {
+            scratch.build(env, slot, ell, stats);
+        }
+        let compiled = scratch.walk.records[slot].table;
+        let choice = if compiled != NO_TABLE {
+            // A table hit: the cold step's counters, draw and φ update,
+            // replayed from the node's record.
+            let walk = &scratch.walk;
+            let t = &walk.tables[compiled as usize];
+            let rows = compiled as usize * k..(compiled as usize + 1) * k;
+            stats.walk_table_hits += 1;
+            stats.memo_hits += u64::from(t.hits);
+            stats.share.preestimate_hits += u64::from(t.shared);
+            let Some(choice) = sample_weights(rng, &walk.weights[rows.clone()]) else {
+                stats.fail_dead_end += 1;
+                return SampleOutcome::DeadEnd;
             };
-            scratch.branch_sizes.push(sz);
-        }
-        let total: ExtFloat = scratch.branch_sizes.iter().copied().sum();
-        if total.is_zero() {
-            stats.fail_dead_end += 1;
-            return SampleOutcome::DeadEnd;
-        }
-        // Line 13: pick b with probability sz_b / Σ sz.
-        let Some(choice) =
-            sample_extfloat_weights_with(rng, &scratch.branch_sizes, &mut scratch.scaled)
-        else {
-            stats.fail_dead_end += 1;
-            return SampleOutcome::DeadEnd;
+            phi = phi * t.total / walk.sizes[rows][choice];
+            choice
+        } else {
+            // Lines 8–11: per-symbol predecessor frontiers and union sizes.
+            let mut compile = Some(BranchTable { total: ExtFloat::ZERO, hits: 0, shared: 0 });
+            scratch.branch_sizes.clear();
+            for sym in 0..k {
+                let next = scratch.walk.succ[at + sym];
+                let sz = if next == EMPTY_BRANCH {
+                    ExtFloat::ZERO
+                } else {
+                    let node = scratch.walk.records[next as usize].node;
+                    let (sz, base_tier) = union_size(
+                        env,
+                        table,
+                        memo,
+                        ell - 1,
+                        FrontierId(node as u32),
+                        rng,
+                        &mut scratch.frontier,
+                        &mut scratch.union,
+                        stats,
+                    );
+                    match (&mut compile, base_tier) {
+                        (Some(t), Some(tier)) => {
+                            t.hits += 1;
+                            t.shared += u32::from(tier == MemoTier::Shared);
+                        }
+                        _ => compile = None,
+                    }
+                    sz
+                };
+                scratch.branch_sizes.push(sz);
+            }
+            let total: ExtFloat = scratch.branch_sizes.iter().copied().sum();
+            if total.is_zero() {
+                stats.fail_dead_end += 1;
+                return SampleOutcome::DeadEnd;
+            }
+            // Line 13: pick b with probability sz_b / Σ sz.
+            let Some(choice) =
+                sample_extfloat_weights_with(rng, &scratch.branch_sizes, &mut scratch.scaled)
+            else {
+                stats.fail_dead_end += 1;
+                return SampleOutcome::DeadEnd;
+            };
+            // Line 16's recursive call carries φ / pr_b.
+            phi = phi * total / scratch.branch_sizes[choice];
+            if let Some(t) = compile {
+                let t = BranchTable { total, ..t };
+                scratch.walk.compile(slot, &scratch.branch_sizes, &scratch.scaled, t);
+            }
+            choice
         };
-        // Line 16's recursive call carries φ / pr_b.
-        phi = phi * total / scratch.branch_sizes[choice];
         scratch.rev_syms.push(choice as u8);
-        node = MemoKey::node_of((ell - 1) as u32, FrontierId(scratch.walk.succ[at + choice]));
+        slot = scratch.walk.succ[at + choice] as usize;
     }
 
     // Base case (lines 4–6). The frontier must contain the initial state:
@@ -364,7 +482,7 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
     // estimates are positive only for the initial state.
     debug_assert!(
         {
-            scratch.load_node(env.interner, node, 0);
+            scratch.load_node(env.interner, scratch.walk.records[slot].node, 0);
             scratch.frontier.contains(env.substrate.initial())
         },
         "sampled path must lead back to the initial state"
@@ -492,6 +610,146 @@ mod tests {
 
         assert_eq!(first, draw(&FrontierInterner::new(m), &mut SamplerScratch::new()));
         assert_eq!(second, draw(&shifted(), &mut SamplerScratch::new()));
+    }
+
+    /// A scratch reused across two memos of one interner must draw
+    /// exactly what fresh scratches draw, when the memos' committed bases
+    /// hold different values for the same `(level, frontier)` — here a
+    /// `Count`-tier seed in one and a lazily estimated `Sampler`-tier
+    /// value in the other. Both memos share the interner, so every
+    /// successor slot is right for both; a walk table replaying the first
+    /// memo's branch values under the second would draw from the wrong
+    /// weights. Only the memo's lineage tells the two apart.
+    #[test]
+    fn reused_scratch_matches_fresh_scratch_across_memos() {
+        let nfa = fpras_automata::regex::compile_regex(
+            "(0|1)*1(0|1)(0|1)(0|1)((00)*|(111)*)",
+            &Alphabet::binary(),
+        )
+        .unwrap();
+        let n = 10;
+        let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
+        let run = FprasRun::run(&nfa, n, &params, &mut SmallRng::seed_from_u64(5)).unwrap();
+        let (table, substrate) = run.parts_for_test();
+        let q_final = run.inner.as_ref().unwrap().q_final;
+        let m = table.num_states();
+        let interner = FrontierInterner::new(m);
+        let env = SamplerEnv { params: &params, substrate, interner: &interner, sampler_seed: 99 };
+        // 64 draws and the steps served by compiled records.
+        let draw = |memo: &mut UnionMemo, scratch: &mut SamplerScratch| {
+            let mut rng = SmallRng::seed_from_u64(17);
+            let mut stats = RunStats::default();
+            let outs: Vec<SampleOutcome> = (0..64)
+                .map(|_| sample_word(&env, table, memo, q_final, n, &mut rng, scratch, &mut stats))
+                .collect();
+            (outs, stats.walk_table_hits)
+        };
+        // A branch of the walk's first step: every draw queries it.
+        let start = StateSet::singleton(m, q_final as usize);
+        let mut branch = StateSet::empty(m);
+        let key = (0..2u8)
+            .find_map(|sym| {
+                substrate.step_back_into(&start, sym, &mut branch);
+                branch.intersect_with(substrate.reachable(n - 1));
+                (!branch.is_empty()).then(|| interner.intern(n - 1, &branch))
+            })
+            .expect("the start cell has a non-empty branch");
+        let mut seeded = UnionMemo::new();
+        seeded.insert_first_wins(key, ExtFloat::from_u64(3), MemoTier::Count);
+        let mut lazy = UnionMemo::new();
+        for memo in [&mut seeded, &mut lazy] {
+            draw(memo, &mut SamplerScratch::new());
+            memo.commit();
+        }
+        let (a, b) = (seeded.get(&key).unwrap(), lazy.get(&key).unwrap());
+        assert_eq!((a.tier, b.tier), (MemoTier::Count, MemoTier::Sampler));
+        assert_ne!(a.value, b.value);
+
+        let mut reused = SamplerScratch::new();
+        let (from_seeded, hits) = draw(&mut seeded.snapshot(), &mut reused);
+        assert!(hits > 0, "the first memo's draws must compile records");
+        let (from_lazy, _) = draw(&mut lazy.snapshot(), &mut reused);
+        let (again, _) = draw(&mut seeded.snapshot(), &mut reused);
+        assert_ne!(from_seeded, from_lazy, "the bases differ, so must the draws");
+        assert_eq!(from_seeded, draw(&mut seeded.snapshot(), &mut SamplerScratch::new()).0);
+        assert_eq!(from_lazy, draw(&mut lazy.snapshot(), &mut SamplerScratch::new()).0);
+        assert_eq!(again, from_seeded);
+    }
+
+    /// Only committed base entries compile: an overlay entry may be
+    /// missing from the next cell's snapshot, where the uncompiled walk
+    /// would miss and pay for an estimate. Draws against a memo whose
+    /// entries all sit in the overlay therefore never hit a record, and
+    /// the same draws after a commit do.
+    #[test]
+    fn only_base_entries_compile() {
+        let nfa =
+            fpras_automata::regex::compile_regex("(0|1)*1(0|1)(0|1)", &Alphabet::binary()).unwrap();
+        let n = 8;
+        let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
+        let run = FprasRun::run(&nfa, n, &params, &mut SmallRng::seed_from_u64(5)).unwrap();
+        let (table, substrate) = run.parts_for_test();
+        let q_final = run.inner.as_ref().unwrap().q_final;
+        let interner = FrontierInterner::new(table.num_states());
+        let env = SamplerEnv { params: &params, substrate, interner: &interner, sampler_seed: 99 };
+        let mut memo = UnionMemo::new();
+        let mut scratch = SamplerScratch::new();
+        let mut draw = |memo: &mut UnionMemo| {
+            let mut rng = SmallRng::seed_from_u64(17);
+            let mut stats = RunStats::default();
+            for _ in 0..64 {
+                sample_word(&env, table, memo, q_final, n, &mut rng, &mut scratch, &mut stats);
+            }
+            stats
+        };
+        let cold = draw(&mut memo);
+        assert!(cold.memo_hits > 0 && memo.base_len() == 0);
+        assert_eq!(cold.walk_table_hits, 0, "overlay hits compiled a record");
+        memo.commit();
+        let warm = draw(&mut memo);
+        assert!(warm.walk_table_hits > 0);
+        assert_eq!(warm.memo_hits, cold.memo_hits + cold.memo_misses, "every probe hits now");
+    }
+
+    /// The session form: a session keeps one scratch and one memo across
+    /// `sample`, the extension a longer `sample` triggers, and the draws
+    /// after it. Records compiled before the extension must still be
+    /// right after it, so the kept session draws what a fresh session
+    /// built straight to the final length draws.
+    #[test]
+    fn session_scratch_survives_extension() {
+        use crate::service::{QuerySession, SessionPolicy};
+        let nfa = fpras_automata::regex::compile_regex(
+            "(0|1)*1(0|1)(0|1)(0|1)((00)*|(111)*)",
+            &Alphabet::binary(),
+        )
+        .unwrap();
+        let params = Params::for_session(0.3, 0.1, nfa.num_states(), 12);
+        let policy = SessionPolicy::Deterministic { seed: 3, threads: 1 };
+        let draw = |session: &mut QuerySession, n: usize, seed: u64| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            (0..24).map(|_| session.sample(n, &mut rng).unwrap()).collect::<Vec<_>>()
+        };
+        let mut kept = QuerySession::new(&nfa, params.clone(), policy.clone()).unwrap();
+        draw(&mut kept, 8, 1);
+        let hits_before = kept.query_run_stats().walk_table_hits;
+        assert!(hits_before > 0, "the short draws must compile records");
+        let got = draw(&mut kept, 12, 2);
+        assert!(kept.query_run_stats().walk_table_hits > hits_before);
+
+        let mut fresh = QuerySession::new(&nfa, params, policy).unwrap();
+        fresh.estimate(12).unwrap();
+        assert_eq!(got, draw(&mut fresh, 12, 2));
+    }
+
+    /// The per-node memory the module docs and DESIGN.md §2.5 quote: a
+    /// 16-byte record per node, a 24-byte branch table per compiled node
+    /// (plus `k` successor slots, sizes and weights in the flat rows).
+    #[test]
+    fn walk_record_sizes_are_pinned() {
+        assert_eq!(std::mem::size_of::<NodeRecord>(), 16);
+        assert_eq!(std::mem::size_of::<BranchTable>(), 24);
+        assert_eq!(std::mem::size_of::<ExtFloat>(), 16);
     }
 
     #[test]

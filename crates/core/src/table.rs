@@ -150,7 +150,7 @@ impl MemoKey {
     /// The packed `(level, frontier)` identity of a key, without its
     /// tag: what a memo probe hashes and compares. Levels stay below
     /// `2³¹`, so bit 63 is free for callers that key other nodes in the
-    /// same space (the sampler's walk cache).
+    /// same space (the sampler's compiled walk).
     pub(crate) fn node_of(level: u32, frontier: FrontierId) -> u64 {
         (u64::from(level) << 32) | u64::from(frontier.0)
     }

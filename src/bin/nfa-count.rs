@@ -318,6 +318,7 @@ fn report_stats(s: &RunStats) {
     println!("  intern arena bytes   {}", s.intern.arena_bytes);
     println!("  walk steps           {}", s.walk_steps);
     println!("  walk nodes built     {}", s.walk_nodes_built);
+    println!("  walk table hits      {}", s.walk_table_hits);
     match s.pool.ops_balance_ratio() {
         Some(r) => println!("  pool ops balance     {r:.3}"),
         None => println!("  pool ops balance     n/a"),

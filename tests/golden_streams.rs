@@ -128,23 +128,31 @@ fn golden_streams_match_pinned_bits() {
 /// computation — if enabling it shifts even one estimate bit, an RNG
 /// stream was touched from an observability hook. The work counters
 /// must not move either: `walk_steps` and `AppUnion`'s tally bit tests
-/// are part of the output under both policies, and so is
-/// `walk_nodes_built` under `Serial` (at two threads it depends on
-/// which worker walked where).
+/// are part of the output under both policies, and so are
+/// `walk_nodes_built` and `walk_table_hits` under `Serial` (at two
+/// threads they depend on which worker walked where).
 #[test]
 fn golden_streams_survive_tracing() {
     if std::env::var("GOLDEN_RECORD").is_ok() {
         return; // recording runs own the table; nothing to rerecord here
     }
-    // (serial walk steps, serial nodes built, det walk steps, serial
-    // and det union bit tests) per row.
+    // (serial walk steps, serial nodes built, serial table hits, det
+    // walk steps, serial and det union bit tests) per row.
     let walks = |serial: &FprasRun, det: &FprasRun| {
         let (s, d) = (serial.stats(), det.stats());
         assert!(s.walk_nodes_built > 0 && s.walk_nodes_built < s.walk_steps, "no walk reuse");
         assert!(d.walk_nodes_built > 0 && d.walk_nodes_built < d.walk_steps, "no walk reuse");
         assert!(s.union_bit_tests > 0 && s.union_bit_tests <= s.membership_ops);
         assert!(d.union_bit_tests > 0 && d.union_bit_tests <= d.membership_ops);
-        (s.walk_steps, s.walk_nodes_built, d.walk_steps, s.union_bit_tests, d.union_bit_tests)
+        assert!(s.walk_table_hits > 0 && s.walk_table_hits < s.walk_steps, "no compiled steps");
+        (
+            s.walk_steps,
+            s.walk_nodes_built,
+            s.walk_table_hits,
+            d.walk_steps,
+            s.union_bit_tests,
+            d.union_bit_tests,
+        )
     };
     let mut untraced = Vec::new();
     for (_, nfa, n) in matrix() {
