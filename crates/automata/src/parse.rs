@@ -43,7 +43,7 @@ impl fmt::Display for ParseNfaError {
 
 impl std::error::Error for ParseNfaError {}
 
-/// Serializes an automaton to the text format.
+/// Writes an automaton in the text format.
 pub fn to_text(nfa: &Nfa) -> String {
     let mut out = String::new();
     out.push_str("alphabet ");

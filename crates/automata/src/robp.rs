@@ -381,7 +381,7 @@ impl fmt::Display for ParseRobpError {
 
 impl std::error::Error for ParseRobpError {}
 
-/// Serializes a program to the text format (see the module docs).
+/// Writes a program in the text format (see the module docs).
 pub fn to_text(robp: &Robp) -> String {
     let mut out = String::new();
     out.push_str("alphabet ");

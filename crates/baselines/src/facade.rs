@@ -23,25 +23,19 @@ pub enum CounterKind {
     /// This paper's FPRAS (practical profile), driven through the
     /// level-synchronous engine in `fpras-core`.
     ///
-    /// `threads = 0` selects the [`Serial`](fpras_core::Serial) policy
-    /// (one RNG threaded through the cells, seeded from the facade
-    /// seed); `threads ≥ 1` selects the
-    /// [`Deterministic`](fpras_core::Deterministic) policy on that many
-    /// worker threads — output is bit-identical for every `threads ≥ 1`,
-    /// so the knob trades wall time only. `batch = false` disables the
-    /// engine's batched union estimation (D8) and `share = false` the
-    /// sample-pass frontier sharing (D9): same output bit-for-bit under
-    /// the same seed — both knobs only share work — so the row pairs are
-    /// the honest cost comparisons in benchmark tables.
+    /// The facade seed is the engine's master seed, and `threads` the
+    /// [`Deterministic`](fpras_core::Deterministic) executor's worker
+    /// count (≥ 1): output is bit-identical for every thread count, so
+    /// the knob trades wall time only. `batch = false` disables the
+    /// engine's batched union estimation (D8): same output bit-for-bit
+    /// under the same seed — the knob only shares work — so the row
+    /// pair is the honest cost comparison in benchmark tables.
     Fpras {
-        /// Worker threads: 0 = serial policy, ≥ 1 = deterministic policy.
+        /// Worker threads (≥ 1).
         threads: usize,
         /// Share count-pass union estimates across same-frontier pairs
         /// (default).
         batch: bool,
-        /// Pre-estimate and share hot sampler frontiers per level
-        /// (default).
-        share: bool,
     },
     /// The same FPRAS run through the nROBP substrate (DESIGN.md D14):
     /// the instance is first encoded as a read-once branching program
@@ -51,7 +45,7 @@ pub enum CounterKind {
     /// rows on the same instance — statistically, not bit-for-bit: the
     /// node universe differs, so the frontier-keyed streams differ.
     RobpFpras {
-        /// Worker threads: 0 = serial policy, ≥ 1 = deterministic policy.
+        /// Worker threads (≥ 1).
         threads: usize,
         /// Share count-pass union estimates across same-frontier pairs.
         batch: bool,
@@ -83,10 +77,8 @@ impl CounterKind {
     /// Short label for experiment tables.
     pub fn label(&self) -> &'static str {
         match self {
-            CounterKind::Fpras { batch: true, share: true, .. } => "fpras(ours)",
-            CounterKind::Fpras { batch: false, share: true, .. } => "fpras(unbatched)",
-            CounterKind::Fpras { batch: true, share: false, .. } => "fpras(unshared)",
-            CounterKind::Fpras { batch: false, share: false, .. } => "fpras(baseline)",
+            CounterKind::Fpras { batch: true, .. } => "fpras(ours)",
+            CounterKind::Fpras { batch: false, .. } => "fpras(unbatched)",
             CounterKind::RobpFpras { batch: true, .. } => "robp(ours)",
             CounterKind::RobpFpras { batch: false, .. } => "robp(unbatched)",
             CounterKind::Acjr => "acjr-style",
@@ -137,16 +129,13 @@ pub struct CounterOutput {
     /// union-estimation layer instead of their own `AppUnion` run
     /// (0 for non-FPRAS methods and unbatched runs).
     pub cells_deduped: u64,
-    /// Sampler union lookups answered by a pre-estimated shared-tier
-    /// memo entry (D9; 0 for non-FPRAS methods and unshared runs).
-    pub preestimate_hits: u64,
     /// Memo base-layer entries shared (not cloned) across the
     /// copy-on-write sample-pass snapshots — the clone volume the flat
-    /// memo would have paid (0 for non-FPRAS methods and serial runs).
+    /// memo would have paid (0 for non-FPRAS methods).
     pub memo_entries_shared: u64,
     /// Chunks the work-stealing executor moved between workers (D10;
-    /// 0 for non-FPRAS methods, serial runs, and single-thread pools —
-    /// scheduling evidence, not part of the deterministic output).
+    /// 0 for non-FPRAS methods and single-thread pools — scheduling
+    /// evidence, not part of the deterministic output).
     pub pool_steals: u64,
     /// Distinct frontiers hash-consed by the run's interner (§2.5; 0
     /// for non-FPRAS methods).
@@ -156,7 +145,7 @@ pub struct CounterOutput {
     /// (0 for non-FPRAS methods).
     pub intern_hits: u64,
     /// Wall time attributed to the engine's per-level phases
-    /// (plan/count/share/sample/merge; all-zero for non-FPRAS methods,
+    /// (plan/count/sample/merge; all-zero for non-FPRAS methods,
     /// whose work has no phase structure).
     pub phase: PhaseWall,
     /// Wall-clock duration.
@@ -165,21 +154,37 @@ pub struct CounterOutput {
 
 impl CounterOutput {
     /// Output for methods outside the FPRAS engine: every engine-layer
-    /// counter (dedup, pre-estimation, memo sharing) is zero. `ops` is 0
-    /// where the method has no such notion.
+    /// counter (dedup, memo sharing) is zero. `ops` is 0 where the
+    /// method has no such notion.
     fn plain(estimate: ExtFloat, exact: bool, ops: u64, wall: std::time::Duration) -> Self {
         CounterOutput {
             estimate,
             exact,
             ops,
             cells_deduped: 0,
-            preestimate_hits: 0,
             memo_entries_shared: 0,
             pool_steals: 0,
             distinct_frontiers: 0,
             intern_hits: 0,
             phase: PhaseWall::default(),
             wall,
+        }
+    }
+
+    /// Output of an FPRAS engine run that started at `start`.
+    fn from_run(run: &FprasRun, start: Instant) -> Self {
+        let s = run.stats();
+        CounterOutput {
+            estimate: run.estimate(),
+            exact: false,
+            ops: s.membership_ops,
+            cells_deduped: s.batch.cells_deduped,
+            memo_entries_shared: s.memo.entries_shared,
+            pool_steals: s.pool.steals,
+            distinct_frontiers: s.intern.distinct_frontiers,
+            intern_hits: s.intern.intern_hits,
+            phase: s.phase,
+            wall: start.elapsed(),
         }
     }
 }
@@ -196,30 +201,11 @@ pub fn run_counter(
 ) -> Result<CounterOutput, CounterError> {
     let start = Instant::now();
     match kind {
-        CounterKind::Fpras { threads, batch, share } => {
+        CounterKind::Fpras { threads, batch } => {
             let mut params = Params::practical(eps, delta, nfa.num_states(), n);
             params.batch_unions = *batch;
-            params.share_sampler_frontiers = *share;
-            let run = if *threads == 0 {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                FprasRun::run(nfa, n, &params, &mut rng)
-            } else {
-                run_parallel(nfa, n, &params, seed, *threads)
-            }
-            .map_err(CounterError::Fpras)?;
-            Ok(CounterOutput {
-                estimate: run.estimate(),
-                exact: false,
-                ops: run.stats().membership_ops,
-                cells_deduped: run.stats().batch.cells_deduped,
-                preestimate_hits: run.stats().share.preestimate_hits,
-                memo_entries_shared: run.stats().memo.entries_shared,
-                pool_steals: run.stats().pool.steals,
-                distinct_frontiers: run.stats().intern.distinct_frontiers,
-                intern_hits: run.stats().intern.intern_hits,
-                phase: run.stats().phase,
-                wall: start.elapsed(),
-            })
+            let run = run_parallel(nfa, n, &params, seed, *threads).map_err(CounterError::Fpras)?;
+            Ok(CounterOutput::from_run(&run, start))
         }
         CounterKind::RobpFpras { threads, batch } => {
             let robp = match Robp::from_nfa(nfa, n) {
@@ -234,26 +220,9 @@ pub fn run_counter(
             };
             let mut params = Params::practical(eps, delta, robp.num_nodes(), n);
             params.batch_unions = *batch;
-            let run = if *threads == 0 {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                FprasRun::run_robp(&robp, &params, &mut rng)
-            } else {
-                run_robp_parallel(&robp, &params, seed, *threads)
-            }
-            .map_err(CounterError::Fpras)?;
-            Ok(CounterOutput {
-                estimate: run.estimate(),
-                exact: false,
-                ops: run.stats().membership_ops,
-                cells_deduped: run.stats().batch.cells_deduped,
-                preestimate_hits: run.stats().share.preestimate_hits,
-                memo_entries_shared: run.stats().memo.entries_shared,
-                pool_steals: run.stats().pool.steals,
-                distinct_frontiers: run.stats().intern.distinct_frontiers,
-                intern_hits: run.stats().intern.intern_hits,
-                phase: run.stats().phase,
-                wall: start.elapsed(),
-            })
+            let run =
+                run_robp_parallel(&robp, &params, seed, *threads).map_err(CounterError::Fpras)?;
+            Ok(CounterOutput::from_run(&run, start))
         }
         CounterKind::Acjr => {
             let params = AcjrParams::practical(eps, delta, nfa.num_states(), n);
@@ -321,8 +290,8 @@ mod tests {
         let n = 8;
         let exact = 128.0;
         for kind in [
-            CounterKind::Fpras { threads: 0, batch: true, share: true },
-            CounterKind::RobpFpras { threads: 0, batch: true },
+            CounterKind::Fpras { threads: 1, batch: true },
+            CounterKind::RobpFpras { threads: 1, batch: true },
             CounterKind::RobpFpras { threads: 2, batch: false },
             CounterKind::Acjr,
             CounterKind::NaiveMc { trials: 50_000 },
@@ -341,28 +310,15 @@ mod tests {
 
     #[test]
     fn fpras_threads_knob_is_wall_time_only() {
-        // threads ≥ 1 runs the Deterministic engine policy: the facade
-        // output must be bit-identical across thread counts.
+        // The facade output must be bit-identical across thread counts.
         let nfa = ends_in_1();
         let n = 10;
-        let one = run_counter(
-            &CounterKind::Fpras { threads: 1, batch: true, share: true },
-            &nfa,
-            n,
-            0.25,
-            0.1,
-            9,
-        )
-        .unwrap();
-        let four = run_counter(
-            &CounterKind::Fpras { threads: 4, batch: true, share: true },
-            &nfa,
-            n,
-            0.25,
-            0.1,
-            9,
-        )
-        .unwrap();
+        let one =
+            run_counter(&CounterKind::Fpras { threads: 1, batch: true }, &nfa, n, 0.25, 0.1, 9)
+                .unwrap();
+        let four =
+            run_counter(&CounterKind::Fpras { threads: 4, batch: true }, &nfa, n, 0.25, 0.1, 9)
+                .unwrap();
         assert_eq!(one.estimate, four.estimate);
         assert_eq!(one.ops, four.ops);
         // And it is accurate.
@@ -377,24 +333,12 @@ mod tests {
         // bit-identical under the same seed while the op count grows.
         let nfa = ends_in_1();
         let n = 10;
-        let batched = run_counter(
-            &CounterKind::Fpras { threads: 2, batch: true, share: true },
-            &nfa,
-            n,
-            0.25,
-            0.1,
-            9,
-        )
-        .unwrap();
-        let unbatched = run_counter(
-            &CounterKind::Fpras { threads: 2, batch: false, share: true },
-            &nfa,
-            n,
-            0.25,
-            0.1,
-            9,
-        )
-        .unwrap();
+        let batched =
+            run_counter(&CounterKind::Fpras { threads: 2, batch: true }, &nfa, n, 0.25, 0.1, 9)
+                .unwrap();
+        let unbatched =
+            run_counter(&CounterKind::Fpras { threads: 2, batch: false }, &nfa, n, 0.25, 0.1, 9)
+                .unwrap();
         assert_eq!(batched.estimate, unbatched.estimate);
         assert!(batched.cells_deduped > 0, "ends-in-1 shares frontiers across symbols");
         assert_eq!(unbatched.cells_deduped, 0);
@@ -407,42 +351,9 @@ mod tests {
     }
 
     #[test]
-    fn fpras_share_knob_is_work_only() {
-        // Disabling sample-pass frontier sharing makes cells lazily
-        // recompute the identical frontier-keyed estimates: the output
-        // must be bit-identical under the same seed while the
-        // pre-estimation hit counter drops to zero.
-        let nfa = ends_in_1();
-        let n = 10;
-        let shared = run_counter(
-            &CounterKind::Fpras { threads: 2, batch: true, share: true },
-            &nfa,
-            n,
-            0.25,
-            0.1,
-            9,
-        )
-        .unwrap();
-        let unshared = run_counter(
-            &CounterKind::Fpras { threads: 2, batch: true, share: false },
-            &nfa,
-            n,
-            0.25,
-            0.1,
-            9,
-        )
-        .unwrap();
-        assert_eq!(shared.estimate, unshared.estimate);
-        assert_eq!(unshared.preestimate_hits, 0);
-        // Both run the CoW memo, so base-layer sharing happens either way.
-        assert!(shared.memo_entries_shared > 0);
-        assert!(unshared.memo_entries_shared > 0);
-    }
-
-    #[test]
     fn robp_threads_knob_is_wall_time_only() {
         // The substrate swap preserves the engine's D10 guarantee: the
-        // deterministic policy's output is thread-count independent.
+        // executor's output is thread-count independent.
         let nfa = ends_in_1();
         let n = 10;
         let one =
@@ -483,7 +394,7 @@ mod tests {
         // Empty slice (ends-in-1 has no length-0 word) and λ handling.
         let nfa = ends_in_1();
         let out =
-            run_counter(&CounterKind::RobpFpras { threads: 0, batch: true }, &nfa, 0, 0.25, 0.1, 1)
+            run_counter(&CounterKind::RobpFpras { threads: 1, batch: true }, &nfa, 0, 0.25, 0.1, 1)
                 .unwrap();
         assert!(out.exact);
         assert!(out.estimate.is_zero());
@@ -492,12 +403,10 @@ mod tests {
     #[test]
     fn labels_are_distinct() {
         let kinds = [
-            CounterKind::Fpras { threads: 0, batch: true, share: true },
-            CounterKind::Fpras { threads: 0, batch: false, share: true },
-            CounterKind::Fpras { threads: 0, batch: true, share: false },
-            CounterKind::Fpras { threads: 0, batch: false, share: false },
-            CounterKind::RobpFpras { threads: 0, batch: true },
-            CounterKind::RobpFpras { threads: 0, batch: false },
+            CounterKind::Fpras { threads: 1, batch: true },
+            CounterKind::Fpras { threads: 1, batch: false },
+            CounterKind::RobpFpras { threads: 1, batch: true },
+            CounterKind::RobpFpras { threads: 1, batch: false },
             CounterKind::Acjr,
             CounterKind::NaiveMc { trials: 1 },
             CounterKind::PathIs { trials: 1 },

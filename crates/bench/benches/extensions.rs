@@ -1,11 +1,11 @@
 //! Criterion benches for the extension components: BDD compilation and
 //! model counting (E13's timing counterpart), path-importance sampling
-//! (E12), and the level-parallel runner vs the serial one (E14).
+//! (E12), and the level-parallel runner across thread counts (E14).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpras_baselines::path_importance_sampling;
 use fpras_bdd::{compile_slice, model_count, sample_word};
-use fpras_core::{run_parallel, FprasRun, Params};
+use fpras_core::{run_parallel, Params};
 use fpras_workloads::{ambiguous, families};
 use rand::{rngs::SmallRng, SeedableRng};
 use std::hint::black_box;
@@ -62,12 +62,6 @@ fn bench_parallel(c: &mut Criterion) {
     let nfa = families::halves_differ(7);
     let n = 14;
     let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
-    group.bench_function("serial", |b| {
-        b.iter(|| {
-            let mut rng = SmallRng::seed_from_u64(33);
-            FprasRun::run(black_box(&nfa), n, &params, &mut rng).unwrap().estimate()
-        });
-    });
     for threads in [1usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
             b.iter(|| run_parallel(black_box(&nfa), n, &params, 33, t).unwrap().estimate());

@@ -88,10 +88,9 @@ pub fn e6_vs_acjr(quick: bool) -> String {
         let exact = count_exact(&nfa, n).expect("small instances count exactly").to_f64();
         let mut acc = [(0.0f64, 0u64, 0.0f64); 2]; // (wall, ops, err) per method
         for seed in 0..trials as u64 {
-            for (slot, kind) in
-                [CounterKind::Fpras { threads: 0, batch: true, share: true }, CounterKind::Acjr]
-                    .iter()
-                    .enumerate()
+            for (slot, kind) in [CounterKind::Fpras { threads: 1, batch: true }, CounterKind::Acjr]
+                .iter()
+                .enumerate()
             {
                 let outp = run_counter(kind, &nfa, n, eps, delta, 6100 + seed).expect("run");
                 acc[slot].0 += outp.wall.as_secs_f64();
@@ -173,15 +172,9 @@ pub fn e11_crossover(quick: bool) -> String {
         "dp width",
     ]);
     for (name, nfa, n) in instances {
-        let fp = run_counter(
-            &CounterKind::Fpras { threads: 0, batch: true, share: true },
-            &nfa,
-            n,
-            0.3,
-            0.1,
-            11_000,
-        )
-        .expect("fpras");
+        let fp =
+            run_counter(&CounterKind::Fpras { threads: 1, batch: true }, &nfa, n, 0.3, 0.1, 11_000)
+                .expect("fpras");
         let nv =
             run_counter(&CounterKind::NaiveMc { trials: naive_trials }, &nfa, n, 0.3, 0.1, 11_001)
                 .expect("naive");

@@ -3,12 +3,11 @@
 //! `experiments --json [PATH]` writes a `BENCH_counter.json` so later
 //! PRs have a perf trajectory to compare against: one record per
 //! `(instance, method, threads)` cell with wall time and the estimate.
-//! The FPRAS rows include `fpras(unbatched)` and `fpras(unshared)`
-//! controls — same seed, bit-identical estimate, batched union
-//! estimation (D8) resp. sample-pass frontier sharing (D9) disabled —
-//! so both sharing layers' savings (`ops`, `cells_deduped`,
-//! `preestimate_hits`, `memo_entries_shared`) are recorded in every
-//! trajectory snapshot. The encoder is hand-rolled (the workspace
+//! The FPRAS rows include an `fpras(unbatched)` control — same seed,
+//! bit-identical estimate, batched union estimation (D8) disabled — so
+//! the batching layer's savings (`ops`, `cells_deduped`) are recorded
+//! in every trajectory snapshot, next to the memo's
+//! `memo_entries_shared`. The encoder is hand-rolled (the workspace
 //! vendors no serde) and the schema is deliberately flat — downstream
 //! tooling should need nothing beyond a JSON array of objects.
 
@@ -26,7 +25,7 @@ pub struct CounterMeasurement {
     pub instance: String,
     /// Counter label from [`CounterKind::label`].
     pub method: String,
-    /// Engine worker threads (0 = serial policy; exact methods report 0).
+    /// Engine worker threads (≥ 1; non-engine methods report 0).
     pub threads: usize,
     /// Wall-clock seconds.
     pub wall_seconds: f64,
@@ -39,15 +38,12 @@ pub struct CounterMeasurement {
     pub ops: u64,
     /// `(cell, symbol)` pairs deduplicated by batched union estimation.
     pub cells_deduped: u64,
-    /// Sampler union lookups answered by pre-estimated shared entries
-    /// (D9; zero for unshared controls and exact methods).
-    pub preestimate_hits: u64,
     /// Memo base entries shared (not cloned) across copy-on-write
-    /// sample-pass snapshots (zero for serial and exact rows).
+    /// sample-pass snapshots (zero for exact rows).
     pub memo_entries_shared: u64,
     /// Chunks the work-stealing executor moved between workers (D10;
-    /// zero for serial/exact rows — scheduling evidence, varies run to
-    /// run by design).
+    /// zero for exact and single-thread rows — scheduling evidence,
+    /// varies run to run by design).
     pub pool_steals: u64,
     /// Distinct frontiers hash-consed by the run's interner (§2.5;
     /// zero for exact and baseline rows).
@@ -62,7 +58,7 @@ pub struct CounterMeasurement {
     pub phase: fpras_core::PhaseWall,
     /// Parallel efficiency `wall₁ / (wallₜ · t)` against the same
     /// instance's `fpras(ours)` `threads = 1` row (1.0 = ideal linear
-    /// scaling; `None` for serial, control, and exact rows). Interpret
+    /// scaling; `None` for control and exact rows). Interpret
     /// together with `host_cpus`: a 1-CPU recorder is physically capped
     /// at `1/t`.
     pub parallel_efficiency: Option<f64>,
@@ -125,7 +121,6 @@ fn measure(
         estimate_log2: r.estimate.log2(),
         ops: r.ops,
         cells_deduped: r.cells_deduped,
-        preestimate_hits: r.preestimate_hits,
         memo_entries_shared: r.memo_entries_shared,
         pool_steals: r.pool_steals,
         distinct_frontiers: r.distinct_frontiers,
@@ -220,7 +215,6 @@ fn service_trace_rows(quick: bool, seed: u64) -> Vec<CounterMeasurement> {
         estimate_log2: last.log2(),
         ops: session_ops,
         cells_deduped: 0,
-        preestimate_hits: 0,
         memo_entries_shared: 0,
         pool_steals: 0,
         distinct_frontiers: 0,
@@ -266,7 +260,6 @@ fn service_trace_rows(quick: bool, seed: u64) -> Vec<CounterMeasurement> {
         estimate_log2: last_control.log2(),
         ops: control_ops,
         cells_deduped: 0,
-        preestimate_hits: 0,
         memo_entries_shared: 0,
         pool_steals: 0,
         distinct_frontiers: 0,
@@ -308,7 +301,7 @@ fn fill_parallel_efficiency(rows: &mut [CounterMeasurement]) {
 
 /// Runs the counter matrix the JSON report records: three small
 /// instance families × the FPRAS engine at several thread counts (plus
-/// unbatched/unshared controls) × the exact DP as ground truth, and two
+/// unbatched controls) × the exact DP as ground truth, and two
 /// **large skewed instances** where the sample pass is hot — a wide
 /// dense random NFA (the work-stealing pool engages on every level) and
 /// a deeply unrolled automaton (3 live cells per level: the
@@ -322,28 +315,14 @@ pub fn counter_matrix(quick: bool, seed: u64) -> Vec<CounterMeasurement> {
         ("ones-mod-4", families::ones_mod_k(4)),
         ("div-by-5", families::divisible_by(5)),
     ];
-    // threads = 0 is the Serial policy; ≥ 1 the Deterministic policy.
     // The `batch = false` rows are the unbatched controls (bit-identical
-    // estimates, strictly more ops, zero dedup) and the `share = false`
-    // rows the unshared controls (bit-identical estimates, equal-or-more
-    // estimation work, zero pre-estimate hits — the pre-pass pays off on
-    // levels where several cells miss the same frontier).
-    let fpras_settings = [
-        (0usize, true, true),
-        (1, true, true),
-        (2, true, true),
-        (4, true, true),
-        (8, true, true),
-        (0, false, true),
-        (4, false, true),
-        (0, true, false),
-        (4, true, false),
-    ];
+    // estimates, strictly more ops, zero dedup).
+    let fpras_settings = [(1usize, true), (2, true), (4, true), (8, true), (1, false), (4, false)];
     let mut out = Vec::new();
     for (name, nfa) in &instances {
         let instance = format!("{name}/n={n}");
-        for &(threads, batch, share) in &fpras_settings {
-            let kind = CounterKind::Fpras { threads, batch, share };
+        for &(threads, batch) in &fpras_settings {
+            let kind = CounterKind::Fpras { threads, batch };
             out.push(measure(&instance, &kind, nfa, n, 0.25, seed));
         }
         out.push(measure(&instance, &CounterKind::ExactDp, nfa, n, 0.25, seed));
@@ -356,7 +335,7 @@ pub fn counter_matrix(quick: bool, seed: u64) -> Vec<CounterMeasurement> {
     // `RobpSubstrate`. Statistically comparable to the fpras rows, not
     // bit-identical: the program's node universe differs from the NFA's
     // state universe, so the frontier-keyed streams differ.
-    let robp_settings = [(0usize, true), (4, true), (0, false)];
+    let robp_settings = [(1usize, true), (4, true), (1, false)];
     for (name, nfa) in instances.iter().take(2) {
         let instance = format!("robp-{name}/n={n}");
         for &(threads, batch) in &robp_settings {
@@ -387,10 +366,10 @@ pub fn counter_matrix(quick: bool, seed: u64) -> Vec<CounterMeasurement> {
         // fresh working-set shape pays allocator/cache warmup that
         // would otherwise inflate every later row's efficiency against
         // the t = 1 baseline.
-        let warmup = CounterKind::Fpras { threads: 1, batch: true, share: true };
+        let warmup = CounterKind::Fpras { threads: 1, batch: true };
         let _ = run_counter(&warmup, nfa, *n, *eps, 0.1, seed);
         for threads in [1usize, 2, 4, 8] {
-            let kind = CounterKind::Fpras { threads, batch: true, share: true };
+            let kind = CounterKind::Fpras { threads, batch: true };
             out.push(measure(instance, &kind, nfa, *n, *eps, seed));
         }
         out.push(measure(instance, &CounterKind::ExactDp, nfa, *n, *eps, seed));
@@ -420,7 +399,6 @@ pub fn to_json(measurements: &[CounterMeasurement]) -> String {
         s.push_str(&format!("\"estimate_log2\": {}, ", number(m.estimate_log2)));
         s.push_str(&format!("\"ops\": {}, ", m.ops));
         s.push_str(&format!("\"cells_deduped\": {}, ", m.cells_deduped));
-        s.push_str(&format!("\"preestimate_hits\": {}, ", m.preestimate_hits));
         s.push_str(&format!("\"memo_entries_shared\": {}, ", m.memo_entries_shared));
         s.push_str(&format!("\"pool_steals\": {}, ", m.pool_steals));
         s.push_str(&format!("\"distinct_frontiers\": {}, ", m.distinct_frontiers));
@@ -473,7 +451,7 @@ pub fn scaling_smoke(quick: bool, seed: u64) -> Result<String, String> {
         &mut SmallRng::seed_from_u64(seed ^ 0xD10),
     );
     let run = |threads: usize| {
-        let kind = CounterKind::Fpras { threads, batch: true, share: true };
+        let kind = CounterKind::Fpras { threads, batch: true };
         run_counter(&kind, &nfa, n, eps, 0.1, seed).expect("scaling fixture run")
     };
     // Discarded warmup, like `counter_matrix`: the first run on a fresh
@@ -560,7 +538,6 @@ mod tests {
                 estimate_log2: 12f64.log2(),
                 ops: 99,
                 cells_deduped: 7,
-                preestimate_hits: 3,
                 memo_entries_shared: 120,
                 pool_steals: 5,
                 distinct_frontiers: 11,
@@ -591,7 +568,6 @@ mod tests {
                 estimate_log2: f64::NEG_INFINITY,
                 ops: 0,
                 cells_deduped: 0,
-                preestimate_hits: 0,
                 memo_entries_shared: 0,
                 pool_steals: 0,
                 distinct_frontiers: 0,
@@ -613,7 +589,6 @@ mod tests {
         assert!(doc.ends_with("]\n"));
         assert!(doc.contains("\"threads\": 2"));
         assert!(doc.contains("\"cells_deduped\": 7"));
-        assert!(doc.contains("\"preestimate_hits\": 3"));
         assert!(doc.contains("\"memo_entries_shared\": 120"));
         assert!(doc.contains("\"pool_steals\": 5"));
         assert!(doc.contains("\"distinct_frontiers\": 11"));
@@ -647,11 +622,11 @@ mod tests {
     #[test]
     fn matrix_covers_methods_and_threads() {
         let ms = counter_matrix(true, 7);
-        // 3 small instances × (9 fpras settings + 1 exact) + 2
+        // 3 small instances × (6 fpras settings + 1 exact) + 2
         // robp-encoded instances × 3 robp settings + 2 large instances
         // × (4 thread counts + 1 exact) + 2 query-trace rows + 2
         // load-harness rows.
-        assert_eq!(ms.len(), 50);
+        assert_eq!(ms.len(), 41);
         // Load harness: latency distribution recorded, reuse nonzero,
         // and only the quota'd row sheds queries.
         let load = ms.iter().find(|m| m.method == "session(load)").expect("load row");
@@ -690,7 +665,6 @@ mod tests {
         assert!(dense.phase.total() > std::time::Duration::ZERO, "phase wall must accrue");
         assert!(dense.phase.total().as_secs_f64() <= dense.wall_seconds, "phases ⊆ wall");
         assert!(ms.iter().any(|m| m.method == "fpras(unbatched)"));
-        assert!(ms.iter().any(|m| m.method == "fpras(unshared)"));
         // The large skewed instances are present, thread-identical, and
         // carry the efficiency column on every threads ≥ 1 row.
         for prefix in ["dense-random-", "unrolled-contains-11"] {
@@ -710,7 +684,7 @@ mod tests {
                 assert!(err < 0.5, "{prefix} t={}: err {err}", m.threads);
             }
         }
-        // Deterministic policy: identical estimates for threads 1/2/4/8,
+        // One executor: identical estimates for threads 1/2/4/8,
         // batched or not (batching shares work, never changes output).
         for (name, _) in [("contains-11", ()), ("ones-mod-4", ()), ("div-by-5", ())] {
             let dets: Vec<f64> = ms
@@ -724,28 +698,19 @@ mod tests {
             let batched = ms
                 .iter()
                 .find(|m| {
-                    m.instance.starts_with(name) && m.method == "fpras(ours)" && m.threads == 0
+                    m.instance.starts_with(name) && m.method == "fpras(ours)" && m.threads == 1
                 })
-                .expect("batched serial row");
+                .expect("batched one-thread row");
             let unbatched = ms
                 .iter()
                 .find(|m| {
-                    m.instance.starts_with(name) && m.method == "fpras(unbatched)" && m.threads == 0
+                    m.instance.starts_with(name) && m.method == "fpras(unbatched)" && m.threads == 1
                 })
-                .expect("unbatched serial row");
+                .expect("unbatched one-thread row");
             assert_eq!(batched.estimate, unbatched.estimate, "{name}");
             assert!(batched.cells_deduped > 0, "{name}: dedup must fire");
             assert_eq!(unbatched.cells_deduped, 0, "{name}");
             assert!(batched.ops < unbatched.ops, "{name}: batching must save ops");
-            // The unshared control: same estimate, no pre-estimate hits.
-            let unshared = ms
-                .iter()
-                .find(|m| {
-                    m.instance.starts_with(name) && m.method == "fpras(unshared)" && m.threads == 0
-                })
-                .expect("unshared serial row");
-            assert_eq!(batched.estimate, unshared.estimate, "{name}: share knob is work-only");
-            assert_eq!(unshared.preestimate_hits, 0, "{name}");
         }
         // nROBP substrate family (D14): the robp-encoded slices are the
         // same languages, so the base instance's exact row is their
@@ -767,8 +732,8 @@ mod tests {
             }
             let ours = rows
                 .iter()
-                .find(|m| m.method == "robp(ours)" && m.threads == 0)
-                .expect("robp serial row");
+                .find(|m| m.method == "robp(ours)" && m.threads == 1)
+                .expect("robp one-thread row");
             let unbatched =
                 rows.iter().find(|m| m.method == "robp(unbatched)").expect("robp unbatched row");
             assert_eq!(ours.estimate, unbatched.estimate, "robp-{name}: batch knob is work-only");

@@ -97,16 +97,15 @@ fn run_load(
     CounterMeasurement {
         instance: instance.to_string(),
         method: method.to_string(),
-        threads: match policy {
-            SessionPolicy::Serial { .. } => 0,
-            SessionPolicy::Deterministic { threads, .. } => *threads,
+        threads: {
+            let SessionPolicy::Deterministic { threads, .. } = *policy;
+            threads
         },
         wall_seconds: wall.as_secs_f64(),
         estimate: last.to_f64(),
         estimate_log2: last.log2(),
         ops,
         cells_deduped: 0,
-        preestimate_hits: 0,
         memo_entries_shared: 0,
         pool_steals: 0,
         distinct_frontiers: 0,

@@ -1,8 +1,8 @@
 //! Algorithm 3's public result type.
 //!
 //! The DP itself lives in [`crate::engine`]: one level-synchronous loop
-//! (count pass, then sample pass per level) driven through a pluggable
-//! [`ExecutionPolicy`](crate::engine::ExecutionPolicy). [`FprasRun`] is
+//! (count pass, then sample pass per level) on the engine's one
+//! executor, [`Deterministic`](crate::engine::Deterministic). [`FprasRun`] is
 //! what a finished run hands back — the estimate, instrumentation, and
 //! the full `(N, S)` table, which doubles as an almost-uniform generator
 //! for `L(A_n)` (see [`crate::generator::UniformGenerator`]).
@@ -14,14 +14,14 @@
 //! * `n = 0` is answered directly (`λ ∈ L(A)` iff the initial state
 //!   accepts).
 
-use crate::engine::{run_robp_with_policy, run_with_policy, RunInner, Serial};
+use crate::engine::{run_parallel, run_robp_parallel, RunInner};
 use crate::error::FprasError;
 use crate::params::Params;
 use crate::run_stats::RunStats;
 use fpras_automata::robp::Robp;
 use fpras_automata::{Nfa, StateId};
 use fpras_numeric::ExtFloat;
-use rand::Rng;
+use rand::{Rng, RngExt};
 
 /// A completed FPRAS run: the estimate plus the full `(N, S)` table.
 pub struct FprasRun {
@@ -37,31 +37,32 @@ pub struct FprasRun {
 }
 
 impl FprasRun {
-    /// Runs the FPRAS on `nfa` for words of length `n` with the
-    /// [`Serial`] policy: one caller RNG threaded through the cells.
+    /// Runs the FPRAS on `nfa` for words of length `n`, single-threaded.
     ///
     /// Accepts any NFA (multiple accepting states are normalized away).
-    /// Randomness comes entirely from `rng`, so seeded runs are
-    /// reproducible. For the thread-count-independent parallel runner
-    /// see [`crate::engine::run_parallel`].
+    /// Draws one `u64` master seed from `rng` and runs
+    /// [`run_parallel`] at that seed on one thread, so seeded runs are
+    /// reproducible and equal a `run_parallel` run at the drawn seed on
+    /// any thread count (DESIGN.md D18).
     pub fn run<R: Rng + ?Sized>(
         nfa: &Nfa,
         n: usize,
         params: &Params,
         rng: &mut R,
     ) -> Result<FprasRun, FprasError> {
-        run_with_policy(nfa, n, params, &mut Serial::new(rng))
+        run_parallel(nfa, n, params, rng.random(), 1)
     }
 
-    /// Runs the FPRAS on an nROBP with the [`Serial`] policy. The word
-    /// length is the program's intrinsic depth (`robp.depth()`); see
-    /// DESIGN.md D14 — the same engine runs on any [`crate::engine::LeveledSubstrate`].
+    /// Runs the FPRAS on an nROBP, single-threaded: [`run_robp_parallel`]
+    /// at one master seed drawn from `rng`. The word length is the
+    /// program's intrinsic depth (`robp.depth()`); see DESIGN.md D14 —
+    /// the same engine runs on any [`crate::engine::LeveledSubstrate`].
     pub fn run_robp<R: Rng + ?Sized>(
         robp: &Robp,
         params: &Params,
         rng: &mut R,
     ) -> Result<FprasRun, FprasError> {
-        run_robp_with_policy(robp, params, &mut Serial::new(rng))
+        run_robp_parallel(robp, params, rng.random(), 1)
     }
 
     /// The estimate for `|L(A_n)|`.

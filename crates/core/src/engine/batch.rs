@@ -21,10 +21,8 @@
 //! # Why batching never changes the output
 //!
 //! The RNG stream feeding a group's `AppUnion` call is derived from the
-//! group, not from the member cell: the `Deterministic` policy seeds it
-//! from `(master_seed, MemoKey::rng_tag)`, the `Serial` policy draws one
-//! sub-seed per group (in canonical group order) from its caller RNG.
-//! Two pairs with equal frontiers therefore receive *identical* draws
+//! group, not from the member cell: the executor seeds it from
+//! `(master_seed, MemoKey::rng_tag)`. Two pairs with equal frontiers therefore receive *identical* draws
 //! whether the estimation runs once or once-per-pair — so
 //! `Params::batch_unions` toggles how often the arithmetic is repeated,
 //! never what it computes, and the batched/unbatched property tests can

@@ -18,16 +18,15 @@
 //! cell's insertions for the canonical merge is
 //! [`UnionMemo::into_overlay`], O(overlay). The engine calls
 //! [`UnionMemo::commit`] once per level (after seeding the count-pass
-//! estimates and the shared sampler pre-estimates) to fold the overlay
+//! estimates) to fold the overlay
 //! into the base, so the base is the single level-start layer the whole
 //! sample pass shares. See DESIGN.md §2.2 for the full lifecycle
 //! diagram.
 //!
 //! Every entry carries a [`MemoTier`] recording which phase produced
 //! it; the merge discipline is strictly **first-wins** (the engine
-//! inserts count-phase seeds before shared pre-estimates before
-//! sampler insertions, so the tier order doubles as the precision
-//! order, DESIGN.md D4).
+//! inserts count-phase seeds before sampler insertions, so the tier
+//! order doubles as the precision order, DESIGN.md D4).
 //!
 //! # Lineage
 //!
@@ -62,9 +61,6 @@ pub enum MemoTier {
     /// Seeded from a count-pass frontier group — the high-precision
     /// tier (`β_count`, DESIGN.md D4).
     Count,
-    /// Seeded by the engine's sample-pass frontier-sharing pre-pass
-    /// (`share_sampler_frontiers`, DESIGN.md D9) at sampler precision.
-    Shared,
     /// Inserted lazily by the sampler on a memo miss.
     Sampler,
 }
@@ -83,8 +79,8 @@ pub struct MemoEntry {
 ///
 /// All mutation is **first-wins**: [`UnionMemo::insert_first_wins`]
 /// refuses to overwrite an existing key in either layer, which is the
-/// whole memo discipline (count seeds outrank shared pre-estimates
-/// outrank sampler insertions purely by insertion order).
+/// whole memo discipline (count seeds outrank sampler insertions
+/// purely by insertion order).
 #[derive(Debug)]
 pub struct UnionMemo {
     /// The committed, immutable level-start layer (shared by snapshots).
@@ -285,7 +281,7 @@ mod tests {
     fn commit_moves_overlay_to_base() {
         let mut memo = UnionMemo::new();
         memo.insert_first_wins(key(1, &[1]), ExtFloat::ONE, MemoTier::Count);
-        memo.insert_first_wins(key(2, &[2]), ExtFloat::ONE, MemoTier::Shared);
+        memo.insert_first_wins(key(2, &[2]), ExtFloat::ONE, MemoTier::Sampler);
         assert_eq!((memo.base_len(), memo.overlay_len()), (0, 2));
         assert_eq!(memo.commit(), 2);
         assert_eq!((memo.base_len(), memo.overlay_len()), (2, 0));

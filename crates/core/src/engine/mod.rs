@@ -5,65 +5,46 @@
 //! that schedule once — normalization, the `(n+1) × m` [`RunTable`], the
 //! shared [`UnionMemo`], and the per-level **two-pass** loop (a count
 //! pass over all useful cells, then a sample pass over the live ones) —
-//! and delegates *how* the per-cell work of a pass is executed to a
-//! pluggable [`ExecutionPolicy`]:
-//!
-//! * [`Serial`] threads one caller RNG
-//!   through the cells in state order — the classic single-threaded run;
-//! * [`Deterministic`] fans each
-//!   pass out over its persistent work-stealing [`Pool`]
-//!   (`engine/pool.rs`, D10) with per-cell SplitMix64 RNG streams —
-//!   workers are spawned once per policy, parked between passes, and
-//!   rebalance skewed levels by stealing chunks; bit-identical for
-//!   every thread count and schedule.
+//! and runs each pass on its one executor, [`Deterministic`]: every
+//! unit of work draws from a SplitMix64 stream keyed by what it
+//! computes, and the pass fans out over a persistent work-stealing
+//! [`Pool`] (`engine/pool.rs`, D10) whose workers are spawned once,
+//! parked between passes, and rebalance skewed levels by stealing
+//! chunks. The output is bit-identical for every thread count and
+//! schedule, so `threads = 1` is the single-threaded run; the
+//! RNG-taking entry points ([`FprasRun::run`], [`FprasRun::run_robp`])
+//! draw one master seed from the caller's RNG and run exactly that
+//! (D18).
 //!
 //! Every per-level computation (`run_group`, `assemble_count_cell`,
-//! `sample_cell`) lives here and is shared by both policies, so
-//! optimizations land in exactly one place.
+//! `sample_cell`) lives here, so optimizations land in exactly one
+//! place.
 //!
 //! # Batched union estimation (D8)
 //!
 //! The count pass does not run `AppUnion` per `(cell, symbol)` pair any
 //! more: the engine first builds a [`LevelPlan`] that
-//! groups pairs by their canonical predecessor-frontier key, the policy
-//! estimates each *group* once (on an RNG stream derived from the
-//! frontier, not the cell), and per-cell counts are assembled by summing
-//! the shared group estimates. `Params::batch_unions = false` re-runs
-//! the identical estimation once per member pair instead — same streams,
-//! same output, strictly more work — which is the honest unbatched
-//! baseline the benches compare against. See `engine/batch.rs`.
+//! groups pairs by their canonical predecessor-frontier key, the
+//! executor estimates each *group* once (on an RNG stream derived from
+//! the frontier, not the cell), and per-cell counts are assembled by
+//! summing the shared group estimates. `Params::batch_unions = false`
+//! re-runs the identical estimation once per member pair instead — same
+//! streams, same output, strictly more work — which is the honest
+//! unbatched baseline the benches compare against. See
+//! `engine/batch.rs`.
 //!
 //! # Memo lifecycle (D9)
 //!
 //! The sampler's union memo is the leveled copy-on-write [`UnionMemo`]
 //! (`engine/memo.rs`); its per-level snapshot → overlay →
-//! canonical-merge flow — who seeds which tier, when the overlay is
-//! committed into the shared base layer, and why per-cell views are
-//! O(1) `Arc` clones instead of full map copies — is specified once,
-//! with a diagram, in **DESIGN.md §2.2 "The memo lifecycle"**. In
-//! short: count seeds and the sharing pre-pass fill the overlay, the
-//! engine commits before the sample pass, `Deterministic` cells sample
-//! against O(1) snapshots and merge their overlays back first-wins in
-//! canonical key order, and `Serial` mutates the shared memo directly
-//! (free same-level reuse; with one RNG stream there is no cross-cell
-//! determinism to protect). Both policies satisfy the same `(ε, δ)`
-//! contract.
-//!
-//! # Sample-pass frontier sharing (D9)
-//!
-//! Mirroring D8 for the sample pass: sampler-side union randomness is
-//! frontier-keyed whenever memoization is on (see `sampler.rs`), so
-//! before each sample pass the engine can pre-estimate the level's hot
-//! sampler frontiers once — the depth-two predecessor frontiers
-//! reachable from the live cells' count-pass groups — and seed the
-//! shared layer ([`MemoTier::Shared`]). Per-cell sampling then hits the
-//! memo instead of re-running `AppUnion` per cell.
-//! `Params::share_sampler_frontiers = false` skips the pre-pass; cells
-//! lazily recompute bit-identical values — same output, equal or more
-//! work (on thin levels every hot frontier is missed at most once
-//! anyway; the pre-pass pays off when several cells would miss the
-//! same frontier, and can even over-estimate branches no walk takes) —
-//! the honest unshared baseline, exactly like `batch_unions`.
+//! canonical-merge flow is specified once, with a diagram, in
+//! **DESIGN.md §2.2 "The memo lifecycle"**. In short: the count pass
+//! seeds the overlay, the engine commits before the sample pass, every
+//! cell samples against an O(1) snapshot of the committed base, and the
+//! cells' new entries merge back first-wins in canonical key order.
+//! Sampler-side union randomness is frontier-keyed (see `sampler.rs`),
+//! so two cells that miss the same frontier compute the same value:
+//! which cell's entry wins the merge cannot change the output.
 
 pub mod batch;
 pub mod memo;
@@ -80,19 +61,18 @@ use crate::params::Params;
 use crate::run_stats::RunStats;
 use crate::sample_set::{SampleEntry, SampleSet};
 use crate::sampler::{sample_word, SamplerEnv, SamplerScratch};
-use crate::table::{BuildKeyHasher, MemoKey, RunTable, SampleOutcome};
+use crate::table::{RunTable, SampleOutcome};
 use fpras_automata::ops::{trim, with_single_accepting};
 use fpras_automata::robp::Robp;
 use fpras_automata::{Nfa, StateId, StateSet};
 use fpras_numeric::ExtFloat;
 use rand::{rngs::SmallRng, Rng, RngExt};
-use std::collections::HashSet;
 use std::time::Instant;
 
 pub use batch::{FrontierGroup, LevelPlan};
 pub use memo::{MemoEntry, MemoTier, UnionMemo};
-pub use policy::{Deterministic, ExecutionPolicy, Serial};
-pub use pool::Pool;
+pub use policy::Deterministic;
+pub use pool::{Pool, MAX_THREADS};
 pub use substrate::{LeveledSubstrate, NfaSubstrate, RobpSubstrate};
 
 /// The state a finished run keeps: the substrate the DP ran over (for
@@ -114,7 +94,7 @@ pub(crate) struct RunInner {
     pub(crate) q_final: StateId,
 }
 
-/// Immutable per-run context handed to policies and cell computations.
+/// Immutable per-run context handed to the executor and cell computations.
 pub struct EngineCtx<'a> {
     /// Resolved run parameters.
     pub params: &'a Params,
@@ -128,10 +108,9 @@ pub struct EngineCtx<'a> {
     pub m: usize,
     /// Alphabet size (`substrate.width()`, cached).
     pub k: u8,
-    /// Per-run seed of the frontier-keyed sampler union streams (D9):
-    /// drawn once by the policy ([`ExecutionPolicy::sampler_union_seed`])
-    /// so lazy sampler estimates and the sharing pre-pass derive
-    /// identical per-frontier randomness.
+    /// Per-run seed of the frontier-keyed sampler union streams (D9),
+    /// derived once from the master seed, so every cell that misses a
+    /// frontier derives identical per-frontier randomness.
     pub sampler_seed: u64,
 }
 
@@ -156,33 +135,12 @@ pub struct GroupOut {
 }
 
 /// Output of one level's count pass: one [`GroupOut`] per plan group and
-/// one [`CountOut`] per cell (both in canonical order; either list is a
-/// prefix when the pass stopped early on budget exhaustion — a truncated
-/// pass returns *no* cells, since a cell needs all its groups).
+/// one [`CountOut`] per cell, both in canonical order.
 pub struct CountPass {
     /// Per-group estimation results, in plan order.
     pub groups: Vec<GroupOut>,
-    /// Per-cell assembled counts, in cell order (empty on truncation).
+    /// Per-cell assembled counts, in cell order.
     pub cells: Vec<CountOut>,
-}
-
-/// One hot sampler frontier the sharing pre-pass (D9) should estimate:
-/// collected by the engine in canonical order, estimated by the policy
-/// ([`ExecutionPolicy::share_pass`]) on the frontier-keyed sampler
-/// streams.
-pub struct ShareJob {
-    /// The memo key the estimate will be seeded under.
-    pub key: MemoKey,
-    /// The frontier itself (the key carries only the interned id).
-    pub frontier: StateSet,
-}
-
-/// Output of one sharing pre-pass estimation.
-pub struct ShareOut {
-    /// The sampler-precision union estimate for the job's frontier.
-    pub estimate: ExtFloat,
-    /// Counters attributable to this estimation.
-    pub stats: RunStats,
 }
 
 /// Output of one sample-pass cell.
@@ -328,81 +286,6 @@ pub(crate) fn sample_cell<R: Rng + ?Sized>(
     SampleOut { q, samples, genuine, padded, stats }
 }
 
-/// Collects the sample-pass frontier-sharing pre-pass's work list
-/// (DESIGN.md D9): the level's *hot* sampler frontiers, in canonical
-/// order, that are not yet memoized.
-///
-/// Hot frontiers are the depth-two predecessor frontiers a sampler walk
-/// from a live cell can query on its second backward step:
-/// `step_back(F, b) ∩ reach(ℓ−2)` for every count-pass frontier group
-/// `F` referenced by a live cell with a positive union estimate, and
-/// every symbol `b`. (Depth-one frontiers are the count-pass groups
-/// themselves, already seeded at [`MemoTier::Count`]; deeper frontiers
-/// depend on random branch choices and stay lazy.) Collection is pure
-/// set arithmetic — no membership ops — so the budget only constrains
-/// the estimations themselves, which the policy runs
-/// ([`ExecutionPolicy::share_pass`]) on the frontier-keyed sampler
-/// streams: a cell that would have estimated the frontier lazily
-/// computes the identical value, so sharing changes work, never output.
-fn collect_share_jobs(
-    ctx: &EngineCtx<'_>,
-    plan: &LevelPlan,
-    memo: &UnionMemo,
-    ell: usize,
-    live: &[StateId],
-    stats: &mut RunStats,
-) -> Vec<ShareJob> {
-    // The depth-two expansion needs a level ℓ−2 to land on.
-    if ell < 2 {
-        return Vec::new();
-    }
-    let mut is_live = vec![false; ctx.m];
-    for &q in live {
-        is_live[q as usize] = true;
-    }
-    // Groups referenced by at least one live cell, in canonical order.
-    let mut group_used = vec![false; plan.groups().len()];
-    for (i, &q) in plan.cells().iter().enumerate() {
-        if is_live[q as usize] {
-            for gi in plan.cell_groups(i).iter().flatten() {
-                group_used[*gi] = true;
-            }
-        }
-    }
-    let mut seen: HashSet<MemoKey, BuildKeyHasher> = HashSet::default();
-    let mut jobs = Vec::new();
-    // One probe buffer for the whole scan: only frontiers that become
-    // jobs are materialized.
-    let mut fb = StateSet::empty(ctx.m);
-    for (gi, group) in plan.groups().iter().enumerate() {
-        if !group_used[gi] {
-            continue;
-        }
-        // The sampler only descends into branches with a positive union
-        // estimate; a zero-valued group's successors are never queried.
-        if memo.get(&plan.key(gi)).is_none_or(|e| e.value.is_zero()) {
-            continue;
-        }
-        for sym in 0..ctx.k {
-            ctx.substrate.step_back_into(&group.frontier, sym, &mut fb);
-            fb.intersect_with(ctx.substrate.reachable(ell - 2));
-            if fb.is_empty() {
-                continue;
-            }
-            let key = ctx.interner.intern(ell - 2, &fb);
-            if !seen.insert(key) {
-                continue;
-            }
-            if memo.contains_key(&key) {
-                stats.share.keys_already_seeded += 1;
-                continue;
-            }
-            jobs.push(ShareJob { key, frontier: fb.clone() });
-        }
-    }
-    jobs
-}
-
 /// Aborts the run once the membership-op budget is exceeded.
 fn check_budget(params: &Params, stats: &RunStats) -> Result<(), FprasError> {
     if let Some(budget) = params.max_membership_ops {
@@ -414,24 +297,24 @@ fn check_budget(params: &Params, stats: &RunStats) -> Result<(), FprasError> {
 }
 
 /// Runs one level of the DP: the count pass over the level's frontier
-/// groups and cells, the sharing pre-pass, the memo commit, and the
-/// sample pass over the live cells.
+/// groups and cells, the memo commit, and the sample pass over the live
+/// cells.
 ///
-/// This is the loop body of [`run_with_policy`], extracted so a
-/// checkpointed run ([`crate::service::QuerySession`]) can resume at
-/// level `built + 1` and execute *exactly* the code a fresh run would —
-/// the whole bit-identity argument of DESIGN.md D11 rests on the two
-/// paths sharing this one function. Everything it reads is a function
-/// of `(params, level, table, memo)` — never of the run's current
-/// horizon — provided `params.trim_dead` is off (the alive-set filter
-/// is the one horizon-dependent input; sessions reject it).
-pub(crate) fn run_level<P: ExecutionPolicy>(
+/// This is the loop body of every run, extracted so a checkpointed run
+/// ([`crate::service::QuerySession`]) can resume at level `built + 1`
+/// and execute *exactly* the code a fresh run would — the whole
+/// bit-identity argument of DESIGN.md D11 rests on the two paths
+/// sharing this one function. Everything it reads is a function of
+/// `(params, level, table, memo)` — never of the run's current horizon
+/// — provided `params.trim_dead` is off (the alive-set filter is the
+/// one horizon-dependent input; sessions reject it).
+pub(crate) fn run_level(
     ctx: &EngineCtx<'_>,
     table: &mut RunTable,
     memo: &mut UnionMemo,
     stats: &mut RunStats,
     ell: usize,
-    policy: &mut P,
+    exec: &Deterministic,
 ) -> Result<(), FprasError> {
     let params = ctx.params;
     let m = ctx.m;
@@ -450,10 +333,6 @@ pub(crate) fn run_level<P: ExecutionPolicy>(
     stats.cells_skipped += (m - useful.len()) as u64;
     stats.cells_processed += useful.len() as u64;
 
-    // Remaining op budget, offered to the policy so it can stop a
-    // pass early (a truncated pass is detected by the check below).
-    let ops_remaining = params.max_membership_ops.map(|b| b.saturating_sub(stats.membership_ops));
-
     // ---- Pass 1: count phase (batched over frontier groups) ----
     let plan = LevelPlan::build(ctx, ell, &useful);
     stats.batch.groups_formed += plan.groups().len() as u64;
@@ -469,7 +348,7 @@ pub(crate) fn run_level<P: ExecutionPolicy>(
     });
 
     let count_start = Instant::now();
-    let pass = policy.count_pass(ctx, &plan, table, ops_remaining);
+    let pass = exec.count_pass(ctx, &plan, table);
     let count_wall = count_start.elapsed();
     stats.phase.count += count_wall;
     crate::obs::emit_with(|| crate::obs::TraceEvent::Pass {
@@ -479,9 +358,6 @@ pub(crate) fn run_level<P: ExecutionPolicy>(
         wall_us: count_wall.as_micros() as u64,
         walk_table_hits: 0,
     });
-    debug_assert!(pass.groups.len() <= plan.groups().len(), "count pass exceeds group list");
-    debug_assert!(pass.cells.len() <= useful.len(), "count pass output exceeds cell list");
-    let count_truncated = pass.cells.len() < useful.len();
     let merge_start = Instant::now();
     for (gi, out) in pass.groups.iter().enumerate() {
         stats.merge(&out.stats);
@@ -493,11 +369,10 @@ pub(crate) fn run_level<P: ExecutionPolicy>(
         }
     }
     // The plan's static dedup count and the pass's dynamic
-    // accounting are two definitions of the same quantity; a
-    // complete batched pass must reconcile them exactly.
+    // accounting are two definitions of the same quantity; a batched
+    // pass must reconcile them exactly.
     debug_assert!(
-        count_truncated
-            || !params.batch_unions
+        !params.batch_unions
             || pass.groups.iter().map(|g| g.stats.batch.cells_deduped).sum::<u64>()
                 == plan.deduped_pairs(),
         "plan and pass disagree on deduplicated pairs"
@@ -507,45 +382,10 @@ pub(crate) fn run_level<P: ExecutionPolicy>(
     }
     stats.phase.merge += merge_start.elapsed();
     check_budget(params, stats)?;
-    debug_assert!(!count_truncated, "a pass may only stop early when the budget is spent");
 
-    // ---- Sharing pre-pass (D9): seed the hot sampler frontiers ----
-    let share_start = Instant::now();
-    let live: Vec<StateId> =
-        useful.iter().copied().filter(|&q| !table.cell(ell, q as usize).n_est.is_zero()).collect();
-    if params.share_sampler_frontiers && params.memoize_unions {
-        let jobs = collect_share_jobs(ctx, &plan, memo, ell, &live, stats);
-        let ops_remaining =
-            params.max_membership_ops.map(|b| b.saturating_sub(stats.membership_ops));
-        let outs = policy.share_pass(ctx, &jobs, table, ops_remaining);
-        debug_assert!(outs.len() <= jobs.len(), "share pass output exceeds job list");
-        let share_truncated = outs.len() < jobs.len();
-        // `zip` realizes the prefix semantics: a truncated pass
-        // seeds only what it estimated, and the budget check below
-        // aborts before any cell could observe the difference.
-        for (job, out) in jobs.iter().zip(outs) {
-            stats.merge(&out.stats);
-            memo.insert_first_wins(job.key, out.estimate, MemoTier::Shared);
-            stats.share.frontiers_preestimated += 1;
-        }
-        let share_wall = share_start.elapsed();
-        stats.phase.share += share_wall;
-        crate::obs::emit_with(|| crate::obs::TraceEvent::Pass {
-            level: ell,
-            phase: "share",
-            items: jobs.len() as u64,
-            wall_us: share_wall.as_micros() as u64,
-            walk_table_hits: 0,
-        });
-        check_budget(params, stats)?;
-        debug_assert!(!share_truncated, "a pass may only stop early when the budget is spent");
-    } else {
-        stats.phase.share += share_start.elapsed();
-    }
-
-    // Commit the level's seeds (count tier + shared tier, plus the
-    // previous level's sampler insertions) into the immutable base
-    // layer, so the whole sample pass shares one O(1) snapshot.
+    // Commit the level's count seeds (plus the previous level's sampler
+    // insertions) into the immutable base layer, so the whole sample
+    // pass shares one O(1) snapshot.
     let commit_start = Instant::now();
     let promoted = memo.commit();
     stats.memo.commits += 1;
@@ -557,9 +397,10 @@ pub(crate) fn run_level<P: ExecutionPolicy>(
     });
 
     // ---- Pass 2: sample phase (live cells only) ----
-    let ops_remaining = params.max_membership_ops.map(|b| b.saturating_sub(stats.membership_ops));
+    let live: Vec<StateId> =
+        useful.iter().copied().filter(|&q| !table.cell(ell, q as usize).n_est.is_zero()).collect();
     let sample_start = Instant::now();
-    let sampled = policy.sample_pass(ctx, ell, &live, table, memo, ops_remaining);
+    let sampled = exec.sample_pass(ctx, ell, &live, table, memo);
     let sample_wall = sample_start.elapsed();
     stats.phase.sample += sample_wall;
     crate::obs::emit_with(|| crate::obs::TraceEvent::Pass {
@@ -569,8 +410,6 @@ pub(crate) fn run_level<P: ExecutionPolicy>(
         wall_us: sample_wall.as_micros() as u64,
         walk_table_hits: sampled.iter().map(|out| out.stats.walk_table_hits).sum(),
     });
-    debug_assert!(sampled.len() <= live.len(), "sample pass output exceeds cell list");
-    let sample_truncated = sampled.len() < live.len();
     let merge_start = Instant::now();
     for out in sampled {
         stats.merge(&out.stats);
@@ -590,9 +429,7 @@ pub(crate) fn run_level<P: ExecutionPolicy>(
         wall_us: merge_wall.as_micros() as u64,
         walk_table_hits: 0,
     });
-    check_budget(params, stats)?;
-    debug_assert!(!sample_truncated, "a pass may only stop early when the budget is spent");
-    Ok(())
+    check_budget(params, stats)
 }
 
 /// Normalizes an automaton for the DP (DESIGN.md D7): trims to useful
@@ -627,16 +464,37 @@ pub(crate) fn seed_level_zero(
     );
 }
 
-/// Runs the FPRAS on `nfa` for words of length `n` under `policy`.
+/// Runs the FPRAS on `nfa` for words of length `n`, with per-cell
+/// streams derived from `master_seed` and each pass fanned out over up
+/// to `threads` (≥ 1) workers.
 ///
-/// This is the single entry point behind [`FprasRun::run`] (Serial
-/// policy) and [`run_parallel`] (Deterministic policy); direct callers
-/// can plug any [`ExecutionPolicy`].
-pub fn run_with_policy<P: ExecutionPolicy>(
+/// This is the NFA entry point of the engine; [`FprasRun::run`] draws
+/// one master seed from its caller RNG and runs this at one thread.
+/// The returned run is **bit-identical for any `threads ≥ 1`**.
+///
+/// ```
+/// use fpras_automata::{Alphabet, NfaBuilder};
+/// use fpras_core::{run_parallel, Params};
+///
+/// let mut b = NfaBuilder::new(Alphabet::binary());
+/// let q = b.add_state();
+/// b.set_initial(q);
+/// b.add_accepting(q);
+/// b.add_transition(q, 0, q);
+/// b.add_transition(q, 1, q);
+/// let nfa = b.build().unwrap();
+///
+/// let params = Params::practical(0.3, 0.1, 1, 8);
+/// let two = run_parallel(&nfa, 8, &params, 7, 2).unwrap();
+/// let eight = run_parallel(&nfa, 8, &params, 7, 8).unwrap();
+/// assert_eq!(two.estimate().to_f64(), eight.estimate().to_f64());
+/// ```
+pub fn run_parallel(
     nfa: &Nfa,
     n: usize,
     params: &Params,
-    policy: &mut P,
+    master_seed: u64,
+    threads: usize,
 ) -> Result<FprasRun, FprasError> {
     params.validate()?;
     // The error-budget splits (sampler δ, noise probability) are pinned
@@ -679,30 +537,29 @@ pub fn run_with_policy<P: ExecutionPolicy>(
     if !substrate.language_nonempty() {
         return Ok(degenerate(ExtFloat::ZERO, false));
     }
-    run_on_substrate(Box::new(substrate), n, params, policy, nfa.is_accepting(nfa.initial()), start)
+    let exec = Deterministic::new(master_seed, threads);
+    run_on_substrate(Box::new(substrate), n, params, &exec, nfa.is_accepting(nfa.initial()), start)
 }
 
 /// The substrate-generic run core: the level loop over an already-built
 /// [`LeveledSubstrate`] whose views cover `0..=n` and whose language is
-/// known non-empty at `n`. Front-end entry points ([`run_with_policy`]
-/// for NFAs, [`run_robp_with_policy`] for nROBPs) handle normalization
-/// and the degenerate cases, then delegate here.
-fn run_on_substrate<P: ExecutionPolicy>(
+/// known non-empty at `n`. Front-end entry points ([`run_parallel`] for
+/// NFAs, [`run_robp_parallel`] for nROBPs) handle normalization and the
+/// degenerate cases, then delegate here.
+fn run_on_substrate(
     substrate: Box<dyn LeveledSubstrate>,
     n: usize,
     params: &Params,
-    policy: &mut P,
+    exec: &Deterministic,
     accepts_lambda: bool,
     start: Instant,
 ) -> Result<FprasRun, FprasError> {
     let m = substrate.universe();
     let q_final = substrate.final_cell();
-    // One interner per run: every memo/sharing key below is minted here.
+    // One interner per run: every memo key below is minted here.
     let interner = FrontierInterner::new(m);
-    // One seed per run for the frontier-keyed sampler union streams
-    // (D9): Serial draws it from the caller RNG, Deterministic derives
-    // it from the master seed.
-    let sampler_seed = policy.sampler_union_seed();
+    // One seed per run for the frontier-keyed sampler union streams (D9).
+    let sampler_seed = policy::sampler_union_seed(exec.master_seed());
     // Deliberately no run-horizon field: per-level work must be a
     // function of `(Params, level, table, memo)` alone, or resumed
     // sessions could not be bit-identical to fresh runs (D11).
@@ -721,7 +578,7 @@ fn run_on_substrate<P: ExecutionPolicy>(
 
     crate::obs::emit_with(|| crate::obs::TraceEvent::RunStart {
         substrate: ctx.substrate.kind(),
-        policy: policy.name(),
+        policy: "deterministic",
         n,
         from_level: 1,
     });
@@ -729,14 +586,14 @@ fn run_on_substrate<P: ExecutionPolicy>(
     seed_level_zero(&mut table, &*substrate, params);
 
     for ell in 1..=n {
-        run_level(&ctx, &mut table, &mut memo, &mut stats, ell, policy)?;
+        run_level(&ctx, &mut table, &mut memo, &mut stats, ell, exec)?;
     }
 
     let estimate = table.cell(n, q_final as usize).n_est;
     // Executor evidence (D10): drained once per run. Scheduling-only —
     // everything above is bit-identical for any thread count; these
     // counters record how the work actually spread over the workers.
-    stats.pool = policy.take_pool_stats();
+    stats.pool = exec.take_pool_stats();
     // Interner evidence (§2.5): snapshot of the run's key traffic.
     stats.intern = interner.stats();
     stats.wall = start.elapsed();
@@ -765,15 +622,17 @@ fn run_on_substrate<P: ExecutionPolicy>(
     })
 }
 
-/// Runs the FPRAS over an nROBP under `policy`, estimating the number
-/// of accepted assignments (length-`depth` words over the program's
-/// alphabet). The run length is the program's intrinsic depth; the
+/// Runs the FPRAS over an nROBP, estimating the number of accepted
+/// assignments (length-`depth` words over the program's alphabet) —
+/// the nROBP counterpart of [`run_parallel`], bit-identical for every
+/// `threads ≥ 1`. The run length is the program's intrinsic depth; the
 /// degenerate cases (no accepting node reachable) short-circuit exactly
 /// like an empty NFA slice.
-pub fn run_robp_with_policy<P: ExecutionPolicy>(
+pub fn run_robp_parallel(
     robp: &Robp,
     params: &Params,
-    policy: &mut P,
+    master_seed: u64,
+    threads: usize,
 ) -> Result<FprasRun, FprasError> {
     params.validate()?;
     let n = robp.depth();
@@ -797,53 +656,8 @@ pub fn run_robp_with_policy<P: ExecutionPolicy>(
             accepts_lambda: false,
         });
     }
-    run_on_substrate(Box::new(substrate), n, params, policy, false, start)
-}
-
-/// [`run_robp_with_policy`] with the [`Deterministic`] policy — the
-/// nROBP counterpart of [`run_parallel`], bit-identical for every
-/// `threads ≥ 1`.
-pub fn run_robp_parallel(
-    robp: &Robp,
-    params: &Params,
-    master_seed: u64,
-    threads: usize,
-) -> Result<FprasRun, FprasError> {
-    run_robp_with_policy(robp, params, &mut Deterministic::new(master_seed, threads))
-}
-
-/// Runs the FPRAS with level-synchronous parallelism over states.
-///
-/// Contract-equivalent to [`FprasRun::run`] (same `(ε, δ)` guarantee,
-/// same table/generator output shape); differs in taking a master seed
-/// instead of an `&mut Rng` so that per-cell streams can be derived.
-/// The returned run is **bit-identical for any `threads ≥ 1`**.
-///
-/// ```
-/// use fpras_automata::{Alphabet, NfaBuilder};
-/// use fpras_core::{run_parallel, Params};
-///
-/// let mut b = NfaBuilder::new(Alphabet::binary());
-/// let q = b.add_state();
-/// b.set_initial(q);
-/// b.add_accepting(q);
-/// b.add_transition(q, 0, q);
-/// b.add_transition(q, 1, q);
-/// let nfa = b.build().unwrap();
-///
-/// let params = Params::practical(0.3, 0.1, 1, 8);
-/// let two = run_parallel(&nfa, 8, &params, 7, 2).unwrap();
-/// let eight = run_parallel(&nfa, 8, &params, 7, 8).unwrap();
-/// assert_eq!(two.estimate().to_f64(), eight.estimate().to_f64());
-/// ```
-pub fn run_parallel(
-    nfa: &Nfa,
-    n: usize,
-    params: &Params,
-    master_seed: u64,
-    threads: usize,
-) -> Result<FprasRun, FprasError> {
-    run_with_policy(nfa, n, params, &mut Deterministic::new(master_seed, threads))
+    let exec = Deterministic::new(master_seed, threads);
+    run_on_substrate(Box::new(substrate), n, params, &exec, false, start)
 }
 
 #[cfg(test)]
@@ -898,76 +712,6 @@ mod tests {
             run_parallel(&nfa, 8, &params, 1, 4),
             Err(FprasError::BudgetExceeded { .. })
         ));
-    }
-
-    #[test]
-    fn share_pre_pass_honors_budget_granularity() {
-        // The sharing pre-pass must stop scheduling estimations once the
-        // remaining op budget is spent, like the Serial policy's passes:
-        // with a budget that dies inside the pre-pass, the reported
-        // overshoot must stay below the cost of the level's full
-        // pre-pass + sample pass (which an unbounded pre-pass would
-        // approach on a wide level).
-        let nfa = contains_11();
-        let n = 8;
-        let mut params = Params::practical(0.3, 0.1, 3, n);
-        assert!(params.share_sampler_frontiers);
-        // Unbounded run: total ops with the pre-pass fully executed.
-        let total = {
-            let mut rng = SmallRng::seed_from_u64(2);
-            FprasRun::run(&nfa, n, &params, &mut rng).unwrap().stats().membership_ops
-        };
-        // Tight budget: trips during an early level. The overshoot must
-        // stay bounded by one unit of work, far below the full total.
-        params.max_membership_ops = Some(total / 50);
-        let mut rng = SmallRng::seed_from_u64(2);
-        match FprasRun::run(&nfa, n, &params, &mut rng) {
-            Err(FprasError::BudgetExceeded { ops }) => {
-                assert!(ops > total / 50, "guard must report the overshooting total");
-                assert!(ops < total / 2, "budget abort must not run anywhere near the full run");
-            }
-            other => panic!("expected budget error, got {:?}", other.map(|r| r.estimate())),
-        }
-    }
-
-    #[test]
-    fn serial_budget_stops_within_a_pass_not_a_level() {
-        // The Serial policy honors the remaining-op budget per frontier
-        // group: on a multi-group level it must abort after the first
-        // offending group, so its reported overshoot is at most one
-        // group's work — strictly less than the Deterministic policy,
-        // which finishes the whole pass (per-pass granularity, see
-        // policy docs). Level 1 always has exactly one group (frontiers
-        // live inside reach(0) = {init}), so probe its cost first and
-        // set the budget to trip inside level 2, where contains-11 has
-        // two groups ({q0} and {q1}).
-        let nfa = contains_11();
-        let mut params = Params::practical(0.3, 0.1, 3, 8);
-        params.max_membership_ops = Some(1);
-        let level_one_ops = {
-            let mut rng = SmallRng::seed_from_u64(1);
-            match FprasRun::run(&nfa, 8, &params, &mut rng) {
-                Err(FprasError::BudgetExceeded { ops }) => ops,
-                other => panic!("expected budget error, got {:?}", other.map(|r| r.estimate())),
-            }
-        };
-        params.max_membership_ops = Some(level_one_ops + 1);
-        let serial_ops = {
-            let mut rng = SmallRng::seed_from_u64(1);
-            match FprasRun::run(&nfa, 8, &params, &mut rng) {
-                Err(FprasError::BudgetExceeded { ops }) => ops,
-                other => panic!("expected budget error, got {:?}", other.map(|r| r.estimate())),
-            }
-        };
-        let parallel_ops = match run_parallel(&nfa, 8, &params, 1, 4) {
-            Err(FprasError::BudgetExceeded { ops }) => ops,
-            other => panic!("expected budget error, got {:?}", other.map(|r| r.estimate())),
-        };
-        assert!(serial_ops > level_one_ops + 1, "guard must still report the overshooting total");
-        assert!(
-            serial_ops < parallel_ops,
-            "serial ({serial_ops} ops) must stop before a full pass ({parallel_ops} ops)"
-        );
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! (see `engine/policy.rs`). A work item is thus a pure function of its
 //! index, the slab write is index-addressed, and scheduling (thread
 //! count, chunk size, steal order) is invisible in the result. The
-//! executor inherits the Deterministic policy's bit-identity contract
+//! pool inherits the executor's bit-identity contract
 //! for free; `proptest_pool.rs` locks it down against the sequential
 //! map and the old static split.
 //!
@@ -196,6 +196,12 @@ pub struct Pool {
     handles: Vec<JoinHandle<()>>,
     threads: usize,
 }
+
+/// The most workers any input boundary accepts (`nfa-count --threads`,
+/// a serve `open … --threads` line). Every worker past the caller is one
+/// OS thread, so the cap bounds what one untrusted line can spawn. A
+/// constant, not a knob: output never depends on the thread count.
+pub const MAX_THREADS: usize = 64;
 
 /// Output slab: each cell is written exactly once, by the worker that
 /// claimed its index.

@@ -42,7 +42,7 @@ use std::sync::RwLock;
 /// Dense id of one interned frontier within its [`FrontierInterner`].
 ///
 /// Equal frontier content ⇔ equal id (per interner). Ids are assigned
-/// in first-intern order, which under the `Deterministic` policy's lazy
+/// in first-intern order, which under the executor's lazy
 /// sampler interning is schedule-dependent — compare frontiers by
 /// content ([`FrontierInterner::compare`]) wherever order matters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

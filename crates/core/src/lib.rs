@@ -48,7 +48,7 @@
 //! |---|---|
 //! | [`appunion`] | Algorithm 1 (`AppUnion`, Theorem 1) |
 //! | [`sampler`] | Algorithm 2 (`sample`, Theorem 2) |
-//! | [`engine`] | Algorithm 3's level-synchronous DP, one code path behind pluggable [`Serial`]/[`Deterministic`] execution policies |
+//! | [`engine`] | Algorithm 3's level-synchronous DP, one code path on one executor ([`Deterministic`], bit-identical at every thread count) |
 //! | [`intern`] | frontier hash-consing: dense ids + one word arena behind every sharing/memo key (DESIGN.md §2.5) |
 //! | [`counter`] | Algorithm 3's result type ([`FprasRun`], Theorem 3) |
 //! | [`params`] | parameter derivations (paper + practical profiles) |
@@ -79,9 +79,8 @@ pub mod table;
 pub use appunion::{app_union, frontier_inputs, UnionEstimate, UnionScratch, UnionSetInput};
 pub use counter::FprasRun;
 pub use engine::{
-    run_parallel, run_robp_parallel, run_robp_with_policy, run_with_policy, Deterministic,
-    ExecutionPolicy, FrontierGroup, LevelPlan, LeveledSubstrate, MemoEntry, MemoTier, NfaSubstrate,
-    Pool, RobpSubstrate, Serial, UnionMemo,
+    run_parallel, run_robp_parallel, Deterministic, FrontierGroup, LevelPlan, LeveledSubstrate,
+    MemoEntry, MemoTier, NfaSubstrate, Pool, RobpSubstrate, UnionMemo, MAX_THREADS,
 };
 pub use error::FprasError;
 pub use generator::UniformGenerator;

@@ -5,8 +5,8 @@
 //! The paper's complexity story is accounted in membership ops and the
 //! engine counts those exhaustively — this module adds the *time* side:
 //!
-//! * [`PhaseWall`] — the level loop's wall time attributed to its five
-//!   phases (plan / count / share / sample / merge), a block on
+//! * [`PhaseWall`] — the level loop's wall time attributed to its
+//!   phases (plan / count / sample / merge), a block on
 //!   [`RunStats`](crate::RunStats) like the op counters.
 //! * [`LatencyHistogram`] — an allocation-free, `Copy`, mergeable
 //!   log-bucketed histogram (power-of-2 microsecond buckets). One
@@ -40,12 +40,12 @@ use std::time::Duration;
 
 /// Wall time of an engine run attributed to the level loop's phases.
 ///
-/// Every level of the DP runs the same five steps (see
+/// Every level of the DP runs the same four steps (see
 /// `engine::run_level`): build the [`LevelPlan`](crate::LevelPlan)
-/// (*plan*), run the batched count pass (*count*), pre-estimate shared
-/// sampler frontiers (*share*), run the sample pass (*sample*), and
-/// merge outputs back into the table/memo/stats (*merge*, which
-/// includes the memo commit). The durations here are sums over all
+/// (*plan*), run the batched count pass (*count*), run the sample pass
+/// (*sample*), and merge outputs back into the table/memo/stats
+/// (*merge*, which includes the memo commit). The fifth field, *share*,
+/// timed the removed sampler-frontier pre-pass and is always zero. The durations here are sums over all
 /// levels of a run; [`merge`](PhaseWall::merge) sums block-wise like
 /// every other stats block, so session extensions and retired-run
 /// folding accumulate naturally.
@@ -57,11 +57,12 @@ use std::time::Duration;
 pub struct PhaseWall {
     /// Building the level's frontier-grouped [`LevelPlan`](crate::LevelPlan).
     pub plan: Duration,
-    /// The batched count pass (`ExecutionPolicy::count_pass`).
+    /// The batched count pass (`Deterministic::count_pass`).
     pub count: Duration,
-    /// The sampler-frontier share pre-pass (`ExecutionPolicy::share_pass`).
+    /// The removed sampler-frontier share pre-pass: always zero, kept
+    /// so readers of the phase layout keep compiling.
     pub share: Duration,
-    /// The sample pass (`ExecutionPolicy::sample_pass`).
+    /// The sample pass (`Deterministic::sample_pass`).
     pub sample: Duration,
     /// Output merging: table writes, stats folding, memo seeding and
     /// the end-of-level memo commit.
@@ -239,9 +240,9 @@ pub enum TraceEvent {
     Pass {
         /// DP level.
         level: usize,
-        /// `"plan"`, `"count"`, `"share"`, `"sample"`, or `"merge"`.
+        /// `"plan"`, `"count"`, `"sample"`, or `"merge"`.
         phase: &'static str,
-        /// Work items the pass covered (groups, jobs, or cells).
+        /// Work items the pass covered (groups or cells).
         items: u64,
         /// Pass wall time in microseconds.
         wall_us: u64,

@@ -111,17 +111,9 @@ pub struct Params {
     /// *work*, never output: `false` re-runs the identical estimation
     /// once per pair (the honest unbatched baseline for benchmarks).
     pub batch_unions: bool,
-    /// Pre-estimate each level's hot sampler frontiers once before the
-    /// sample pass and seed the shared memo layer (D9), so per-cell
-    /// sampling hits the memo instead of re-running `AppUnion`. Sampler
-    /// union estimation is frontier-keyed whenever `memoize_unions` is
-    /// on, so toggling this knob changes *work*, never output — the
-    /// sample-pass mirror of [`Params::batch_unions`]. Ignored (no
-    /// pre-pass runs) when `memoize_unions` is off.
-    pub share_sampler_frontiers: bool,
     /// Work items the executor claims per cursor interaction (D10): the
     /// granularity of both normal claiming and stealing in the
-    /// `Deterministic` policy's work-stealing pool, and the
+    /// executor's work-stealing pool, and the
     /// sequential-fallback cutoff (passes with fewer items than
     /// `threads × steal_chunk` run inline instead of waking workers).
     /// Scheduling-only: any value produces bit-identical output. Small
@@ -169,7 +161,6 @@ impl Params {
             trim_dead: false,
             n_hint: n.max(1),
             batch_unions: false,
-            share_sampler_frontiers: false,
             steal_chunk: 2,
             max_membership_ops: None,
         }
@@ -209,7 +200,6 @@ impl Params {
             trim_dead: true,
             n_hint: n.max(1),
             batch_unions: true,
-            share_sampler_frontiers: true,
             steal_chunk: 2,
             max_membership_ops: None,
         }
@@ -356,7 +346,6 @@ impl Params {
             self.cursor == CursorPolicy::Cyclic,
             self.trim_dead,
             self.batch_unions,
-            self.share_sampler_frontiers,
         ];
         mix(bools.iter().fold(0u64, |a, &b| (a << 1) | b as u64));
         // Separate discriminant and payload: folding None into a

@@ -68,10 +68,9 @@ pub struct MemoStats {
     /// Overlay → base commits performed (one per processed level).
     pub commits: u64,
     /// Entries promoted from the overlay into the base layer across all
-    /// commits (count seeds + shared pre-estimates + sampler inserts).
+    /// commits (count seeds + sampler inserts).
     pub entries_promoted: u64,
-    /// O(1) per-cell snapshots taken by the `Deterministic` sample pass
-    /// (the `Serial` policy mutates the shared memo and takes none).
+    /// O(1) per-cell snapshots taken by the sample pass.
     pub snapshots: u64,
     /// Base-layer entries shared (not copied) across those snapshots —
     /// exactly the entry-clone volume the flat memo used to pay.
@@ -92,31 +91,19 @@ impl MemoStats {
     }
 }
 
-/// Counters for sample-pass frontier sharing (DESIGN.md D9).
-///
-/// Before each sample pass the engine pre-estimates the level's hot
-/// sampler frontiers once (frontier-keyed RNG, like the batched count
-/// pass) and seeds the shared memo layer, so per-cell sampling hits the
-/// memo instead of re-running `AppUnion` per cell.
+/// Counters of the removed sample-pass sharing pre-pass (DESIGN.md D9,
+/// D18), kept so readers of the stat layout keep compiling.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShareStats {
-    /// Hot sampler frontiers estimated by the pre-pass (one `AppUnion`
-    /// each, at sampler precision).
-    pub frontiers_preestimated: u64,
-    /// Sampler union lookups answered by a pre-estimated (shared-tier)
-    /// memo entry.
+    /// Sampler union lookups answered by a pre-estimated memo entry.
+    /// Always 0: no pass pre-estimates frontiers any more.
     pub preestimate_hits: u64,
-    /// Hot frontiers the pre-pass skipped because a count-phase seed or
-    /// an earlier level already covered the key.
-    pub keys_already_seeded: u64,
 }
 
 impl ShareStats {
     /// Accumulates another pass's counters.
     pub fn merge(&mut self, other: &ShareStats) {
-        self.frontiers_preestimated += other.frontiers_preestimated;
         self.preestimate_hits += other.preestimate_hits;
-        self.keys_already_seeded += other.keys_already_seeded;
     }
 }
 
@@ -256,7 +243,8 @@ pub struct RunStats {
     pub batch: BatchStats,
     /// Copy-on-write memo counters (§2.2).
     pub memo: MemoStats,
-    /// Sample-pass frontier-sharing counters (D9).
+    /// Sample-pass frontier-sharing counters (always 0, see
+    /// [`ShareStats`]).
     pub share: ShareStats,
     /// Work-stealing executor counters (D10; scheduling evidence only —
     /// see [`PoolStats`]).
@@ -264,7 +252,7 @@ pub struct RunStats {
     /// Frontier-interner counters (§2.5): distinct frontiers, hash-cons
     /// hits and arena footprint for the run's `FrontierInterner`.
     pub intern: InternStats,
-    /// Level-loop wall time attributed to the plan/count/share/sample/
+    /// Level-loop wall time attributed to the plan/count/sample/
     /// merge phases (DESIGN.md D15). Sums level-wise within a run and
     /// block-wise under [`merge`](RunStats::merge), like every other
     /// stat block.
@@ -452,11 +440,7 @@ mod tests {
                 entries_shared: 10,
                 overlay_entries: 4,
             },
-            share: ShareStats {
-                frontiers_preestimated: 2,
-                preestimate_hits: 5,
-                keys_already_seeded: 1,
-            },
+            share: ShareStats { preestimate_hits: 5 },
             ..Default::default()
         };
         let b = RunStats {
@@ -467,11 +451,7 @@ mod tests {
                 entries_shared: 20,
                 overlay_entries: 1,
             },
-            share: ShareStats {
-                frontiers_preestimated: 1,
-                preestimate_hits: 2,
-                keys_already_seeded: 0,
-            },
+            share: ShareStats { preestimate_hits: 2 },
             ..Default::default()
         };
         a.merge(&b);
@@ -480,9 +460,7 @@ mod tests {
         assert_eq!(a.memo.snapshots, 5);
         assert_eq!(a.memo.entries_shared, 30);
         assert_eq!(a.memo.overlay_entries, 5);
-        assert_eq!(a.share.frontiers_preestimated, 3);
         assert_eq!(a.share.preestimate_hits, 7);
-        assert_eq!(a.share.keys_already_seeded, 1);
     }
 
     #[test]

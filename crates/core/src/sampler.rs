@@ -33,9 +33,9 @@
 //! are first-wins and never change. The first step at a node whose every
 //! non-empty branch was a base hit also stores, in the node's record,
 //! the `k` branch sizes, their total, the categorical draw's rescaled
-//! `f64` weights and the number of memo hits and `Shared`-tier hits the
-//! step counted. Every later step at that node (a *table hit*) replays
-//! those counters, draws from the stored weights through the same
+//! `f64` weights and the number of memo hits the step counted. Every
+//! later step at that node (a *table hit*) replays those counters,
+//! draws from the stored weights through the same
 //! `sample_weights` call, and updates `φ` as `φ · total / size[b]` —
 //! the cold step's expression, in its order, since [`ExtFloat`]
 //! normalises after every operation. So a table hit consumes the same
@@ -59,9 +59,8 @@
 //! ([`MemoKey::rng_tag`] mixed with a per-run sampler seed), never from
 //! the calling cell's stream — the same congruence trick the batched
 //! count pass uses (DESIGN.md D8). Any cell that estimates a given
-//! frontier therefore computes the *identical* value, which is what lets
-//! the engine pre-estimate hot frontiers once per level and share them
-//! (`Params::share_sampler_frontiers`) without changing a single output
+//! frontier therefore computes the *identical* value, so which of a
+//! level's cells inserts an entry first cannot change a single output
 //! bit. With memoization off (paper profile) every query draws fresh
 //! randomness from the caller's stream, preserving the paper's
 //! independent-estimates reading.
@@ -83,7 +82,7 @@ use std::collections::HashMap;
 /// resolved parameters, the run's leveled substrate (stepping kernels +
 /// per-level reachability filter — D14), the run's frontier interner,
 /// and the frontier-keyed union seed. Bundled so the deep call chain
-/// (`sample_word` → `union_size` → `estimate_frontier_union`) passes one
+/// (`sample_word` → `union_size` → `app_union`) passes one
 /// reference instead of five.
 pub(crate) struct SamplerEnv<'a> {
     /// Resolved run parameters.
@@ -217,8 +216,6 @@ struct BranchTable {
     total: ExtFloat,
     /// Memo hits the cold step counted (its non-empty branches).
     hits: u32,
-    /// How many of those hits were `Shared`-tier entries.
-    shared: u32,
 }
 
 /// Per-scratch compiled walk — see the module docs. Memory per node:
@@ -279,50 +276,19 @@ impl WalkTable {
 /// Independent RNG stream for one sampler union estimation, keyed by the
 /// frontier's canonical tag and the run's sampler seed. A congruence:
 /// equal frontiers (however assembled, in whichever cell) get identical
-/// draws, so lazy per-cell estimation and the engine's shared pre-pass
-/// compute bit-identical values.
+/// draws, so every cell that misses a frontier computes the
+/// bit-identical value.
 pub(crate) fn sampler_union_rng(sampler_seed: u64, tag: u64) -> SmallRng {
     let mixed =
         splitmix64(sampler_seed ^ splitmix64(tag) ^ splitmix64(PHASE_SAMPLER_UNION ^ PHASE_SALT));
     SmallRng::seed_from_u64(mixed)
 }
 
-/// Runs one sampler-precision `AppUnion` for `frontier` at `key.level()`
-/// on the frontier-keyed stream. The single definition shared by the
-/// sampler's lazy miss path and the engine's sharing pre-pass — the
-/// reason pre-estimation cannot change the output.
-pub(crate) fn estimate_frontier_union(
-    params: &Params,
-    table: &RunTable,
-    key: MemoKey,
-    frontier: &StateSet,
-    sampler_seed: u64,
-    scratch: &mut UnionScratch,
-    stats: &mut RunStats,
-) -> ExtFloat {
-    let level = key.level() as usize;
-    let inputs = frontier_inputs(table, level, frontier);
-    let eps_sz = params.eps_sz_at_level(params.beta_count, level + 1);
-    let mut rng = sampler_union_rng(sampler_seed, key.rng_tag());
-    app_union(
-        params,
-        params.beta_sample,
-        params.delta_sample_inner(),
-        eps_sz,
-        &inputs,
-        table.num_states(),
-        &mut rng,
-        scratch,
-        stats,
-    )
-    .value
-}
-
 /// Estimates `|⋃_{p ∈ F} L(p^level)|` for the interned frontier
 /// `F = id`, consulting and filling the memo when enabled. Only a memo
 /// miss or the paper path reads `F`'s states back (into `frontier`).
-/// Also returns the entry's tier when the memo's committed base layer
-/// served it — the only answer a walk record may replay.
+/// Also returns whether the memo's committed base layer served it —
+/// the only answer a walk record may replay.
 #[allow(clippy::too_many_arguments)]
 fn union_size<R: Rng + ?Sized>(
     env: &SamplerEnv<'_>,
@@ -334,22 +300,32 @@ fn union_size<R: Rng + ?Sized>(
     frontier: &mut StateSet,
     scratch: &mut UnionScratch,
     stats: &mut RunStats,
-) -> (ExtFloat, Option<MemoTier>) {
+) -> (ExtFloat, bool) {
     let params = env.params;
     if params.memoize_unions {
         if let Some((entry, committed)) = memo.get_node(MemoKey::node_of(level as u32, id)) {
             stats.memo_hits += 1;
-            if entry.tier == MemoTier::Shared {
-                stats.share.preestimate_hits += 1;
-            }
-            return (entry.value, committed.then_some(entry.tier));
+            return (entry.value, committed);
         }
         stats.memo_misses += 1;
         let key = env.interner.load(level, id, frontier);
-        let est =
-            estimate_frontier_union(params, table, key, frontier, env.sampler_seed, scratch, stats);
+        let inputs = frontier_inputs(table, level, frontier);
+        let eps_sz = params.eps_sz_at_level(params.beta_count, level + 1);
+        let mut union_rng = sampler_union_rng(env.sampler_seed, key.rng_tag());
+        let est = app_union(
+            params,
+            params.beta_sample,
+            params.delta_sample_inner(),
+            eps_sz,
+            &inputs,
+            table.num_states(),
+            &mut union_rng,
+            scratch,
+            stats,
+        )
+        .value;
         memo.insert_first_wins(key, est, MemoTier::Sampler);
-        return (est, None);
+        return (est, false);
     }
     // Paper path (D4 off): a fresh estimate from the caller's stream on
     // every query — the paper's independent-draws reading.
@@ -368,7 +344,7 @@ fn union_size<R: Rng + ?Sized>(
         stats,
     )
     .value;
-    (est, None)
+    (est, false)
 }
 
 /// Runs one trial of Algorithm 2 from the singleton frontier `{start}` at
@@ -414,7 +390,6 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
             let rows = compiled as usize * k..(compiled as usize + 1) * k;
             stats.walk_table_hits += 1;
             stats.memo_hits += u64::from(t.hits);
-            stats.share.preestimate_hits += u64::from(t.shared);
             let Some(choice) = sample_weights(rng, &walk.weights[rows.clone()]) else {
                 stats.fail_dead_end += 1;
                 return SampleOutcome::DeadEnd;
@@ -423,7 +398,7 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
             choice
         } else {
             // Lines 8–11: per-symbol predecessor frontiers and union sizes.
-            let mut compile = Some(BranchTable { total: ExtFloat::ZERO, hits: 0, shared: 0 });
+            let mut compile = Some(BranchTable { total: ExtFloat::ZERO, hits: 0 });
             scratch.branch_sizes.clear();
             for sym in 0..k {
                 let next = scratch.walk.succ[at + sym];
@@ -431,7 +406,7 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
                     ExtFloat::ZERO
                 } else {
                     let node = scratch.walk.records[next as usize].node;
-                    let (sz, base_tier) = union_size(
+                    let (sz, from_base) = union_size(
                         env,
                         table,
                         memo,
@@ -442,11 +417,8 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
                         &mut scratch.union,
                         stats,
                     );
-                    match (&mut compile, base_tier) {
-                        (Some(t), Some(tier)) => {
-                            t.hits += 1;
-                            t.shared += u32::from(tier == MemoTier::Shared);
-                        }
+                    match &mut compile {
+                        Some(t) if from_base => t.hits += 1,
                         _ => compile = None,
                     }
                     sz

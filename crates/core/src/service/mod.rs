@@ -25,8 +25,8 @@
 //!
 //! The load-bearing correctness claim: after **any** interleaving of
 //! smaller and larger queries, `session.estimate(n)` is **bit-identical**
-//! to a fresh [`engine::run_with_policy`](crate::engine::run_with_policy)
-//! at `n` under the same seed and policy. Three properties make it hold:
+//! to a fresh [`run_parallel`](crate::engine::run_parallel) at `n`
+//! under the same seed. Three properties make it hold:
 //!
 //! 1. per-level work is a function of `(Params, level, table, memo)`
 //!    alone — the horizon-dependent inputs were pinned into
@@ -36,13 +36,12 @@
 //!    it off);
 //! 2. all estimation randomness is frontier/level-keyed (D8/D9/D10), so
 //!    resuming at level `k + 1` derives exactly the streams a fresh run
-//!    would; the `Serial` policy's single caller stream is owned by the
-//!    session and consumed only by level building, never by queries;
+//!    would;
 //! 3. sampling queries draw from a **caller-provided** RNG and insert
 //!    only frontier-keyed (hence value-congruent) memo entries, so
 //!    serving a query cannot perturb a later extension.
 //!
-//! `proptest_service.rs` enforces the invariant for both policies over
+//! `proptest_service.rs` enforces the invariant at threads 1/2/8 over
 //! random automata and random query orders.
 
 mod quota;
@@ -55,22 +54,15 @@ pub use session::{QuerySession, SessionStats};
 
 /// How a [`QuerySession`] executes and seeds its engine run.
 ///
-/// This is the session-owned counterpart of the engine's
-/// [`ExecutionPolicy`](crate::engine::ExecutionPolicy) implementations:
-/// a session outlives many queries, so it owns its randomness (the
-/// `Serial` caller RNG lives inside the session; `Deterministic`
-/// derives everything from the master seed) instead of borrowing it per
-/// call. The variant is part of the [`ServiceRegistry`] cache key —
-/// sessions with different seeds or policies never alias.
+/// The session-owned configuration of the engine's one executor,
+/// [`Deterministic`](crate::engine::Deterministic): a session outlives
+/// many queries and derives all of its randomness from the master seed.
+/// The policy is part of the [`ServiceRegistry`] cache key — sessions
+/// with different seeds never alias. It stays an enum with one variant
+/// so callers that name `SessionPolicy::Deterministic` keep compiling.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SessionPolicy {
-    /// The engine's `Serial` policy: one RNG seeded with `seed`,
-    /// threaded through the levels in order.
-    Serial {
-        /// Seed of the session-owned caller RNG.
-        seed: u64,
-    },
-    /// The engine's `Deterministic` policy: per-cell streams derived
+    /// The engine's `Deterministic` executor: per-cell streams derived
     /// from `seed`, passes fanned out over `threads` workers.
     /// Bit-identical output for every `threads ≥ 1`.
     Deterministic {
@@ -84,10 +76,8 @@ pub enum SessionPolicy {
 impl SessionPolicy {
     /// Short label for diagnostics and experiment tables.
     pub fn label(&self) -> String {
-        match self {
-            SessionPolicy::Serial { .. } => "serial".to_string(),
-            SessionPolicy::Deterministic { threads, .. } => format!("deterministic×{threads}"),
-        }
+        let SessionPolicy::Deterministic { threads, .. } = self;
+        format!("deterministic×{threads}")
     }
 
     /// The canonical form used everywhere the policy *means* something
@@ -97,11 +87,7 @@ impl SessionPolicy {
     /// identically, share one cache entry instead of compiling two
     /// sessions.
     pub fn normalized(&self) -> SessionPolicy {
-        match self {
-            SessionPolicy::Serial { seed } => SessionPolicy::Serial { seed: *seed },
-            SessionPolicy::Deterministic { seed, threads } => {
-                SessionPolicy::Deterministic { seed: *seed, threads: (*threads).max(1) }
-            }
-        }
+        let SessionPolicy::Deterministic { seed, threads } = *self;
+        SessionPolicy::Deterministic { seed, threads: threads.max(1) }
     }
 }

@@ -333,11 +333,10 @@ impl ServiceRegistry {
             }
         }
         let mut session = compile(params.clone(), policy.clone())?;
-        if let SessionPolicy::Deterministic { threads, .. } = policy {
-            let threads = (*threads).max(1);
-            if threads > 1 {
-                session = session.with_shared_pool(self.shared_pool(threads));
-            }
+        let SessionPolicy::Deterministic { threads, .. } = *policy;
+        let threads = threads.max(1);
+        if threads > 1 {
+            session = session.with_shared_pool(self.shared_pool(threads));
         }
         if self.slots.len() >= self.capacity {
             let (lru, _) = self
@@ -364,7 +363,7 @@ impl ServiceRegistry {
     }
 
     /// The registry-wide shared executor for `threads` workers,
-    /// compiling it on first use. Every Deterministic session with this
+    /// compiling it on first use. Every session with this
     /// thread count multiplexes onto the same parked-worker set, so the
     /// registry spawns `threads - 1` OS threads once rather than per
     /// session.
@@ -451,7 +450,7 @@ mod tests {
         let mut registry = ServiceRegistry::new(4);
         let robp = small_robp(0);
         let params = Params::for_session(0.4, 0.1, robp.num_nodes(), robp.depth());
-        let policy = SessionPolicy::Serial { seed: 7 };
+        let policy = SessionPolicy::Deterministic { seed: 7, threads: 1 };
         let e = registry.robp_session(&robp, &params, &policy).unwrap().estimate(2).unwrap();
         // Repeat query: a hit on the same slot, bit-identical answer.
         let e2 = registry.robp_session(&robp, &params, &policy).unwrap().estimate(2).unwrap();
@@ -499,7 +498,7 @@ mod tests {
         let mut registry = ServiceRegistry::new(4);
         let params = Params::for_session(0.4, 0.1, 1, 10);
         let nfa = all_words();
-        let policy = SessionPolicy::Serial { seed: 3 };
+        let policy = SessionPolicy::Deterministic { seed: 3, threads: 1 };
         registry.session(&nfa, &params, &policy).unwrap().estimate(10).unwrap();
         registry.session(&nfa, &params, &policy).unwrap().estimate(7).unwrap();
         let totals = registry.session_totals();
@@ -533,7 +532,7 @@ mod tests {
         let nfa = all_words();
         let mut params = Params::for_session(0.4, 0.1, 1, 8);
         params.max_membership_ops = Some(1);
-        let policy = SessionPolicy::Serial { seed: 2 };
+        let policy = SessionPolicy::Deterministic { seed: 2, threads: 1 };
         // First query blows the (absurd) budget and poisons the session.
         assert!(registry.session(&nfa, &params, &policy).unwrap().estimate(8).is_err());
         // The key must not be bricked: the next lookup recompiles.
@@ -586,7 +585,7 @@ mod tests {
         let nfa = all_words();
         let mut params = Params::for_session(0.4, 0.1, 1, 8);
         params.max_membership_ops = Some(1);
-        let policy = SessionPolicy::Serial { seed: 2 };
+        let policy = SessionPolicy::Deterministic { seed: 2, threads: 1 };
         let key = SessionKey::new(&nfa, &params, &policy);
         let (session, recycled) =
             registry.session_with_key_recycled(key.clone(), &nfa, &params, &policy).unwrap();
@@ -606,7 +605,11 @@ mod tests {
         let mut registry = ServiceRegistry::new(2);
         let mut bad = Params::for_session(0.3, 0.1, 1, 4);
         bad.eps = -1.0;
-        let err = registry.session(&all_words(), &bad, &SessionPolicy::Serial { seed: 0 });
+        let err = registry.session(
+            &all_words(),
+            &bad,
+            &SessionPolicy::Deterministic { seed: 0, threads: 1 },
+        );
         assert!(err.is_err());
         assert!(registry.is_empty());
         assert_eq!(registry.stats().sessions_created, 0);

@@ -1,8 +1,9 @@
 //! A checkpointable engine run serving `(A, n)` queries incrementally.
 
+use crate::engine::policy::sampler_union_seed;
 use crate::engine::{
-    normalize_for_run, run_level, seed_level_zero, Deterministic, EngineCtx, ExecutionPolicy,
-    LeveledSubstrate, NfaSubstrate, Pool, RobpSubstrate, Serial, UnionMemo,
+    normalize_for_run, run_level, seed_level_zero, Deterministic, EngineCtx, LeveledSubstrate,
+    NfaSubstrate, Pool, RobpSubstrate, UnionMemo,
 };
 use crate::error::FprasError;
 use crate::generator::DEFAULT_RETRY_LIMIT;
@@ -16,7 +17,7 @@ use crate::table::{RunTable, SampleOutcome};
 use fpras_automata::robp::Robp;
 use fpras_automata::{Nfa, StateId, Word};
 use fpras_numeric::ExtFloat;
-use rand::{rngs::SmallRng, Rng, SeedableRng};
+use rand::Rng;
 use std::sync::Arc;
 
 /// Per-session query accounting: the amortization evidence.
@@ -83,29 +84,6 @@ struct SessionInner {
     built: usize,
 }
 
-/// The session-owned execution policy state (see [`SessionPolicy`]).
-enum PolicyState {
-    /// The session owns the `Serial` caller RNG so its stream position
-    /// after level `k` equals a fresh run's — the resume alignment.
-    Serial { rng: SmallRng },
-    /// `Deterministic` holds no evolving state at all (everything
-    /// derives from the master seed), so the session stores only the
-    /// configuration and spawns the worker pool per *extension*: an
-    /// idle cached session pins zero OS threads (a registry full of
-    /// multi-threaded sessions would otherwise park
-    /// `capacity × (threads − 1)` workers), and the respawn cost is
-    /// dwarfed by the level building it serves. Output is identical
-    /// either way — the policy is scheduling-only (D10).
-    ///
-    /// `shared_pool` (set via [`QuerySession::with_shared_pool`])
-    /// upgrades the respawn discipline for serving front-ends: every
-    /// extension borrows the one caller-owned parked-worker set instead
-    /// of spawning its own, so N concurrent sessions multiplex onto a
-    /// single worker fleet (D13). Idle sessions still pin zero threads
-    /// of their own — the shared workers belong to the pool's owner.
-    Deterministic { seed: u64, threads: usize, shared_pool: Option<Arc<Pool>> },
-}
-
 /// One automaton, compiled once, serving `estimate`/`sample` queries at
 /// many lengths from a single checkpointable engine run.
 ///
@@ -142,8 +120,21 @@ enum PolicyState {
 /// ```
 pub struct QuerySession {
     params: Params,
-    policy_spec: SessionPolicy,
-    policy: PolicyState,
+    /// The normalized policy. The executor holds no evolving state at
+    /// all (everything derives from the master seed), so the session
+    /// stores only this configuration and spawns the worker pool per
+    /// *extension*: an idle cached session pins zero OS threads (a
+    /// registry full of multi-threaded sessions would otherwise park
+    /// `capacity × (threads − 1)` workers), and the respawn cost is
+    /// dwarfed by the level building it serves. Output is identical
+    /// either way — scheduling never reaches it (D10).
+    policy: SessionPolicy,
+    /// Set via [`QuerySession::with_shared_pool`]: every extension
+    /// borrows this one caller-owned parked-worker set instead of
+    /// spawning its own, so N concurrent sessions multiplex onto a
+    /// single worker fleet (D13). Idle sessions still pin zero threads
+    /// of their own — the shared workers belong to the pool's owner.
+    shared_pool: Option<Arc<Pool>>,
     /// `λ ∈ L(A)` of the *original* automaton (length-0 queries are
     /// answered directly, like the engine's `n = 0` path).
     accepts_lambda: bool,
@@ -181,30 +172,9 @@ impl QuerySession {
             ));
         }
         let policy = policy.normalized();
-        let mut policy_state = match &policy {
-            SessionPolicy::Serial { seed } => {
-                PolicyState::Serial { rng: SmallRng::seed_from_u64(*seed) }
-            }
-            SessionPolicy::Deterministic { seed, threads } => {
-                PolicyState::Deterministic { seed: *seed, threads: *threads, shared_pool: None }
-            }
-        };
+        let SessionPolicy::Deterministic { seed, .. } = policy;
         let accepts_lambda = nfa.is_accepting(nfa.initial());
         let inner = normalize_for_run(nfa).map(|(normalized, q_final)| {
-            // Drawn exactly where a fresh run draws it (once, before the
-            // level loop), so the Serial stream stays aligned. The
-            // Deterministic seed derivation is a pure function of the
-            // master seed, so a throwaway single-threaded policy (which
-            // spawns no workers) answers it.
-            let sampler_seed = match &mut policy_state {
-                PolicyState::Serial { rng } => {
-                    let mut policy = Serial::new(rng);
-                    policy.sampler_union_seed()
-                }
-                PolicyState::Deterministic { seed, .. } => {
-                    Deterministic::new(*seed, 1).sampler_union_seed()
-                }
-            };
             let substrate = NfaSubstrate::new(normalized, q_final, 0);
             let m = substrate.universe();
             let interner = FrontierInterner::new(m);
@@ -215,7 +185,7 @@ impl QuerySession {
                 interner,
                 table,
                 memo: UnionMemo::new(),
-                sampler_seed,
+                sampler_seed: sampler_union_seed(seed),
                 q_final,
                 scratch: SamplerScratch::new(),
                 built: 0,
@@ -223,8 +193,8 @@ impl QuerySession {
         });
         Ok(QuerySession {
             params,
-            policy_spec: policy,
-            policy: policy_state,
+            policy,
+            shared_pool: None,
             accepts_lambda,
             inner,
             stats: SessionStats::default(),
@@ -270,28 +240,9 @@ impl QuerySession {
             )));
         }
         let policy = policy.normalized();
-        let mut policy_state = match &policy {
-            SessionPolicy::Serial { seed } => {
-                PolicyState::Serial { rng: SmallRng::seed_from_u64(*seed) }
-            }
-            SessionPolicy::Deterministic { seed, threads } => {
-                PolicyState::Deterministic { seed: *seed, threads: *threads, shared_pool: None }
-            }
-        };
+        let SessionPolicy::Deterministic { seed, .. } = policy;
         let substrate = RobpSubstrate::new(robp);
         let inner = substrate.language_nonempty().then(|| {
-            // Drawn exactly where a fresh robp run draws it (see
-            // `QuerySession::new` — the alignment argument is
-            // substrate-independent).
-            let sampler_seed = match &mut policy_state {
-                PolicyState::Serial { rng } => {
-                    let mut policy = Serial::new(rng);
-                    policy.sampler_union_seed()
-                }
-                PolicyState::Deterministic { seed, .. } => {
-                    Deterministic::new(*seed, 1).sampler_union_seed()
-                }
-            };
             let m = substrate.universe();
             let q_final = substrate.final_cell();
             let interner = FrontierInterner::new(m);
@@ -302,7 +253,7 @@ impl QuerySession {
                 interner,
                 table,
                 memo: UnionMemo::new(),
-                sampler_seed,
+                sampler_seed: sampler_union_seed(seed),
                 q_final,
                 scratch: SamplerScratch::new(),
                 built: 0,
@@ -310,8 +261,8 @@ impl QuerySession {
         });
         Ok(QuerySession {
             params,
-            policy_spec: policy,
-            policy: policy_state,
+            policy,
+            shared_pool: None,
             accepts_lambda: false,
             inner,
             stats: SessionStats::default(),
@@ -329,7 +280,7 @@ impl QuerySession {
 
     /// The policy the session was created with.
     pub fn policy(&self) -> &SessionPolicy {
-        &self.policy_spec
+        &self.policy
     }
 
     /// Query accounting (levels built vs. reused, queries served).
@@ -398,22 +349,19 @@ impl QuerySession {
     }
 
     /// Attaches a shared work-stealing [`Pool`]: every later extension
-    /// of a `Deterministic` session borrows the caller's parked-worker
-    /// set instead of spawning its own fleet, so many sessions
-    /// multiplex onto one executor (D13 — the
-    /// [`ServiceRegistry`](crate::service::ServiceRegistry) does this
-    /// for every Deterministic session it compiles). Scheduling never
-    /// reaches the output (D10), so answers are bit-identical to a
-    /// session with a private pool of any size. No-op for `Serial`
-    /// sessions, which have no executor. The extension's pass counters
+    /// borrows the caller's parked-worker set instead of spawning its
+    /// own fleet, so many sessions multiplex onto one executor (D13 —
+    /// the [`ServiceRegistry`](crate::service::ServiceRegistry) does
+    /// this for every session it compiles at more than one thread).
+    /// Scheduling never reaches the output (D10), so answers are
+    /// bit-identical to a session with a private pool of any size. The
+    /// extension's pass counters
     /// are still drained into this session's `run_stats` right after
     /// each extension, so per-session attribution survives sharing as
     /// long as sessions extend one at a time (the line-protocol serve
     /// loop is sequential by construction).
     pub fn with_shared_pool(mut self, pool: Arc<Pool>) -> Self {
-        if let PolicyState::Deterministic { shared_pool, .. } = &mut self.policy {
-            *shared_pool = Some(pool);
-        }
+        self.shared_pool = Some(pool);
         self
     }
 
@@ -459,55 +407,31 @@ impl QuerySession {
             k: substrate.width() as u8,
             sampler_seed: *sampler_seed,
         };
-        let from_level = *built + 1;
-        let substrate_kind = substrate.kind();
-        let policy_label = match &self.policy {
-            PolicyState::Serial { .. } => "serial",
-            PolicyState::Deterministic { .. } => "deterministic",
-        };
         crate::obs::emit_with(|| crate::obs::TraceEvent::RunStart {
-            substrate: substrate_kind,
-            policy: policy_label,
+            substrate: substrate.kind(),
+            policy: "deterministic",
             n,
-            from_level,
+            from_level: *built + 1,
         });
+        // Workers live only for this extension unless a serving
+        // front-end attached a shared pool (see the `policy` field
+        // docs); output is pool-instance independent.
+        let SessionPolicy::Deterministic { seed, threads } = self.policy;
+        let exec = match &self.shared_pool {
+            Some(pool) => Deterministic::with_pool(seed, Arc::clone(pool)),
+            None => Deterministic::new(seed, threads),
+        };
         let mut result = Ok(());
-        match &mut self.policy {
-            PolicyState::Serial { rng } => {
-                let mut policy = Serial::new(rng);
-                for ell in *built + 1..=n {
-                    match run_level(&ctx, table, memo, &mut self.run_stats, ell, &mut policy) {
-                        Ok(()) => *built = ell,
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
+        for ell in *built + 1..=n {
+            if let Err(e) = run_level(&ctx, table, memo, &mut self.run_stats, ell, &exec) {
+                result = Err(e);
+                break;
             }
-            PolicyState::Deterministic { seed, threads, shared_pool } => {
-                // Workers live only for this extension unless a serving
-                // front-end attached a shared pool (see PolicyState
-                // docs); output is pool-instance independent.
-                let mut policy = match shared_pool {
-                    Some(pool) => Deterministic::with_pool(*seed, Arc::clone(pool)),
-                    None => Deterministic::new(*seed, *threads),
-                };
-                for ell in *built + 1..=n {
-                    match run_level(&ctx, table, memo, &mut self.run_stats, ell, &mut policy) {
-                        Ok(()) => *built = ell,
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
-                // Executor evidence (D10), drained once per extension
-                // like a fresh run drains it once per run.
-                let drained = policy.take_pool_stats();
-                self.run_stats.pool.merge(&drained);
-            }
+            *built = ell;
         }
+        // Executor evidence (D10), drained once per extension like a
+        // fresh run drains it once per run.
+        self.run_stats.pool.merge(&exec.take_pool_stats());
         // Snapshot (not merge): the interner is cumulative over the
         // session's whole life, so the latest reading is the total.
         self.run_stats.intern = interner.stats();
@@ -694,6 +618,7 @@ mod tests {
     use crate::engine::run_parallel;
     use fpras_automata::exact::count_exact;
     use fpras_automata::{Alphabet, NfaBuilder};
+    use rand::{rngs::SmallRng, RngExt, SeedableRng};
 
     fn contains_11() -> Nfa {
         let mut b = NfaBuilder::new(Alphabet::binary());
@@ -716,7 +641,7 @@ mod tests {
         let nfa = contains_11();
         let params = Params::practical(0.3, 0.1, 3, 8);
         assert!(params.trim_dead);
-        let err = QuerySession::new(&nfa, params, SessionPolicy::Serial { seed: 1 });
+        let err = QuerySession::new(&nfa, params, one_thread(1));
         assert!(matches!(err, Err(FprasError::InvalidParams(_))));
     }
 
@@ -725,16 +650,29 @@ mod tests {
         let nfa = contains_11();
         let mut params = Params::for_session(0.3, 0.1, 3, 8);
         params.eps = 2.0;
-        let err = QuerySession::new(&nfa, params, SessionPolicy::Serial { seed: 1 });
+        let err = QuerySession::new(&nfa, params, one_thread(1));
         assert!(matches!(err, Err(FprasError::InvalidParams(_))));
+    }
+
+    /// The single-threaded session policy at `seed`.
+    fn one_thread(seed: u64) -> SessionPolicy {
+        SessionPolicy::Deterministic { seed, threads: 1 }
+    }
+
+    /// The session policy a fresh `FprasRun::run` with a caller RNG
+    /// seeded `rng_seed` runs under: the master seed it draws first.
+    fn seeded_by_rng(rng_seed: u64) -> SessionPolicy {
+        one_thread(SmallRng::seed_from_u64(rng_seed).random())
     }
 
     #[test]
     fn incremental_matches_fresh_serial_bitwise() {
+        // The single-threaded, caller-RNG entry point is a fresh run at
+        // the master seed it draws, so a session at that seed answers
+        // it bit for bit.
         let nfa = contains_11();
         let params = Params::for_session(0.3, 0.1, 3, 12);
-        let mut session =
-            QuerySession::new(&nfa, params.clone(), SessionPolicy::Serial { seed: 9 }).unwrap();
+        let mut session = QuerySession::new(&nfa, params.clone(), seeded_by_rng(9)).unwrap();
         // Mixed query order: extend, slice back, extend again.
         for n in [5usize, 3, 9, 7, 12, 9] {
             let got = session.estimate(n).unwrap();
@@ -771,8 +709,7 @@ mod tests {
         // property 3).
         let nfa = contains_11();
         let params = Params::for_session(0.3, 0.1, 3, 12);
-        let mut session =
-            QuerySession::new(&nfa, params.clone(), SessionPolicy::Serial { seed: 2 }).unwrap();
+        let mut session = QuerySession::new(&nfa, params.clone(), seeded_by_rng(2)).unwrap();
         session.estimate(6).unwrap();
         let mut caller = SmallRng::seed_from_u64(1234);
         for _ in 0..50 {
@@ -817,8 +754,7 @@ mod tests {
     fn lambda_and_empty_slices() {
         let nfa = contains_11();
         let params = Params::for_session(0.3, 0.1, 3, 4);
-        let mut session =
-            QuerySession::new(&nfa, params, SessionPolicy::Serial { seed: 5 }).unwrap();
+        let mut session = QuerySession::new(&nfa, params, one_thread(5)).unwrap();
         assert!(session.estimate(0).unwrap().is_zero(), "λ ∉ L");
         assert!(session.estimate(1).unwrap().is_zero(), "no length-1 word contains 11");
         assert_eq!(session.sample(1, &mut SmallRng::seed_from_u64(0)).unwrap(), None);
@@ -836,8 +772,7 @@ mod tests {
         b.add_transition(q0, 0, q0);
         let nfa = b.build().unwrap();
         let params = Params::for_session(0.3, 0.1, 1, 4);
-        let mut session =
-            QuerySession::new(&nfa, params, SessionPolicy::Serial { seed: 5 }).unwrap();
+        let mut session = QuerySession::new(&nfa, params, one_thread(5)).unwrap();
         assert!(session.estimate(3).unwrap().is_zero());
         assert_eq!(session.sample(3, &mut SmallRng::seed_from_u64(0)).unwrap(), None);
         assert_eq!(session.levels_built(), 0);
@@ -849,8 +784,7 @@ mod tests {
         let nfa = contains_11();
         let mut params = Params::for_session(0.3, 0.1, 3, 8);
         params.max_membership_ops = Some(10);
-        let mut session =
-            QuerySession::new(&nfa, params, SessionPolicy::Serial { seed: 1 }).unwrap();
+        let mut session = QuerySession::new(&nfa, params, one_thread(1)).unwrap();
         assert!(matches!(session.estimate(8), Err(FprasError::BudgetExceeded { .. })));
         assert!(session.is_poisoned());
         // Poisoned: every query surface refuses, including the n = 0
@@ -872,8 +806,7 @@ mod tests {
         // the stats.
         let nfa = contains_11();
         let params = Params::for_session(0.3, 0.1, 3, 6);
-        let mut session =
-            QuerySession::new(&nfa, params.clone(), SessionPolicy::Serial { seed: 1 }).unwrap();
+        let mut session = QuerySession::new(&nfa, params.clone(), one_thread(1)).unwrap();
         assert!(matches!(session.estimate(7), Err(FprasError::InvalidParams(_))));
         assert!(session.estimate_range(0..=7).is_err());
         assert!(session.sample(7, &mut SmallRng::seed_from_u64(0)).is_err());
@@ -896,14 +829,12 @@ mod tests {
         let mut params = Params::for_session(0.3, 0.1, 3, 8);
         // Probe the unbudgeted build cost of all 8 levels.
         let full_build = {
-            let mut s =
-                QuerySession::new(&nfa, params.clone(), SessionPolicy::Serial { seed: 3 }).unwrap();
+            let mut s = QuerySession::new(&nfa, params.clone(), one_thread(3)).unwrap();
             s.estimate(8).unwrap();
             s.run_stats().membership_ops
         };
         params.max_membership_ops = Some(full_build);
-        let mut session =
-            QuerySession::new(&nfa, params, SessionPolicy::Serial { seed: 3 }).unwrap();
+        let mut session = QuerySession::new(&nfa, params, one_thread(3)).unwrap();
         session.estimate(4).unwrap();
         let build_ops = session.run_stats().membership_ops;
         let mut rng = SmallRng::seed_from_u64(9);
@@ -928,9 +859,7 @@ mod tests {
     fn robp_session_matches_fresh_robp_run_bitwise() {
         let robp = robp_contains_11();
         let params = Params::for_session(0.3, 0.1, robp.num_nodes(), 4);
-        let mut session =
-            QuerySession::new_robp(&robp, params.clone(), SessionPolicy::Serial { seed: 9 })
-                .unwrap();
+        let mut session = QuerySession::new_robp(&robp, params.clone(), seeded_by_rng(9)).unwrap();
         // Partial-depth query first: the later full-depth query resumes
         // from the checkpoint and must still equal a fresh run.
         assert!(session.estimate(2).unwrap().is_zero(), "no sink at level 2");
@@ -957,20 +886,19 @@ mod tests {
         let robp = robp_contains_11();
         // n_hint exceeding the program depth can never be served.
         let params = Params::for_session(0.3, 0.1, robp.num_nodes(), 5);
-        let err = QuerySession::new_robp(&robp, params, SessionPolicy::Serial { seed: 1 });
+        let err = QuerySession::new_robp(&robp, params, one_thread(1));
         assert!(matches!(err, Err(FprasError::InvalidParams(_))));
         // At the depth itself, queries past n_hint are refused like any
         // session (and λ is never accepted).
         let params = Params::for_session(0.3, 0.1, robp.num_nodes(), 4);
-        let mut session =
-            QuerySession::new_robp(&robp, params, SessionPolicy::Serial { seed: 1 }).unwrap();
+        let mut session = QuerySession::new_robp(&robp, params, one_thread(1)).unwrap();
         assert!(session.estimate(5).is_err());
         assert!(session.estimate(0).unwrap().is_zero());
     }
 
     #[test]
     fn robp_session_deterministic_matches_serial_policy_surface() {
-        // The policy is scheduling-only on every substrate: a
+        // The thread count is scheduling-only on every substrate: a
         // Deterministic robp session at any thread count answers
         // exactly like a fresh Deterministic run.
         let robp = robp_contains_11();

@@ -128,10 +128,10 @@ impl std::borrow::Borrow<u64> for MemoKey {
 }
 
 /// SplitMix64 finalizer: the one mixer behind every derived RNG stream
-/// (the policies' per-cell and per-group seeds, the sampler's
+/// (the executor's per-cell and per-group seeds, the sampler's
 /// frontier-keyed union streams, DESIGN.md D9) and the interner's tag
 /// fold. It lives in the key layer so that layer needs nothing from
-/// the policies.
+/// the executor.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);

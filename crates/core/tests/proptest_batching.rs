@@ -4,8 +4,8 @@
 //!
 //! * **Batched ≡ unbatched** — on random NFAs, toggling
 //!   `Params::batch_unions` must not change a single cell of the run
-//!   (estimates, stored samples, or the final count) for either policy
-//!   under the same seed. The batched path shares one `AppUnion` result
+//!   (estimates, stored samples, or the final count) for either entry
+//!   point under the same seed. The batched path shares one `AppUnion` result
 //!   per distinct frontier; the unbatched path re-runs it per
 //!   `(cell, symbol)` pair on a clone of the same frontier-keyed RNG —
 //!   any divergence means the fan-out, the canonical grouping, or the
@@ -74,7 +74,7 @@ proptest! {
         let mut unbatched = batched.clone();
         unbatched.batch_unions = false;
 
-        // Serial policy: one caller RNG, sub-seeded per frontier group.
+        // The serial API: one master seed drawn from the caller RNG.
         let mut rng_a = SmallRng::seed_from_u64(run_seed);
         let mut rng_b = SmallRng::seed_from_u64(run_seed);
         let a = FprasRun::run(&nfa, n, &batched, &mut rng_a).unwrap();
@@ -84,7 +84,8 @@ proptest! {
         // later consumer of the same RNG would diverge between modes.
         prop_assert_eq!(rng_a, rng_b);
 
-        // Deterministic policy: frontier-tag-derived group streams.
+        // run_parallel on three threads: frontier-tag-derived group
+        // streams from the master seed.
         let c = run_parallel(&nfa, n, &batched, run_seed, 3).unwrap();
         let d = run_parallel(&nfa, n, &unbatched, run_seed, 3).unwrap();
         assert_runs_identical(&c, &d, "deterministic");

@@ -1,36 +1,21 @@
-//! Property tests for the leveled copy-on-write memo and sample-pass
-//! frontier sharing (DESIGN.md §2.2 / D9) — the sample-pass mirror of
-//! `proptest_batching.rs`.
+//! Property tests for the leveled copy-on-write memo (DESIGN.md §2.2 /
+//! D9) — the sample-pass mirror of `proptest_batching.rs`.
 //!
-//! Three families of properties on random NFAs:
-//!
-//! * **Leveled ≡ flat, observably** — the copy-on-write memo must
-//!   preserve the engine's bit-identity contract the flat memo had:
-//!   `Deterministic` runs are identical cell-for-cell across
-//!   `threads = 1/2/8`, and the per-cell snapshots are O(1) `Arc`
-//!   clones (`memo.snapshots` > 0 with `entries_shared` counting the
-//!   clone volume the flat layout would have paid).
-//! * **Shared ≡ unshared** — toggling `Params::share_sampler_frontiers`
-//!   must not change a single cell of the run for either policy under
-//!   the same seed: sampler union randomness is frontier-keyed, so a
-//!   pre-estimated entry holds exactly the value a cell would have
-//!   computed lazily. Any divergence means the pre-pass enumerated a
-//!   wrong frontier, used a wrong tier/precision, or the RNG keying is
-//!   broken.
-//! * **Serial stream alignment** — the Serial policy's caller RNG must
-//!   end in the same state whether sharing is on or off (the pre-pass
-//!   draws only from frontier-keyed streams), so downstream consumers
-//!   of the same RNG cannot diverge between modes.
+//! **Leveled ≡ flat, observably**: the copy-on-write memo must preserve
+//! the engine's bit-identity contract the flat memo had. Runs are
+//! identical cell-for-cell across `threads = 1/2/8`, and the per-cell
+//! snapshots are O(1) `Arc` clones (`memo.snapshots` > 0 with
+//! `entries_shared` counting the clone volume the flat layout would
+//! have paid). Sampler union randomness is frontier-keyed, so two cells
+//! that miss the same frontier insert the same value: which worker's
+//! entry wins the canonical merge cannot show in the output.
 
 use fpras_core::{run_parallel, FprasRun, Params};
 use fpras_workloads::{random_nfa, RandomNfaConfig};
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
 
-/// Compares every observable cell of two runs (sampler-side hit
-/// counters are intentionally *not* compared: sharing converts misses
-/// into hits — that is the point — while everything the runs output
-/// must stay bit-identical).
+/// Compares every observable cell of two runs.
 fn assert_runs_identical(a: &FprasRun, b: &FprasRun, label: &str) {
     assert_eq!(a.estimate().to_f64(), b.estimate().to_f64(), "{label}: estimate");
     let (Some(m), Some(mb)) = (a.normalized_states(), b.normalized_states()) else {
@@ -60,63 +45,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn shared_equals_unshared_cell_for_cell(
-        states in 2usize..7,
-        density_tenths in 10u32..28,
-        alphabet in 2usize..4,
-        n in 4usize..9,
-        instance_seed in 0u64..1_000,
-        run_seed in 0u64..1_000,
-    ) {
-        let config = RandomNfaConfig {
-            states,
-            alphabet,
-            density: density_tenths as f64 / 10.0,
-            accepting: 1,
-        };
-        let nfa = random_nfa(&config, &mut SmallRng::seed_from_u64(instance_seed));
-        let mut shared = Params::practical(0.4, 0.1, states, n);
-        shared.share_sampler_frontiers = true;
-        let mut unshared = shared.clone();
-        unshared.share_sampler_frontiers = false;
-
-        // Serial policy: the pre-pass must neither consume the caller
-        // stream nor change any cell.
-        let mut rng_a = SmallRng::seed_from_u64(run_seed);
-        let mut rng_b = SmallRng::seed_from_u64(run_seed);
-        let a = FprasRun::run(&nfa, n, &shared, &mut rng_a).unwrap();
-        let b = FprasRun::run(&nfa, n, &unshared, &mut rng_b).unwrap();
-        assert_runs_identical(&a, &b, "serial");
-        prop_assert_eq!(rng_a, rng_b);
-
-        // Deterministic policy: the pre-pass runs once in the engine,
-        // never per cell, so sharing must be invisible in the output.
-        let c = run_parallel(&nfa, n, &shared, run_seed, 3).unwrap();
-        let d = run_parallel(&nfa, n, &unshared, run_seed, 3).unwrap();
-        assert_runs_identical(&c, &d, "deterministic");
-
-        // Work bookkeeping: the unshared control pre-estimates nothing
-        // and therefore hits nothing at the shared tier.
-        prop_assert_eq!(b.stats().share.frontiers_preestimated, 0);
-        prop_assert_eq!(b.stats().share.preestimate_hits, 0);
-        prop_assert_eq!(d.stats().share.frontiers_preestimated, 0);
-        prop_assert_eq!(d.stats().share.preestimate_hits, 0);
-        // Hits can only be served where pre-estimates (or count seeds)
-        // exist; the shared run records only well-founded counters.
-        prop_assert!(
-            a.stats().share.preestimate_hits == 0
-                || a.stats().share.frontiers_preestimated > 0
-        );
-    }
-
-    #[test]
     fn leveled_memo_keeps_thread_bit_identity(
         states in 2usize..7,
         density_tenths in 10u32..26,
         n in 4usize..9,
         instance_seed in 0u64..1_000,
         run_seed in 0u64..1_000,
-        share in any::<bool>(),
     ) {
         let config = RandomNfaConfig {
             states,
@@ -125,8 +59,7 @@ proptest! {
             accepting: 1,
         };
         let nfa = random_nfa(&config, &mut SmallRng::seed_from_u64(instance_seed));
-        let mut params = Params::practical(0.4, 0.1, states, n);
-        params.share_sampler_frontiers = share;
+        let params = Params::practical(0.4, 0.1, states, n);
 
         let runs: Vec<FprasRun> = [1usize, 2, 8]
             .iter()
@@ -146,10 +79,6 @@ proptest! {
             prop_assert_eq!(
                 runs[0].stats().memo.overlay_entries,
                 run.stats().memo.overlay_entries
-            );
-            prop_assert_eq!(
-                runs[0].stats().share.preestimate_hits,
-                run.stats().share.preestimate_hits
             );
         }
         // Copy-on-write discipline: every sampled cell took exactly one

@@ -7,10 +7,11 @@
 //! NFAs and random query orders:
 //!
 //! * **Session ≡ fresh, per query** — for every queried length, the
-//!   session's answer equals `FprasRun::run` (Serial) resp.
-//!   `run_parallel` (Deterministic, threads 1/2/8) from scratch, bit
-//!   for bit — including re-queries of lengths the session answered
-//!   before extending further.
+//!   session's answer equals a fresh run from scratch, bit for bit:
+//!   `run_parallel` at threads 1/2/8, and the serial API
+//!   `FprasRun::run` for a session at the master seed that API draws
+//!   from its caller RNG — including re-queries of lengths the session
+//!   answered before extending further.
 //! * **Queries are inert** — interleaved `sample` queries (which
 //!   consume caller randomness and insert frontier-keyed memo entries)
 //!   must not perturb any later extension.
@@ -22,7 +23,13 @@ use fpras_core::service::{QuerySession, ServiceRegistry, SessionPolicy};
 use fpras_core::{run_parallel, FprasRun, Params};
 use fpras_workloads::{random_nfa, RandomNfaConfig};
 use proptest::prelude::*;
-use rand::{rngs::SmallRng, SeedableRng};
+use rand::{rngs::SmallRng, RngExt, SeedableRng};
+
+/// The one-thread session policy `FprasRun::run` matches under a caller
+/// RNG seeded `rng_seed`: the master seed that API draws first.
+fn serial_api_policy(rng_seed: u64) -> SessionPolicy {
+    SessionPolicy::Deterministic { seed: SmallRng::seed_from_u64(rng_seed).random(), threads: 1 }
+}
 
 fn session_params(states: usize, n: usize) -> Params {
     Params::for_session(0.4, 0.1, states, n)
@@ -52,7 +59,7 @@ proptest! {
         let mut session = QuerySession::new(
             &nfa,
             params.clone(),
-            SessionPolicy::Serial { seed: run_seed },
+            serial_api_policy(run_seed),
         ).unwrap();
         // Random query order, including revisits after extension.
         let mut lengths = lengths;
@@ -125,7 +132,7 @@ proptest! {
         let mut session = QuerySession::new(
             &nfa,
             params.clone(),
-            SessionPolicy::Serial { seed: run_seed },
+            serial_api_policy(run_seed),
         ).unwrap();
         session.estimate(small).unwrap();
         // Sampling draws from the caller's RNG and inserts only

@@ -1,26 +1,25 @@
-//! Memo lifecycle and sample-pass frontier sharing, made visible.
+//! The memo lifecycle, made visible.
 //!
 //! ```text
 //! cargo run --release --example memo_sharing
 //! ```
 //!
 //! Walks the `contains11` fixture (`examples/data/contains11.nfa`)
-//! through the engine twice — sharing on and off — and prints the
+//! through the engine at one thread and at four, and prints the
 //! `RunStats` counters of the leveled copy-on-write memo (DESIGN.md
-//! §2.2) and the frontier-sharing pre-pass (D9):
+//! §2.2):
 //!
 //! * `memo.snapshots` / `memo.entries_shared` — every sampled cell took
 //!   an O(1) snapshot of the level-start base layer; `entries_shared`
 //!   is the entry-clone volume the old flat memo would have paid.
 //! * `memo.overlay_entries` — the only thing still copied per cell: the
 //!   thin overlay of entries the cell inserted itself.
-//! * `share.frontiers_preestimated` / `share.preestimate_hits` — hot
-//!   sampler frontiers estimated once before the sample pass, and how
-//!   often per-cell sampling was answered by those shared entries.
 //!
-//! Because sampler union randomness is frontier-keyed, the two runs are
-//! **bit-identical** — sharing changes work, never output — which this
-//! example asserts.
+//! Sampler union randomness is frontier-keyed (D9), so two cells that
+//! miss the same frontier compute the same value, and the canonical
+//! merge makes the memo independent of which worker ran which cell. The
+//! two runs are therefore **bit-identical**, counters included, which
+//! this example asserts.
 
 use fpras_automata::parse;
 use fpras_core::{run_parallel, Params, RunStats};
@@ -36,54 +35,39 @@ fn print_run(label: &str, stats: &RunStats) {
     println!("  memo snapshots (CoW)      {:>10}", stats.memo.snapshots);
     println!("  memo entries shared       {:>10}", stats.memo.entries_shared);
     println!("  memo overlay entries      {:>10}", stats.memo.overlay_entries);
-    println!("  share pre-estimated       {:>10}", stats.share.frontiers_preestimated);
-    println!("  share pre-estimate hits   {:>10}", stats.share.preestimate_hits);
-    println!("  share already seeded      {:>10}", stats.share.keys_already_seeded);
 }
 
 fn main() {
     let nfa = parse::from_text(FIXTURE).expect("shipped fixture parses");
-    let (n, eps, delta, seed, threads) = (24, 0.2, 0.05, 42, 4);
-    println!(
-        "contains11 fixture: {} states, n = {n}, ε = {eps}, δ = {delta}, \
-         deterministic policy × {threads} threads\n",
-        nfa.num_states()
-    );
+    let (n, eps, delta, seed) = (24, 0.2, 0.05, 42);
+    println!("contains11 fixture: {} states, n = {n}, ε = {eps}, δ = {delta}\n", nfa.num_states());
 
-    let mut shared = Params::practical(eps, delta, nfa.num_states(), n);
-    shared.share_sampler_frontiers = true;
-    let mut unshared = shared.clone();
-    unshared.share_sampler_frontiers = false;
+    let params = Params::practical(eps, delta, nfa.num_states(), n);
+    let one = run_parallel(&nfa, n, &params, seed, 1).expect("one-thread run");
+    let four = run_parallel(&nfa, n, &params, seed, 4).expect("four-thread run");
 
-    let a = run_parallel(&nfa, n, &shared, seed, threads).expect("shared run");
-    let b = run_parallel(&nfa, n, &unshared, seed, threads).expect("unshared run");
-
-    print_run("sharing ON  (practical default):", a.stats());
+    print_run("threads = 1:", one.stats());
     println!();
-    print_run("sharing OFF (--no-share control):", b.stats());
+    print_run("threads = 4:", four.stats());
 
-    // The contract this example exists to demonstrate: sharing is a pure
-    // work optimization. Same seed → same estimate, bit for bit.
+    // The contract this example exists to demonstrate: scheduling never
+    // reaches the output. Same seed → same estimate and same memo
+    // traffic, bit for bit.
     assert_eq!(
-        a.estimate().to_f64(),
-        b.estimate().to_f64(),
-        "frontier sharing must never change the estimate"
+        one.estimate().to_f64(),
+        four.estimate().to_f64(),
+        "the thread count must never change the estimate"
     );
-    assert!(a.stats().share.preestimate_hits > 0, "sharing must actually fire on contains11");
-    assert!(b.stats().share.frontiers_preestimated == 0, "the control must not pre-estimate");
-    assert!(
-        a.stats().memo_misses < b.stats().memo_misses,
-        "sharing must convert per-cell misses into shared hits"
-    );
+    assert_eq!(one.stats().membership_ops, four.stats().membership_ops);
+    assert_eq!(one.stats().memo_misses, four.stats().memo_misses);
+    assert!(one.stats().memo_hits > 0, "the sampler must hit the memo on contains11");
 
     println!(
         "\nestimate |L(A_{n})| ≈ {} (identical in both runs)\n\
-         sampler misses avoided by sharing: {}\n\
          entry clones avoided by the CoW memo: {} (flat-memo volume), \
          only {} overlay entries copied",
-        a.estimate(),
-        b.stats().memo_misses - a.stats().memo_misses,
-        a.stats().memo.entries_shared,
-        a.stats().memo.overlay_entries,
+        one.estimate(),
+        one.stats().memo.entries_shared,
+        one.stats().memo.overlay_entries,
     );
 }

@@ -15,8 +15,8 @@
 //! ```
 //!
 //! Methods: `fpras` (default, Algorithm 3 through the level-synchronous
-//! engine — `--threads 0` runs the Serial policy, `--threads T ≥ 1` the
-//! Deterministic policy on `T` workers with output independent of `T`),
+//! engine on `--threads T` workers, 1 to `MAX_THREADS`, with output
+//! independent of `T`),
 //! `path-is` (unbiased path importance sampling), `dp` (exact
 //! determinization DP), `bdd` (exact BDD model counting). `parallel` is
 //! accepted as a deprecated alias for `fpras` with multi-threading. The
@@ -34,7 +34,7 @@
 //! D11). The `serve` subcommand is the multi-session server front-end:
 //! a line protocol where `open NAME --regex P | use NAME | close NAME`
 //! manage named sessions multiplexed over one `ServiceRegistry` (all
-//! Deterministic sessions share ONE worker pool — D13), and
+//! sessions of one thread count share ONE worker pool — D13), and
 //! `--max-sessions/--max-total-levels/--max-query-ops` impose
 //! per-tenant quotas that degrade to `error:` lines, never process
 //! exit.
@@ -47,8 +47,8 @@ use fpras_core::service::{
     SessionStats,
 };
 use fpras_core::{
-    run_parallel, run_robp_parallel, FprasError, FprasRun, JsonlSink, Params, PromText, RunStats,
-    TraceEvent, UniformGenerator,
+    run_parallel, run_robp_parallel, FprasError, JsonlSink, Params, PromText, RunStats, TraceEvent,
+    UniformGenerator, MAX_THREADS,
 };
 use fpras_numeric::ExtFloat;
 use rand::{rngs::SmallRng, SeedableRng};
@@ -68,7 +68,6 @@ struct Args {
     dot: bool,
     stats: bool,
     no_batch: bool,
-    no_share: bool,
     steal_chunk: Option<usize>,
     trace_out: Option<String>,
 }
@@ -84,20 +83,19 @@ enum Method {
 fn usage() -> ! {
     eprintln!(
         "usage: nfa-count (--regex PATTERN | --file PATH) -n LENGTH\n\
-         \t[--method fpras|path-is|dp|bdd] [--threads T=0]\n\
+         \t[--method fpras|path-is|dp|bdd] [--threads T=1]\n\
          \t[--eps E=0.2] [--delta D=0.05] [--seed S=42] [--sample K]\n\
          \t[--enumerate K] [--exact] [--dot] [--stats] [--no-batch]\n\
-         \t[--no-share] [--steal-chunk C=2] [--trace-out FILE]\n\
+         \t[--steal-chunk C=2] [--trace-out FILE]\n\
          \n\
-         --threads 0 runs the FPRAS engine's Serial policy; T >= 1 runs\n\
-         the Deterministic policy on T workers (output depends only on\n\
-         --seed, never on T). --no-batch disables batched union\n\
-         estimation and --no-share disables sample-pass frontier\n\
-         sharing (same output, more work; for benchmarking).\n\
+         --threads runs the FPRAS engine on T workers, 1 to {MAX_THREADS}\n\
+         (output depends only on --seed, never on T). --no-batch\n\
+         disables batched union estimation (same output, more work;\n\
+         for benchmarking).\n\
          --steal-chunk sets the work-stealing executor's claim\n\
          granularity (scheduling-only: any value is bit-identical).\n\
          --stats prints the full run counters, including the batching,\n\
-         memo, sharing, executor, and phase-wall numbers.\n\
+         memo, executor, and phase-wall numbers.\n\
          --trace-out streams structured run events (level passes, memo\n\
          commits, pool summaries) to FILE as JSON lines; tracing is\n\
          observation-only and never changes an estimate bit."
@@ -112,6 +110,24 @@ fn usage() -> ! {
 fn parse_value<T: std::str::FromStr>(flag: &str, raw: Option<&str>) -> Result<T, String> {
     let raw = raw.ok_or_else(|| format!("missing value for {flag}"))?;
     raw.parse::<T>().map_err(|_| format!("invalid value {raw:?} for {flag}"))
+}
+
+/// Parses a `--threads` value and bounds it to `1..=MAX_THREADS`: every
+/// worker past the first is an OS thread, so each input boundary (argv
+/// flags and serve `open` lines) refuses counts outside that range.
+fn parse_threads(raw: Option<&str>) -> Result<usize, String> {
+    let threads: usize = parse_value("--threads", raw)?;
+    if (1..=MAX_THREADS).contains(&threads) {
+        Ok(threads)
+    } else {
+        Err(format!("--threads must be between 1 and {MAX_THREADS}, got {threads}"))
+    }
+}
+
+/// [`parse_threads`] for the argv parsers: reports the error on stderr
+/// and returns `None`, like [`parse_value_or_report`].
+fn parse_threads_or_report(raw: &str) -> Option<usize> {
+    parse_threads(Some(raw)).map_err(|e| eprintln!("{e}")).ok()
 }
 
 /// [`parse_value`] for the argv parsers: reports the error on stderr
@@ -143,7 +159,6 @@ fn parse_args() -> Args {
         dot: false,
         stats: false,
         no_batch: false,
-        no_share: false,
         steal_chunk: None,
         trace_out: None,
     };
@@ -176,9 +191,8 @@ fn parse_args() -> Args {
                     parse_value_or_report("--sample", &value(&mut i)).unwrap_or_else(|| usage())
             }
             "--threads" => {
-                args.threads = Some(
-                    parse_value_or_report("--threads", &value(&mut i)).unwrap_or_else(|| usage()),
-                )
+                args.threads =
+                    Some(parse_threads_or_report(&value(&mut i)).unwrap_or_else(|| usage()))
             }
             "--enumerate" => {
                 args.enumerate =
@@ -188,7 +202,6 @@ fn parse_args() -> Args {
             "--dot" => args.dot = true,
             "--stats" => args.stats = true,
             "--no-batch" => args.no_batch = true,
-            "--no-share" => args.no_share = true,
             "--steal-chunk" => {
                 args.steal_chunk = Some(
                     parse_value_or_report("--steal-chunk", &value(&mut i))
@@ -200,8 +213,8 @@ fn parse_args() -> Args {
                 args.method = match value(&mut i).as_str() {
                     "fpras" => Method::Fpras,
                     "parallel" => {
-                        // Deprecated alias: same engine, Deterministic
-                        // policy; honor an explicit --threads if given.
+                        // Deprecated alias: same engine on four
+                        // workers; honor an explicit --threads if given.
                         eprintln!(
                             "note: --method parallel is deprecated; use \
                              --method fpras --threads T"
@@ -232,16 +245,9 @@ fn parse_args() -> Args {
         usage();
     }
     if args.method != Method::Fpras
-        && (args.stats
-            || args.no_batch
-            || args.no_share
-            || args.steal_chunk.is_some()
-            || args.trace_out.is_some())
+        && (args.stats || args.no_batch || args.steal_chunk.is_some() || args.trace_out.is_some())
     {
-        eprintln!(
-            "--stats, --no-batch, --no-share, --steal-chunk and --trace-out require \
-             --method fpras"
-        );
+        eprintln!("--stats, --no-batch, --steal-chunk and --trace-out require --method fpras");
         usage();
     }
     args
@@ -303,9 +309,6 @@ fn report_stats(s: &RunStats) {
     println!("  memo snapshots       {}", s.memo.snapshots);
     println!("  memo entries shared  {}", s.memo.entries_shared);
     println!("  memo overlay entries {}", s.memo.overlay_entries);
-    println!("  share pre-estimated  {}", s.share.frontiers_preestimated);
-    println!("  share pre-est hits   {}", s.share.preestimate_hits);
-    println!("  share already seeded {}", s.share.keys_already_seeded);
     println!("  pool parallel passes {}", s.pool.parallel_passes);
     println!("  pool parallel items  {}", s.pool.parallel_items);
     println!("  pool sequential pass {}", s.pool.sequential_passes);
@@ -325,7 +328,6 @@ fn report_stats(s: &RunStats) {
     }
     println!("  phase plan           {:?}", s.phase.plan);
     println!("  phase count          {:?}", s.phase.count);
-    println!("  phase share          {:?}", s.phase.share);
     println!("  phase sample         {:?}", s.phase.sample);
     println!("  phase merge          {:?}", s.phase.merge);
     println!("  wall total           {:?}", s.wall_total());
@@ -359,7 +361,7 @@ fn service_usage(cmd: &str) -> ! {
     eprintln!(
         "usage: nfa-count {cmd} {}\n\
          \t{}[--eps E=0.2] [--delta D=0.05] [--seed S=42]\n\
-         \t[--threads T=0] [--max-n N=64] [--stats]{}\n\
+         \t[--threads T=1] [--max-n N=64] [--stats]{}\n\
          \n\
          One QuerySession serves every length: levels are built once and\n\
          reused by later queries; answers are bit-identical to a fresh\n\
@@ -404,7 +406,7 @@ fn parse_service_args(cmd: &str, argv: &[String]) -> ServiceArgs {
         eps: 0.2,
         delta: 0.05,
         seed: 42,
-        threads: 0,
+        threads: 1,
         max_n: 64,
         lengths: Vec::new(),
         stats: false,
@@ -431,7 +433,10 @@ fn parse_service_args(cmd: &str, argv: &[String]) -> ServiceArgs {
             "--eps" => args.eps = num!("--eps", &mut i),
             "--delta" => args.delta = num!("--delta", &mut i),
             "--seed" => args.seed = num!("--seed", &mut i),
-            "--threads" => args.threads = num!("--threads", &mut i),
+            "--threads" => {
+                args.threads =
+                    parse_threads_or_report(&value(&mut i)).unwrap_or_else(|| service_usage(cmd))
+            }
             "--max-n" => args.max_n = num!("--max-n", &mut i),
             "--stats" => args.stats = true,
             "--max-sessions" if cmd == "serve" => {
@@ -481,11 +486,7 @@ fn parse_service_args(cmd: &str, argv: &[String]) -> ServiceArgs {
 /// exit, before any level is built.
 fn open_session(args: &ServiceArgs, nfa: &Nfa) -> QuerySession {
     let params = Params::for_session(args.eps, args.delta, nfa.num_states(), args.max_n);
-    let policy = if args.threads == 0 {
-        SessionPolicy::Serial { seed: args.seed }
-    } else {
-        SessionPolicy::Deterministic { seed: args.seed, threads: args.threads }
-    };
+    let policy = SessionPolicy::Deterministic { seed: args.seed, threads: args.threads };
     match QuerySession::new(nfa, params, policy) {
         Ok(session) => session,
         Err(e) => {
@@ -596,7 +597,7 @@ fn parse_open_spec(
             "--eps" => spec.eps = parse_value(flag, words.next())?,
             "--delta" => spec.delta = parse_value(flag, words.next())?,
             "--seed" => spec.seed = parse_value(flag, words.next())?,
-            "--threads" => spec.threads = parse_value(flag, words.next())?,
+            "--threads" => spec.threads = parse_threads(words.next())?,
             "--max-n" => spec.max_n = parse_value(flag, words.next())?,
             other => return Err(format!("unknown open flag {other:?}")),
         }
@@ -629,11 +630,7 @@ fn open_tenant(
     })?;
     let nfa = load_automaton(spec.regex.as_deref(), spec.file.as_deref())?;
     let params = Params::for_session(spec.eps, spec.delta, nfa.num_states(), spec.max_n);
-    let policy = if spec.threads == 0 {
-        SessionPolicy::Serial { seed: spec.seed }
-    } else {
-        SessionPolicy::Deterministic { seed: spec.seed, threads: spec.threads }
-    };
+    let policy = SessionPolicy::Deterministic { seed: spec.seed, threads: spec.threads };
     let key = SessionKey::new(&nfa, &params, &policy);
     registry.session_with_key(key.clone(), &nfa, &params, &policy).map_err(|e| e.to_string())?;
     let line = format!(
@@ -1055,16 +1052,16 @@ fn serve_main(argv: &[String]) -> i32 {
 fn robp_usage() -> ! {
     eprintln!(
         "usage: nfa-count robp --file PATH\n\
-         \t[--eps E=0.2] [--delta D=0.05] [--seed S=42] [--threads T=0]\n\
+         \t[--eps E=0.2] [--delta D=0.05] [--seed S=42] [--threads T=1]\n\
          \t[--sample K] [--exact] [--stats]\n\
          \n\
          Counts the accepted assignments of a non-deterministic\n\
          read-once branching program (text format: see\n\
          fpras_automata::robp) with the same level-synchronous FPRAS\n\
          engine, run over the program's leveled DAG directly. The\n\
-         program's depth fixes the word length; --threads selects the\n\
-         Serial (0) or Deterministic (T >= 1) policy exactly as the\n\
-         top-level command does, with output independent of T."
+         program's depth fixes the word length; --threads sets the\n\
+         worker count (1 to {MAX_THREADS}) exactly as the top-level\n\
+         command does, with output independent of T."
     );
     std::process::exit(2)
 }
@@ -1073,7 +1070,7 @@ fn robp_usage() -> ! {
 fn robp_main(argv: &[String]) {
     let mut file: Option<String> = None;
     let (mut eps, mut delta, mut seed) = (0.2f64, 0.05f64, 42u64);
-    let mut threads = 0usize;
+    let mut threads = 1usize;
     let mut sample = 0usize;
     let (mut exact, mut stats) = (false, false);
     let mut i = 0;
@@ -1092,7 +1089,9 @@ fn robp_main(argv: &[String]) {
             "--eps" => eps = num!("--eps", &mut i),
             "--delta" => delta = num!("--delta", &mut i),
             "--seed" => seed = num!("--seed", &mut i),
-            "--threads" => threads = num!("--threads", &mut i),
+            "--threads" => {
+                threads = parse_threads_or_report(&value(&mut i)).unwrap_or_else(|| robp_usage())
+            }
             "--sample" => sample = num!("--sample", &mut i),
             "--exact" => exact = true,
             "--stats" => stats = true,
@@ -1126,13 +1125,7 @@ fn robp_main(argv: &[String]) {
         eprintln!("{e}");
         std::process::exit(2);
     }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let result = if threads == 0 {
-        FprasRun::run_robp(&robp, &params, &mut rng)
-    } else {
-        run_robp_parallel(&robp, &params, seed, threads)
-    };
-    let run = match result {
+    let run = match run_robp_parallel(&robp, &params, seed, threads) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("FPRAS failed: {e}");
@@ -1142,8 +1135,7 @@ fn robp_main(argv: &[String]) {
     println!("estimate |L(P)| ≈ {}", run.estimate());
     println!("  log2 ≈ {:.3}", run.estimate().log2());
     eprintln!(
-        "  ({} policy, {} membership ops, {:.1} samples/cell, {:?})",
-        if threads == 0 { "serial".to_string() } else { format!("deterministic×{threads}") },
+        "  (deterministic×{threads} policy, {} membership ops, {:.1} samples/cell, {:?})",
         run.stats().membership_ops,
         run.stats().samples_per_cell(),
         run.stats().wall
@@ -1177,6 +1169,7 @@ fn robp_main(argv: &[String]) {
     if sample > 0 {
         let alphabet = robp.alphabet().clone();
         let mut generator = UniformGenerator::new(run);
+        let mut rng = SmallRng::seed_from_u64(seed);
         println!("samples:");
         for _ in 0..sample {
             match generator.generate(&mut rng) {
@@ -1237,15 +1230,12 @@ fn main() {
 
     let mut rng = SmallRng::seed_from_u64(args.seed);
     // The FPRAS variants keep their run for sampling; other methods don't.
-    let mut fpras_run: Option<FprasRun> = None;
+    let mut fpras_run: Option<fpras_core::FprasRun> = None;
     match args.method {
         Method::Fpras => {
             let mut params = Params::practical(args.eps, args.delta, nfa.num_states(), args.n);
             if args.no_batch {
                 params.batch_unions = false;
-            }
-            if args.no_share {
-                params.share_sampler_frontiers = false;
             }
             if let Some(chunk) = args.steal_chunk {
                 params.steal_chunk = chunk;
@@ -1256,16 +1246,9 @@ fn main() {
                 eprintln!("{e}");
                 std::process::exit(2);
             }
-            let threads = args.threads.unwrap_or(0);
-            // threads = 0: Serial policy (one RNG threaded through the
-            // DP); threads ≥ 1: Deterministic policy, bit-identical for
-            // every thread count.
-            let result = if threads == 0 {
-                FprasRun::run(&nfa, args.n, &params, &mut rng)
-            } else {
-                run_parallel(&nfa, args.n, &params, args.seed, threads)
-            };
-            let run = match result {
+            // Bit-identical for every thread count.
+            let threads = args.threads.unwrap_or(1);
+            let run = match run_parallel(&nfa, args.n, &params, args.seed, threads) {
                 Ok(run) => run,
                 Err(e) => {
                     eprintln!("FPRAS failed: {e}");
@@ -1274,12 +1257,7 @@ fn main() {
             };
             report_estimate(args.n, run.estimate());
             eprintln!(
-                "  ({} policy, {} membership ops, {:.1} samples/cell, {:?})",
-                if threads == 0 {
-                    "serial".to_string()
-                } else {
-                    format!("deterministic×{threads}")
-                },
+                "  (deterministic×{threads} policy, {} membership ops, {:.1} samples/cell, {:?})",
                 run.stats().membership_ops,
                 run.stats().samples_per_cell(),
                 run.stats().wall

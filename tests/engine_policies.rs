@@ -1,18 +1,21 @@
-//! Engine policy contracts (the tentpole refactor's acceptance tests):
+//! Engine executor contracts:
 //!
-//! * the `Deterministic` policy is **bit-identical** across
-//!   `threads = 1/2/8` on seeded runs — table, stats, and estimate;
-//! * both the `Serial` and `Deterministic` policies meet the `(ε, δ)`
+//! * the engine's one executor is **bit-identical** across
+//!   `threads = 1/2/8/16` on seeded runs — table, stats, and estimate —
+//!   and so is a budget abort's reported op count;
+//! * both entry points, `run_parallel` (master seed) and the serial API
+//!   `FprasRun::run` (caller RNG, one thread), meet the `(ε, δ)`
 //!   accuracy contract on small instances with exact ground truth;
-//! * `run_parallel(…, threads = 1)` and the serial API flow through the
-//!   same engine code path (`run_with_policy`).
+//! * the serial API is a thin wrapper: it equals `run_parallel` at the
+//!   master seed it draws from its RNG.
 
 use fpras_automata::exact::count_exact;
-use fpras_core::{
-    run_parallel, run_with_policy, Deterministic, FprasRun, Params, RunStats, Serial,
-};
+use fpras_automata::robp::Robp;
+use fpras_core::service::{QuerySession, SessionPolicy};
+use fpras_core::UniformGenerator;
+use fpras_core::{run_parallel, run_robp_parallel, FprasError, FprasRun, Params, RunStats};
 use fpras_workloads::families;
-use rand::{rngs::SmallRng, SeedableRng};
+use rand::{rngs::SmallRng, RngExt, SeedableRng};
 
 #[test]
 fn deterministic_policy_bit_identical_across_1_2_8_16_threads() {
@@ -130,23 +133,15 @@ fn assert_stats_invariants(stats: &RunStats, k: u64, label: &str) {
     // pairs in any mode.
     assert!(stats.batch.groups_formed <= pairs, "{label}: groups exceed pairs");
     // The count pass runs AppUnion exactly unions_run times; the rest of
-    // appunion_calls belong to the sampler's memo misses and the
-    // sharing pre-pass's frontier pre-estimations (D9).
+    // appunion_calls belong to the sampler's memo misses (D9).
     assert_eq!(
         stats.appunion_calls,
-        stats.batch.unions_run + stats.memo_misses + stats.share.frontiers_preestimated,
+        stats.batch.unions_run + stats.memo_misses,
         "{label}: appunion accounting"
     );
-    // Pre-estimated entries can only be consumed if they were produced.
-    if stats.share.frontiers_preestimated == 0 {
-        assert_eq!(stats.share.preestimate_hits, 0, "{label}: hits without pre-estimates");
-    }
-    // Copy-on-write memo accounting: snapshots are per-(cell, level) and
-    // every snapshot shares the whole base layer instead of cloning it.
-    assert!(
-        stats.memo.entries_promoted >= stats.share.frontiers_preestimated,
-        "{label}: promoted entries must cover the shared seeds"
-    );
+    // No pass pre-estimates sampler frontiers any more.
+    assert_eq!(stats.share.preestimate_hits, 0, "{label}: the share counter is always zero");
+    assert_eq!(stats.phase.share, std::time::Duration::ZERO, "{label}: no share phase");
 }
 
 #[test]
@@ -169,32 +164,7 @@ fn run_stats_union_invariants_hold_for_all_paths() {
                     serial.stats().batch.cells_deduped > 0,
                     "{label}: these fixtures share frontiers, dedup must fire"
                 );
-                // Sample-pass sharing (on by default in the practical
-                // profile) must engage: every hot frontier is either
-                // pre-estimated or found already seeded. On deterministic
-                // automata (div-by-5) all depth-two frontiers are
-                // singletons the count pass already seeded — zero
-                // pre-estimates is the correct outcome there; the
-                // nondeterministic fixture must produce genuinely new
-                // shared entries and the Deterministic policy's cells
-                // must consume them.
-                assert!(
-                    serial.stats().share.frontiers_preestimated
-                        + serial.stats().share.keys_already_seeded
-                        > 0,
-                    "{label}: sharing pre-pass must inspect hot frontiers"
-                );
-                if label == "contains-11" {
-                    assert!(
-                        serial.stats().share.frontiers_preestimated > 0,
-                        "{label}: sharing pre-pass must estimate hot frontiers"
-                    );
-                    assert!(
-                        det.stats().share.preestimate_hits > 0,
-                        "{label}: deterministic cells must hit pre-estimated entries"
-                    );
-                }
-                // And no cell deep-cloned the memo: every snapshot shared
+                // No cell deep-cloned the memo: every snapshot shared
                 // the base layer.
                 assert!(
                     det.stats().memo.snapshots > 0 && det.stats().memo.entries_shared > 0,
@@ -210,15 +180,17 @@ fn run_stats_union_invariants_hold_for_all_paths() {
 
 #[test]
 fn pool_stats_surface_matches_the_policy() {
-    // Serial runs never touch the executor; Deterministic runs account
-    // for every scheduled item exactly once, either on the pool or on
-    // the sequential-cutoff path.
+    // A one-thread run (the serial API) never wakes a worker; every run
+    // accounts for every scheduled item exactly once, either on the
+    // pool or on the sequential-cutoff path.
     let narrow = families::contains_substring(&[1, 1]);
     let n = 10;
     let params = Params::practical(0.3, 0.1, narrow.num_states(), n);
     let mut rng = SmallRng::seed_from_u64(3);
     let serial = FprasRun::run(&narrow, n, &params, &mut rng).unwrap();
-    assert_eq!(serial.stats().pool, fpras_core::PoolStats::default(), "serial has no pool");
+    let pool = &serial.stats().pool;
+    assert!(pool.sequential_passes > 0, "one-thread passes run inline");
+    assert_eq!((pool.parallel_passes, pool.steals), (0, 0), "one thread has no workers");
 
     let det = run_parallel(&narrow, n, &params, 3, 4).unwrap();
     let pool = &det.stats().pool;
@@ -247,23 +219,92 @@ fn pool_stats_surface_matches_the_policy() {
     );
 }
 
+/// The first 16 words a generator over `run` draws from a fixed stream.
+fn first_words(run: FprasRun) -> Vec<String> {
+    let mut generator = UniformGenerator::new(run);
+    let mut rng = SmallRng::seed_from_u64(11);
+    (0..16)
+        .map(|_| {
+            let w = generator.generate(&mut rng).expect("non-empty language");
+            w.symbols().iter().map(|&s| char::from(b'0' + s)).collect()
+        })
+        .collect()
+}
+
+/// What pins a run: estimate bits, membership ops, and its first words.
+fn fingerprint(run: FprasRun) -> (u64, u64, Vec<String>) {
+    let (bits, ops) = (run.estimate().to_f64().to_bits(), run.stats().membership_ops);
+    (bits, ops, first_words(run))
+}
+
 #[test]
 fn serial_api_and_threads_1_share_the_engine() {
-    // Both public entry points are thin wrappers over run_with_policy;
-    // re-running through the policy objects must reproduce them exactly.
+    // The serial API draws one master seed from its caller RNG and runs
+    // the engine at one thread: it must equal `run_parallel` /
+    // `run_robp_parallel` at that seed, at any thread count, on the
+    // estimate bits, the op count and the generator's words.
     let nfa = families::contains_substring(&[1, 0, 1]);
     let n = 9;
     let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
+    let robp = Robp::from_nfa(&families::contains_substring(&[1, 1]), 8).unwrap();
+    let robp_params = Params::practical(0.3, 0.1, robp.num_nodes(), robp.depth());
+    for rng_seed in [4u64, 7, 99] {
+        let seed: u64 = SmallRng::seed_from_u64(rng_seed).random();
+        let mut rng = SmallRng::seed_from_u64(rng_seed);
+        let api = fingerprint(FprasRun::run(&nfa, n, &params, &mut rng).unwrap());
+        for threads in [1usize, 2] {
+            let direct = fingerprint(run_parallel(&nfa, n, &params, seed, threads).unwrap());
+            assert_eq!(api, direct, "rng seed {rng_seed}, threads {threads}");
+        }
 
-    let mut rng_a = SmallRng::seed_from_u64(4);
-    let mut rng_b = SmallRng::seed_from_u64(4);
-    let serial_api = FprasRun::run(&nfa, n, &params, &mut rng_a).unwrap();
-    let serial_policy = run_with_policy(&nfa, n, &params, &mut Serial::new(&mut rng_b)).unwrap();
-    assert_eq!(serial_api.estimate().to_f64(), serial_policy.estimate().to_f64());
-    assert_eq!(serial_api.stats().membership_ops, serial_policy.stats().membership_ops);
+        let mut rng = SmallRng::seed_from_u64(rng_seed);
+        let api = fingerprint(FprasRun::run_robp(&robp, &robp_params, &mut rng).unwrap());
+        for threads in [1usize, 2] {
+            let direct =
+                fingerprint(run_robp_parallel(&robp, &robp_params, seed, threads).unwrap());
+            assert_eq!(api, direct, "robp: rng seed {rng_seed}, threads {threads}");
+        }
+    }
+}
 
-    let parallel_fn = run_parallel(&nfa, n, &params, 4, 1).unwrap();
-    let parallel_policy = run_with_policy(&nfa, n, &params, &mut Deterministic::new(4, 1)).unwrap();
-    assert_eq!(parallel_fn.estimate().to_f64(), parallel_policy.estimate().to_f64());
-    assert_eq!(parallel_fn.stats().membership_ops, parallel_policy.stats().membership_ops);
+/// The op count a budget abort reports, or a panic if the call did not
+/// abort on the budget.
+fn budget_ops<T>(result: Result<T, FprasError>) -> u64 {
+    match result {
+        Err(FprasError::BudgetExceeded { ops }) => ops,
+        Err(e) => panic!("expected a budget abort, got {e}"),
+        Ok(_) => panic!("expected a budget abort, the call completed"),
+    }
+}
+
+#[test]
+fn budget_aborts_are_deterministic_across_thread_counts() {
+    // Every pass runs to completion and the engine checks the budget
+    // between passes, so the op total a budget abort reports is part
+    // of the output: identical at every thread count, for a fresh run
+    // and for a session extension alike.
+    let wide = fpras_workloads::random_nfa(
+        &fpras_workloads::RandomNfaConfig { states: 24, alphabet: 2, density: 2.0, accepting: 2 },
+        &mut SmallRng::seed_from_u64(71),
+    );
+    let n = 8;
+    let mut params = Params::for_session(0.4, 0.1, wide.num_states(), n);
+    let total = run_parallel(&wide, n, &params, 5, 1).unwrap().stats().membership_ops;
+    // Trips halfway through the run, not on its first pass.
+    params.max_membership_ops = Some(total / 2);
+    let fresh: Vec<u64> = [1usize, 2, 8]
+        .iter()
+        .map(|&threads| budget_ops(run_parallel(&wide, n, &params, 5, threads)))
+        .collect();
+    let sessions: Vec<u64> = [1usize, 2, 8]
+        .iter()
+        .map(|&threads| {
+            let policy = SessionPolicy::Deterministic { seed: 5, threads };
+            let mut session = QuerySession::new(&wide, params.clone(), policy).unwrap();
+            budget_ops(session.estimate(n))
+        })
+        .collect();
+    assert!(fresh[0] > total / 2 && fresh[0] < total, "{fresh:?} vs total {total}");
+    assert_eq!(fresh, vec![fresh[0]; 3], "fresh runs at threads 1/2/8");
+    assert_eq!(sessions, fresh, "a session extension aborts exactly like a fresh run");
 }

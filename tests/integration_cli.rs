@@ -102,10 +102,9 @@ fn stats_flag_reports_batching_counters() {
             .unwrap_or_else(|| panic!("missing {key} in {stdout}"))
     };
     assert!(grab("batch cells deduped") > 0, "dedup must fire on contains-11");
-    // The memo/sharing layers (D9) report through the same surface.
+    // The memo layer (D9) reports through the same surface.
     assert!(stdout.contains("memo snapshots"), "{stdout}");
-    assert!(grab("share pre-estimated") > 0, "sharing must fire on contains-11");
-    assert!(grab("share pre-est hits") > 0, "pre-estimates must be consumed");
+    assert!(grab("memo entries shared") > 0, "snapshots must share the base layer");
     // --no-batch: same estimate line, zero dedup, more unions run.
     let mut unbatched_args = args.to_vec();
     unbatched_args.push("--no-batch");
@@ -114,19 +113,11 @@ fn stats_flag_reports_batching_counters() {
     let estimate = |s: &str| s.lines().find(|l| l.starts_with("estimate")).map(String::from);
     assert_eq!(estimate(&stdout), estimate(&stdout2), "batching must not change the estimate");
     assert!(stdout2.contains("batch cells deduped  0"), "{stdout2}");
-    // --no-share: still the same estimate, but no pre-estimation at all.
-    let mut unshared_args = args.to_vec();
-    unshared_args.push("--no-share");
-    let (stdout3, _, ok3) = run(&unshared_args);
-    assert!(ok3);
-    assert_eq!(estimate(&stdout), estimate(&stdout3), "sharing must not change the estimate");
-    assert!(stdout3.contains("share pre-estimated  0"), "{stdout3}");
-    assert!(stdout3.contains("share pre-est hits   0"), "{stdout3}");
-    // The executor layer (D10) reports through the same surface; a
-    // serial run never touches the pool.
+    // The executor layer (D10) reports through the same surface; the
+    // default one-thread run never wakes a worker.
     assert!(stdout.contains("pool parallel passes"), "{stdout}");
     assert!(stdout.contains("pool steals"), "{stdout}");
-    assert_eq!(grab("pool parallel passes"), 0, "serial runs have no pool");
+    assert_eq!(grab("pool parallel passes"), 0, "one thread has no workers to wake");
 }
 
 #[test]
@@ -158,9 +149,7 @@ fn steal_chunk_flag_is_scheduling_only() {
 
 #[test]
 fn stats_and_no_batch_are_fpras_only() {
-    for flags in
-        [&["--stats"][..], &["--no-batch"][..], &["--no-share"][..], &["--steal-chunk", "4"][..]]
-    {
+    for flags in [&["--stats"][..], &["--no-batch"][..], &["--steal-chunk", "4"][..]] {
         let mut args = vec!["--regex", "1*", "-n", "8", "--method", "dp"];
         args.extend_from_slice(flags);
         let (_, stderr, ok) = run(&args);
@@ -225,19 +214,39 @@ fn threaded_fpras_samples() {
 
 #[test]
 fn thread_count_does_not_change_cli_output() {
-    // --threads selects the engine's Deterministic policy: stdout must
-    // depend only on the seed, never on the worker count.
+    // stdout must depend only on the seed, never on the worker count —
+    // including the default, which runs one worker.
     let base = ["--regex", "1(0|1)*1", "-n", "12", "--method", "fpras", "--seed", "13"];
-    let with = |t: &str| {
+    let with = |threads: &[&str]| {
         let mut args = base.to_vec();
-        args.extend_from_slice(&["--threads", t]);
+        args.extend_from_slice(threads);
         let (stdout, stderr, ok) = run(&args);
         assert!(ok, "stderr: {stderr}");
         stdout
     };
-    let one = with("1");
-    assert_eq!(one, with("2"));
-    assert_eq!(one, with("8"));
+    let one = with(&["--threads", "1"]);
+    assert_eq!(one, with(&[]));
+    assert_eq!(one, with(&["--threads", "2"]));
+    assert_eq!(one, with(&["--threads", "8"]));
+}
+
+#[test]
+fn threads_outside_one_to_max_are_usage_errors() {
+    // Every worker past the first is an OS thread: each `--threads`
+    // flag refuses 0 and anything above the cap before spawning one.
+    let count = ["--regex", "1(0|1)*", "-n", "8"];
+    let robp = write_fixture("threads-parity.robp", PARITY_ROBP);
+    let robp = ["robp", "--file", robp.to_str().expect("utf-8 path")];
+    let serve = ["serve"];
+    for base in [&count[..], &robp[..], &serve[..]] {
+        for threads in ["0", "100000"] {
+            let mut args = base.to_vec();
+            args.extend_from_slice(&["--threads", threads]);
+            let (code, stderr) = exit_code(&args);
+            assert_eq!(code, Some(2), "{args:?}: {stderr}");
+            assert!(stderr.contains("--threads must be between 1 and 64"), "{args:?}: {stderr}");
+        }
+    }
 }
 
 #[test]

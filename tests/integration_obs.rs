@@ -84,15 +84,9 @@ fn stats_reports_phase_wall_breakdown() {
     let (stdout, stderr, ok) =
         run(&["--regex", "(0|1)*11(0|1)*", "-n", "8", "--seed", "7", "--stats"]);
     assert!(ok, "stderr: {stderr}");
-    for needle in [
-        "phase plan",
-        "phase count",
-        "phase share",
-        "phase sample",
-        "phase merge",
-        "wall total",
-        "wall longest",
-    ] {
+    for needle in
+        ["phase plan", "phase count", "phase sample", "phase merge", "wall total", "wall longest"]
+    {
         assert!(stdout.contains(needle), "missing `{needle}` in:\n{stdout}");
     }
 }

@@ -186,6 +186,27 @@ fn serve_refuses_oversized_nfa_file_and_keeps_serving() {
 }
 
 #[test]
+fn serve_refuses_unbounded_threads_and_keeps_serving() {
+    // One `open` line used to spawn one OS thread per requested worker
+    // (and cache the pool): out-of-range counts now answer one `error:`
+    // line before anything is spawned, and the server keeps serving.
+    let input = "open big --regex (0|1)*11(0|1)* --threads 100000\n\
+                 open none --regex 1* --threads 0\n\
+                 open a --regex 1* --threads 2\n\
+                 estimate 3\n\
+                 quit\n";
+    let (stdout, stderr, ok) = run_with_stdin(&["serve"], input);
+    assert!(ok, "stderr: {stderr}");
+    let errors: Vec<&str> = stdout.lines().filter(|l| l.starts_with("error: ")).collect();
+    assert_eq!(errors.len(), 2, "{stdout}");
+    for e in &errors {
+        assert!(e.contains("--threads must be between 1 and 64"), "{e}");
+    }
+    assert!(stdout.contains("opened a (2 states"), "{stdout}");
+    assert!(stdout.contains("estimate 3 = 1"), "{stdout}");
+}
+
+#[test]
 fn serve_caps_words_per_sample_line() {
     let input = "open a --regex 1*\nsample 3 4097\nsample 8 999999999999\nsample 3 4096\nquit\n";
     let (stdout, stderr, ok) = run_with_stdin(&["serve"], input);

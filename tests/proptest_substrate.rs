@@ -72,8 +72,8 @@ fn random_robp_estimates_track_brute_force() {
             "case {case} ({config:?}): brute force vs exact DP"
         );
         let params = Params::practical(EPS, DELTA, robp.num_nodes(), robp.depth());
-        // Alternate policies across cases so both engine paths share
-        // the envelope; the estimate contract is policy-independent.
+        // Alternate entry points across cases so both share the
+        // envelope; the estimate contract is entry-point independent.
         let est = if case % 2 == 0 {
             let mut rng = SmallRng::seed_from_u64(5000 + case);
             FprasRun::run_robp(&robp, &params, &mut rng).expect("run").estimate().to_f64()

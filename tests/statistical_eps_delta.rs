@@ -11,11 +11,11 @@
 //! through the envelope quickly.
 //!
 //! Every estimator path the engine exposes runs over the same fixtures:
-//! Serial and Deterministic policies, each with batched union estimation
-//! on and off, plus unshared controls for the sample-pass frontier
-//! sharing layer (D9) — and the same policy × batching grid again over
-//! the nROBP substrate (D14), whose node graph doubles as its exact
-//! oracle. The small smoke versions run in tier-1; the heavyweight
+//! the caller-RNG entry point (`FprasRun::run`, one thread) and the
+//! master-seed entry point (`run_parallel`, four threads), each with
+//! batched union estimation on and off — and the same entry point ×
+//! batching grid again over the nROBP substrate (D14), whose node graph
+//! doubles as its exact oracle. The small smoke versions run in tier-1; the heavyweight
 //! versions are `#[ignore]`d locally and executed by the CI job
 //! `cargo test --release -- --ignored`.
 
@@ -67,30 +67,26 @@ type Estimator = dyn Fn(&Nfa, usize, &Params, u64) -> f64;
 
 /// Every engine path the harness locks down, as (name, estimator).
 fn estimator_paths() -> Vec<(&'static str, Box<Estimator>)> {
-    let serial = |batch: bool, share: bool| {
+    let serial = |batch: bool| {
         move |nfa: &Nfa, n: usize, params: &Params, seed: u64| {
             let mut p = params.clone();
             p.batch_unions = batch;
-            p.share_sampler_frontiers = share;
             let mut rng = SmallRng::seed_from_u64(seed);
             FprasRun::run(nfa, n, &p, &mut rng).expect("run").estimate().to_f64()
         }
     };
-    let deterministic = |batch: bool, share: bool| {
+    let deterministic = |batch: bool| {
         move |nfa: &Nfa, n: usize, params: &Params, seed: u64| {
             let mut p = params.clone();
             p.batch_unions = batch;
-            p.share_sampler_frontiers = share;
             run_parallel(nfa, n, &p, seed, 4).expect("run").estimate().to_f64()
         }
     };
     vec![
-        ("serial+batched", Box::new(serial(true, true))),
-        ("serial+unbatched", Box::new(serial(false, true))),
-        ("serial+unshared", Box::new(serial(true, false))),
-        ("deterministic+batched", Box::new(deterministic(true, true))),
-        ("deterministic+unbatched", Box::new(deterministic(false, true))),
-        ("deterministic+unshared", Box::new(deterministic(true, false))),
+        ("serial+batched", Box::new(serial(true))),
+        ("serial+unbatched", Box::new(serial(false))),
+        ("deterministic+batched", Box::new(deterministic(true))),
+        ("deterministic+unbatched", Box::new(deterministic(false))),
     ]
 }
 
@@ -159,9 +155,8 @@ fn robp_fixtures() -> Vec<RobpFixture> {
 /// An nROBP estimator path under test, mirroring [`Estimator`].
 type RobpEstimator = dyn Fn(&Robp, &Params, u64) -> f64;
 
-/// The substrate-generic paths over the nROBP front-end: both policies,
-/// batched and unbatched union estimation. (The share knob is already
-/// locked down substrate-independently by the NFA grid above.)
+/// The substrate-generic paths over the nROBP front-end: both entry
+/// points, batched and unbatched union estimation.
 fn robp_estimator_paths() -> Vec<(&'static str, Box<RobpEstimator>)> {
     let serial = |batch: bool| {
         move |robp: &Robp, params: &Params, seed: u64| {
