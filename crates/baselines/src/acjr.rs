@@ -28,12 +28,12 @@
 
 use fpras_automata::ops::{trim, with_single_accepting};
 use fpras_automata::{Nfa, StateId, StateSet, StepMasks, Unrolling, Word};
-use fpras_core::sample_set::{SampleEntry, SampleSet};
+use fpras_core::sample_set::SampleSet;
 use fpras_core::table::RunTable;
 use std::collections::HashMap;
 
 /// The baseline keeps its own flat memo keyed by `(level, frontier
-/// words)`; the engine's interned ids and leveled copy-on-write
+/// words)`; the engine's interned ids and level-shared
 /// [`fpras_core::UnionMemo`] are FPRAS-side optimizations the baseline
 /// deliberately does not share.
 type UnionMemo = HashMap<(u32, Box<[u64]>), ExtFloat>;
@@ -160,14 +160,10 @@ fn exhaustive_union(
     for p in frontier.iter() {
         let cell = table.cell(level, p);
         if !cell.n_est.is_zero() && !cell.samples.is_empty() {
-            let mut outside = 0usize;
+            // One full cycle of the list: every stored sample tested once.
             let len = cell.samples.len();
-            for entry in cell.samples.iter() {
-                stats.membership_ops += 1;
-                if !entry.reach.intersects(&prefix) {
-                    outside += 1;
-                }
-            }
+            let outside = cell.samples.count_disjoint(0, len, prefix.words());
+            stats.membership_ops += len as u64;
             if outside > 0 {
                 total = total + cell.n_est.scale(outside as f64 / len as f64);
             }
@@ -259,10 +255,7 @@ impl AcjrRun {
         {
             let cell = table.cell_mut(0, init);
             cell.n_est = ExtFloat::ONE;
-            cell.samples = SampleSet::repeated(
-                SampleEntry { word: Word::empty(), reach: StateSet::singleton(m, init) },
-                params.ns,
-            );
+            cell.samples = SampleSet::repeated(&StateSet::singleton(m, init), params.ns);
         }
 
         for ell in 1..=n {
@@ -297,9 +290,9 @@ impl AcjrRun {
                 table.cell_mut(ell, q as usize).n_est = n_est;
 
                 // Sampling phase: backward walk with exhaustive unions.
-                let mut collected: Vec<SampleEntry> = Vec::with_capacity(params.ns);
+                let mut samples = SampleSet::with_capacity(m, params.ns);
                 let mut attempts = 0usize;
-                while collected.len() < params.ns && attempts < params.xns {
+                while samples.genuine_len() < params.ns && attempts < params.xns {
                     attempts += 1;
                     if let Some(w) = sample_once(
                         params,
@@ -312,22 +305,16 @@ impl AcjrRun {
                         rng,
                         &mut stats,
                     ) {
-                        let reach = masks.reach(&w);
-                        collected.push(SampleEntry { word: w, reach });
+                        samples.push(&masks.reach(&w));
                     }
                 }
-                stats.samples_stored += collected.len() as u64;
-                let missing = params.ns - collected.len();
-                let mut samples = SampleSet::empty();
-                for e in collected {
-                    samples.push(e);
-                }
+                stats.samples_stored += samples.genuine_len() as u64;
+                let missing = params.ns - samples.genuine_len();
                 if missing > 0 {
                     let wit = unroll
                         .witness(&normalized, q, ell)
                         .expect("reachable cell must have a witness word");
-                    let reach = masks.reach(&wit);
-                    samples.pad(SampleEntry { word: wit, reach }, missing);
+                    samples.pad(&masks.reach(&wit), missing);
                     stats.padded_cells += 1;
                     stats.padded_entries += missing as u64;
                 }

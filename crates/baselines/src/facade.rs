@@ -129,10 +129,10 @@ pub struct CounterOutput {
     /// union-estimation layer instead of their own `AppUnion` run
     /// (0 for non-FPRAS methods and unbatched runs).
     pub cells_deduped: u64,
-    /// Memo base-layer entries shared (not cloned) across the
-    /// copy-on-write sample-pass snapshots — the clone volume the flat
-    /// memo would have paid (0 for non-FPRAS methods).
-    pub memo_entries_shared: u64,
+    /// `AppUnion` calls that ran trials: one per count-pass frontier
+    /// group and one per distinct sampler frontier the memo missed (0
+    /// for non-FPRAS methods). Part of the output, like `ops`.
+    pub appunion_calls: u64,
     /// Chunks the work-stealing executor moved between workers (D10;
     /// 0 for non-FPRAS methods and single-thread pools — scheduling
     /// evidence, not part of the deterministic output).
@@ -154,7 +154,7 @@ pub struct CounterOutput {
 
 impl CounterOutput {
     /// Output for methods outside the FPRAS engine: every engine-layer
-    /// counter (dedup, memo sharing) is zero. `ops` is 0 where the
+    /// counter (dedup, `AppUnion` calls) is zero. `ops` is 0 where the
     /// method has no such notion.
     fn plain(estimate: ExtFloat, exact: bool, ops: u64, wall: std::time::Duration) -> Self {
         CounterOutput {
@@ -162,7 +162,7 @@ impl CounterOutput {
             exact,
             ops,
             cells_deduped: 0,
-            memo_entries_shared: 0,
+            appunion_calls: 0,
             pool_steals: 0,
             distinct_frontiers: 0,
             intern_hits: 0,
@@ -179,7 +179,7 @@ impl CounterOutput {
             exact: false,
             ops: s.membership_ops,
             cells_deduped: s.batch.cells_deduped,
-            memo_entries_shared: s.memo.entries_shared,
+            appunion_calls: s.appunion_calls,
             pool_steals: s.pool.steals,
             distinct_frontiers: s.intern.distinct_frontiers,
             intern_hits: s.intern.intern_hits,

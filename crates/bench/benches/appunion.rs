@@ -2,8 +2,8 @@
 //! almost-uniform generator (E7's timing counterpart).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fpras_automata::{StateSet, Word};
-use fpras_core::sample_set::{SampleEntry, SampleSet};
+use fpras_automata::StateSet;
+use fpras_core::sample_set::SampleSet;
 use fpras_core::{
     app_union, FprasRun, Params, RunStats, UniformGenerator, UnionScratch, UnionSetInput,
 };
@@ -18,10 +18,7 @@ fn synthetic_sets(k: usize, samples: usize, seed: u64) -> Vec<(SampleSet, u64)> 
             let mut s = SampleSet::empty();
             for _ in 0..samples {
                 let w = rng.random_range(0..4096u64);
-                s.push(SampleEntry {
-                    word: Word::from_index(w, 12, 2),
-                    reach: StateSet::from_iter(k, [i, (i + w as usize) % k]),
-                });
+                s.push(&StateSet::from_iter(k, [i, (i + w as usize) % k]));
             }
             (s, 4096)
         })

@@ -6,8 +6,8 @@
 //! equal membership-operation budget.
 
 use crate::table::{fnum, Table};
-use fpras_automata::{StateSet, Word};
-use fpras_core::sample_set::{SampleEntry, SampleSet};
+use fpras_automata::StateSet;
+use fpras_core::sample_set::SampleSet;
 use fpras_core::{app_union, Params, RunStats, UnionScratch, UnionSetInput};
 use fpras_numeric::{stats, ExtFloat};
 use rand::{rngs::SmallRng, RngExt, SeedableRng};
@@ -39,10 +39,7 @@ fn build_family(k: usize, set_size: u64, overlap: f64, samples: usize, seed: u64
         let mut s = SampleSet::empty();
         for _ in 0..samples {
             let w = rng.random_range(lo..lo + set_size);
-            s.push(SampleEntry {
-                word: Word::from_index(w % (1 << 16), 16, 2),
-                reach: StateSet::from_iter(k, member_of(w)),
-            });
+            s.push(&StateSet::from_iter(k, member_of(w)));
         }
         sets.push((s, set_size));
     }
@@ -85,13 +82,9 @@ fn exhaustive_estimate(family: &Family) -> (f64, u64) {
     let mut ops = 0u64;
     let mut prefix = StateSet::empty(k);
     for (i, (s, sz)) in family.sets.iter().enumerate() {
-        let mut outside = 0usize;
-        for e in s.iter() {
-            ops += 1;
-            if !e.reach.intersects(&prefix) {
-                outside += 1;
-            }
-        }
+        // One full cycle of the list, every sample tested once.
+        let outside = s.count_disjoint(0, s.len(), prefix.words());
+        ops += s.len() as u64;
         total += *sz as f64 * outside as f64 / s.len() as f64;
         prefix.insert(i);
     }

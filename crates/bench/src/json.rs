@@ -6,10 +6,10 @@
 //! The FPRAS rows include an `fpras(unbatched)` control — same seed,
 //! bit-identical estimate, batched union estimation (D8) disabled — so
 //! the batching layer's savings (`ops`, `cells_deduped`) are recorded
-//! in every trajectory snapshot, next to the memo's
-//! `memo_entries_shared`. The encoder is hand-rolled (the workspace
-//! vendors no serde) and the schema is deliberately flat — downstream
-//! tooling should need nothing beyond a JSON array of objects.
+//! in every trajectory snapshot, next to the run's `appunion_calls`.
+//! The encoder is hand-rolled (the workspace vendors no serde) and the
+//! schema is deliberately flat — downstream tooling should need nothing
+//! beyond a JSON array of objects.
 
 use fpras_baselines::{run_counter, CounterKind};
 use fpras_workloads::{families, random_nfa, RandomNfaConfig};
@@ -38,9 +38,9 @@ pub struct CounterMeasurement {
     pub ops: u64,
     /// `(cell, symbol)` pairs deduplicated by batched union estimation.
     pub cells_deduped: u64,
-    /// Memo base entries shared (not cloned) across copy-on-write
-    /// sample-pass snapshots (zero for exact rows).
-    pub memo_entries_shared: u64,
+    /// `AppUnion` calls that ran trials (zero for exact and baseline
+    /// rows) — like `ops`, identical at every thread count.
+    pub appunion_calls: u64,
     /// Chunks the work-stealing executor moved between workers (D10;
     /// zero for exact and single-thread rows — scheduling evidence,
     /// varies run to run by design).
@@ -121,7 +121,7 @@ fn measure(
         estimate_log2: r.estimate.log2(),
         ops: r.ops,
         cells_deduped: r.cells_deduped,
-        memo_entries_shared: r.memo_entries_shared,
+        appunion_calls: r.appunion_calls,
         pool_steals: r.pool_steals,
         distinct_frontiers: r.distinct_frontiers,
         intern_hits: r.intern_hits,
@@ -215,7 +215,7 @@ fn service_trace_rows(quick: bool, seed: u64) -> Vec<CounterMeasurement> {
         estimate_log2: last.log2(),
         ops: session_ops,
         cells_deduped: 0,
-        memo_entries_shared: 0,
+        appunion_calls: 0,
         pool_steals: 0,
         distinct_frontiers: 0,
         intern_hits: 0,
@@ -260,7 +260,7 @@ fn service_trace_rows(quick: bool, seed: u64) -> Vec<CounterMeasurement> {
         estimate_log2: last_control.log2(),
         ops: control_ops,
         cells_deduped: 0,
-        memo_entries_shared: 0,
+        appunion_calls: 0,
         pool_steals: 0,
         distinct_frontiers: 0,
         intern_hits: 0,
@@ -399,7 +399,7 @@ pub fn to_json(measurements: &[CounterMeasurement]) -> String {
         s.push_str(&format!("\"estimate_log2\": {}, ", number(m.estimate_log2)));
         s.push_str(&format!("\"ops\": {}, ", m.ops));
         s.push_str(&format!("\"cells_deduped\": {}, ", m.cells_deduped));
-        s.push_str(&format!("\"memo_entries_shared\": {}, ", m.memo_entries_shared));
+        s.push_str(&format!("\"appunion_calls\": {}, ", m.appunion_calls));
         s.push_str(&format!("\"pool_steals\": {}, ", m.pool_steals));
         s.push_str(&format!("\"distinct_frontiers\": {}, ", m.distinct_frontiers));
         s.push_str(&format!("\"intern_hits\": {}, ", m.intern_hits));
@@ -538,7 +538,7 @@ mod tests {
                 estimate_log2: 12f64.log2(),
                 ops: 99,
                 cells_deduped: 7,
-                memo_entries_shared: 120,
+                appunion_calls: 120,
                 pool_steals: 5,
                 distinct_frontiers: 11,
                 intern_hits: 42,
@@ -568,7 +568,7 @@ mod tests {
                 estimate_log2: f64::NEG_INFINITY,
                 ops: 0,
                 cells_deduped: 0,
-                memo_entries_shared: 0,
+                appunion_calls: 0,
                 pool_steals: 0,
                 distinct_frontiers: 0,
                 intern_hits: 0,
@@ -589,7 +589,7 @@ mod tests {
         assert!(doc.ends_with("]\n"));
         assert!(doc.contains("\"threads\": 2"));
         assert!(doc.contains("\"cells_deduped\": 7"));
-        assert!(doc.contains("\"memo_entries_shared\": 120"));
+        assert!(doc.contains("\"appunion_calls\": 120"));
         assert!(doc.contains("\"pool_steals\": 5"));
         assert!(doc.contains("\"distinct_frontiers\": 11"));
         assert!(doc.contains("\"intern_hits\": 42"));

@@ -106,7 +106,7 @@ fn run_load(
         estimate_log2: last.log2(),
         ops,
         cells_deduped: 0,
-        memo_entries_shared: 0,
+        appunion_calls: 0,
         pool_steals: 0,
         distinct_frontiers: 0,
         intern_hits: 0,

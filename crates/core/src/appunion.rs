@@ -214,26 +214,13 @@ pub fn app_union<R: Rng + ?Sized>(
     stats.membership_ops += trials_run as u64;
 
     // Line 9, tallied: set i's c draws are c / |S_i| full cycles of its
-    // list plus the c mod |S_i| samples from its cursor on. Test each
-    // sample at most once: the partial window, then the rest of the
-    // cycle only if a full cycle was taken.
+    // list plus the c mod |S_i| samples from its cursor on; the set's
+    // rows count them, testing each list position at most once.
     let mut y: u64 = 0;
     for (i, set) in sets.iter().enumerate() {
         let (list, taken) = (set.samples, consumed[i]);
-        if taken == 0 {
-            continue;
-        }
-        let len = list.len();
-        let mask = &prefix[i * stride..(i + 1) * stride];
-        let unique = |offset: usize| {
-            let entry = list.get((cursors[i] + offset) % len);
-            u64::from(!entry.reach.intersects_words(mask))
-        };
-        let (cycles, partial) = (taken / len, taken % len);
-        let window: u64 = (0..partial).map(unique).sum();
-        let rest: u64 = if cycles > 0 { (partial..len).map(unique).sum() } else { 0 };
-        y += cycles as u64 * (window + rest) + window;
-        stats.union_bit_tests += taken.min(len) as u64;
+        y += list.count_disjoint(cursors[i], taken, &prefix[i * stride..(i + 1) * stride]);
+        stats.union_bit_tests += taken.min(list.len()) as u64;
     }
 
     // Line 10: (Y/t)·Σ sz. The divisor is the *requested* t, matching the
@@ -245,8 +232,6 @@ pub fn app_union<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample_set::SampleEntry;
-    use fpras_automata::Word;
     use rand::{rngs::SmallRng, SeedableRng};
     use std::collections::HashMap;
 
@@ -263,10 +248,7 @@ mod tests {
         let mut s = SampleSet::empty();
         for _ in 0..count {
             let w = words_in_set[rng.random_range(0..words_in_set.len())];
-            s.push(SampleEntry {
-                word: Word::from_index(w, 8, 2),
-                reach: StateSet::from_iter(universe, membership(w)),
-            });
+            s.push(&StateSet::from_iter(universe, membership(w)));
         }
         s
     }
@@ -335,7 +317,7 @@ mod tests {
             let idx = (cursors[i] + consumed[i]) % len;
             consumed[i] += 1;
             stats.membership_ops += 1;
-            if !list.get(idx).reach.intersects(&prefix[i]) {
+            if !prefix[i].intersects_words(list.row(idx)) {
                 y += 1;
             }
             trials_run += 1;
@@ -353,12 +335,8 @@ mod tests {
         empty: Option<usize>,
         rng: &mut SmallRng,
     ) -> Vec<SampleSet> {
-        let entry = |rng: &mut SmallRng| SampleEntry {
-            word: Word::from_index(rng.random_range(0..256u64), 8, 2),
-            reach: StateSet::from_iter(
-                universe,
-                (0..universe).filter(|_| rng.random_range(0..3u8) == 0),
-            ),
+        let entry = |rng: &mut SmallRng| {
+            StateSet::from_iter(universe, (0..universe).filter(|_| rng.random_range(0..3u8) == 0))
         };
         (0..k)
             .map(|i| {
@@ -367,11 +345,11 @@ mod tests {
                     return s;
                 }
                 for _ in 0..rng.random_range(1..40usize) {
-                    s.push(entry(rng));
+                    s.push(&entry(rng));
                 }
                 if rng.random_bool(0.5) {
                     let pad = entry(rng);
-                    s.pad(pad, rng.random_range(1..30usize));
+                    s.pad(&pad, rng.random_range(1..30usize));
                 }
                 s
             })
@@ -506,11 +484,8 @@ mod tests {
         // also reaches an earlier set's state.
         let list = |reaches: &[&[usize]]| {
             let mut s = SampleSet::empty();
-            for (w, reach) in reaches.iter().enumerate() {
-                s.push(SampleEntry {
-                    word: Word::from_index(w as u64, 8, 2),
-                    reach: StateSet::from_iter(universe, reach.iter().copied()),
-                });
+            for reach in reaches {
+                s.push(&StateSet::from_iter(universe, reach.iter().copied()));
             }
             s
         };

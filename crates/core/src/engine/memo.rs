@@ -1,52 +1,40 @@
-//! The leveled copy-on-write union memo (DESIGN.md §2.2, D9).
+//! The union memo (DESIGN.md §2.2, D9).
 //!
 //! The sampler's union memo maps `(level, frontier)` [`MemoKey`]s to
-//! estimated union sizes. Until PR 3 it was a flat `HashMap` and the
-//! `Deterministic` policy's sample pass *cloned the whole map once per
-//! cell* to give every cell an isolated level-start view — an
-//! O(cells × memo) allocation wall on large `m`. This module replaces
-//! the flat map with a two-layer structure:
+//! estimated union sizes, in two layers:
 //!
-//! * an **immutable base layer** behind an [`Arc`] — the level-start
-//!   snapshot every same-level cell may read but nobody mutates;
-//! * a thin **overlay** of entries inserted since the last
-//!   [`UnionMemo::commit`] — the only part that is ever copied or
-//!   merged.
-//!
-//! Taking a per-cell view is now [`UnionMemo::snapshot`]: an `Arc`
-//! clone plus an empty overlay, O(1) instead of O(memo). Extracting a
-//! cell's insertions for the canonical merge is
-//! [`UnionMemo::into_overlay`], O(overlay). The engine calls
-//! [`UnionMemo::commit`] once per level (after seeding the count-pass
-//! estimates) to fold the overlay
-//! into the base, so the base is the single level-start layer the whole
-//! sample pass shares. See DESIGN.md §2.2 for the full lifecycle
-//! diagram.
+//! * the **base** — every entry of the levels finished so far plus the
+//!   count seeds of the level being built, read without a lock and
+//!   written only between passes (`&mut self`);
+//! * the **level overlay** — one map, behind one [`Mutex`], that every
+//!   worker of a sample pass shares. It is probed only on a base miss,
+//!   takes the pass's sampler misses first-wins
+//!   (`UnionMemo::insert_level`), and [`UnionMemo::commit`] drains it
+//!   into the base in canonical content order when the pass ends.
 //!
 //! Every entry carries a [`MemoTier`] recording which phase produced
-//! it; the merge discipline is strictly **first-wins** (the engine
-//! inserts count-phase seeds before sampler insertions, so the tier
-//! order doubles as the precision order, DESIGN.md D4).
+//! it; insertion is strictly **first-wins** (the engine inserts
+//! count-phase seeds before any sampler entry of their level, so the
+//! tier order doubles as the precision order, DESIGN.md D4). A
+//! sampler-tier value is fixed by `(sampler_seed, level, frontier)`
+//! (D9), so which worker's insert wins cannot change it.
 //!
 //! # Lineage
 //!
-//! A committed base entry never changes, so the sampler may compile a
-//! walk node's base-layer branch values once and replay them
-//! (`sampler.rs`, DESIGN.md D17). That is sound only against memos
-//! whose base layers agree. Each memo therefore carries a process-unique
-//! **lineage** id. [`UnionMemo::new`] and `clone` mint a fresh one;
-//! [`UnionMemo::snapshot`] keeps it, since a snapshot's base *is* its
-//! parent's. A commit into a base that a live snapshot still shares
-//! mints a fresh id, since the two bases diverge from there. So all
-//! live memos of one lineage share one base, and that base only grows:
-//! an entry a record read from it is there, unchanged, for every later
-//! call under the same id.
+//! An entry, once in either layer, stays in the memo with its value, so
+//! the sampler may compile a walk node's branch values once and replay
+//! them (`sampler.rs`, DESIGN.md D17). That is sound only against the
+//! memo the values were read from. Each memo therefore carries a
+//! process-unique **lineage** id, minted by [`UnionMemo::new`] and by
+//! `clone` (a copy may gain other entries from there) and by nothing
+//! else: the memo of one lineage only grows.
 
+use crate::intern::FrontierInterner;
 use crate::table::{BuildKeyHasher, MemoKey};
 use fpras_numeric::ExtFloat;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard};
 
 /// Source of [`UnionMemo`] lineage ids; 0 is never handed out.
 static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(1);
@@ -74,19 +62,20 @@ pub struct MemoEntry {
     pub tier: MemoTier,
 }
 
-/// Memoized union sizes for the sampler, as a leveled copy-on-write
-/// structure: an immutable shared base layer plus a thin overlay.
+type Layer<V> = HashMap<MemoKey, V, BuildKeyHasher>;
+
+/// Memoized union sizes for the sampler: a base layer plus the level
+/// overlay a sample pass's workers share (see the module docs).
 ///
-/// All mutation is **first-wins**: [`UnionMemo::insert_first_wins`]
-/// refuses to overwrite an existing key in either layer, which is the
-/// whole memo discipline (count seeds outrank sampler insertions
-/// purely by insertion order).
+/// All mutation is **first-wins**: no insert overwrites a key present
+/// in either layer, which is the whole memo discipline (count seeds
+/// outrank sampler insertions purely by insertion order).
 #[derive(Debug)]
 pub struct UnionMemo {
-    /// The committed, immutable level-start layer (shared by snapshots).
-    base: Arc<HashMap<MemoKey, MemoEntry, BuildKeyHasher>>,
-    /// Entries inserted since the last [`UnionMemo::commit`].
-    overlay: HashMap<MemoKey, MemoEntry, BuildKeyHasher>,
+    /// Entries of the finished passes.
+    base: Layer<MemoEntry>,
+    /// Sampler-tier entries of the running sample pass.
+    overlay: Mutex<Layer<ExtFloat>>,
     /// Lineage id (see the module docs).
     lineage: u64,
 }
@@ -99,11 +88,11 @@ impl Default for UnionMemo {
 
 impl Clone for UnionMemo {
     /// A deep copy in a fresh lineage: the copy and the original may
-    /// commit different values from here on.
+    /// gain different entries from here on.
     fn clone(&self) -> Self {
         UnionMemo {
-            base: Arc::clone(&self.base),
-            overlay: self.overlay.clone(),
+            base: self.base.clone(),
+            overlay: Mutex::new(self.overlay().clone()),
             lineage: mint_lineage(),
         }
     }
@@ -112,123 +101,111 @@ impl Clone for UnionMemo {
 impl UnionMemo {
     /// An empty memo in a fresh lineage.
     pub fn new() -> Self {
-        UnionMemo { base: Arc::default(), overlay: HashMap::default(), lineage: mint_lineage() }
+        UnionMemo { base: HashMap::default(), overlay: Mutex::default(), lineage: mint_lineage() }
+    }
+
+    fn overlay(&self) -> MutexGuard<'_, Layer<ExtFloat>> {
+        self.overlay.lock().expect("memo overlay lock poisoned")
     }
 
     /// The memo's lineage id — see the module docs. Two calls that see
-    /// the same id see one base layer, possibly grown in between.
+    /// the same id see one memo, possibly grown in between.
     pub(crate) fn lineage(&self) -> u64 {
         self.lineage
     }
 
     /// Looks up `key` in either layer.
     pub fn get(&self, key: &MemoKey) -> Option<MemoEntry> {
-        self.get_node(key.node()).map(|(entry, _)| entry)
+        self.base.get(key).copied().or_else(|| {
+            self.overlay().get(key).map(|&value| MemoEntry { value, tier: MemoTier::Sampler })
+        })
     }
 
-    /// [`UnionMemo::get`] by a key's packed `(level, frontier)` node
+    /// The value under a key's packed `(level, frontier)` node
     /// ([`MemoKey::node_of`]) — a probe that needs no RNG tag, so the
     /// sampler's compiled walk can look entries up from bare frontier
-    /// ids — also telling whether the entry sits in the committed base
-    /// layer (`true`) or the overlay. Only base entries may be compiled
-    /// into a sampler walk record. The layers are disjoint, so probing
-    /// the base first (where a sample pass finds nearly every entry)
-    /// answers exactly what the overlay-first order would, in one probe
-    /// instead of two.
+    /// ids. The base answers nearly every probe without a lock; only a
+    /// base miss takes the overlay's.
     #[inline]
-    pub(crate) fn get_node(&self, node: u64) -> Option<(MemoEntry, bool)> {
+    pub(crate) fn get_node(&self, node: u64) -> Option<ExtFloat> {
         match self.base.get(&node) {
-            Some(entry) => Some((*entry, true)),
-            None => self.overlay.get(&node).map(|entry| (*entry, false)),
+            Some(entry) => Some(entry.value),
+            None => self.overlay().get(&node).copied(),
         }
     }
 
     /// True iff either layer holds `key`.
     pub fn contains_key(&self, key: &MemoKey) -> bool {
-        self.overlay.contains_key(key) || self.base.contains_key(key)
+        self.get(key).is_some()
     }
 
-    /// Inserts `(key → value)` unless the key already exists in either
-    /// layer (first-wins). Returns whether the entry was inserted.
+    /// Inserts `(key → value)` into the base unless the key already
+    /// exists in either layer (first-wins). Returns whether the entry
+    /// was inserted.
     pub fn insert_first_wins(&mut self, key: MemoKey, value: ExtFloat, tier: MemoTier) -> bool {
-        self.insert_entry_first_wins(key, MemoEntry { value, tier })
-    }
-
-    /// First-wins insertion of a pre-built entry (used by the canonical
-    /// overlay merge, which must preserve the producing tier).
-    pub fn insert_entry_first_wins(&mut self, key: MemoKey, entry: MemoEntry) -> bool {
-        if self.base.contains_key(&key) {
+        if self.overlay.get_mut().expect("memo overlay lock poisoned").contains_key(&key) {
             return false;
         }
-        match self.overlay.entry(key) {
+        match self.base.entry(key) {
             std::collections::hash_map::Entry::Occupied(_) => false,
             std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(entry);
+                v.insert(MemoEntry { value, tier });
                 true
             }
         }
     }
 
-    /// Folds the overlay into the base layer, making the base the new
-    /// level-start snapshot. O(overlay) when the base `Arc` is uniquely
-    /// held (the engine calls this between passes, when no snapshot is
-    /// alive); a surviving snapshot forces one full copy-on-write clone
-    /// instead of corrupting it. Returns the number of entries promoted.
-    pub fn commit(&mut self) -> usize {
-        if self.overlay.is_empty() {
-            return 0;
-        }
-        let promoted = self.overlay.len();
-        if Arc::strong_count(&self.base) > 1 {
-            // A live snapshot keeps the old base; the two diverge now.
-            self.lineage = mint_lineage();
-        }
-        let base = Arc::make_mut(&mut self.base);
-        for (key, entry) in self.overlay.drain() {
-            // Disjoint by construction (first-wins insertion checks the
-            // base); `or_insert` keeps commit first-wins regardless.
-            base.entry(key).or_insert(entry);
-        }
-        promoted
-    }
-
-    /// An O(1) level-start view: shares the base layer, starts an empty
-    /// overlay. The caller should [`UnionMemo::commit`] first so the
-    /// view includes every seeded entry (debug-asserted).
-    pub fn snapshot(&self) -> UnionMemo {
-        debug_assert!(
-            self.overlay.is_empty(),
-            "snapshot of an uncommitted memo would miss {} overlay entries",
-            self.overlay.len()
-        );
-        UnionMemo {
-            base: Arc::clone(&self.base),
-            overlay: HashMap::default(),
-            lineage: self.lineage,
+    /// A sampler miss's first-wins insert into the level overlay, from
+    /// any worker. Returns whether this insert won; a loser's value was
+    /// computed for nothing (it equals the winner's, D9). The caller
+    /// has seen `key` miss the base, which no worker writes during a
+    /// pass.
+    pub(crate) fn insert_level(&self, key: MemoKey, value: ExtFloat) -> bool {
+        debug_assert!(!self.base.contains_key(&key), "a base entry never misses");
+        match self.overlay().entry(key) {
+            std::collections::hash_map::Entry::Occupied(won) => {
+                debug_assert_eq!(*won.get(), value, "sampler values are frontier-keyed");
+                false
+            }
+            std::collections::hash_map::Entry::Vacant(v) => {
+                v.insert(value);
+                true
+            }
         }
     }
 
-    /// Consumes the memo and returns its overlay — exactly the entries
-    /// inserted since the snapshot it was built from. O(overlay); the
-    /// shared base is untouched.
-    pub fn into_overlay(self) -> Vec<(MemoKey, MemoEntry)> {
-        self.overlay.into_iter().collect()
+    /// Drains the level overlay into the base, in canonical content
+    /// order — by level, then by frontier content
+    /// ([`FrontierInterner::compare`]), never by the schedule-dependent
+    /// id — and returns the number of entries moved. The engine calls
+    /// this once per sample pass, after the pass.
+    pub fn commit(&mut self, interner: &FrontierInterner) -> usize {
+        let overlay = self.overlay.get_mut().expect("memo overlay lock poisoned");
+        let mut drained: Vec<(MemoKey, ExtFloat)> = overlay.drain().collect();
+        interner.sort_canonical(&mut drained);
+        let moved = drained.len();
+        for (key, value) in drained {
+            // Disjoint by construction (`insert_level` callers missed the
+            // base); `or_insert` keeps the drain first-wins regardless.
+            self.base.entry(key).or_insert(MemoEntry { value, tier: MemoTier::Sampler });
+        }
+        moved
     }
 
-    /// Entries in the committed base layer.
+    /// Entries in the base layer.
     pub fn base_len(&self) -> usize {
         self.base.len()
     }
 
-    /// Entries in the uncommitted overlay.
+    /// Entries in the level overlay.
     pub fn overlay_len(&self) -> usize {
-        self.overlay.len()
+        self.overlay().len()
     }
 
     /// Total distinct keys across both layers.
     pub fn len(&self) -> usize {
         // Layers are disjoint by construction (first-wins insertion).
-        self.base.len() + self.overlay.len()
+        self.base.len() + self.overlay_len()
     }
 
     /// True iff the memo holds no entries.
@@ -240,17 +217,18 @@ impl UnionMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intern::FrontierInterner;
     use fpras_automata::StateSet;
     use std::sync::OnceLock;
 
     /// Tests share one interner so equal member lists map to equal keys
     /// across separate `key()` calls, as they would within one run.
-    fn key(level: usize, members: &[usize]) -> MemoKey {
+    fn interner() -> &'static FrontierInterner {
         static INTERNER: OnceLock<FrontierInterner> = OnceLock::new();
-        INTERNER
-            .get_or_init(|| FrontierInterner::new(16))
-            .intern(level, &StateSet::from_iter(16, members.iter().copied()))
+        INTERNER.get_or_init(|| FrontierInterner::new(16))
+    }
+
+    fn key(level: usize, members: &[usize]) -> MemoKey {
+        interner().intern(level, &StateSet::from_iter(16, members.iter().copied()))
     }
 
     #[test]
@@ -268,73 +246,81 @@ mod tests {
     fn first_wins_across_layers() {
         let mut memo = UnionMemo::new();
         assert!(memo.insert_first_wins(key(1, &[3]), ExtFloat::from_u64(7), MemoTier::Count));
-        // Same key in the overlay: refused.
-        assert!(!memo.insert_first_wins(key(1, &[3]), ExtFloat::from_u64(9), MemoTier::Sampler));
-        memo.commit();
-        // Same key now in the base: still refused.
+        // Same key in the base: refused.
         assert!(!memo.insert_first_wins(key(1, &[3]), ExtFloat::from_u64(9), MemoTier::Sampler));
         assert_eq!(memo.get(&key(1, &[3])).unwrap().value.to_f64(), 7.0);
         assert_eq!(memo.get(&key(1, &[3])).unwrap().tier, MemoTier::Count);
+        // A key in the level overlay: a seed is refused too, before and
+        // after the commit.
+        assert!(memo.insert_level(key(2, &[3]), ExtFloat::from_u64(5)));
+        assert!(!memo.insert_first_wins(key(2, &[3]), ExtFloat::from_u64(9), MemoTier::Count));
+        memo.commit(interner());
+        assert!(!memo.insert_first_wins(key(2, &[3]), ExtFloat::from_u64(9), MemoTier::Count));
+        assert_eq!(memo.get(&key(2, &[3])).unwrap().tier, MemoTier::Sampler);
     }
 
     #[test]
     fn commit_moves_overlay_to_base() {
         let mut memo = UnionMemo::new();
         memo.insert_first_wins(key(1, &[1]), ExtFloat::ONE, MemoTier::Count);
-        memo.insert_first_wins(key(2, &[2]), ExtFloat::ONE, MemoTier::Sampler);
-        assert_eq!((memo.base_len(), memo.overlay_len()), (0, 2));
-        assert_eq!(memo.commit(), 2);
-        assert_eq!((memo.base_len(), memo.overlay_len()), (2, 0));
-        assert_eq!(memo.commit(), 0);
-        assert_eq!(memo.len(), 2);
+        memo.insert_level(key(2, &[2]), ExtFloat::ONE);
+        memo.insert_level(key(0, &[2, 5]), ExtFloat::ONE);
+        assert_eq!((memo.base_len(), memo.overlay_len()), (1, 2));
+        assert_eq!(memo.commit(interner()), 2);
+        assert_eq!((memo.base_len(), memo.overlay_len()), (3, 0));
+        assert_eq!(memo.commit(interner()), 0);
+        assert_eq!(memo.len(), 3);
     }
 
+    /// The level overlay is one map for every worker: the first insert
+    /// of a key wins, every later one — from any thread — loses, and
+    /// every reader sees the winner.
     #[test]
-    fn snapshot_is_isolated_and_cheap() {
-        let mut memo = UnionMemo::new();
-        memo.insert_first_wins(key(1, &[1]), ExtFloat::from_u64(5), MemoTier::Count);
-        memo.commit();
-        let mut snap = memo.snapshot();
-        // The snapshot sees the base…
-        assert_eq!(snap.get(&key(1, &[1])).unwrap().value.to_f64(), 5.0);
-        // …and its own insertions stay in its overlay, invisible to the
-        // shared memo.
-        assert!(snap.insert_first_wins(key(0, &[2]), ExtFloat::from_u64(6), MemoTier::Sampler));
-        assert!(!memo.contains_key(&key(0, &[2])));
-        let news = snap.into_overlay();
-        assert_eq!(news.len(), 1);
-        assert_eq!(news[0].0, key(0, &[2]));
-        // Committing with a live snapshot would CoW-clone; here the
-        // snapshot is gone, so commit stays O(overlay).
-        memo.insert_first_wins(key(0, &[3]), ExtFloat::ONE, MemoTier::Sampler);
-        assert_eq!(memo.commit(), 1);
-        assert_eq!(memo.base_len(), 2);
+    fn level_overlay_is_shared_first_wins() {
+        let memo = UnionMemo::new();
+        let k = key(3, &[7, 8]);
+        let start = std::sync::Barrier::new(4);
+        let wins: usize = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        usize::from(memo.insert_level(k, ExtFloat::from_u64(4)))
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(wins, 1, "exactly one insert wins");
+        assert_eq!(
+            memo.get_node(MemoKey::node_of(k.level(), k.frontier())).map(|v| v.to_f64()),
+            Some(4.0)
+        );
+        let e = memo.get(&k).unwrap();
+        assert_eq!((e.value.to_f64(), e.tier), (4.0, MemoTier::Sampler));
     }
 
     #[test]
     fn lineage_follows_the_base_layer() {
         let mut memo = UnionMemo::new();
         assert_ne!(memo.lineage(), UnionMemo::new().lineage());
-        assert_ne!(memo.lineage(), memo.clone().lineage(), "a clone may commit other values");
-        memo.insert_first_wins(key(1, &[6]), ExtFloat::ONE, MemoTier::Count);
+        assert_ne!(memo.lineage(), memo.clone().lineage(), "a clone may gain other entries");
         let id = memo.lineage();
-        memo.commit();
-        assert_eq!(memo.lineage(), id, "an unshared commit only grows the base");
-        let snap = memo.snapshot();
-        assert_eq!(snap.lineage(), id, "a snapshot shares the base");
-        // A commit under a live snapshot splits the two bases.
-        memo.insert_first_wins(key(2, &[6]), ExtFloat::ONE, MemoTier::Sampler);
-        memo.commit();
-        assert_ne!(memo.lineage(), snap.lineage());
-        assert!(!snap.contains_key(&key(2, &[6])));
+        // Seeds, overlay inserts and commits only grow the memo: the
+        // lineage stays.
+        memo.insert_first_wins(key(1, &[6]), ExtFloat::ONE, MemoTier::Count);
+        memo.insert_level(key(2, &[6]), ExtFloat::ONE);
+        memo.commit(interner());
+        assert_eq!(memo.lineage(), id);
+        let copy = memo.clone();
+        assert!(copy.contains_key(&key(1, &[6])) && copy.contains_key(&key(2, &[6])));
     }
 
     #[test]
     fn overlay_shadows_nothing_but_reads_fall_through() {
         let mut memo = UnionMemo::new();
         memo.insert_first_wins(key(3, &[4, 5]), ExtFloat::from_u64(11), MemoTier::Count);
-        memo.commit();
-        memo.insert_first_wins(key(4, &[4, 5]), ExtFloat::from_u64(13), MemoTier::Sampler);
+        memo.insert_level(key(4, &[4, 5]), ExtFloat::from_u64(13));
         assert_eq!(memo.get(&key(3, &[4, 5])).unwrap().value.to_f64(), 11.0);
         assert_eq!(memo.get(&key(4, &[4, 5])).unwrap().value.to_f64(), 13.0);
         assert_eq!(memo.len(), 2);

@@ -33,18 +33,17 @@
 //! unbatched baseline the benches compare against. See
 //! `engine/batch.rs`.
 //!
-//! # Memo lifecycle (D9)
+//! # Memo lifecycle (D9, D19)
 //!
-//! The sampler's union memo is the leveled copy-on-write [`UnionMemo`]
-//! (`engine/memo.rs`); its per-level snapshot → overlay →
-//! canonical-merge flow is specified once, with a diagram, in
-//! **DESIGN.md §2.2 "The memo lifecycle"**. In short: the count pass
-//! seeds the overlay, the engine commits before the sample pass, every
-//! cell samples against an O(1) snapshot of the committed base, and the
-//! cells' new entries merge back first-wins in canonical key order.
+//! The sampler's union memo is [`UnionMemo`] (`engine/memo.rs`); its
+//! per-level flow is specified once, with a diagram, in **DESIGN.md
+//! §2.2 "The memo lifecycle"**. In short: the count pass seeds the
+//! base, every cell of the sample pass reads the base and shares one
+//! level overlay for its misses, and the engine commits the overlay
+//! into the base in canonical content order after the pass.
 //! Sampler-side union randomness is frontier-keyed (see `sampler.rs`),
 //! so two cells that miss the same frontier compute the same value:
-//! which cell's entry wins the merge cannot change the output.
+//! which cell's insert wins cannot change the output.
 
 pub mod batch;
 pub mod memo;
@@ -59,7 +58,7 @@ use crate::error::FprasError;
 use crate::intern::FrontierInterner;
 use crate::params::Params;
 use crate::run_stats::RunStats;
-use crate::sample_set::{SampleEntry, SampleSet};
+use crate::sample_set::SampleSet;
 use crate::sampler::{sample_word, SamplerEnv, SamplerScratch};
 use crate::table::{RunTable, SampleOutcome};
 use fpras_automata::ops::{trim, with_single_accepting};
@@ -241,7 +240,7 @@ pub fn assemble_count_cell<R: Rng + ?Sized>(
 pub(crate) fn sample_cell<R: Rng + ?Sized>(
     ctx: &EngineCtx<'_>,
     table: &RunTable,
-    memo: &mut UnionMemo,
+    memo: &UnionMemo,
     ell: usize,
     q: StateId,
     rng: &mut R,
@@ -255,9 +254,10 @@ pub(crate) fn sample_cell<R: Rng + ?Sized>(
         sampler_seed: ctx.sampler_seed,
     };
     let mut stats = RunStats::default();
-    let mut collected: Vec<SampleEntry> = Vec::with_capacity(params.ns);
+    // Exactly `ns` rows: `ns` genuine samples, or fewer plus one pad row.
+    let mut samples = SampleSet::with_capacity(ctx.m, params.ns);
     let mut attempts = 0usize;
-    while collected.len() < params.ns && attempts < params.xns {
+    while samples.genuine_len() < params.ns && attempts < params.xns {
         attempts += 1;
         match sample_word(&env, table, memo, q, ell, rng, scratch, &mut stats) {
             SampleOutcome::Word(w) => {
@@ -266,22 +266,17 @@ pub(crate) fn sample_cell<R: Rng + ?Sized>(
                     reach.contains(q as usize),
                     "sampled word must reach its cell's state"
                 );
-                collected.push(SampleEntry { word: w, reach });
+                samples.push(&reach);
             }
             SampleOutcome::DeadEnd => break,
             SampleOutcome::FailPhi | SampleOutcome::FailCoin => {}
         }
     }
-    let genuine = collected.len();
-    let mut samples = SampleSet::empty();
-    for e in collected {
-        samples.push(e);
-    }
+    let genuine = samples.genuine_len();
     let padded = params.ns - genuine;
     if padded > 0 {
         let wit = ctx.substrate.witness(q, ell).expect("reachable cell must have a witness word");
-        let reach = ctx.substrate.reach(&wit);
-        samples.pad(SampleEntry { word: wit, reach }, padded);
+        samples.pad(&ctx.substrate.reach(&wit), padded);
     }
     SampleOut { q, samples, genuine, padded, stats }
 }
@@ -297,8 +292,8 @@ fn check_budget(params: &Params, stats: &RunStats) -> Result<(), FprasError> {
 }
 
 /// Runs one level of the DP: the count pass over the level's frontier
-/// groups and cells, the memo commit, and the sample pass over the live
-/// cells.
+/// groups and cells, the sample pass over the live cells, and the memo
+/// commit.
 ///
 /// This is the loop body of every run, extracted so a checkpointed run
 /// ([`crate::service::QuerySession`]) can resume at level `built + 1`
@@ -364,8 +359,10 @@ pub(crate) fn run_level(
         // Seed the sampler's memo with the high-precision count-phase
         // value (DESIGN.md D4), first-wins in canonical group order:
         // deterministic regardless of how the pass was scheduled.
-        if params.memoize_unions {
-            memo.insert_first_wins(plan.key(gi), out.estimate, MemoTier::Count);
+        if params.memoize_unions
+            && memo.insert_first_wins(plan.key(gi), out.estimate, MemoTier::Count)
+        {
+            stats.memo.entries_promoted += 1;
         }
     }
     // The plan's static dedup count and the pass's dynamic
@@ -382,19 +379,6 @@ pub(crate) fn run_level(
     }
     stats.phase.merge += merge_start.elapsed();
     check_budget(params, stats)?;
-
-    // Commit the level's count seeds (plus the previous level's sampler
-    // insertions) into the immutable base layer, so the whole sample
-    // pass shares one O(1) snapshot.
-    let commit_start = Instant::now();
-    let promoted = memo.commit();
-    stats.memo.commits += 1;
-    stats.memo.entries_promoted += promoted as u64;
-    stats.phase.merge += commit_start.elapsed();
-    crate::obs::emit_with(|| crate::obs::TraceEvent::MemoCommit {
-        level: ell,
-        promoted: promoted as u64,
-    });
 
     // ---- Pass 2: sample phase (live cells only) ----
     let live: Vec<StateId> =
@@ -420,6 +404,16 @@ pub(crate) fn run_level(
         }
         table.cell_mut(ell, out.q as usize).samples = out.samples;
     }
+    // Commit the pass's level overlay — one entry per distinct frontier
+    // the cells missed — into the base, in canonical content order.
+    let promoted = memo.commit(ctx.interner);
+    stats.memo.commits += 1;
+    stats.memo.entries_promoted += promoted as u64;
+    stats.memo.overlay_entries += promoted as u64;
+    crate::obs::emit_with(|| crate::obs::TraceEvent::MemoCommit {
+        level: ell,
+        promoted: promoted as u64,
+    });
     let merge_wall = merge_start.elapsed();
     stats.phase.merge += merge_wall;
     crate::obs::emit_with(|| crate::obs::TraceEvent::Pass {
@@ -458,10 +452,7 @@ pub(crate) fn seed_level_zero(
     let init = substrate.initial();
     let cell = table.cell_mut(0, init);
     cell.n_est = ExtFloat::ONE;
-    cell.samples = SampleSet::repeated(
-        SampleEntry { word: fpras_automata::Word::empty(), reach: StateSet::singleton(m, init) },
-        params.ns,
-    );
+    cell.samples = SampleSet::repeated(&StateSet::singleton(m, init), params.ns);
 }
 
 /// Runs the FPRAS on `nfa` for words of length `n`, with per-cell
@@ -593,7 +584,7 @@ fn run_on_substrate(
     // Executor evidence (D10): drained once per run. Scheduling-only —
     // everything above is bit-identical for any thread count; these
     // counters record how the work actually spread over the workers.
-    stats.pool = exec.take_pool_stats();
+    stats.pool.merge(&exec.take_pool_stats());
     // Interner evidence (§2.5): snapshot of the run's key traffic.
     stats.intern = interner.stats();
     stats.wall = start.elapsed();
@@ -712,6 +703,45 @@ mod tests {
             run_parallel(&nfa, 8, &params, 1, 4),
             Err(FprasError::BudgetExceeded { .. })
         ));
+    }
+
+    /// The sample pass sizes each `S(qℓ)` for exactly `ns` rows — `ns`
+    /// genuine samples, or fewer plus the one pad row — with no growth
+    /// slack, and stores one `⌈m/64⌉`-word row per genuine sample.
+    #[test]
+    fn sample_cells_hold_exactly_ns_rows() {
+        let nfa = fpras_automata::regex::compile_regex(
+            "(0|1)*1(0|1)(0|1)(0|1)((00)*|(111)*)",
+            &Alphabet::binary(),
+        )
+        .unwrap();
+        let n = 10;
+        let mut params = Params::practical(0.3, 0.1, nfa.num_states(), n);
+        // About a quarter of all attempts are accepted, so with 4·ns
+        // attempts some cells fill up and others pad.
+        params.xns = 4 * params.ns;
+        let run = run_parallel(&nfa, n, &params, 5, 1).unwrap();
+        let table = &run.inner.as_ref().unwrap().table;
+        let (mut genuine, mut padded) = (0, 0);
+        for ell in 1..=n {
+            for q in 0..table.num_states() {
+                let samples = &table.cell(ell, q).samples;
+                if samples.is_empty() {
+                    continue;
+                }
+                let pad_row = usize::from(samples.genuine_len() < params.ns);
+                assert_eq!(samples.len(), params.ns);
+                assert_eq!(samples.stride(), 1);
+                assert_eq!(samples.stored_rows(), samples.genuine_len() + pad_row);
+                assert_eq!(samples.row_capacity(), params.ns, "cell ({q}, {ell})");
+                genuine += usize::from(pad_row == 0);
+                padded += pad_row;
+            }
+        }
+        assert!(
+            genuine > 0 && padded > 0,
+            "both shapes must occur: {genuine} full, {padded} padded"
+        );
     }
 
     #[test]

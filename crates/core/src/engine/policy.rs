@@ -9,18 +9,18 @@
 //!
 //! Count-pass randomness is **frontier-keyed**: the RNG stream feeding
 //! a group's union estimation is derived from the group's canonical
-//! [`MemoKey::rng_tag`], never from a member cell. That is what makes
-//! batched and unbatched count passes bit-identical — see
-//! `engine/batch.rs`.
+//! [`MemoKey::rng_tag`](crate::table::MemoKey::rng_tag), never from a
+//! member cell. That is what makes batched and unbatched count passes
+//! bit-identical — see `engine/batch.rs`.
 
 use super::{assemble_count_cell, run_group, sample_cell, CountPass, EngineCtx, SampleOut};
 use crate::appunion::UnionScratch;
-use crate::engine::memo::{MemoEntry, UnionMemo};
+use crate::engine::memo::UnionMemo;
 use crate::engine::pool::Pool;
 use crate::engine::LevelPlan;
 use crate::run_stats::PoolStats;
 use crate::sampler::SamplerScratch;
-use crate::table::{splitmix64, MemoKey};
+use crate::table::splitmix64;
 use fpras_automata::StateId;
 use fpras_numeric::ExtFloat;
 use rand::{rngs::SmallRng, SeedableRng};
@@ -34,9 +34,9 @@ thread_local! {
     /// runs is safe by construction.
     static UNION_SCRATCH: RefCell<UnionScratch> = RefCell::new(UnionScratch::new());
     /// Per-worker sampler scratch, same reasoning: its compiled walk
-    /// holds successor slots and, per node, only branch values read
-    /// from the memo's committed base layer, which never change; it
-    /// starts over under a new interner or memo lineage (`sampler.rs`).
+    /// holds successor slots and, per node, branch values read from the
+    /// memo, whose entries never change; it starts over under a new
+    /// interner or memo lineage (`sampler.rs`).
     static SAMPLER_SCRATCH: RefCell<SamplerScratch> = RefCell::new(SamplerScratch::new());
 }
 
@@ -67,8 +67,9 @@ pub(crate) const PHASE_SALT: u64 = 0xA5A5_5A5A;
 /// [`Pool`] (`engine/pool.rs`): workers are spawned once per
 /// executor, parked between passes, and balance skewed levels by
 /// stealing `steal_chunk`-sized chunks from each other's ranges. The
-/// sample pass gives every cell the level-start memo snapshot and
-/// merges new entries back in a canonical order, so the output is
+/// sample pass's cells share one level overlay of the memo, whose
+/// sampler values are frontier-keyed and whose work is charged once
+/// per frontier, so the output is
 /// **bit-identical for any thread count and any schedule** —
 /// `threads = 1` reproduces `threads = 8` exactly, which makes the
 /// speedup honestly attributable to scheduling alone.
@@ -160,62 +161,28 @@ impl Deterministic {
 
     /// Runs the sample pass over the live `cells` at level `ell`,
     /// returning one [`SampleOut`] per cell **in input order**. Every
-    /// cell samples against an O(1) snapshot of the level-start memo;
-    /// the entries the cells insert are merged back first-wins in
-    /// canonical key order (DESIGN.md §2.2).
+    /// cell reads the memo's base and shares its level overlay for
+    /// misses; the engine commits the overlay after the pass (DESIGN.md
+    /// §2.2).
     pub(crate) fn sample_pass(
         &self,
         ctx: &EngineCtx<'_>,
         ell: usize,
         cells: &[StateId],
         table: &crate::table::RunTable,
-        memo: &mut UnionMemo,
+        memo: &UnionMemo,
     ) -> Vec<SampleOut> {
         let seed = self.master_seed;
-        // The engine committed before this pass, so every per-cell view
-        // is an O(1) Arc clone of the level-start base layer — no cell
-        // pays an O(memo) deep copy any more (DESIGN.md §2.2). The
-        // entries a cell inserts live in its own thin overlay.
-        let base_len = memo.base_len() as u64;
-        let snapshot = memo.snapshot();
-        let mut outs: Vec<(SampleOut, Vec<(MemoKey, MemoEntry)>)> = self.pool.map_with_ops(
+        self.pool.map_with_ops(
             cells,
             ctx.params.steal_chunk,
             |&q| {
                 let mut rng = cell_rng(seed, ell, q, PHASE_SAMPLE);
-                let mut local_memo = snapshot.snapshot();
-                let mut out = SAMPLER_SCRATCH.with(|s| {
-                    sample_cell(ctx, table, &mut local_memo, ell, q, &mut rng, &mut s.borrow_mut())
-                });
-                let memo_new = local_memo.into_overlay();
-                out.stats.memo.snapshots += 1;
-                out.stats.memo.entries_shared += base_len;
-                out.stats.memo.overlay_entries += memo_new.len() as u64;
-                (out, memo_new)
+                SAMPLER_SCRATCH
+                    .with(|s| sample_cell(ctx, table, memo, ell, q, &mut rng, &mut s.borrow_mut()))
             },
-            |(out, _)| out.stats.membership_ops,
-        );
-        // HashMap iteration order is nondeterministic; sort each cell's
-        // new entries so the first-wins merge is stable across runs and
-        // thread counts. (With frontier-keyed sampler streams the values
-        // are key-determined anyway; the canonical order keeps the memo
-        // bit-stable even if that ever changes.) Sort by frontier
-        // *content*, not id: ids are handed out in intern order, which
-        // depends on worker scheduling once the sample pass interns
-        // lazily.
-        let mut results = Vec::with_capacity(outs.len());
-        for (out, mut memo_new) in outs.drain(..) {
-            memo_new.sort_by(|(a, _), (b, _)| {
-                a.level()
-                    .cmp(&b.level())
-                    .then_with(|| ctx.interner.compare(a.frontier(), b.frontier()))
-            });
-            for (key, entry) in memo_new {
-                memo.insert_entry_first_wins(key, entry);
-            }
-            results.push(out);
-        }
-        results
+            |out| out.stats.membership_ops,
+        )
     }
 
     /// Drains the executor statistics (D10): the engine calls this
@@ -242,8 +209,9 @@ pub(crate) fn cell_rng(master: u64, level: usize, q: StateId, phase: u64) -> Sma
 }
 
 /// Independent RNG stream for one frontier group, keyed by the group's
-/// canonical tag ([`MemoKey::rng_tag`]) — the tag already mixes the
-/// level, so only the master seed and phase are added here.
+/// canonical tag ([`MemoKey::rng_tag`](crate::table::MemoKey::rng_tag))
+/// — the tag already mixes the level, so only the master seed and
+/// phase are added here.
 pub(crate) fn group_rng(master: u64, tag: u64) -> SmallRng {
     let mixed = splitmix64(master ^ splitmix64(tag) ^ splitmix64(PHASE_GROUP ^ PHASE_SALT));
     SmallRng::seed_from_u64(mixed)

@@ -77,7 +77,7 @@ impl UniformGenerator {
             match crate::sampler::sample_word(
                 &env,
                 &inner.table,
-                &mut inner.memo,
+                &inner.memo,
                 q_final,
                 n,
                 rng,

@@ -27,9 +27,9 @@
 //! on first-intern order, and the `Deterministic` sample pass interns
 //! lazily from worker threads — so ids must never leak into anything
 //! output-visible that is ordered by id value. The one consumer that
-//! needs a schedule-independent order (the sample pass's canonical
-//! overlay merge) orders by interned *content* via
-//! [`FrontierInterner::compare`]. RNG streams are keyed by the content
+//! needs a schedule-independent order (the memo's commit of a sample
+//! pass's level overlay) orders by interned *content*, as
+//! [`FrontierInterner::compare`] does. RNG streams are keyed by the content
 //! tag, never the id, so every stream of PRs 2–5 is preserved
 //! bit-for-bit.
 
@@ -223,14 +223,33 @@ impl FrontierInterner {
 
     /// Schedule-independent total order on interned frontiers:
     /// lexicographic comparison of their arena words (equal only for
-    /// equal ids, since equal content shares one id). This is the order
-    /// the `Deterministic` sample pass merges overlays in — id values
+    /// equal ids, since equal content shares one id) — id values
     /// depend on first-intern order, content does not.
     pub fn compare(&self, a: FrontierId, b: FrontierId) -> std::cmp::Ordering {
-        if a == b {
-            return std::cmp::Ordering::Equal;
-        }
         let inner = self.inner.read().expect("interner lock poisoned");
+        self.content_order(&inner, a, b)
+    }
+
+    /// Sorts keyed entries into canonical content order — by level, then
+    /// by frontier content as [`FrontierInterner::compare`] orders it —
+    /// under one read lock. The order the memo's commit drains the
+    /// level overlay in.
+    pub(crate) fn sort_canonical<V>(&self, entries: &mut [(MemoKey, V)]) {
+        let inner = self.inner.read().expect("interner lock poisoned");
+        entries.sort_unstable_by(|(a, _), (b, _)| {
+            a.level()
+                .cmp(&b.level())
+                .then_with(|| self.content_order(&inner, a.frontier(), b.frontier()))
+        });
+    }
+
+    /// [`FrontierInterner::compare`] under a held lock.
+    fn content_order(
+        &self,
+        inner: &InternerInner,
+        a: FrontierId,
+        b: FrontierId,
+    ) -> std::cmp::Ordering {
         let (ai, bi) = (a.index() * self.stride, b.index() * self.stride);
         inner.arena[ai..ai + self.stride].cmp(&inner.arena[bi..bi + self.stride])
     }

@@ -91,7 +91,7 @@ pub use obs::{
 };
 pub use params::{CursorPolicy, Params, Profile};
 pub use run_stats::{BatchStats, MemoStats, PoolStats, RunStats, ShareStats};
-pub use sample_set::{SampleEntry, SampleSet};
+pub use sample_set::SampleSet;
 pub use service::{
     nfa_fingerprint, robp_fingerprint, AdmissionController, QuerySession, QuotaConfig, QuotaDenied,
     QuotaStats, ServiceRegistry, ServiceStats, SessionPolicy, SessionStats,

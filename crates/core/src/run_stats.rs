@@ -54,29 +54,19 @@ impl BatchStats {
     }
 }
 
-/// Counters for the leveled copy-on-write union memo (DESIGN.md §2.2).
-///
-/// Before PR 3 the `Deterministic` sample pass deep-cloned the whole
-/// level-start memo once per cell; with the copy-on-write layout a
-/// per-cell view is an `Arc` clone of the committed base layer and only
-/// the thin overlay of new insertions is ever copied. `entries_shared`
-/// measures the clone volume the flat layout would have paid (base
-/// entries × snapshots); `overlay_entries` is the O(overlay) work that
-/// remains.
+/// Counters for the union memo (DESIGN.md §2.2): the sample pass's
+/// cells share one level overlay, which the engine commits into the
+/// base after the pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Overlay → base commits performed (one per processed level).
+    /// Level-overlay commits performed (one per processed level).
     pub commits: u64,
-    /// Entries promoted from the overlay into the base layer across all
-    /// commits (count seeds + sampler inserts).
+    /// Entries added to the memo's base: count seeds plus committed
+    /// sampler entries.
     pub entries_promoted: u64,
-    /// O(1) per-cell snapshots taken by the sample pass.
-    pub snapshots: u64,
-    /// Base-layer entries shared (not copied) across those snapshots —
-    /// exactly the entry-clone volume the flat memo used to pay.
-    pub entries_shared: u64,
-    /// Entries inserted into per-cell overlays and merged back
-    /// canonically after the pass.
+    /// Distinct sampler entries the commits drained from the level
+    /// overlay — one per frontier a pass's cells missed, at any thread
+    /// count.
     pub overlay_entries: u64,
 }
 
@@ -85,8 +75,6 @@ impl MemoStats {
     pub fn merge(&mut self, other: &MemoStats) {
         self.commits += other.commits;
         self.entries_promoted += other.entries_promoted;
-        self.snapshots += other.snapshots;
-        self.entries_shared += other.entries_shared;
         self.overlay_entries += other.overlay_entries;
     }
 }
@@ -136,6 +124,11 @@ pub struct PoolStats {
     /// the skew evidence: static chunking leaves these unbounded apart,
     /// stealing pulls them together.
     pub worker_ops: Vec<u64>,
+    /// Sampler union estimates a worker computed and then lost to a
+    /// same-level sibling that inserted the same frontier into the
+    /// memo's level overlay first: duplicate work a race cost, charged
+    /// nowhere else (the loser counts a memo hit).
+    pub memo_races: u64,
 }
 
 impl PoolStats {
@@ -183,6 +176,7 @@ impl PoolStats {
         self.parallel_items += other.parallel_items;
         self.sequential_items += other.sequential_items;
         self.steals += other.steals;
+        self.memo_races += other.memo_races;
         self.fold_workers(other.worker_items.iter().copied(), other.worker_ops.iter().copied());
     }
 }
@@ -241,7 +235,7 @@ pub struct RunStats {
     pub cells_skipped: u64,
     /// Batched union-estimation counters (D8).
     pub batch: BatchStats,
-    /// Copy-on-write memo counters (§2.2).
+    /// Union-memo counters (§2.2).
     pub memo: MemoStats,
     /// Sample-pass frontier-sharing counters (always 0, see
     /// [`ShareStats`]).
@@ -433,34 +427,23 @@ mod tests {
     #[test]
     fn memo_and_share_merge_accumulate() {
         let mut a = RunStats {
-            memo: MemoStats {
-                commits: 1,
-                entries_promoted: 3,
-                snapshots: 2,
-                entries_shared: 10,
-                overlay_entries: 4,
-            },
+            memo: MemoStats { commits: 1, entries_promoted: 3, overlay_entries: 4 },
             share: ShareStats { preestimate_hits: 5 },
+            pool: PoolStats { memo_races: 2, ..Default::default() },
             ..Default::default()
         };
         let b = RunStats {
-            memo: MemoStats {
-                commits: 2,
-                entries_promoted: 1,
-                snapshots: 3,
-                entries_shared: 20,
-                overlay_entries: 1,
-            },
+            memo: MemoStats { commits: 2, entries_promoted: 1, overlay_entries: 1 },
             share: ShareStats { preestimate_hits: 2 },
+            pool: PoolStats { memo_races: 1, ..Default::default() },
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.memo.commits, 3);
         assert_eq!(a.memo.entries_promoted, 4);
-        assert_eq!(a.memo.snapshots, 5);
-        assert_eq!(a.memo.entries_shared, 30);
         assert_eq!(a.memo.overlay_entries, 5);
         assert_eq!(a.share.preestimate_hits, 7);
+        assert_eq!(a.pool.memo_races, 3);
     }
 
     #[test]
@@ -473,6 +456,7 @@ mod tests {
             steals: 4,
             worker_items: vec![12, 8],
             worker_ops: vec![100, 50],
+            memo_races: 0,
         };
         let b = PoolStats {
             parallel_passes: 1,
@@ -482,6 +466,7 @@ mod tests {
             steals: 1,
             worker_items: vec![4, 3, 3],
             worker_ops: vec![10, 20, 30],
+            memo_races: 0,
         };
         a.merge(&b);
         assert_eq!(a.parallel_passes, 3);

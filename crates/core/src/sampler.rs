@@ -29,28 +29,28 @@
 //! built runs the backward-step kernels and the interner.
 //!
 //! With memoization on, a node's branch sizes are a pure function of the
-//! node once they sit in the memo's committed base layer: base entries
-//! are first-wins and never change. The first step at a node whose every
-//! non-empty branch was a base hit also stores, in the node's record,
-//! the `k` branch sizes, their total, the categorical draw's rescaled
-//! `f64` weights and the number of memo hits the step counted. Every
-//! later step at that node (a *table hit*) replays those counters,
-//! draws from the stored weights through the same
+//! node once its cold step has run: every non-empty branch was then a
+//! memo hit or a miss whose estimate went into the memo, and memo
+//! entries are first-wins and never change (a sampler-tier value is
+//! fixed by the frontier, D9). So the first step at a node stores, in
+//! the node's record, the `k` branch sizes, their total, the categorical
+//! draw's rescaled `f64` weights and the node's non-empty branch count.
+//! Every later step at that node (a *table hit*) counts those branches
+//! as memo hits — what a cold step would count now that every branch is
+//! in the memo — draws from the stored weights through the same
 //! `sample_weights` call, and updates `φ` as `φ · total / size[b]` —
 //! the cold step's expression, in its order, since [`ExtFloat`]
 //! normalises after every operation. So a table hit consumes the same
 //! RNG draws and produces the same bits and counters as the cold step it
-//! replaces. A branch served from the memo's overlay (not yet committed)
-//! or estimated afresh keeps the node cold, so what a record holds never
-//! depends on which worker inserted what; and the memo-off paper path
-//! never compiles, keeping its fresh estimate per step.
+//! would replace. The memo-off paper path never compiles, keeping its
+//! fresh estimate per step.
 //!
 //! Records are keyed on the interner's process-unique `uid` (successor
 //! ids mean nothing under another interner; built levels never change,
 //! D11) and on the memo's lineage id ([`UnionMemo`]): a memo of another
-//! lineage may lack or differ in the entries a record replays, while
-//! every memo of one lineage reads one base layer that only grows. Under
-//! any other key the table starts over. See DESIGN.md §2.5 and D17.
+//! lineage may lack or differ in the entries a record replays, while a
+//! memo of one lineage only grows. Under any other key the table starts
+//! over. See DESIGN.md §2.5 and D17.
 //!
 //! # Frontier-keyed union randomness (D9)
 //!
@@ -61,12 +61,18 @@
 //! count pass uses (DESIGN.md D8). Any cell that estimates a given
 //! frontier therefore computes the *identical* value, so which of a
 //! level's cells inserts an entry first cannot change a single output
-//! bit. With memoization off (paper profile) every query draws fresh
-//! randomness from the caller's stream, preserving the paper's
+//! bit. A sample pass's workers share one level overlay of the memo,
+//! so each distinct frontier is estimated once per pass unless two
+//! workers race on it; the insert that wins is charged the estimate's
+//! work and its miss, and every other query counts as a hit, so run
+//! totals do not depend on the schedule (a lost race's duplicate work
+//! goes to the scheduling-only `PoolStats::memo_races`). With
+//! memoization off (paper profile) every query draws fresh randomness
+//! from the caller's stream, preserving the paper's
 //! independent-estimates reading.
 
 use crate::appunion::{app_union, frontier_inputs, UnionScratch};
-use crate::engine::memo::{MemoTier, UnionMemo};
+use crate::engine::memo::UnionMemo;
 use crate::engine::policy::{PHASE_SALT, PHASE_SAMPLER_UNION};
 use crate::engine::substrate::LeveledSubstrate;
 use crate::intern::{FrontierId, FrontierInterner};
@@ -207,14 +213,14 @@ struct NodeRecord {
     table: u32,
 }
 
-/// A compiled node's step: what the cold step computed from the memo's
-/// base layer, in the form a warm step replays. Its `k` branch sizes and
+/// A compiled node's step: what the cold step computed from the memo,
+/// in the form a warm step replays. Its `k` branch sizes and
 /// rescaled draw weights live at `table·k` in [`WalkTable::sizes`] and
 /// [`WalkTable::weights`].
 struct BranchTable {
     /// Sum of the branch sizes, in the cold step's fold order.
     total: ExtFloat,
-    /// Memo hits the cold step counted (its non-empty branches).
+    /// Memo hits a replay counts: the node's non-empty branches.
     hits: u32,
 }
 
@@ -262,8 +268,7 @@ impl WalkTable {
         })
     }
 
-    /// Compiles the node at `slot` from a cold step whose every
-    /// non-empty branch was a base-layer hit.
+    /// Compiles the node at `slot` from its cold step.
     fn compile(&mut self, slot: usize, sizes: &[ExtFloat], weights: &[f64], t: BranchTable) {
         self.records[slot].table =
             u32::try_from(self.tables.len()).expect("branch table index fits u32");
@@ -287,31 +292,29 @@ pub(crate) fn sampler_union_rng(sampler_seed: u64, tag: u64) -> SmallRng {
 /// Estimates `|⋃_{p ∈ F} L(p^level)|` for the interned frontier
 /// `F = id`, consulting and filling the memo when enabled. Only a memo
 /// miss or the paper path reads `F`'s states back (into `frontier`).
-/// Also returns whether the memo's committed base layer served it —
-/// the only answer a walk record may replay.
 #[allow(clippy::too_many_arguments)]
 fn union_size<R: Rng + ?Sized>(
     env: &SamplerEnv<'_>,
     table: &RunTable,
-    memo: &mut UnionMemo,
+    memo: &UnionMemo,
     level: usize,
     id: FrontierId,
     rng: &mut R,
     frontier: &mut StateSet,
     scratch: &mut UnionScratch,
     stats: &mut RunStats,
-) -> (ExtFloat, bool) {
+) -> ExtFloat {
     let params = env.params;
     if params.memoize_unions {
-        if let Some((entry, committed)) = memo.get_node(MemoKey::node_of(level as u32, id)) {
+        if let Some(value) = memo.get_node(MemoKey::node_of(level as u32, id)) {
             stats.memo_hits += 1;
-            return (entry.value, committed);
+            return value;
         }
-        stats.memo_misses += 1;
         let key = env.interner.load(level, id, frontier);
         let inputs = frontier_inputs(table, level, frontier);
         let eps_sz = params.eps_sz_at_level(params.beta_count, level + 1);
         let mut union_rng = sampler_union_rng(env.sampler_seed, key.rng_tag());
+        let mut work = RunStats::default();
         let est = app_union(
             params,
             params.beta_sample,
@@ -321,18 +324,27 @@ fn union_size<R: Rng + ?Sized>(
             table.num_states(),
             &mut union_rng,
             scratch,
-            stats,
+            &mut work,
         )
         .value;
-        memo.insert_first_wins(key, est, MemoTier::Sampler);
-        return (est, false);
+        // The estimate is charged once per frontier, to the insert that
+        // wins; a worker that lost the race counts a hit, as it would
+        // have had it probed a moment later.
+        if memo.insert_level(key, est) {
+            stats.merge(&work);
+            stats.memo_misses += 1;
+        } else {
+            stats.memo_hits += 1;
+            stats.pool.memo_races += 1;
+        }
+        return est;
     }
     // Paper path (D4 off): a fresh estimate from the caller's stream on
     // every query — the paper's independent-draws reading.
     env.interner.load(level, id, frontier);
     let inputs = frontier_inputs(table, level, frontier);
     let eps_sz = params.eps_sz_at_level(params.beta_count, level + 1);
-    let est = app_union(
+    app_union(
         params,
         params.beta_sample,
         params.delta_sample_inner(),
@@ -343,8 +355,7 @@ fn union_size<R: Rng + ?Sized>(
         scratch,
         stats,
     )
-    .value;
-    (est, false)
+    .value
 }
 
 /// Runs one trial of Algorithm 2 from the singleton frontier `{start}` at
@@ -354,7 +365,7 @@ fn union_size<R: Rng + ?Sized>(
 pub(crate) fn sample_word<R: Rng + ?Sized>(
     env: &SamplerEnv<'_>,
     table: &RunTable,
-    memo: &mut UnionMemo,
+    memo: &UnionMemo,
     start: StateId,
     level: usize,
     rng: &mut R,
@@ -398,7 +409,7 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
             choice
         } else {
             // Lines 8–11: per-symbol predecessor frontiers and union sizes.
-            let mut compile = Some(BranchTable { total: ExtFloat::ZERO, hits: 0 });
+            let mut hits = 0u32;
             scratch.branch_sizes.clear();
             for sym in 0..k {
                 let next = scratch.walk.succ[at + sym];
@@ -406,7 +417,8 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
                     ExtFloat::ZERO
                 } else {
                     let node = scratch.walk.records[next as usize].node;
-                    let (sz, from_base) = union_size(
+                    hits += 1;
+                    union_size(
                         env,
                         table,
                         memo,
@@ -416,12 +428,7 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
                         &mut scratch.frontier,
                         &mut scratch.union,
                         stats,
-                    );
-                    match &mut compile {
-                        Some(t) if from_base => t.hits += 1,
-                        _ => compile = None,
-                    }
-                    sz
+                    )
                 };
                 scratch.branch_sizes.push(sz);
             }
@@ -439,8 +446,8 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
             };
             // Line 16's recursive call carries φ / pr_b.
             phi = phi * total / scratch.branch_sizes[choice];
-            if let Some(t) = compile {
-                let t = BranchTable { total, ..t };
+            if env.params.memoize_unions {
+                let t = BranchTable { total, hits };
                 scratch.walk.compile(slot, &scratch.branch_sizes, &scratch.scaled, t);
             }
             choice
@@ -478,6 +485,7 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::counter::FprasRun;
+    use crate::engine::memo::MemoTier;
     use fpras_automata::{Alphabet, Nfa, NfaBuilder};
     use rand::{rngs::SmallRng, SeedableRng};
 
@@ -503,12 +511,12 @@ mod tests {
         let (table, substrate) = run.parts_for_test();
         let interner = FrontierInterner::new(table.num_states());
         let env = SamplerEnv { params: &params, substrate, interner: &interner, sampler_seed: 99 };
-        let mut memo = UnionMemo::new();
+        let memo = UnionMemo::new();
         let mut scratch = SamplerScratch::new();
         let mut stats = RunStats::default();
         let mut successes = 0;
         for _ in 0..200 {
-            match sample_word(&env, table, &mut memo, 0, 6, &mut rng, &mut scratch, &mut stats) {
+            match sample_word(&env, table, &memo, 0, 6, &mut rng, &mut scratch, &mut stats) {
                 SampleOutcome::Word(w) => {
                     assert_eq!(w.len(), 6);
                     successes += 1;
@@ -550,13 +558,11 @@ mod tests {
         let m = table.num_states();
         let draw = |interner: &FrontierInterner, scratch: &mut SamplerScratch| {
             let env = SamplerEnv { params: &params, substrate, interner, sampler_seed: 99 };
-            let mut memo = UnionMemo::new();
+            let memo = UnionMemo::new();
             let mut rng = SmallRng::seed_from_u64(17);
             let mut stats = RunStats::default();
             let outs: Vec<SampleOutcome> = (0..64)
-                .map(|_| {
-                    sample_word(&env, table, &mut memo, q_final, n, &mut rng, scratch, &mut stats)
-                })
+                .map(|_| sample_word(&env, table, &memo, q_final, n, &mut rng, scratch, &mut stats))
                 .collect();
             assert!(outs.iter().any(|o| matches!(o, SampleOutcome::Word(_))));
             outs
@@ -585,8 +591,8 @@ mod tests {
     }
 
     /// A scratch reused across two memos of one interner must draw
-    /// exactly what fresh scratches draw, when the memos' committed bases
-    /// hold different values for the same `(level, frontier)` — here a
+    /// exactly what fresh scratches draw, when the memos hold different
+    /// values for the same `(level, frontier)` — here a
     /// `Count`-tier seed in one and a lazily estimated `Sampler`-tier
     /// value in the other. Both memos share the interner, so every
     /// successor slot is right for both; a walk table replaying the first
@@ -608,7 +614,7 @@ mod tests {
         let interner = FrontierInterner::new(m);
         let env = SamplerEnv { params: &params, substrate, interner: &interner, sampler_seed: 99 };
         // 64 draws and the steps served by compiled records.
-        let draw = |memo: &mut UnionMemo, scratch: &mut SamplerScratch| {
+        let draw = |memo: &UnionMemo, scratch: &mut SamplerScratch| {
             let mut rng = SmallRng::seed_from_u64(17);
             let mut stats = RunStats::default();
             let outs: Vec<SampleOutcome> = (0..64)
@@ -631,30 +637,31 @@ mod tests {
         let mut lazy = UnionMemo::new();
         for memo in [&mut seeded, &mut lazy] {
             draw(memo, &mut SamplerScratch::new());
-            memo.commit();
+            memo.commit(&interner);
         }
         let (a, b) = (seeded.get(&key).unwrap(), lazy.get(&key).unwrap());
         assert_eq!((a.tier, b.tier), (MemoTier::Count, MemoTier::Sampler));
         assert_ne!(a.value, b.value);
 
         let mut reused = SamplerScratch::new();
-        let (from_seeded, hits) = draw(&mut seeded.snapshot(), &mut reused);
+        let (from_seeded, hits) = draw(&seeded, &mut reused);
         assert!(hits > 0, "the first memo's draws must compile records");
-        let (from_lazy, _) = draw(&mut lazy.snapshot(), &mut reused);
-        let (again, _) = draw(&mut seeded.snapshot(), &mut reused);
-        assert_ne!(from_seeded, from_lazy, "the bases differ, so must the draws");
-        assert_eq!(from_seeded, draw(&mut seeded.snapshot(), &mut SamplerScratch::new()).0);
-        assert_eq!(from_lazy, draw(&mut lazy.snapshot(), &mut SamplerScratch::new()).0);
+        let (from_lazy, _) = draw(&lazy, &mut reused);
+        let (again, _) = draw(&seeded, &mut reused);
+        assert_ne!(from_seeded, from_lazy, "the memos differ, so must the draws");
+        assert_eq!(from_seeded, draw(&seeded, &mut SamplerScratch::new()).0);
+        assert_eq!(from_lazy, draw(&lazy, &mut SamplerScratch::new()).0);
         assert_eq!(again, from_seeded);
     }
 
-    /// Only committed base entries compile: an overlay entry may be
-    /// missing from the next cell's snapshot, where the uncompiled walk
-    /// would miss and pay for an estimate. Draws against a memo whose
-    /// entries all sit in the overlay therefore never hit a record, and
-    /// the same draws after a commit do.
+    /// Any memo answer compiles — a base hit, a level-overlay hit, or a
+    /// miss whose estimate just went into the overlay — because a memo
+    /// never loses or changes an entry. Draws against a memo whose
+    /// entries all sit in the overlay hit records and pay one miss per
+    /// distinct frontier; the same draws after a commit, through a fresh
+    /// scratch, hit on every probe and return the same outcomes.
     #[test]
-    fn only_base_entries_compile() {
+    fn level_overlay_hits_compile() {
         let nfa =
             fpras_automata::regex::compile_regex("(0|1)*1(0|1)(0|1)", &Alphabet::binary()).unwrap();
         let n = 8;
@@ -665,22 +672,24 @@ mod tests {
         let interner = FrontierInterner::new(table.num_states());
         let env = SamplerEnv { params: &params, substrate, interner: &interner, sampler_seed: 99 };
         let mut memo = UnionMemo::new();
-        let mut scratch = SamplerScratch::new();
-        let mut draw = |memo: &mut UnionMemo| {
+        let draw = |memo: &UnionMemo, scratch: &mut SamplerScratch| {
             let mut rng = SmallRng::seed_from_u64(17);
             let mut stats = RunStats::default();
-            for _ in 0..64 {
-                sample_word(&env, table, memo, q_final, n, &mut rng, &mut scratch, &mut stats);
-            }
-            stats
+            let outs: Vec<SampleOutcome> = (0..64)
+                .map(|_| sample_word(&env, table, memo, q_final, n, &mut rng, scratch, &mut stats))
+                .collect();
+            (outs, stats)
         };
-        let cold = draw(&mut memo);
-        assert!(cold.memo_hits > 0 && memo.base_len() == 0);
-        assert_eq!(cold.walk_table_hits, 0, "overlay hits compiled a record");
-        memo.commit();
-        let warm = draw(&mut memo);
-        assert!(warm.walk_table_hits > 0);
+        let (cold_outs, cold) = draw(&memo, &mut SamplerScratch::new());
+        assert!(memo.base_len() == 0 && memo.overlay_len() > 0);
+        assert!(cold.walk_table_hits > 0, "overlay answers must compile records");
+        assert_eq!(cold.memo_misses, memo.overlay_len() as u64, "one miss per frontier");
+        memo.commit(&interner);
+        let (warm_outs, warm) = draw(&memo, &mut SamplerScratch::new());
+        assert_eq!(warm_outs, cold_outs);
+        assert_eq!(warm.memo_misses, 0);
         assert_eq!(warm.memo_hits, cold.memo_hits + cold.memo_misses, "every probe hits now");
+        assert_eq!(warm.membership_ops, 0);
     }
 
     /// The session form: a session keeps one scratch and one memo across
@@ -733,7 +742,7 @@ mod tests {
         let (table, substrate) = run.parts_for_test();
         let interner = FrontierInterner::new(table.num_states());
         let env = SamplerEnv { params: &params, substrate, interner: &interner, sampler_seed: 99 };
-        let mut memo = UnionMemo::new();
+        let memo = UnionMemo::new();
         let mut scratch = SamplerScratch::new();
         let mut stats = RunStats::default();
         // Level 2 cell exists, but ask from a table whose level-3 cells we
@@ -741,8 +750,7 @@ mod tests {
         // the all-words NFA has one state, so instead check a level with a
         // zero estimate via a fresh table.
         let empty_table = RunTable::new(1, 4);
-        let out =
-            sample_word(&env, &empty_table, &mut memo, 0, 4, &mut rng, &mut scratch, &mut stats);
+        let out = sample_word(&env, &empty_table, &memo, 0, 4, &mut rng, &mut scratch, &mut stats);
         assert_eq!(out, SampleOutcome::DeadEnd);
         let _ = table;
     }

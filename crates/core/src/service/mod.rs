@@ -10,7 +10,7 @@
 //!
 //! * [`QuerySession`] — compiles an automaton once and owns a
 //!   **checkpointable** engine run: the level loop can pause after
-//!   level `k` and resume to `k' > k`, carrying the copy-on-write
+//!   level `k` and resume to `k' > k`, carrying the
 //!   [`UnionMemo`](crate::engine::UnionMemo), the sketch table, and the
 //!   per-run sampler seed. `estimate(n)` / `estimate_range(a..=b)` /
 //!   `sample(n)` answer from finished levels when they can and extend

@@ -570,7 +570,7 @@ impl QuerySession {
             match sample_word(
                 &env,
                 &inner.table,
-                &mut inner.memo,
+                &inner.memo,
                 inner.q_final,
                 n,
                 rng,

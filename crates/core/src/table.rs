@@ -3,9 +3,8 @@
 //! One [`Cell`] per `(state q, level ℓ)` pair holds the count estimate
 //! `N(qℓ)` and the sample multiset `S(qℓ)`. The sampler's union memo
 //! (DESIGN.md D4) lives alongside — keyed by the [`MemoKey`] defined
-//! here, stored in the leveled copy-on-write
-//! [`UnionMemo`](crate::engine::memo::UnionMemo), seeded by the count
-//! phase and the sharing pre-pass, and extended lazily during sampling
+//! here, stored in the [`UnionMemo`](crate::engine::memo::UnionMemo),
+//! seeded by the count phase and extended lazily during sampling
 //! (DESIGN.md §2.2).
 
 use crate::intern::FrontierId;
@@ -98,7 +97,7 @@ impl RunTable {
 #[derive(Debug, Clone, Copy)]
 pub struct MemoKey {
     /// `(level << 32) | frontier id` — the key's whole identity (see
-    /// [`MemoKey::node`]).
+    /// [`MemoKey::node_of`]).
     node: u64,
     /// Cached canonical tag of `(level, frontier content)` — derived
     /// data, excluded from equality and hashing.
@@ -153,12 +152,6 @@ impl MemoKey {
     /// same space (the sampler's compiled walk).
     pub(crate) fn node_of(level: u32, frontier: FrontierId) -> u64 {
         (u64::from(level) << 32) | u64::from(frontier.0)
-    }
-
-    /// This key's packed `(level, frontier)` identity
-    /// ([`MemoKey::node_of`]).
-    pub(crate) fn node(&self) -> u64 {
-        self.node
     }
 
     /// Level `ℓ` of the sets `L(pℓ)` being unioned.

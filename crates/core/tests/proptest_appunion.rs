@@ -6,8 +6,8 @@
 //! derives its RNG seed deterministically from the case inputs — the
 //! properties are reproducible, not flaky.
 
-use fpras_automata::{StateSet, Word};
-use fpras_core::sample_set::{SampleEntry, SampleSet};
+use fpras_automata::StateSet;
+use fpras_core::sample_set::SampleSet;
 use fpras_core::{app_union, Params, RunStats, UnionScratch, UnionSetInput};
 use fpras_numeric::ExtFloat;
 use proptest::prelude::*;
@@ -41,10 +41,7 @@ fn build_inputs(
             let mut s = SampleSet::empty();
             for _ in 0..samples {
                 let w = rng.random_range(lo..lo + len);
-                s.push(SampleEntry {
-                    word: Word::from_index(w, 11, 2),
-                    reach: StateSet::from_iter(intervals.len(), member_of(w)),
-                });
+                s.push(&StateSet::from_iter(intervals.len(), member_of(w)));
             }
             (s, len)
         })
@@ -123,5 +120,55 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let est = app_union(&params, 0.3, 0.05, 0.0, &inputs, 1, &mut rng, &mut UnionScratch::new(), &mut stats);
         prop_assert!((est.value.to_f64() - len as f64).abs() < 1e-9);
+    }
+}
+
+/// Line 9's tally the pre-row code ran: test every drawn position
+/// `(cursor + o) mod len` on its own.
+fn per_position_tally(set: &SampleSet, cursor: usize, taken: usize, mask: &[u64]) -> u64 {
+    let len = set.len();
+    let disjoint = |o: usize| set.row((cursor + o) % len).iter().zip(mask).all(|(r, m)| r & m == 0);
+    (0..taken).map(|o| u64::from(disjoint(o))).sum()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `SampleSet::count_disjoint` — contiguous row ranges, the pad run
+    /// by multiplication, a one-word loop for `m ≤ 64` — counts exactly
+    /// what the per-position loop counts: `m = 48` (stride 1) and
+    /// `m = 100` (stride 2), random genuine/pad splits and cursors, and
+    /// `taken` of zero, a partial window, an exact multiple of the list
+    /// length and several cycles plus a window.
+    #[test]
+    fn contiguous_tally_matches_per_position_loop(
+        wide in 0u8..2,
+        genuine in 0usize..40,
+        pad in 0usize..30,
+        seed in 0u64..1_000_000,
+        cycles in 1usize..5,
+    ) {
+        let m = if wide == 1 { 100 } else { 48 };
+        let pad = if genuine + pad == 0 { 1 } else { pad };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut random_set = |density: u8| {
+            StateSet::from_iter(m, (0..m).filter(|_| rng.random_range(0..density) == 0))
+        };
+        let mut set = SampleSet::with_capacity(m, genuine + 1);
+        for _ in 0..genuine {
+            set.push(&random_set(4));
+        }
+        set.pad(&random_set(4), pad);
+        let mask = random_set(6);
+        let len = set.len();
+        let cursor = rng.random_range(0..len);
+        let partial = rng.random_range(1..len.max(2)).min(len);
+        for taken in [0, partial, len, cycles * len, cycles * len + partial] {
+            prop_assert_eq!(
+                set.count_disjoint(cursor, taken, mask.words()),
+                per_position_tally(&set, cursor, taken, mask.words()),
+                "m {} genuine {} pad {} cursor {} taken {}", m, genuine, pad, cursor, taken
+            );
+        }
     }
 }

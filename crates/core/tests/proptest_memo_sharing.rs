@@ -1,14 +1,14 @@
-//! Property tests for the leveled copy-on-write memo (DESIGN.md §2.2 /
-//! D9) — the sample-pass mirror of `proptest_batching.rs`.
+//! Property tests for the union memo's level overlay (DESIGN.md §2.2,
+//! D9, D19) — the sample-pass mirror of `proptest_batching.rs`.
 //!
-//! **Leveled ≡ flat, observably**: the copy-on-write memo must preserve
-//! the engine's bit-identity contract the flat memo had. Runs are
-//! identical cell-for-cell across `threads = 1/2/8`, and the per-cell
-//! snapshots are O(1) `Arc` clones (`memo.snapshots` > 0 with
-//! `entries_shared` counting the clone volume the flat layout would
-//! have paid). Sampler union randomness is frontier-keyed, so two cells
-//! that miss the same frontier insert the same value: which worker's
-//! entry wins the canonical merge cannot show in the output.
+//! **Shared ≡ sequential, observably**: a sample pass's cells share one
+//! level overlay, which workers fill concurrently. Runs must still be
+//! identical cell-for-cell across `threads = 1/2/8`, counters included:
+//! each distinct frontier a pass misses is charged once, to the insert
+//! that wins, and every other query counts as a hit. Sampler union
+//! randomness is frontier-keyed, so two cells that miss the same
+//! frontier compute the same value: which worker's insert wins cannot
+//! show in the output.
 
 use fpras_core::{run_parallel, FprasRun, Params};
 use fpras_workloads::{random_nfa, RandomNfaConfig};
@@ -68,25 +68,22 @@ proptest! {
         for run in &runs[1..] {
             assert_runs_identical(&runs[0], run, "threads");
             // Full bit-identity includes the instrumentation: the
-            // copy-on-write accounting is thread-count independent too.
+            // level overlay's accounting is thread-count independent too.
             prop_assert_eq!(runs[0].stats().membership_ops, run.stats().membership_ops);
+            prop_assert_eq!(runs[0].stats().appunion_calls, run.stats().appunion_calls);
+            prop_assert_eq!(runs[0].stats().union_bit_tests, run.stats().union_bit_tests);
             prop_assert_eq!(runs[0].stats().memo_hits, run.stats().memo_hits);
-            prop_assert_eq!(runs[0].stats().memo.snapshots, run.stats().memo.snapshots);
-            prop_assert_eq!(
-                runs[0].stats().memo.entries_shared,
-                run.stats().memo.entries_shared
-            );
+            prop_assert_eq!(runs[0].stats().memo_misses, run.stats().memo_misses);
+            prop_assert_eq!(runs[0].stats().memo.commits, run.stats().memo.commits);
             prop_assert_eq!(
                 runs[0].stats().memo.overlay_entries,
                 run.stats().memo.overlay_entries
             );
         }
-        // Copy-on-write discipline: every sampled cell took exactly one
-        // snapshot, and no snapshot deep-copied the base layer.
-        if let Some(r) = runs.first() {
-            if r.normalized_states().is_some() {
-                prop_assert!(r.stats().memo.snapshots > 0);
-            }
+        // One miss per distinct frontier: every miss became exactly one
+        // committed overlay entry, at every thread count.
+        for r in &runs {
+            prop_assert_eq!(r.stats().memo_misses, r.stats().memo.overlay_entries);
         }
     }
 }

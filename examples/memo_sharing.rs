@@ -6,20 +6,19 @@
 //!
 //! Walks the `contains11` fixture (`examples/data/contains11.nfa`)
 //! through the engine at one thread and at four, and prints the
-//! `RunStats` counters of the leveled copy-on-write memo (DESIGN.md
-//! §2.2):
+//! `RunStats` counters of the union memo (DESIGN.md §2.2):
 //!
-//! * `memo.snapshots` / `memo.entries_shared` — every sampled cell took
-//!   an O(1) snapshot of the level-start base layer; `entries_shared`
-//!   is the entry-clone volume the old flat memo would have paid.
-//! * `memo.overlay_entries` — the only thing still copied per cell: the
-//!   thin overlay of entries the cell inserted itself.
+//! * `memo_misses` / `memo.overlay_entries` — the cells of a sample
+//!   pass share one level overlay, so each distinct frontier they miss
+//!   is estimated and charged once per pass: the two counters agree.
+//! * `pool.memo_races` — estimates a worker computed and then lost to a
+//!   sibling that inserted the same frontier first; scheduling evidence,
+//!   zero at one thread.
 //!
 //! Sampler union randomness is frontier-keyed (D9), so two cells that
-//! miss the same frontier compute the same value, and the canonical
-//! merge makes the memo independent of which worker ran which cell. The
-//! two runs are therefore **bit-identical**, counters included, which
-//! this example asserts.
+//! miss the same frontier compute the same value, and whichever insert
+//! wins, the memo holds that value. The two runs are therefore
+//! **bit-identical**, counters included, which this example asserts.
 
 use fpras_automata::parse;
 use fpras_core::{run_parallel, Params, RunStats};
@@ -32,9 +31,8 @@ fn print_run(label: &str, stats: &RunStats) {
     println!("  sampler memo hits/misses  {:>10} / {}", stats.memo_hits, stats.memo_misses);
     println!("  memo commits              {:>10}", stats.memo.commits);
     println!("  memo entries promoted     {:>10}", stats.memo.entries_promoted);
-    println!("  memo snapshots (CoW)      {:>10}", stats.memo.snapshots);
-    println!("  memo entries shared       {:>10}", stats.memo.entries_shared);
     println!("  memo overlay entries      {:>10}", stats.memo.overlay_entries);
+    println!("  memo races (scheduling)   {:>10}", stats.pool.memo_races);
 }
 
 fn main() {
@@ -60,14 +58,14 @@ fn main() {
     );
     assert_eq!(one.stats().membership_ops, four.stats().membership_ops);
     assert_eq!(one.stats().memo_misses, four.stats().memo_misses);
+    assert_eq!(one.stats().memo_misses, one.stats().memo.overlay_entries);
     assert!(one.stats().memo_hits > 0, "the sampler must hit the memo on contains11");
 
     println!(
         "\nestimate |L(A_{n})| ≈ {} (identical in both runs)\n\
-         entry clones avoided by the CoW memo: {} (flat-memo volume), \
-         only {} overlay entries copied",
+         {} sampler frontiers estimated once each, {} duplicate estimates lost to races",
         one.estimate(),
-        one.stats().memo.entries_shared,
         one.stats().memo.overlay_entries,
+        four.stats().pool.memo_races,
     );
 }

@@ -306,14 +306,13 @@ fn report_stats(s: &RunStats) {
     println!("  batch dedup rate     {:.4}", s.batch.dedup_rate());
     println!("  memo commits         {}", s.memo.commits);
     println!("  memo promoted        {}", s.memo.entries_promoted);
-    println!("  memo snapshots       {}", s.memo.snapshots);
-    println!("  memo entries shared  {}", s.memo.entries_shared);
     println!("  memo overlay entries {}", s.memo.overlay_entries);
     println!("  pool parallel passes {}", s.pool.parallel_passes);
     println!("  pool parallel items  {}", s.pool.parallel_items);
     println!("  pool sequential pass {}", s.pool.sequential_passes);
     println!("  pool sequential item {}", s.pool.sequential_items);
     println!("  pool steals          {}", s.pool.steals);
+    println!("  pool memo races      {}", s.pool.memo_races);
     println!("  pool worker items    {:?}", s.pool.worker_items);
     println!("  pool worker ops      {:?}", s.pool.worker_ops);
     println!("  intern distinct      {}", s.intern.distinct_frontiers);

@@ -66,6 +66,57 @@ fn deterministic_policy_bit_identical_across_1_2_8_16_threads() {
     }
 }
 
+/// A dense instance whose same-level cells miss the same sampler
+/// frontiers, so at `threads > 1` workers race to estimate them in the
+/// memo's shared level overlay. The winner is charged the estimate and
+/// a loser counts a hit, so the run's counters — not just its values —
+/// are identical at every thread count, and each frontier is paid for
+/// once: no more `AppUnion` calls than count groups plus distinct
+/// sampler entries.
+#[test]
+fn same_level_cells_share_sampler_misses_at_any_thread_count() {
+    let dense = fpras_workloads::random_nfa(
+        &fpras_workloads::RandomNfaConfig { states: 48, alphabet: 2, density: 2.5, accepting: 1 },
+        &mut SmallRng::seed_from_u64(1),
+    );
+    let n = 6;
+    let params = Params::practical(0.4, 0.1, dense.num_states(), n);
+    let runs: Vec<FprasRun> = [1usize, 2, 8, 16]
+        .iter()
+        .map(|&t| run_parallel(&dense, n, &params, 2, t).unwrap())
+        .collect();
+    let m = runs[0].normalized_states().expect("non-empty instance");
+    let counters = |run: &FprasRun| {
+        let s = run.stats();
+        (
+            run.estimate().to_f64().to_bits(),
+            s.membership_ops,
+            s.appunion_calls,
+            s.union_bit_tests,
+            s.memo_hits,
+            s.memo_misses,
+            s.memo.overlay_entries,
+        )
+    };
+    let first = &runs[0];
+    let s = first.stats();
+    assert!(s.memo_misses > 0 && s.memo_hits > s.memo_misses, "the fixture must share misses");
+    assert_eq!(s.appunion_calls, s.batch.unions_run + s.memo.overlay_entries);
+    assert_eq!(s.pool.memo_races, 0, "one worker cannot race");
+    for (run, threads) in runs.iter().zip([1, 2, 8, 16]).skip(1) {
+        assert_eq!(counters(first), counters(run), "threads {threads}");
+        for ell in 0..=n {
+            for q in 0..m as u32 {
+                assert_eq!(
+                    first.cell_genuine_samples(q, ell),
+                    run.cell_genuine_samples(q, ell),
+                    "threads {threads}: samples at ({q}, {ell})"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn serial_policy_meets_eps_delta_on_exact_ground_truth() {
     policy_accuracy_sweep(|nfa, n, params, seed| {
@@ -164,12 +215,15 @@ fn run_stats_union_invariants_hold_for_all_paths() {
                     serial.stats().batch.cells_deduped > 0,
                     "{label}: these fixtures share frontiers, dedup must fire"
                 );
-                // No cell deep-cloned the memo: every snapshot shared
-                // the base layer.
-                assert!(
-                    det.stats().memo.snapshots > 0 && det.stats().memo.entries_shared > 0,
-                    "{label}: CoW snapshots must be taken and share the base"
-                );
+                // The sample pass's cells share one level overlay: one
+                // miss per distinct frontier, each committed once.
+                for run in [&serial, &det] {
+                    assert_eq!(
+                        run.stats().memo_misses,
+                        run.stats().memo.overlay_entries,
+                        "{label}"
+                    );
+                }
             } else {
                 assert_eq!(serial.stats().batch.cells_deduped, 0, "{label}");
                 assert_eq!(det.stats().batch.cells_deduped, 0, "{label}");

@@ -102,9 +102,11 @@ fn stats_flag_reports_batching_counters() {
             .unwrap_or_else(|| panic!("missing {key} in {stdout}"))
     };
     assert!(grab("batch cells deduped") > 0, "dedup must fire on contains-11");
-    // The memo layer (D9) reports through the same surface.
-    assert!(stdout.contains("memo snapshots"), "{stdout}");
-    assert!(grab("memo entries shared") > 0, "snapshots must share the base layer");
+    // The memo layer (D9) reports through the same surface: one level
+    // overlay commit per level, and no races at one thread.
+    assert_eq!(grab("memo commits"), 10, "{stdout}");
+    assert!(stdout.contains("memo overlay entries"), "{stdout}");
+    assert_eq!(grab("pool memo races"), 0, "one worker cannot race");
     // --no-batch: same estimate line, zero dedup, more unions run.
     let mut unbatched_args = args.to_vec();
     unbatched_args.push("--no-batch");
