@@ -183,8 +183,8 @@ fn service_trace_rows(quick: bool, seed: u64) -> Vec<CounterMeasurement> {
     let start = Instant::now();
     let mut last = fpras_numeric::ExtFloat::ZERO;
     for q in &trace {
-        let session = registry
-            .session_with_key(
+        let (session, _) = registry
+            .session_with_key_recycled(
                 keys[q.automaton].clone(),
                 &automata[q.automaton],
                 &params[q.automaton],
@@ -197,12 +197,7 @@ fn service_trace_rows(quick: bool, seed: u64) -> Vec<CounterMeasurement> {
     let totals = registry.session_totals();
     let mut session_ops = 0;
     let mut session_phase = fpras_core::PhaseWall::default();
-    for (i, nfa) in automata.iter().enumerate() {
-        let stats = registry
-            .session(nfa, &params[i], &policy)
-            .expect("session already cached")
-            .run_stats()
-            .clone();
+    for stats in registry.sessions().map(|s| s.run_stats()) {
         session_ops += stats.membership_ops;
         session_phase.merge(&stats.phase);
     }

@@ -2,12 +2,12 @@
 //! measured experiment.
 //!
 //! Drives a large [`query_trace`] (10⁵ queries at full size, with
-//! repeat-bias *and* hot-tenant locality) through the same machinery
-//! `nfa-count serve` uses — a [`ServiceRegistry`] plus an
-//! [`AdmissionController`] with per-tenant level ledgers — and records
-//! what a latency SLO actually cares about: the p50/p99 per-query
-//! distribution (not just the amortized mean), the reuse rate, and how
-//! many queries the quota machinery turned away. Two rows land in
+//! repeat-bias *and* hot-tenant locality) through the serve core
+//! `nfa-count serve` runs — a [`Server`] with one tenant per automaton,
+//! called through its typed `open`/`query` pair — and records what a
+//! latency SLO actually cares about: the p50/p99 per-query distribution
+//! (not just the amortized mean), the reuse rate, and how many queries
+//! the quota machinery turned away. Two rows land in
 //! `BENCH_counter.json`:
 //!
 //! * `session(load)` — unlimited quotas: every query served, reuse does
@@ -17,6 +17,10 @@
 //!   tail (`quota_rejections > 0`) while admitted queries still answer
 //!   bit-identically.
 //!
+//! Latency is the serve layer's one definition: the `QuerySession` call
+//! ([`SessionStats::latency`](fpras_core::SessionStats::latency)), so
+//! lookup, admission and denied queries are not in the p50/p99 columns.
+//!
 //! Wall-clock claims are single-threaded on purpose and the row carries
 //! `host_cpus` — on the 1-CPU recording host the honest story is
 //! latency distribution and reuse, not thread scaling (the CI
@@ -24,9 +28,9 @@
 
 use crate::json::CounterMeasurement;
 use fpras_core::service::{
-    AdmissionController, QuotaConfig, ServiceRegistry, SessionKey, SessionPolicy,
+    Query, QuotaConfig, Reply, ServeError, Server, ServerConfig, SessionSpec,
 };
-use fpras_core::{FprasError, LatencyHistogram, Params, PhaseWall};
+use fpras_core::FprasError;
 use fpras_workloads::{families, query_trace, QueryTraceConfig};
 use rand::{rngs::SmallRng, SeedableRng};
 use std::time::Instant;
@@ -36,89 +40,65 @@ fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// One serve-equivalent pass over the trace: per-query admission
-/// (ledger precheck + op-budget install), per-query latency, recycle on
-/// poison — the `nfa-count serve` data path without the line protocol.
+/// One serve pass over the trace: tenant `t<i>` per automaton, every
+/// query through [`Server::query`] (admission, op budget, ledger and
+/// recycle are the server's).
 fn run_load(
     trace: &[fpras_workloads::TraceQuery],
     automata: &[fpras_automata::Nfa],
-    params: &[Params],
-    policy: &SessionPolicy,
+    spec: &SessionSpec,
     quota: QuotaConfig,
     instance: &str,
     method: &str,
 ) -> CounterMeasurement {
-    let keys: Vec<SessionKey> =
-        automata.iter().zip(params).map(|(nfa, p)| SessionKey::new(nfa, p, policy)).collect();
-    let mut registry = ServiceRegistry::new(automata.len());
-    let mut admission = AdmissionController::new(quota);
-    let mut ledgers = vec![0u64; automata.len()];
-    // The per-query distribution lives in a mergeable log-bucketed
-    // histogram (the same type the serve layer aggregates per tenant) —
-    // no raw-sample vector, no end-of-run sort. Quantiles come out as
-    // bucket upper edges: within one power-of-2 bucket of the exact
-    // nearest-rank statistic.
-    let mut latency = LatencyHistogram::default();
+    let mut server = Server::new(ServerConfig { spec: spec.clone(), quota });
+    let names: Vec<String> = (0..automata.len()).map(|i| format!("t{i}")).collect();
+    for (name, nfa) in names.iter().zip(automata) {
+        server
+            .open(name, nfa.clone(), spec.clone())
+            .expect("load params are valid by construction");
+    }
     let mut last = fpras_numeric::ExtFloat::ZERO;
     let start = Instant::now();
     for q in trace {
-        let t0 = Instant::now();
-        let (session, _recycled) = registry
-            .session_with_key_recycled(
-                keys[q.automaton].clone(),
-                &automata[q.automaton],
-                &params[q.automaton],
-                policy,
-            )
-            .expect("load params are valid by construction");
-        let needed = q.len.saturating_sub(session.levels_built()) as u64;
-        if admission.admit_levels(ledgers[q.automaton], needed).is_err() {
-            latency.record_duration(t0.elapsed());
-            continue;
-        }
-        session
-            .set_build_ops_budget(admission.per_query_ops_cap(session.run_stats().membership_ops));
-        let built_before = session.levels_built();
-        match session.estimate(q.len) {
-            Ok(est) => last = est,
-            Err(FprasError::BudgetExceeded { .. }) => admission.record_budget_abort(),
+        let mut keep = |r: Reply<'_>| {
+            if let Reply::Estimate(_, est) = r {
+                last = est;
+            }
+            Ok(())
+        };
+        match server.query(&names[q.automaton], Query::Estimate(q.len), &mut keep) {
+            // Denials and budget aborts are what the quota row measures.
+            Ok(()) | Err(ServeError::Denied(_)) => {}
+            Err(ServeError::Engine(FprasError::BudgetExceeded { .. })) => {}
             Err(e) => panic!("load query failed: {e}"),
         }
-        ledgers[q.automaton] += (session.levels_built() - built_before) as u64;
-        latency.record_duration(t0.elapsed());
     }
     let wall = start.elapsed();
-    let totals = registry.session_totals();
-    let ops: u64 = registry.sessions().map(|s| s.run_stats().membership_ops).sum();
-    let mut phase = PhaseWall::default();
-    for s in registry.sessions() {
-        phase.merge(&s.run_stats().phase);
-    }
+    let totals = server.registry().session_totals();
+    let engine = server.run_stats();
     CounterMeasurement {
         instance: instance.to_string(),
         method: method.to_string(),
-        threads: {
-            let SessionPolicy::Deterministic { threads, .. } = *policy;
-            threads
-        },
+        threads: spec.threads,
         wall_seconds: wall.as_secs_f64(),
         estimate: last.to_f64(),
         estimate_log2: last.log2(),
-        ops,
+        ops: engine.membership_ops,
         cells_deduped: 0,
         appunion_calls: 0,
         pool_steals: 0,
         distinct_frontiers: 0,
         intern_hits: 0,
-        phase,
+        phase: engine.phase,
         parallel_efficiency: None,
         host_cpus: host_cpus(),
         queries_served: totals.queries_served,
         levels_reused: totals.levels_reused,
         us_per_query: Some(wall.as_secs_f64() * 1e6 / trace.len() as f64),
-        p50_us: latency.quantile(0.5).map(|us| us as f64),
-        p99_us: latency.quantile(0.99).map(|us| us as f64),
-        quota_rejections: admission.stats().quota_rejections(),
+        p50_us: totals.latency.quantile(0.5).map(|us| us as f64),
+        p99_us: totals.latency.quantile(0.99).map(|us| us as f64),
+        quota_rejections: server.quota_stats().quota_rejections(),
         reuse_rate: Some(totals.reuse_rate()),
     }
 }
@@ -138,35 +118,24 @@ pub fn load_harness_rows(quick: bool, seed: u64) -> Vec<CounterMeasurement> {
         hot_automaton_bias: 0.5,
     };
     let trace = query_trace(&config, &mut SmallRng::seed_from_u64(seed ^ 0x10AD));
-    let params: Vec<Params> = automata
-        .iter()
-        .map(|nfa| Params::for_session(0.25, 0.1, nfa.num_states(), max_len))
-        .collect();
-    let policy = SessionPolicy::Deterministic { seed, threads: 1 };
+    let spec = SessionSpec { eps: 0.25, delta: 0.1, seed, threads: 1, max_n: max_len };
     let instance = format!("load-harness/q={queries}");
-    let unlimited = run_load(
-        &trace,
-        &automata,
-        &params,
-        &policy,
-        QuotaConfig::default(),
-        &instance,
-        "session(load)",
-    );
+    let unlimited =
+        run_load(&trace, &automata, &spec, QuotaConfig::default(), &instance, "session(load)");
     // The quota row caps each tenant's cumulative level ledger below
     // the trace's max length: queries above the built horizon are shed
     // once the ledger fills, everything at or below keeps being served
     // from reuse.
     let quota =
         QuotaConfig { max_total_levels: Some(max_len as u64 - 4), ..QuotaConfig::default() };
-    let quota_row =
-        run_load(&trace, &automata, &params, &policy, quota, &instance, "session(load+quota)");
+    let quota_row = run_load(&trace, &automata, &spec, quota, &instance, "session(load+quota)");
     vec![unlimited, quota_row]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpras_core::LatencyHistogram;
 
     /// The histogram quantiles that replaced the hand-rolled
     /// nearest-rank sort must stay within one power-of-2 bucket of the

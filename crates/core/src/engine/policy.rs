@@ -61,12 +61,19 @@ const PHASE_SAMPLER_SEED: u64 = 5;
 /// Salt xor'd into every phase tag before mixing.
 pub(crate) const PHASE_SALT: u64 = 0xA5A5_5A5A;
 
+/// Work items a pool worker claims per cursor interaction (D10): the
+/// granularity of both claiming and stealing, and the sequential
+/// cutoff (passes with fewer than `threads × STEAL_CHUNK` items run
+/// inline). Scheduling-only: any value gives bit-identical output, so
+/// it is a constant, not a [`Params`](crate::Params) field.
+const STEAL_CHUNK: usize = 2;
+
 /// The engine's one executor: every `(level, state, phase)` cell
 /// derives its own RNG stream from the master seed via SplitMix64
 /// mixing, and each pass fans out over a persistent work-stealing
 /// [`Pool`] (`engine/pool.rs`): workers are spawned once per
 /// executor, parked between passes, and balance skewed levels by
-/// stealing `steal_chunk`-sized chunks from each other's ranges. The
+/// stealing `STEAL_CHUNK`-sized chunks from each other's ranges. The
 /// sample pass's cells share one level overlay of the memo, whose
 /// sampler values are frontier-keyed and whose work is charged once
 /// per frontier, so the output is
@@ -130,7 +137,6 @@ impl Deterministic {
     ) -> CountPass {
         let seed = self.master_seed;
         let ell = plan.level();
-        let chunk = ctx.params.steal_chunk;
         // Group RNG streams are keyed by the frontier's canonical tag —
         // independent of both scheduling and the member cells, so any
         // thread count (and batched vs unbatched) produces identical
@@ -140,7 +146,7 @@ impl Deterministic {
         let indices: Vec<usize> = (0..plan.groups().len()).collect();
         let groups = self.pool.map_with_ops(
             &indices,
-            chunk,
+            STEAL_CHUNK,
             |&gi| {
                 let rng = group_rng(seed, plan.key(gi).rng_tag());
                 UNION_SCRATCH.with(|s| {
@@ -151,7 +157,7 @@ impl Deterministic {
         );
         let estimates: Vec<ExtFloat> = groups.iter().map(|g| g.estimate).collect();
         let cell_indices: Vec<usize> = (0..plan.cells().len()).collect();
-        let cells = self.pool.map(&cell_indices, chunk, |&i| {
+        let cells = self.pool.map(&cell_indices, STEAL_CHUNK, |&i| {
             let q = plan.cells()[i];
             let mut rng = cell_rng(seed, ell, q, PHASE_COUNT);
             assemble_count_cell(ctx, ell, q, plan.cell_groups(i), &estimates, &mut rng)
@@ -175,7 +181,7 @@ impl Deterministic {
         let seed = self.master_seed;
         self.pool.map_with_ops(
             cells,
-            ctx.params.steal_chunk,
+            STEAL_CHUNK,
             |&q| {
                 let mut rng = cell_rng(seed, ell, q, PHASE_SAMPLE);
                 SAMPLER_SCRATCH

@@ -74,7 +74,7 @@ struct JobCore {
     ranges: Vec<Range<usize>>,
     /// Claim cursor per range; claims are `fetch_add(chunk)`.
     cursors: Vec<AtomicUsize>,
-    /// Items claimed per `fetch_add` — the `steal_chunk` knob.
+    /// Items claimed per `fetch_add` (the engine passes a constant 2).
     chunk: usize,
     /// Total item count of the pass.
     total: usize,

@@ -111,15 +111,6 @@ pub struct Params {
     /// *work*, never output: `false` re-runs the identical estimation
     /// once per pair (the honest unbatched baseline for benchmarks).
     pub batch_unions: bool,
-    /// Work items the executor claims per cursor interaction (D10): the
-    /// granularity of both normal claiming and stealing in the
-    /// executor's work-stealing pool, and the
-    /// sequential-fallback cutoff (passes with fewer items than
-    /// `threads × steal_chunk` run inline instead of waking workers).
-    /// Scheduling-only: any value produces bit-identical output. Small
-    /// values balance skewed levels better; larger values cut atomic
-    /// traffic on uniform ones.
-    pub steal_chunk: usize,
     /// Optional hard cap on membership operations; the run aborts with
     /// [`FprasError::BudgetExceeded`] when exceeded.
     pub max_membership_ops: Option<u64>,
@@ -161,7 +152,6 @@ impl Params {
             trim_dead: false,
             n_hint: n.max(1),
             batch_unions: false,
-            steal_chunk: 2,
             max_membership_ops: None,
         }
     }
@@ -200,7 +190,6 @@ impl Params {
             trim_dead: true,
             n_hint: n.max(1),
             batch_unions: true,
-            steal_chunk: 2,
             max_membership_ops: None,
         }
     }
@@ -250,9 +239,6 @@ impl Params {
             if !(v > 0.0 && v.is_finite()) {
                 return Err(FprasError::InvalidParams(format!("{name} must be positive, got {v}")));
             }
-        }
-        if self.steal_chunk == 0 {
-            return Err(FprasError::InvalidParams("steal_chunk must be positive".into()));
         }
         if self.n_hint == 0 {
             return Err(FprasError::InvalidParams(
@@ -336,7 +322,7 @@ impl Params {
         ] {
             mix(f.to_bits());
         }
-        for u in [self.ns as u64, self.xns as u64, self.n_hint as u64, self.steal_chunk as u64] {
+        for u in [self.ns as u64, self.xns as u64, self.n_hint as u64] {
             mix(u);
         }
         let bools = [
@@ -419,9 +405,6 @@ mod tests {
         assert!(p.validate().is_err());
         let mut p = Params::practical(0.3, 0.05, 8, 8);
         p.gamma_scale = 1.5;
-        assert!(p.validate().is_err());
-        let mut p = Params::practical(0.3, 0.05, 8, 8);
-        p.steal_chunk = 0;
         assert!(p.validate().is_err());
     }
 

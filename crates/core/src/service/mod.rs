@@ -18,6 +18,11 @@
 //! * [`ServiceRegistry`] — an LRU cache of sessions keyed by automaton
 //!   fingerprint × [`Params::fingerprint`](crate::Params::fingerprint) × [`SessionPolicy`], so a
 //!   stream of mixed-automaton queries turns into session cache hits.
+//! * [`Server`] — the one serve data path: named tenants over one
+//!   registry, quota admission, level ledgers, recycle notices and a
+//!   server-wide sample stream, driven one request line at a time
+//!   ([`serve_stream`] is the `BufRead → Server → Write` loop behind
+//!   `nfa-count serve`).
 //! * [`SessionStats`] / [`ServiceStats`] — levels built vs. reused and
 //!   session churn, the amortization evidence the bench layer records.
 //!
@@ -46,11 +51,56 @@
 
 mod quota;
 mod registry;
+mod server;
 mod session;
 
 pub use quota::{AdmissionController, QuotaConfig, QuotaDenied, QuotaStats};
 pub use registry::{nfa_fingerprint, robp_fingerprint, ServiceRegistry, ServiceStats, SessionKey};
+pub use server::{
+    load_automaton, parse_flag_value, parse_threads, serve_stream, Query, Reply, ServeError,
+    Server, ServerConfig, SessionSpec, StreamError,
+};
 pub use session::{QuerySession, SessionStats};
+
+use fpras_automata::robp::Robp;
+use fpras_automata::Nfa;
+
+/// What a session is compiled from: one of the engine's two leveled
+/// substrates (DESIGN.md D14). Every service entry point that needs an
+/// input takes `impl Into<Source>`, so `&Nfa` and `&Robp` both pass
+/// straight through one constructor, one key and one registry lookup.
+#[derive(Debug, Clone, Copy)]
+pub enum Source<'a> {
+    /// A word automaton: sessions answer `|L(A_n)|` for every `n`.
+    Nfa(&'a Nfa),
+    /// A non-deterministic read-once branching program: sessions answer
+    /// its assignment count at `n = depth`.
+    Robp(&'a Robp),
+}
+
+impl<'a> From<&'a Nfa> for Source<'a> {
+    fn from(nfa: &'a Nfa) -> Self {
+        Source::Nfa(nfa)
+    }
+}
+
+impl<'a> From<&'a Robp> for Source<'a> {
+    fn from(robp: &'a Robp) -> Self {
+        Source::Robp(robp)
+    }
+}
+
+impl Source<'_> {
+    /// The structural fingerprint of the input: [`nfa_fingerprint`] or
+    /// [`robp_fingerprint`], whose disjoint seed constants partition
+    /// the [`SessionKey`] space between the substrates.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        match self {
+            Source::Nfa(nfa) => nfa_fingerprint(nfa),
+            Source::Robp(robp) => robp_fingerprint(robp),
+        }
+    }
+}
 
 /// How a [`QuerySession`] executes and seeds its engine run.
 ///

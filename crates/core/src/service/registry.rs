@@ -4,7 +4,7 @@ use crate::engine::Pool;
 use crate::error::FprasError;
 use crate::params::Params;
 use crate::service::session::{QuerySession, SessionStats};
-use crate::service::SessionPolicy;
+use crate::service::{SessionPolicy, Source};
 use crate::table::splitmix64;
 use fpras_automata::robp::Robp;
 use fpras_automata::Nfa;
@@ -76,24 +76,14 @@ pub struct SessionKey {
 }
 
 impl SessionKey {
-    /// Fingerprints `(nfa, params, policy)` into a cache key. Hashing
-    /// walks the automaton's full transition list — `O(m + |Δ|)` — so
-    /// high-QPS callers should compute the key once per automaton and
-    /// use [`ServiceRegistry::session_with_key`] on the hot path.
-    pub fn new(nfa: &Nfa, params: &Params, policy: &SessionPolicy) -> Self {
+    /// Fingerprints `(source, params, policy)` into a cache key, for
+    /// either substrate (`&Nfa` or `&Robp`). Hashing walks the input's
+    /// full transition list — `O(m + |Δ|)` — so high-QPS callers
+    /// compute the key once per input and pass it to every
+    /// [`ServiceRegistry::session_with_key_recycled`] lookup.
+    pub fn new<'a>(source: impl Into<Source<'a>>, params: &Params, policy: &SessionPolicy) -> Self {
         SessionKey {
-            substrate: nfa_fingerprint(nfa),
-            params: params.fingerprint(),
-            policy: policy.normalized(),
-        }
-    }
-
-    /// Fingerprints `(robp, params, policy)` — [`SessionKey::new`] for
-    /// the nROBP substrate. Same cost profile: hashing walks the edge
-    /// list, so precompute the key for high-QPS streams.
-    pub fn for_robp(robp: &Robp, params: &Params, policy: &SessionPolicy) -> Self {
-        SessionKey {
-            substrate: robp_fingerprint(robp),
+            substrate: source.into().fingerprint(),
             params: params.fingerprint(),
             policy: policy.normalized(),
         }
@@ -127,11 +117,13 @@ pub struct ServiceStats {
 ///
 /// The serving front door: hand it every incoming `(A, params, policy,
 /// n)` query and it routes to the matching session, compiling one only
-/// on a miss and evicting the least-recently-used session at capacity.
+/// on a miss. Automata and programs share one LRU (capacity, eviction,
+/// stats), and the disjoint fingerprint seeds keep the two substrates
+/// from ever aliasing a slot.
 ///
 /// ```
 /// use fpras_automata::{Alphabet, NfaBuilder};
-/// use fpras_core::service::{ServiceRegistry, SessionPolicy};
+/// use fpras_core::service::{ServiceRegistry, SessionKey, SessionPolicy};
 /// use fpras_core::Params;
 ///
 /// let mut b = NfaBuilder::new(Alphabet::binary());
@@ -145,9 +137,15 @@ pub struct ServiceStats {
 /// let mut registry = ServiceRegistry::new(4);
 /// let params = Params::for_session(0.3, 0.1, 1, 12);
 /// let policy = SessionPolicy::Deterministic { seed: 1, threads: 1 };
-/// let a = registry.session(&nfa, &params, &policy).unwrap().estimate(8).unwrap();
+/// let key = SessionKey::new(&nfa, &params, &policy);
+/// let (session, _) =
+///     registry.session_with_key_recycled(key.clone(), &nfa, &params, &policy).unwrap();
+/// let a = session.estimate(8).unwrap();
 /// // Same key: the second call is a hit and reuses all 8 levels.
-/// let b2 = registry.session(&nfa, &params, &policy).unwrap().estimate(8).unwrap();
+/// let (session, recycled) =
+///     registry.session_with_key_recycled(key, &nfa, &params, &policy).unwrap();
+/// assert!(!recycled);
+/// let b2 = session.estimate(8).unwrap();
 /// assert_eq!(a, b2);
 /// assert_eq!(registry.stats().sessions_created, 1);
 /// assert_eq!(registry.stats().session_hits, 1);
@@ -187,11 +185,6 @@ impl ServiceRegistry {
         }
     }
 
-    /// The maximum number of live sessions.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Live sessions currently cached.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -218,102 +211,27 @@ impl ServiceRegistry {
         total
     }
 
-    /// Routes to the session for `(nfa, params, policy)`, compiling it
-    /// on a miss (and evicting the least-recently-used session when the
-    /// registry is full). Construction errors (invalid params,
-    /// `trim_dead`) propagate without disturbing the cache.
+    /// Routes to the session for `key`, compiling it from `(source,
+    /// params, policy)` on a miss and evicting the least-recently-used
+    /// session when the registry is full. The second value is `true`
+    /// when this lookup dropped a poisoned predecessor (the returned
+    /// session is then a fresh recompile replacing a budget-aborted
+    /// one), so serving front-ends can send one "session recycled"
+    /// notice without a second lookup. Construction errors (invalid
+    /// params, `trim_dead`) propagate without disturbing the cache.
     ///
-    /// Fingerprints the automaton on every call (`O(m + |Δ|)`);
-    /// high-QPS callers should build the [`SessionKey`] once per
-    /// automaton and use [`ServiceRegistry::session_with_key`].
-    pub fn session(
-        &mut self,
-        nfa: &Nfa,
-        params: &Params,
-        policy: &SessionPolicy,
-    ) -> Result<&mut QuerySession, FprasError> {
-        self.session_with_key(SessionKey::new(nfa, params, policy), nfa, params, policy)
-    }
-
-    /// [`ServiceRegistry::session`] with a caller-precomputed key — the
-    /// hot lookup path: a repeat query for an already-built length then
-    /// costs O(live sessions) key comparisons plus an O(1) table read,
-    /// with no re-hashing of the automaton. The caller is responsible
-    /// for the key actually fingerprinting `(nfa, params, policy)`
-    /// (compute it with [`SessionKey::new`]); a mismatched key aliases
-    /// or duplicates cache entries but cannot corrupt a session.
-    pub fn session_with_key(
+    /// A repeat query for an already-built length costs O(live
+    /// sessions) key comparisons plus an O(1) table read, with no
+    /// re-hashing of the input. The caller is responsible for `key`
+    /// fingerprinting `(source, params, policy)` (compute it with
+    /// [`SessionKey::new`]); a mismatched key aliases or duplicates
+    /// cache entries but cannot corrupt a session.
+    pub fn session_with_key_recycled<'a>(
         &mut self,
         key: SessionKey,
-        nfa: &Nfa,
+        source: impl Into<Source<'a>>,
         params: &Params,
         policy: &SessionPolicy,
-    ) -> Result<&mut QuerySession, FprasError> {
-        self.session_with_key_recycled(key, nfa, params, policy).map(|(s, _)| s)
-    }
-
-    /// [`ServiceRegistry::session_with_key`], additionally reporting
-    /// whether this lookup dropped a poisoned predecessor (`true` means
-    /// the returned session is a fresh recompile replacing a
-    /// budget-aborted one). Serving front-ends use the flag to surface
-    /// one "session recycled" notice to the client without a second
-    /// lookup or a re-borrow of the registry stats.
-    pub fn session_with_key_recycled(
-        &mut self,
-        key: SessionKey,
-        nfa: &Nfa,
-        params: &Params,
-        policy: &SessionPolicy,
-    ) -> Result<(&mut QuerySession, bool), FprasError> {
-        self.lookup_or_compile(
-            key,
-            policy,
-            |params, policy| QuerySession::new(nfa, params, policy),
-            params,
-        )
-    }
-
-    /// Routes to the session for `(robp, params, policy)` — the nROBP
-    /// substrate's [`ServiceRegistry::session`]. Programs and automata
-    /// share one LRU (capacity, eviction, stats): a mixed query stream
-    /// is served from a single cache, and the disjoint fingerprint
-    /// seeds guarantee the substrates can never alias a slot.
-    pub fn robp_session(
-        &mut self,
-        robp: &Robp,
-        params: &Params,
-        policy: &SessionPolicy,
-    ) -> Result<&mut QuerySession, FprasError> {
-        self.robp_session_with_key(SessionKey::for_robp(robp, params, policy), robp, params, policy)
-    }
-
-    /// [`ServiceRegistry::robp_session`] with a caller-precomputed key
-    /// (see [`ServiceRegistry::session_with_key`] for the contract).
-    pub fn robp_session_with_key(
-        &mut self,
-        key: SessionKey,
-        robp: &Robp,
-        params: &Params,
-        policy: &SessionPolicy,
-    ) -> Result<&mut QuerySession, FprasError> {
-        self.lookup_or_compile(
-            key,
-            policy,
-            |params, policy| QuerySession::new_robp(robp, params, policy),
-            params,
-        )
-        .map(|(s, _)| s)
-    }
-
-    /// The shared LRU lookup: hit (refreshing recency), poisoned-drop,
-    /// or compile-on-miss via `compile`, evicting the LRU slot at
-    /// capacity. Both substrates route through here.
-    fn lookup_or_compile(
-        &mut self,
-        key: SessionKey,
-        policy: &SessionPolicy,
-        compile: impl FnOnce(Params, SessionPolicy) -> Result<QuerySession, FprasError>,
-        params: &Params,
     ) -> Result<(&mut QuerySession, bool), FprasError> {
         self.clock += 1;
         let mut recycled_here = false;
@@ -332,7 +250,7 @@ impl ServiceRegistry {
                 return Ok((&mut self.slots[i].session, false));
             }
         }
-        let mut session = compile(params.clone(), policy.clone())?;
+        let mut session = QuerySession::new(source, params.clone(), policy.clone())?;
         let SessionPolicy::Deterministic { threads, .. } = *policy;
         let threads = threads.max(1);
         if threads > 1 {
@@ -383,6 +301,18 @@ impl ServiceRegistry {
 mod tests {
     use super::*;
     use fpras_automata::{Alphabet, NfaBuilder};
+
+    /// The one registry lookup, keyed on the spot.
+    fn lookup<'r, 'a>(
+        registry: &'r mut ServiceRegistry,
+        source: impl Into<Source<'a>>,
+        params: &Params,
+        policy: &SessionPolicy,
+    ) -> Result<&'r mut QuerySession, FprasError> {
+        let source = source.into();
+        let key = SessionKey::new(source, params, policy);
+        registry.session_with_key_recycled(key, source, params, policy).map(|(s, _)| s)
+    }
 
     fn all_words() -> Nfa {
         let mut b = NfaBuilder::new(Alphabet::binary());
@@ -451,20 +381,20 @@ mod tests {
         let robp = small_robp(0);
         let params = Params::for_session(0.4, 0.1, robp.num_nodes(), robp.depth());
         let policy = SessionPolicy::Deterministic { seed: 7, threads: 1 };
-        let e = registry.robp_session(&robp, &params, &policy).unwrap().estimate(2).unwrap();
+        let e = lookup(&mut registry, &robp, &params, &policy).unwrap().estimate(2).unwrap();
         // Repeat query: a hit on the same slot, bit-identical answer.
-        let e2 = registry.robp_session(&robp, &params, &policy).unwrap().estimate(2).unwrap();
+        let e2 = lookup(&mut registry, &robp, &params, &policy).unwrap().estimate(2).unwrap();
         assert_eq!(e, e2);
         assert_eq!(registry.stats().sessions_created, 1);
         assert_eq!(registry.stats().session_hits, 1);
         // An NFA session under the same params/policy coexists in the
         // same cache without aliasing.
         let nfa_params = Params::for_session(0.4, 0.1, 1, 2);
-        registry.session(&all_words(), &nfa_params, &policy).unwrap().estimate(2).unwrap();
+        lookup(&mut registry, &all_words(), &nfa_params, &policy).unwrap().estimate(2).unwrap();
         assert_eq!(registry.stats().sessions_created, 2);
         assert_eq!(registry.len(), 2);
         // And the registry answer matches a standalone session.
-        let fresh = QuerySession::new_robp(&robp, params, policy).unwrap().estimate(2).unwrap();
+        let fresh = QuerySession::new(&robp, params, policy).unwrap().estimate(2).unwrap();
         assert_eq!(e, fresh);
     }
 
@@ -475,18 +405,18 @@ mod tests {
         let a = all_words();
         let b = ones_only();
         let pol = |seed| SessionPolicy::Deterministic { seed, threads: 1 };
-        registry.session(&a, &params, &pol(1)).unwrap().estimate(4).unwrap();
-        registry.session(&b, &params, &pol(1)).unwrap().estimate(4).unwrap();
+        lookup(&mut registry, &a, &params, &pol(1)).unwrap().estimate(4).unwrap();
+        lookup(&mut registry, &b, &params, &pol(1)).unwrap().estimate(4).unwrap();
         // Touch `a` so `b` is the LRU, then insert a third key.
-        registry.session(&a, &params, &pol(1)).unwrap();
-        registry.session(&a, &params, &pol(2)).unwrap().estimate(4).unwrap();
+        lookup(&mut registry, &a, &params, &pol(1)).unwrap();
+        lookup(&mut registry, &a, &params, &pol(2)).unwrap().estimate(4).unwrap();
         assert_eq!(registry.len(), 2);
         assert_eq!(registry.stats().sessions_created, 3);
         assert_eq!(registry.stats().sessions_evicted, 1);
         assert_eq!(registry.stats().session_hits, 1);
         // `b` was evicted: asking for it again is a miss (and evicts in
         // turn), but its query history survives in the totals.
-        registry.session(&b, &params, &pol(1)).unwrap();
+        lookup(&mut registry, &b, &params, &pol(1)).unwrap();
         assert_eq!(registry.stats().sessions_created, 4);
         let totals = registry.session_totals();
         assert_eq!(totals.queries_served, 3);
@@ -499,8 +429,8 @@ mod tests {
         let params = Params::for_session(0.4, 0.1, 1, 10);
         let nfa = all_words();
         let policy = SessionPolicy::Deterministic { seed: 3, threads: 1 };
-        registry.session(&nfa, &params, &policy).unwrap().estimate(10).unwrap();
-        registry.session(&nfa, &params, &policy).unwrap().estimate(7).unwrap();
+        lookup(&mut registry, &nfa, &params, &policy).unwrap().estimate(10).unwrap();
+        lookup(&mut registry, &nfa, &params, &policy).unwrap().estimate(7).unwrap();
         let totals = registry.session_totals();
         assert_eq!(totals.levels_built, 10);
         assert_eq!(totals.levels_reused, 7);
@@ -517,8 +447,8 @@ mod tests {
         let one = SessionPolicy::Deterministic { seed: 5, threads: 1 };
         assert_eq!(SessionKey::new(&nfa, &params, &zero), SessionKey::new(&nfa, &params, &one));
         let mut registry = ServiceRegistry::new(4);
-        registry.session(&nfa, &params, &zero).unwrap().estimate(4).unwrap();
-        registry.session(&nfa, &params, &one).unwrap().estimate(4).unwrap();
+        lookup(&mut registry, &nfa, &params, &zero).unwrap().estimate(4).unwrap();
+        lookup(&mut registry, &nfa, &params, &one).unwrap().estimate(4).unwrap();
         assert_eq!(registry.stats().sessions_created, 1);
         assert_eq!(registry.stats().session_hits, 1);
         // Different seeds or real thread counts still never alias.
@@ -534,9 +464,9 @@ mod tests {
         params.max_membership_ops = Some(1);
         let policy = SessionPolicy::Deterministic { seed: 2, threads: 1 };
         // First query blows the (absurd) budget and poisons the session.
-        assert!(registry.session(&nfa, &params, &policy).unwrap().estimate(8).is_err());
+        assert!(lookup(&mut registry, &nfa, &params, &policy).unwrap().estimate(8).is_err());
         // The key must not be bricked: the next lookup recompiles.
-        let session = registry.session(&nfa, &params, &policy).unwrap();
+        let session = lookup(&mut registry, &nfa, &params, &policy).unwrap();
         assert!(!session.is_poisoned());
         assert_eq!(registry.stats().sessions_recycled, 1);
         assert_eq!(registry.stats().sessions_created, 2);
@@ -555,8 +485,8 @@ mod tests {
         let pol = SessionPolicy::Deterministic { seed: 9, threads: 3 };
         let a = all_words();
         let b = ones_only();
-        let ea = registry.session(&a, &params, &pol).unwrap().estimate(8).unwrap();
-        let eb = registry.session(&b, &params, &pol).unwrap().estimate(8).unwrap();
+        let ea = lookup(&mut registry, &a, &params, &pol).unwrap().estimate(8).unwrap();
+        let eb = lookup(&mut registry, &b, &params, &pol).unwrap().estimate(8).unwrap();
         assert_eq!(registry.stats().sessions_created, 2);
         assert_eq!(registry.stats().pools_created, 1, "one pool for both sessions");
         assert_eq!(registry.stats().pool_workers_spawned, 2, "threads-1 workers, once");
@@ -571,10 +501,10 @@ mod tests {
         // A different thread count gets its own pool; a repeat of an
         // existing count does not.
         let pol2 = SessionPolicy::Deterministic { seed: 9, threads: 2 };
-        registry.session(&a, &params, &pol2).unwrap().estimate(4).unwrap();
+        lookup(&mut registry, &a, &params, &pol2).unwrap().estimate(4).unwrap();
         assert_eq!(registry.stats().pools_created, 2);
         let pol3 = SessionPolicy::Deterministic { seed: 11, threads: 3 };
-        registry.session(&b, &params, &pol3).unwrap().estimate(4).unwrap();
+        lookup(&mut registry, &b, &params, &pol3).unwrap().estimate(4).unwrap();
         assert_eq!(registry.stats().pools_created, 2);
         assert_eq!(registry.stats().pool_workers_spawned, 3);
     }
@@ -605,7 +535,8 @@ mod tests {
         let mut registry = ServiceRegistry::new(2);
         let mut bad = Params::for_session(0.3, 0.1, 1, 4);
         bad.eps = -1.0;
-        let err = registry.session(
+        let err = lookup(
+            &mut registry,
             &all_words(),
             &bad,
             &SessionPolicy::Deterministic { seed: 0, threads: 1 },

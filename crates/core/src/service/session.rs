@@ -12,10 +12,9 @@ use crate::obs::LatencyHistogram;
 use crate::params::Params;
 use crate::run_stats::RunStats;
 use crate::sampler::{sample_word, SamplerEnv, SamplerScratch};
-use crate::service::SessionPolicy;
+use crate::service::{SessionPolicy, Source};
 use crate::table::{RunTable, SampleOutcome};
-use fpras_automata::robp::Robp;
-use fpras_automata::{Nfa, StateId, Word};
+use fpras_automata::{StateId, Word};
 use fpras_numeric::ExtFloat;
 use rand::Rng;
 use std::sync::Arc;
@@ -61,6 +60,28 @@ impl SessionStats {
             return 0.0;
         }
         self.levels_reused as f64 / total as f64
+    }
+}
+
+/// The `session:` summary line that `nfa-count query` and `serve` print
+/// (no trailing newline), plus a `latency:` line once a query was
+/// answered. Latency quantiles are bucket upper edges (see
+/// [`LatencyHistogram`]): conservative, mergeable across sessions
+/// without raw samples.
+impl std::fmt::Display for SessionStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "session: queries={} levels_built={} levels_reused={} reuse_rate={:.3}",
+            self.queries_served,
+            self.levels_built,
+            self.levels_reused,
+            self.reuse_rate()
+        )?;
+        if let (Some(p50), Some(p99)) = (self.latency.quantile(0.5), self.latency.quantile(0.99)) {
+            write!(f, "\nlatency: count={} p50_us<={p50} p99_us<={p99}", self.latency.count())?;
+        }
+        Ok(())
     }
 }
 
@@ -151,74 +172,27 @@ pub struct QuerySession {
     /// A budget abort leaves the current level half-built; the session
     /// refuses further queries instead of serving from a torn table.
     poisoned: bool,
-    retry_limit: usize,
 }
 
 impl QuerySession {
-    /// Compiles `nfa` into a fresh session under `params` and `policy`.
+    /// Compiles `source` into a fresh session under `params` and
+    /// `policy`: an automaton (`&Nfa`) or an nROBP (`&Robp`, DESIGN.md
+    /// D14), both through the one checkpointed run machinery. For a
+    /// program, `estimate(n)` answers `|L(P)_n|`: the assignment count
+    /// at `n = depth` and zero at every other length (a read-once
+    /// program accepts only full assignments).
     ///
     /// Validates `params` ([`Params::validate`], the one shared checker)
     /// and additionally rejects `trim_dead`: which cells level `ℓ`
     /// processes must not depend on how far the run has been extended,
-    /// or resumed sessions could not be bit-identical to fresh runs.
-    pub fn new(nfa: &Nfa, params: Params, policy: SessionPolicy) -> Result<Self, FprasError> {
-        params.validate()?;
-        if params.trim_dead {
-            return Err(FprasError::InvalidParams(
-                "trim_dead prunes cells by distance-to-accepting at a fixed horizon, which an \
-                 incrementally extended session does not have; build session params with \
-                 Params::for_session (or set trim_dead = false)"
-                    .into(),
-            ));
-        }
-        let policy = policy.normalized();
-        let SessionPolicy::Deterministic { seed, .. } = policy;
-        let accepts_lambda = nfa.is_accepting(nfa.initial());
-        let inner = normalize_for_run(nfa).map(|(normalized, q_final)| {
-            let substrate = NfaSubstrate::new(normalized, q_final, 0);
-            let m = substrate.universe();
-            let interner = FrontierInterner::new(m);
-            let mut table = RunTable::new(m, 0);
-            seed_level_zero(&mut table, &substrate, &params);
-            SessionInner {
-                substrate: Box::new(substrate),
-                interner,
-                table,
-                memo: UnionMemo::new(),
-                sampler_seed: sampler_union_seed(seed),
-                q_final,
-                scratch: SamplerScratch::new(),
-                built: 0,
-            }
-        });
-        Ok(QuerySession {
-            params,
-            policy,
-            shared_pool: None,
-            accepts_lambda,
-            inner,
-            stats: SessionStats::default(),
-            run_stats: RunStats::default(),
-            query_stats: RunStats::default(),
-            poisoned: false,
-            retry_limit: DEFAULT_RETRY_LIMIT,
-        })
-    }
-
-    /// Compiles an nROBP into a fresh session: the identical
-    /// checkpointed run machinery over the [`RobpSubstrate`] leveled
-    /// DAG (DESIGN.md D14) — `estimate(n)` answers `|L(P)_n|`, which is
-    /// the assignment count at `n = depth` and zero at every other
-    /// length (a read-once program accepts only full assignments).
-    ///
-    /// Validation is [`QuerySession::new`]'s plus a depth guard: the
-    /// program reads each variable once, so its level views stop at
-    /// `robp.depth()` — `params.n_hint` must not exceed it, keeping
-    /// every admissible query length buildable. λ is never accepted
-    /// (depth ≥ 1 by construction); a program accepting no assignment
-    /// is served degenerately, like a fully-trimmed automaton.
-    pub fn new_robp(
-        robp: &Robp,
+    /// or resumed sessions could not be bit-identical to fresh runs. A
+    /// program also gets a depth guard: it reads each variable once, so
+    /// its level views stop at `robp.depth()`, and `params.n_hint` must
+    /// not exceed it. A source that accepts nothing at any positive
+    /// length (fully trimmed automaton, empty program) is served
+    /// degenerately.
+    pub fn new<'a>(
+        source: impl Into<Source<'a>>,
         params: Params,
         policy: SessionPolicy,
     ) -> Result<Self, FprasError> {
@@ -231,45 +205,55 @@ impl QuerySession {
                     .into(),
             ));
         }
-        if params.n_hint > robp.depth() {
-            return Err(FprasError::InvalidParams(format!(
-                "session derivation length (n_hint = {}) exceeds the program depth {}: an nROBP \
-                 reads each variable once, so no longer query could ever be served",
-                params.n_hint,
-                robp.depth()
-            )));
-        }
+        let (accepts_lambda, substrate): (bool, Option<Box<dyn LeveledSubstrate>>) =
+            match source.into() {
+                Source::Nfa(nfa) => (
+                    nfa.is_accepting(nfa.initial()),
+                    normalize_for_run(nfa).map(|(normalized, q_final)| {
+                        Box::new(NfaSubstrate::new(normalized, q_final, 0)) as _
+                    }),
+                ),
+                Source::Robp(robp) => {
+                    if params.n_hint > robp.depth() {
+                        return Err(FprasError::InvalidParams(format!(
+                            "session derivation length (n_hint = {}) exceeds the program depth \
+                             {}: an nROBP reads each variable once, so no longer query could \
+                             ever be served",
+                            params.n_hint,
+                            robp.depth()
+                        )));
+                    }
+                    let substrate = RobpSubstrate::new(robp);
+                    (false, substrate.language_nonempty().then(|| Box::new(substrate) as _))
+                }
+            };
         let policy = policy.normalized();
         let SessionPolicy::Deterministic { seed, .. } = policy;
-        let substrate = RobpSubstrate::new(robp);
-        let inner = substrate.language_nonempty().then(|| {
+        let inner = substrate.map(|substrate| {
             let m = substrate.universe();
-            let q_final = substrate.final_cell();
-            let interner = FrontierInterner::new(m);
             let mut table = RunTable::new(m, 0);
-            seed_level_zero(&mut table, &substrate, &params);
+            seed_level_zero(&mut table, &*substrate, &params);
             SessionInner {
-                substrate: Box::new(substrate),
-                interner,
+                interner: FrontierInterner::new(m),
                 table,
                 memo: UnionMemo::new(),
                 sampler_seed: sampler_union_seed(seed),
-                q_final,
+                q_final: substrate.final_cell(),
                 scratch: SamplerScratch::new(),
                 built: 0,
+                substrate,
             }
         });
         Ok(QuerySession {
             params,
             policy,
             shared_pool: None,
-            accepts_lambda: false,
+            accepts_lambda,
             inner,
             stats: SessionStats::default(),
             run_stats: RunStats::default(),
             query_stats: RunStats::default(),
             poisoned: false,
-            retry_limit: DEFAULT_RETRY_LIMIT,
         })
     }
 
@@ -339,13 +323,6 @@ impl QuerySession {
     /// Highest finished level — queries `≤` this are free.
     pub fn levels_built(&self) -> usize {
         self.inner.as_ref().map_or(0, |i| i.built)
-    }
-
-    /// Overrides the per-`sample` retry limit (default
-    /// [`DEFAULT_RETRY_LIMIT`]).
-    pub fn with_retry_limit(mut self, limit: usize) -> Self {
-        self.retry_limit = limit.max(1);
-        self
     }
 
     /// Attaches a shared work-stealing [`Pool`]: every later extension
@@ -566,7 +543,7 @@ impl QuerySession {
             interner: &inner.interner,
             sampler_seed: inner.sampler_seed,
         };
-        for _ in 0..self.retry_limit {
+        for _ in 0..DEFAULT_RETRY_LIMIT {
             match sample_word(
                 &env,
                 &inner.table,
@@ -617,7 +594,8 @@ mod tests {
     use crate::counter::FprasRun;
     use crate::engine::run_parallel;
     use fpras_automata::exact::count_exact;
-    use fpras_automata::{Alphabet, NfaBuilder};
+    use fpras_automata::robp::Robp;
+    use fpras_automata::{Alphabet, Nfa, NfaBuilder};
     use rand::{rngs::SmallRng, RngExt, SeedableRng};
 
     fn contains_11() -> Nfa {
@@ -859,7 +837,7 @@ mod tests {
     fn robp_session_matches_fresh_robp_run_bitwise() {
         let robp = robp_contains_11();
         let params = Params::for_session(0.3, 0.1, robp.num_nodes(), 4);
-        let mut session = QuerySession::new_robp(&robp, params.clone(), seeded_by_rng(9)).unwrap();
+        let mut session = QuerySession::new(&robp, params.clone(), seeded_by_rng(9)).unwrap();
         // Partial-depth query first: the later full-depth query resumes
         // from the checkpoint and must still equal a fresh run.
         assert!(session.estimate(2).unwrap().is_zero(), "no sink at level 2");
@@ -886,12 +864,12 @@ mod tests {
         let robp = robp_contains_11();
         // n_hint exceeding the program depth can never be served.
         let params = Params::for_session(0.3, 0.1, robp.num_nodes(), 5);
-        let err = QuerySession::new_robp(&robp, params, one_thread(1));
+        let err = QuerySession::new(&robp, params, one_thread(1));
         assert!(matches!(err, Err(FprasError::InvalidParams(_))));
         // At the depth itself, queries past n_hint are refused like any
         // session (and λ is never accepted).
         let params = Params::for_session(0.3, 0.1, robp.num_nodes(), 4);
-        let mut session = QuerySession::new_robp(&robp, params, one_thread(1)).unwrap();
+        let mut session = QuerySession::new(&robp, params, one_thread(1)).unwrap();
         assert!(session.estimate(5).is_err());
         assert!(session.estimate(0).unwrap().is_zero());
     }
@@ -904,7 +882,7 @@ mod tests {
         let robp = robp_contains_11();
         let params = Params::for_session(0.3, 0.1, robp.num_nodes(), 4);
         for threads in [1usize, 2, 8] {
-            let mut session = QuerySession::new_robp(
+            let mut session = QuerySession::new(
                 &robp,
                 params.clone(),
                 SessionPolicy::Deterministic { seed: 4, threads },

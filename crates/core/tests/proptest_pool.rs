@@ -7,17 +7,19 @@
 //!   old `chunked_map` static split (kept here as the reference
 //!   implementation) exactly, order and values. Any divergence means an
 //!   index was claimed twice, dropped, or written to the wrong slot.
-//! * **Scheduling knobs are invisible** — whole FPRAS runs on random
-//!   NFAs must be bit-identical cell-for-cell when only `steal_chunk`
-//!   changes: the chunk size moves work between workers and flips the
-//!   sequential cutoff, neither of which may touch any RNG stream.
+//! * **The chunk size is invisible** — engine-shaped passes (each item
+//!   draws from its own item-keyed RNG stream, with skewed cost) must
+//!   produce identical output at every chunk size: the chunk moves work
+//!   between workers and flips the sequential cutoff, neither of which
+//!   may touch any stream. (Whole-run invariance across thread counts
+//!   is `engine_policies.rs`'s.)
 //! * **Accounting closes** — every item of every pass is attributed to
 //!   exactly one worker (or the sequential path); steals never exceed
 //!   chunk claims.
 
-use fpras_core::{run_parallel, FprasRun, Params, Pool};
-use fpras_workloads::{random_nfa, RandomNfaConfig};
+use fpras_core::Pool;
 use proptest::prelude::*;
+use rand::{rngs::SmallRng, RngExt, SeedableRng};
 
 /// The pre-D10 static split, verbatim semantics: cut the items into
 /// `threads` equal chunks, map each chunk on its own scoped thread,
@@ -46,33 +48,6 @@ where
         chunks_out = handles.into_iter().map(|h| h.join().expect("worker panicked")).collect();
     });
     chunks_out.into_iter().flatten().collect()
-}
-
-/// Compares every observable cell of two runs (same helper shape as the
-/// batching/memo proptests).
-fn assert_runs_identical(a: &FprasRun, b: &FprasRun, label: &str) {
-    assert_eq!(a.estimate().to_f64(), b.estimate().to_f64(), "{label}: estimate");
-    let (Some(m), Some(mb)) = (a.normalized_states(), b.normalized_states()) else {
-        return;
-    };
-    assert_eq!(m, mb, "{label}: normalized size");
-    for ell in 0..=a.n() {
-        for q in 0..m as u32 {
-            assert_eq!(
-                a.cell_estimate(q, ell).map(|e| e.to_f64()),
-                b.cell_estimate(q, ell).map(|e| e.to_f64()),
-                "{label}: N({q},{ell})"
-            );
-            assert_eq!(
-                a.cell_genuine_samples(q, ell),
-                b.cell_genuine_samples(q, ell),
-                "{label}: S({q},{ell})"
-            );
-        }
-    }
-    assert_eq!(a.stats().membership_ops, b.stats().membership_ops, "{label}: ops");
-    assert_eq!(a.stats().sample_calls, b.stats().sample_calls, "{label}: sample calls");
-    assert_eq!(a.stats().memo_hits, b.stats().memo_hits, "{label}: memo hits");
 }
 
 proptest! {
@@ -131,35 +106,34 @@ proptest! {
 
     #[test]
     fn steal_chunk_is_invisible_in_the_output(
-        states in 2usize..6,
-        density_tenths in 10u32..26,
-        n in 5usize..9,
-        seed in 0u64..500,
+        len in 1usize..400,
+        threads in 2usize..6,
         chunk in 1usize..9,
+        seed in 0u64..500,
     ) {
-        let config = RandomNfaConfig {
-            states,
-            alphabet: 2,
-            density: density_tenths as f64 / 10.0,
-            accepting: 1,
+        // Engine-shaped items: each draws from its own item-keyed RNG
+        // stream (like a cell's) and does a skewed amount of work.
+        let items: Vec<u64> = (0..len as u64).collect();
+        let job = |&i: &u64| {
+            let mut rng = SmallRng::seed_from_u64(seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let draws = 1 + (i % 7) * (i % 3) * 8;
+            (0..draws).fold(0u64, |acc, _| acc.rotate_left(5) ^ rng.random::<u64>())
         };
-        let nfa = random_nfa(&config, &mut rand::rngs::SmallRng::seed_from_u64(seed));
-        let mut params = Params::practical(0.4, 0.2, states, n);
-        let base = run_parallel(&nfa, n, &params, seed, 4).expect("default chunk");
-        params.steal_chunk = chunk;
-        let tuned = run_parallel(&nfa, n, &params, seed, 4).expect("tuned chunk");
-        assert_runs_identical(&base, &tuned, &format!("chunk {chunk} seed {seed}"));
-        // And an extreme chunk (forces the sequential cutoff on every
-        // pass) still reproduces the run bit-for-bit.
-        params.steal_chunk = 1_000_000;
-        let sequentialized = run_parallel(&nfa, n, &params, seed, 4).expect("huge chunk");
-        assert_runs_identical(&base, &sequentialized, &format!("cutoff-only seed {seed}"));
-        prop_assert_eq!(
-            sequentialized.stats().pool.parallel_passes,
-            0,
-            "a huge chunk must sequentialize every pass"
-        );
+        let expected: Vec<u64> = items.iter().map(job).collect();
+        let pool = Pool::new(threads);
+        for c in [1, 2, chunk, 1_000_000] {
+            let out = pool.map_with_ops(&items, c, job, |_| 1);
+            prop_assert_eq!(&out, &expected, "chunk {} (t={}, seed {})", c, threads, seed);
+            let stats = pool.take_stats();
+            prop_assert_eq!(
+                stats.worker_ops.iter().sum::<u64>(),
+                stats.parallel_items,
+                "ops attribution at chunk {}", c
+            );
+            // An extreme chunk forces the sequential cutoff.
+            if c == 1_000_000 {
+                prop_assert_eq!(stats.parallel_passes, 0, "a huge chunk must sequentialize");
+            }
+        }
     }
 }
-
-use rand::SeedableRng;

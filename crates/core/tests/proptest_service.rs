@@ -19,7 +19,7 @@
 //!   capacity-limited [`ServiceRegistry`] (evictions included) returns
 //!   the same answers as dedicated sessions.
 
-use fpras_core::service::{QuerySession, ServiceRegistry, SessionPolicy};
+use fpras_core::service::{QuerySession, ServiceRegistry, SessionKey, SessionPolicy};
 use fpras_core::{run_parallel, FprasRun, Params};
 use fpras_workloads::{random_nfa, RandomNfaConfig};
 use proptest::prelude::*;
@@ -178,9 +178,11 @@ proptest! {
             .map(|(nfa, p)| QuerySession::new(nfa, p.clone(), policy.clone()).unwrap())
             .collect();
         for &(which, n) in &lengths {
+            let key = SessionKey::new(&automata[which], &params[which], &policy);
             let via_registry = registry
-                .session(&automata[which], &params[which], &policy)
+                .session_with_key_recycled(key, &automata[which], &params[which], &policy)
                 .unwrap()
+                .0
                 .estimate(n)
                 .unwrap();
             let direct = dedicated[which].estimate(n).unwrap();

@@ -31,24 +31,23 @@
 //! The `query` subcommand answers many lengths from **one**
 //! `fpras_core::service::QuerySession` (levels built once, reused by
 //! every related query; answers bit-identical to fresh runs — DESIGN.md
-//! D11). The `serve` subcommand is the multi-session server front-end:
-//! a line protocol where `open NAME --regex P | use NAME | close NAME`
-//! manage named sessions multiplexed over one `ServiceRegistry` (all
-//! sessions of one thread count share ONE worker pool — D13), and
-//! `--max-sessions/--max-total-levels/--max-query-ops` impose
-//! per-tenant quotas that degrade to `error:` lines, never process
-//! exit.
+//! D11). The `serve` subcommand is the stdin front-end of
+//! `fpras_core::service::Server`: a line protocol where `open NAME
+//! --regex P | use NAME | close NAME` manage named sessions multiplexed
+//! over one registry (all sessions of one thread count share ONE worker
+//! pool — D13), and `--max-sessions/--max-total-levels/--max-query-ops`
+//! impose per-tenant quotas that degrade to `error:` lines, never
+//! process exit.
 
 use fpras_automata::exact::count_exact;
-use fpras_automata::{dot, enumerate_slice, parse, regex, Alphabet, Nfa};
+use fpras_automata::{dot, enumerate_slice, Nfa};
 use fpras_baselines::path_importance_sampling;
 use fpras_core::service::{
-    AdmissionController, QuerySession, QuotaConfig, ServiceRegistry, SessionKey, SessionPolicy,
-    SessionStats,
+    load_automaton, parse_flag_value, parse_threads, serve_stream, QuerySession, QuotaConfig,
+    ServeError, Server, ServerConfig, SessionSpec, StreamError,
 };
 use fpras_core::{
-    run_parallel, run_robp_parallel, FprasError, JsonlSink, Params, PromText, RunStats, TraceEvent,
-    UniformGenerator, MAX_THREADS,
+    run_parallel, run_robp_parallel, JsonlSink, Params, RunStats, UniformGenerator, MAX_THREADS,
 };
 use fpras_numeric::ExtFloat;
 use rand::{rngs::SmallRng, SeedableRng};
@@ -68,7 +67,6 @@ struct Args {
     dot: bool,
     stats: bool,
     no_batch: bool,
-    steal_chunk: Option<usize>,
     trace_out: Option<String>,
 }
 
@@ -86,14 +84,12 @@ fn usage() -> ! {
          \t[--method fpras|path-is|dp|bdd] [--threads T=1]\n\
          \t[--eps E=0.2] [--delta D=0.05] [--seed S=42] [--sample K]\n\
          \t[--enumerate K] [--exact] [--dot] [--stats] [--no-batch]\n\
-         \t[--steal-chunk C=2] [--trace-out FILE]\n\
+         \t[--trace-out FILE]\n\
          \n\
          --threads runs the FPRAS engine on T workers, 1 to {MAX_THREADS}\n\
          (output depends only on --seed, never on T). --no-batch\n\
          disables batched union estimation (same output, more work;\n\
          for benchmarking).\n\
-         --steal-chunk sets the work-stealing executor's claim\n\
-         granularity (scheduling-only: any value is bit-identical).\n\
          --stats prints the full run counters, including the batching,\n\
          memo, executor, and phase-wall numbers.\n\
          --trace-out streams structured run events (level passes, memo\n\
@@ -103,38 +99,17 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// Parses `flag`'s value, naming the flag and the offending token in
-/// the error. The one flag-value validation path shared by
-/// `parse_args`, `parse_service_args`, and the serve `open` command
-/// (previously copy-pasted `parse().unwrap_or_else(..)` per parser).
-fn parse_value<T: std::str::FromStr>(flag: &str, raw: Option<&str>) -> Result<T, String> {
-    let raw = raw.ok_or_else(|| format!("missing value for {flag}"))?;
-    raw.parse::<T>().map_err(|_| format!("invalid value {raw:?} for {flag}"))
-}
-
-/// Parses a `--threads` value and bounds it to `1..=MAX_THREADS`: every
-/// worker past the first is an OS thread, so each input boundary (argv
-/// flags and serve `open` lines) refuses counts outside that range.
-fn parse_threads(raw: Option<&str>) -> Result<usize, String> {
-    let threads: usize = parse_value("--threads", raw)?;
-    if (1..=MAX_THREADS).contains(&threads) {
-        Ok(threads)
-    } else {
-        Err(format!("--threads must be between 1 and {MAX_THREADS}, got {threads}"))
-    }
-}
-
 /// [`parse_threads`] for the argv parsers: reports the error on stderr
 /// and returns `None`, like [`parse_value_or_report`].
 fn parse_threads_or_report(raw: &str) -> Option<usize> {
     parse_threads(Some(raw)).map_err(|e| eprintln!("{e}")).ok()
 }
 
-/// [`parse_value`] for the argv parsers: reports the error on stderr
-/// and returns `None` so the caller can exit through its own usage
-/// text.
+/// [`parse_flag_value`] for the argv parsers: reports the error on
+/// stderr and returns `None` so the caller can exit through its own
+/// usage text.
 fn parse_value_or_report<T: std::str::FromStr>(flag: &str, raw: &str) -> Option<T> {
-    match parse_value(flag, Some(raw)) {
+    match parse_flag_value(flag, Some(raw)) {
         Ok(v) => Some(v),
         Err(e) => {
             eprintln!("{e}");
@@ -159,7 +134,6 @@ fn parse_args() -> Args {
         dot: false,
         stats: false,
         no_batch: false,
-        steal_chunk: None,
         trace_out: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -168,46 +142,29 @@ fn parse_args() -> Args {
         *i += 1;
         argv.get(*i).cloned().unwrap_or_else(|| usage())
     };
+    macro_rules! num {
+        ($flag:literal, $i:expr) => {
+            parse_value_or_report($flag, &value($i)).unwrap_or_else(|| usage())
+        };
+    }
     while i < argv.len() {
         match argv[i].as_str() {
             "--regex" => args.regex = Some(value(&mut i)),
             "--file" => args.file = Some(value(&mut i)),
-            "-n" | "--length" => {
-                args.n = parse_value_or_report("-n", &value(&mut i)).unwrap_or_else(|| usage())
-            }
-            "--eps" => {
-                args.eps = parse_value_or_report("--eps", &value(&mut i)).unwrap_or_else(|| usage())
-            }
-            "--delta" => {
-                args.delta =
-                    parse_value_or_report("--delta", &value(&mut i)).unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                args.seed =
-                    parse_value_or_report("--seed", &value(&mut i)).unwrap_or_else(|| usage())
-            }
-            "--sample" => {
-                args.sample =
-                    parse_value_or_report("--sample", &value(&mut i)).unwrap_or_else(|| usage())
-            }
+            "-n" | "--length" => args.n = num!("-n", &mut i),
+            "--eps" => args.eps = num!("--eps", &mut i),
+            "--delta" => args.delta = num!("--delta", &mut i),
+            "--seed" => args.seed = num!("--seed", &mut i),
+            "--sample" => args.sample = num!("--sample", &mut i),
             "--threads" => {
                 args.threads =
                     Some(parse_threads_or_report(&value(&mut i)).unwrap_or_else(|| usage()))
             }
-            "--enumerate" => {
-                args.enumerate =
-                    parse_value_or_report("--enumerate", &value(&mut i)).unwrap_or_else(|| usage())
-            }
+            "--enumerate" => args.enumerate = num!("--enumerate", &mut i),
             "--exact" => args.exact = true,
             "--dot" => args.dot = true,
             "--stats" => args.stats = true,
             "--no-batch" => args.no_batch = true,
-            "--steal-chunk" => {
-                args.steal_chunk = Some(
-                    parse_value_or_report("--steal-chunk", &value(&mut i))
-                        .unwrap_or_else(|| usage()),
-                )
-            }
             "--trace-out" => args.trace_out = Some(value(&mut i)),
             "--method" => {
                 args.method = match value(&mut i).as_str() {
@@ -244,32 +201,11 @@ fn parse_args() -> Args {
     if args.n == usize::MAX || (args.regex.is_none() == args.file.is_none()) {
         usage();
     }
-    if args.method != Method::Fpras
-        && (args.stats || args.no_batch || args.steal_chunk.is_some() || args.trace_out.is_some())
-    {
-        eprintln!("--stats, --no-batch, --steal-chunk and --trace-out require --method fpras");
+    if args.method != Method::Fpras && (args.stats || args.no_batch || args.trace_out.is_some()) {
+        eprintln!("--stats, --no-batch and --trace-out require --method fpras");
         usage();
     }
     args
-}
-
-/// Loads the automaton from `--regex` or `--file`. Every failure —
-/// including the caller passing neither source, which the old code
-/// turned into an `expect("validated")` panic waiting for the
-/// validation paths to drift — is an `Err` the caller renders as a
-/// usage error or a serve-loop `error:` line.
-fn load_automaton(regex_pattern: Option<&str>, file: Option<&str>) -> Result<Nfa, String> {
-    match (regex_pattern, file) {
-        (Some(pattern), None) => regex::compile_regex(pattern, &Alphabet::binary())
-            .map_err(|e| format!("cannot compile regex: {e}")),
-        (None, Some(path)) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            parse::from_text(&text).map_err(|e| format!("cannot parse {path}: {e}"))
-        }
-        (Some(_), Some(_)) => Err("--regex and --file are mutually exclusive".to_string()),
-        (None, None) => Err("an automaton source (--regex or --file) is required".to_string()),
-    }
 }
 
 /// [`load_automaton`] for the one-shot paths: any failure is a usage
@@ -279,6 +215,19 @@ fn load_automaton_or_exit(regex_pattern: Option<&str>, file: Option<&str>) -> Nf
         eprintln!("{e}");
         std::process::exit(2);
     })
+}
+
+/// `|estimate − exact| / exact` for `--exact`, with 0/0 = 0 and x/0 = ∞.
+fn relative_error(estimate: ExtFloat, exact: f64) -> f64 {
+    if exact == 0.0 {
+        if estimate.is_zero() {
+            0.0
+        } else {
+            f64::INFINITY
+        }
+    } else {
+        (estimate.to_f64() - exact).abs() / exact
+    }
 }
 
 fn report_estimate(n: usize, estimate: ExtFloat) {
@@ -337,23 +286,14 @@ fn report_stats(s: &RunStats) {
 struct ServiceArgs {
     regex: Option<String>,
     file: Option<String>,
-    eps: f64,
-    delta: f64,
-    seed: u64,
-    threads: usize,
-    /// Largest length the session's parameters are derived for
-    /// (`query` raises it to the largest requested length).
-    max_n: usize,
+    /// The session settings (`serve`: every tenant's default and
+    /// ceiling; `query` raises `max_n` to the largest requested length).
+    spec: SessionSpec,
     lengths: Vec<usize>,
     stats: bool,
-    /// `serve` quota: simultaneously open named sessions.
-    max_sessions: Option<usize>,
-    /// `serve` quota: cumulative DP levels per tenant (survives
-    /// session recycles).
-    max_total_levels: Option<u64>,
-    /// `serve` quota: membership-op budget per query (a tripped budget
-    /// aborts the query and the session is recycled on next use).
-    max_query_ops: Option<u64>,
+    /// `serve` quotas: `--max-sessions`, `--max-total-levels`,
+    /// `--max-query-ops`.
+    quota: QuotaConfig,
 }
 
 fn service_usage(cmd: &str) -> ! {
@@ -389,7 +329,10 @@ fn service_usage(cmd: &str) -> ! {
              \ttrace on FILE | trace off   (JSONL run-event tracing)\n\
              Named sessions multiplex onto one registry and one shared\n\
              worker pool; --regex/--file at startup opens session\n\
-             \"default\". Bad lines and quota denials answer with one\n\
+             \"default\". The server's --max-n, --eps and --delta are the\n\
+             ceiling of every `open`: a larger --max-n or a smaller --eps\n\
+             or --delta is refused. Bad lines (including lines that are\n\
+             not valid UTF-8) and quota denials answer with one\n\
              `error: …` line each — the process never exits on them."
         } else {
             ""
@@ -402,16 +345,10 @@ fn parse_service_args(cmd: &str, argv: &[String]) -> ServiceArgs {
     let mut args = ServiceArgs {
         regex: None,
         file: None,
-        eps: 0.2,
-        delta: 0.05,
-        seed: 42,
-        threads: 1,
-        max_n: 64,
+        spec: SessionSpec::default(),
         lengths: Vec::new(),
         stats: false,
-        max_sessions: None,
-        max_total_levels: None,
-        max_query_ops: None,
+        quota: QuotaConfig::default(),
     };
     let mut i = 0;
     let value = |i: &mut usize| -> String {
@@ -429,23 +366,23 @@ fn parse_service_args(cmd: &str, argv: &[String]) -> ServiceArgs {
         match argv[i].as_str() {
             "--regex" => args.regex = Some(value(&mut i)),
             "--file" => args.file = Some(value(&mut i)),
-            "--eps" => args.eps = num!("--eps", &mut i),
-            "--delta" => args.delta = num!("--delta", &mut i),
-            "--seed" => args.seed = num!("--seed", &mut i),
+            "--eps" => args.spec.eps = num!("--eps", &mut i),
+            "--delta" => args.spec.delta = num!("--delta", &mut i),
+            "--seed" => args.spec.seed = num!("--seed", &mut i),
             "--threads" => {
-                args.threads =
+                args.spec.threads =
                     parse_threads_or_report(&value(&mut i)).unwrap_or_else(|| service_usage(cmd))
             }
-            "--max-n" => args.max_n = num!("--max-n", &mut i),
+            "--max-n" => args.spec.max_n = num!("--max-n", &mut i),
             "--stats" => args.stats = true,
             "--max-sessions" if cmd == "serve" => {
-                args.max_sessions = Some(num!("--max-sessions", &mut i))
+                args.quota.max_sessions = Some(num!("--max-sessions", &mut i))
             }
             "--max-total-levels" if cmd == "serve" => {
-                args.max_total_levels = Some(num!("--max-total-levels", &mut i))
+                args.quota.max_total_levels = Some(num!("--max-total-levels", &mut i))
             }
             "--max-query-ops" if cmd == "serve" => {
-                args.max_query_ops = Some(num!("--max-query-ops", &mut i))
+                args.quota.max_query_ops = Some(num!("--max-query-ops", &mut i))
             }
             "--lengths" if cmd == "query" => {
                 args.lengths = value(&mut i)
@@ -479,55 +416,21 @@ fn parse_service_args(cmd: &str, argv: &[String]) -> ServiceArgs {
     args
 }
 
-/// Builds the session for a `serve`/`query` invocation. Parameter
-/// checking is [`QuerySession::new`]'s job (the one shared
-/// [`Params::validate`] path); this only maps its error to a usage
-/// exit, before any level is built.
-fn open_session(args: &ServiceArgs, nfa: &Nfa) -> QuerySession {
-    let params = Params::for_session(args.eps, args.delta, nfa.num_states(), args.max_n);
-    let policy = SessionPolicy::Deterministic { seed: args.seed, threads: args.threads };
-    match QuerySession::new(nfa, params, policy) {
-        Ok(session) => session,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn print_session_summary(s: &SessionStats) {
-    println!(
-        "session: queries={} levels_built={} levels_reused={} reuse_rate={:.3}",
-        s.queries_served,
-        s.levels_built,
-        s.levels_reused,
-        s.reuse_rate()
-    );
-    // Latency quantiles are bucket upper edges (see LatencyHistogram):
-    // conservative, mergeable across sessions without raw samples.
-    if let (Some(p50), Some(p99)) = (s.latency.quantile(0.5), s.latency.quantile(0.99)) {
-        println!("latency: count={} p50_us<={p50} p99_us<={p99}", s.latency.count());
-    }
-}
-
-/// The `query` exit report: the reuse summary and, under `--stats`, the
-/// build counters merged with the sample-serving work (tracked apart so
-/// serving never spends the build budget).
-fn finish_session(session: &QuerySession, stats: bool) {
-    print_session_summary(session.stats());
-    if stats {
-        let mut merged = session.run_stats().clone();
-        merged.merge(session.query_run_stats());
-        report_stats(&merged);
-    }
-}
-
 /// `nfa-count query`: one session answers a list of lengths in order.
+/// Parameter checking is [`QuerySession::new`]'s job (the one shared
+/// [`Params::validate`] path); a failure is a usage exit, before any
+/// level is built. The exit report is the reuse summary and, under
+/// `--stats`, the build counters merged with the sample-serving work
+/// (tracked apart so serving never spends the build budget).
 fn query_main(argv: &[String]) {
     let mut args = parse_service_args("query", argv);
-    args.max_n = args.max_n.max(args.lengths.iter().copied().max().unwrap_or(0));
+    args.spec.max_n = args.spec.max_n.max(args.lengths.iter().copied().max().unwrap_or(0));
     let nfa = load_automaton_or_exit(args.regex.as_deref(), args.file.as_deref());
-    let mut session = open_session(&args, &nfa);
+    let mut session = QuerySession::new(&nfa, args.spec.params(&nfa), args.spec.policy())
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
     for &n in &args.lengths {
         match session.estimate(n) {
             Ok(est) => println!("estimate |L(A_{n})| ≈ {est} (log2 ≈ {:.3})", est.log2()),
@@ -537,514 +440,50 @@ fn query_main(argv: &[String]) {
             }
         }
     }
-    finish_session(&session, args.stats);
-}
-
-/// Live sessions a serve process holds open when `--max-sessions` is
-/// unset: enough for small multi-tenant scripts, bounded so a runaway
-/// client cannot pin unbounded memory (evicted sessions rebuild on
-/// demand — eviction is not rejection).
-const DEFAULT_REGISTRY_CAPACITY: usize = 8;
-
-/// Most words one serve `sample N COUNT` line may ask for. Each line is
-/// answered in full before the next is read, so an unbounded `COUNT`
-/// would stream words forever and starve every other tenant.
-const MAX_SAMPLES_PER_LINE: usize = 4096;
-
-/// Per-tenant construction inputs for one named serve session.
-#[derive(Clone)]
-struct TenantSpec {
-    regex: Option<String>,
-    file: Option<String>,
-    eps: f64,
-    delta: f64,
-    seed: u64,
-    threads: usize,
-    max_n: usize,
-}
-
-/// One open named session of the serve loop. The session itself lives
-/// in the [`ServiceRegistry`] (looked up by `key` per query, so a
-/// poisoned one is recycled); the tenant carries what must outlive
-/// recycles — the construction inputs and the level-quota ledger.
-struct Tenant {
-    name: String,
-    nfa: Nfa,
-    params: Params,
-    policy: SessionPolicy,
-    key: SessionKey,
-    /// Cumulative DP levels this tenant has built, across every
-    /// incarnation of its session — the `--max-total-levels` ledger.
-    levels_ledger: u64,
-}
-
-/// Parses the tokens after `open NAME`, starting from the server-wide
-/// defaults. Errors become one `error:` line; they never exit.
-fn parse_open_spec(
-    defaults: &TenantSpec,
-    words: &mut std::str::SplitWhitespace,
-) -> Result<TenantSpec, String> {
-    let mut spec = TenantSpec { regex: None, file: None, ..defaults.clone() };
-    while let Some(flag) = words.next() {
-        match flag {
-            "--regex" => {
-                spec.regex = Some(words.next().ok_or("missing value for --regex")?.to_string())
-            }
-            "--file" => {
-                spec.file = Some(words.next().ok_or("missing value for --file")?.to_string())
-            }
-            "--eps" => spec.eps = parse_value(flag, words.next())?,
-            "--delta" => spec.delta = parse_value(flag, words.next())?,
-            "--seed" => spec.seed = parse_value(flag, words.next())?,
-            "--threads" => spec.threads = parse_threads(words.next())?,
-            "--max-n" => spec.max_n = parse_value(flag, words.next())?,
-            other => return Err(format!("unknown open flag {other:?}")),
-        }
-    }
-    if spec.regex.is_none() && spec.file.is_none() {
-        return Err("open requires --regex or --file".to_string());
-    }
-    Ok(spec)
-}
-
-/// Opens a named session: admission check, automaton load, and an
-/// eager registry compile (so parameter errors surface on the `open`
-/// line, not the first query). Returns the `opened …` response line.
-fn open_tenant(
-    name: &str,
-    spec: &TenantSpec,
-    registry: &mut ServiceRegistry,
-    admission: &mut AdmissionController,
-    tenants: &mut Vec<Tenant>,
-) -> Result<String, String> {
-    if tenants.iter().any(|t| t.name == name) {
-        return Err(format!("session {name:?} already open (select it with: use {name})"));
-    }
-    admission.admit_session(tenants.len()).map_err(|d| {
-        fpras_core::obs::emit_with(|| TraceEvent::QuotaDenied {
-            tenant: name.to_string(),
-            reason: d.to_string(),
-        });
-        d.to_string()
-    })?;
-    let nfa = load_automaton(spec.regex.as_deref(), spec.file.as_deref())?;
-    let params = Params::for_session(spec.eps, spec.delta, nfa.num_states(), spec.max_n);
-    let policy = SessionPolicy::Deterministic { seed: spec.seed, threads: spec.threads };
-    let key = SessionKey::new(&nfa, &params, &policy);
-    registry.session_with_key(key.clone(), &nfa, &params, &policy).map_err(|e| e.to_string())?;
-    let line = format!(
-        "opened {name} ({} states, {} transitions, {})",
-        nfa.num_states(),
-        nfa.num_transitions(),
-        policy.label()
-    );
-    fpras_core::obs::emit_with(|| TraceEvent::SessionOpen { tenant: name.to_string() });
-    tenants.push(Tenant { name: name.to_string(), nfa, params, policy, key, levels_ledger: 0 });
-    Ok(line)
-}
-
-/// Pre-query admission for one tenant: looks the session up (recycling
-/// a poisoned predecessor — the returned flag), denies it if extending
-/// to `horizon` would blow the tenant's level ledger, and installs the
-/// per-query op budget. Quota denials do no work: they are checked
-/// before any level is built.
-fn admit_query<'r>(
-    registry: &'r mut ServiceRegistry,
-    admission: &mut AdmissionController,
-    tenant: &Tenant,
-    horizon: usize,
-) -> Result<(&'r mut QuerySession, bool), String> {
-    let (session, recycled) = registry
-        .session_with_key_recycled(tenant.key.clone(), &tenant.nfa, &tenant.params, &tenant.policy)
-        .map_err(|e| e.to_string())?;
-    let needed = horizon.saturating_sub(session.levels_built()) as u64;
-    admission.admit_levels(tenant.levels_ledger, needed).map_err(|d| {
-        fpras_core::obs::emit_with(|| TraceEvent::QuotaDenied {
-            tenant: tenant.name.clone(),
-            reason: d.to_string(),
-        });
-        d.to_string()
-    })?;
-    let cap = admission.per_query_ops_cap(session.run_stats().membership_ops);
-    session.set_build_ops_budget(cap);
-    Ok((session, recycled))
-}
-
-/// The serve `metrics` response: a Prometheus text-format snapshot of
-/// the registry, admission, and latency surfaces. Counters are
-/// cumulative over the process (evicted sessions included — the
-/// registry folds their stats into `session_totals`).
-fn render_metrics(
-    tenants: usize,
-    registry: &ServiceRegistry,
-    admission: &AdmissionController,
-) -> String {
-    let totals = registry.session_totals();
-    let r = registry.stats();
-    let mut prom = PromText::new();
-    prom.gauge("fpras_open_tenants", "Named serve sessions currently open.", tenants as f64)
-        .counter(
-            "fpras_sessions_created_total",
-            "Sessions compiled from scratch (registry misses).",
-            r.sessions_created,
-        )
-        .counter("fpras_session_hits_total", "Queries routed to a cached session.", r.session_hits)
-        .counter(
-            "fpras_sessions_evicted_total",
-            "Sessions evicted by the LRU policy.",
-            r.sessions_evicted,
-        )
-        .counter(
-            "fpras_sessions_recycled_total",
-            "Poisoned sessions replaced by a fresh compile.",
-            r.sessions_recycled,
-        )
-        .counter(
-            "fpras_pool_workers_spawned_total",
-            "OS worker threads spawned across shared pools.",
-            r.pool_workers_spawned,
-        )
-        .counter(
-            "fpras_queries_served_total",
-            "Queries answered across every session the registry ever owned.",
-            totals.queries_served,
-        )
-        .counter(
-            "fpras_levels_built_total",
-            "DP levels built across sessions.",
-            totals.levels_built,
-        )
-        .counter(
-            "fpras_levels_reused_total",
-            "Query-needed levels answered from a checkpoint.",
-            totals.levels_reused,
-        )
-        .counter(
-            "fpras_quota_rejections_total",
-            "Opens and queries denied by the admission controller.",
-            admission.stats().quota_rejections(),
-        )
-        .histogram(
-            "fpras_query_latency_us",
-            "Per-query serve latency in microseconds.",
-            &totals.latency,
-        );
-    prom.render()
-}
-
-/// A parsed data-path serve command (the ones that hit a session).
-enum Query {
-    Estimate(usize),
-    Range(usize, usize),
-    Sample(usize, usize),
-}
-
-impl Query {
-    /// The largest level the query needs — what the level quota prices.
-    fn horizon(&self) -> usize {
-        match *self {
-            Query::Estimate(n) | Query::Sample(n, _) => n,
-            Query::Range(_, b) => b,
-        }
+    println!("{}", session.stats());
+    if args.stats {
+        let mut merged = session.run_stats().clone();
+        merged.merge(session.query_run_stats());
+        report_stats(&merged);
     }
 }
 
-/// `nfa-count serve`: a line-protocol server multiplexing named
-/// sessions over one [`ServiceRegistry`] (one shared worker pool for
-/// every Deterministic session) with quota-governed admission. Returns
-/// the process exit code: 0 on clean EOF or `quit`, 1 when stdin
-/// failed mid-stream (an I/O error is not an end of input).
+/// `nfa-count serve`: stdin → [`Server`] → stdout. Returns the process
+/// exit code: 0 on clean EOF or `quit`, 1 when stdin or stdout failed
+/// mid-stream (an I/O error is not an end of input), 2 when the
+/// startup `default` session cannot be opened — no client is listening
+/// yet, so an `error:` line would vanish into a broken pipeline.
 fn serve_main(argv: &[String]) -> i32 {
     let args = parse_service_args("serve", argv);
-    let mut admission = AdmissionController::new(QuotaConfig {
-        max_sessions: args.max_sessions,
-        max_total_levels: args.max_total_levels,
-        max_query_ops: args.max_query_ops,
-    });
-    let mut registry = ServiceRegistry::new(args.max_sessions.unwrap_or(DEFAULT_REGISTRY_CAPACITY));
-    let mut tenants: Vec<Tenant> = Vec::new();
-    let mut current: Option<usize> = None;
-    let defaults = TenantSpec {
-        regex: None,
-        file: None,
-        eps: args.eps,
-        delta: args.delta,
-        seed: args.seed,
-        threads: args.threads,
-        max_n: args.max_n,
-    };
-    // The serve-process sample stream: one RNG for every tenant, so
-    // sample outputs depend on the whole command history (sessions own
-    // their *build* randomness; D11 is about estimates, not about which
-    // witness a shared server stream draws next).
-    let mut sample_rng = SmallRng::seed_from_u64(args.seed ^ 0x05A3_F1E5);
-
-    // Back-compat: `serve --regex P` behaves like the old one-session
-    // loop — session "default" is opened and selected. Startup failures
-    // are still process-fatal (exit 2): no client is listening yet, so
-    // an `error:` line would vanish into a broken pipeline.
+    let mut server = Server::new(ServerConfig { spec: args.spec.clone(), quota: args.quota });
     if args.regex.is_some() || args.file.is_some() {
-        let spec =
-            TenantSpec { regex: args.regex.clone(), file: args.file.clone(), ..defaults.clone() };
-        match open_tenant("default", &spec, &mut registry, &mut admission, &mut tenants) {
-            Ok(_) => current = Some(0),
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
+        let opened = load_automaton(args.regex.as_deref(), args.file.as_deref())
+            .map_err(ServeError::Usage)
+            .and_then(|nfa| server.open("default", nfa, args.spec.clone()));
+        if let Err(e) = opened {
+            eprintln!("{e}");
+            return 2;
         }
     }
-
     eprintln!(
         "serving (open NAME --regex P | use NAME | close NAME | estimate N | \
          range A B | sample N [COUNT] | stats | metrics | trace on FILE | \
          trace off | quit)"
     );
-    let stdin = std::io::stdin();
-    let mut line = String::new();
-    let mut io_error: Option<std::io::Error> = None;
-    loop {
-        line.clear();
-        match stdin.read_line(&mut line) {
-            Ok(0) => break, // clean EOF
-            Ok(_) => {}
-            Err(e) => {
-                // An I/O failure is not an end of input: report it and
-                // exit nonzero so pipelines can tell the two apart.
-                io_error = Some(e);
-                break;
-            }
-        }
-        let mut words = line.split_whitespace();
-        let Some(cmd) = words.next() else { continue };
-        let parse_n = |w: Option<&str>| w.and_then(|s| s.parse::<usize>().ok());
-
-        // Control commands first — they never touch a session's levels.
-        let query = match cmd {
-            "open" => {
-                match words.next() {
-                    Some(name) if !name.starts_with("--") => {
-                        match parse_open_spec(&defaults, &mut words).and_then(|spec| {
-                            open_tenant(name, &spec, &mut registry, &mut admission, &mut tenants)
-                        }) {
-                            Ok(response) => {
-                                current = Some(tenants.len() - 1);
-                                println!("{response}");
-                            }
-                            Err(e) => println!("error: {e}"),
-                        }
-                    }
-                    _ => println!("error: usage: open NAME (--regex P | --file F) [flags]"),
-                }
-                continue;
-            }
-            "use" => {
-                match words.next().and_then(|n| tenants.iter().position(|t| t.name == n)) {
-                    Some(i) => {
-                        current = Some(i);
-                        println!("using {}", tenants[i].name);
-                    }
-                    None => println!("error: no such session (open it first)"),
-                }
-                continue;
-            }
-            "close" => {
-                match words.next().and_then(|n| tenants.iter().position(|t| t.name == n)) {
-                    Some(i) => {
-                        let t = tenants.remove(i);
-                        // Re-point `current` at the tenant it selected
-                        // (indices shifted), or clear it.
-                        current = match current {
-                            Some(c) if c == i => None,
-                            Some(c) if c > i => Some(c - 1),
-                            other => other,
-                        };
-                        println!("closed {}", t.name);
-                    }
-                    None => println!("error: no such session"),
-                }
-                continue;
-            }
-            "metrics" => {
-                print!("{}", render_metrics(tenants.len(), &registry, &admission));
-                continue;
-            }
-            "trace" => {
-                match (words.next(), words.next()) {
-                    (Some("on"), Some(path)) => {
-                        match JsonlSink::create(path) {
-                            Ok(sink) => {
-                                // Replacing an active sink flushes and
-                                // closes it first.
-                                fpras_core::obs::install_sink(Box::new(sink));
-                                println!("trace on ({path})");
-                            }
-                            Err(e) => println!("error: cannot open trace file {path}: {e}"),
-                        }
-                    }
-                    (Some("off"), None) => {
-                        fpras_core::obs::take_sink();
-                        println!("trace off");
-                    }
-                    _ => println!("error: usage: trace on FILE | trace off"),
-                }
-                continue;
-            }
-            "stats" => {
-                print_session_summary(&registry.session_totals());
-                let r = registry.stats();
-                let q = admission.stats();
-                println!(
-                    "server: tenants={} sessions_created={} session_hits={} \
-                     sessions_recycled={} pools_created={} pool_workers_spawned={} \
-                     quota_rejections={}",
-                    tenants.len(),
-                    r.sessions_created,
-                    r.session_hits,
-                    r.sessions_recycled,
-                    r.pools_created,
-                    r.pool_workers_spawned,
-                    q.quota_rejections()
-                );
-                continue;
-            }
-            "quit" | "exit" => break,
-            "estimate" => match parse_n(words.next()) {
-                Some(n) => Query::Estimate(n),
-                None => {
-                    println!("error: usage: estimate N");
-                    continue;
-                }
-            },
-            "range" => match (parse_n(words.next()), parse_n(words.next())) {
-                (Some(a), Some(b)) if a <= b => Query::Range(a, b),
-                _ => {
-                    println!("error: usage: range A B (A <= B)");
-                    continue;
-                }
-            },
-            "sample" => match parse_n(words.next()) {
-                Some(n) => {
-                    // A zero or unparseable count is a usage error, not
-                    // one silent draw (the old loop clamped `sample N 0`
-                    // to 1 via `.unwrap_or(1).max(1)`).
-                    let count = match words.next() {
-                        None => 1,
-                        Some(raw) => match raw.parse::<usize>() {
-                            Ok(c) if (1..=MAX_SAMPLES_PER_LINE).contains(&c) => c,
-                            _ => {
-                                println!(
-                                    "error: usage: sample N [COUNT] \
-                                     (COUNT must be a positive integer, at most {MAX_SAMPLES_PER_LINE})"
-                                );
-                                continue;
-                            }
-                        },
-                    };
-                    Query::Sample(n, count)
-                }
-                None => {
-                    println!("error: usage: sample N [COUNT]");
-                    continue;
-                }
-            },
-            other => {
-                println!("error: unknown command {other:?}");
-                continue;
-            }
-        };
-
-        // Data path: admission, then the query, then ledger upkeep.
-        let Some(cur) = current else {
-            println!("error: no session selected (open NAME --regex P, or: use NAME)");
-            continue;
-        };
-        match admit_query(&mut registry, &mut admission, &tenants[cur], query.horizon()) {
-            Err(e) => println!("error: {e}"),
-            Ok((session, recycled)) => {
-                if recycled {
-                    // The predecessor died to a budget abort; this is
-                    // its one obituary line — the query below is served
-                    // by the fresh replacement.
-                    println!("error: session recycled after budget abort");
-                    let tenant = tenants[cur].name.clone();
-                    fpras_core::obs::emit_with(|| TraceEvent::SessionRecycle { tenant });
-                }
-                let built_before = session.levels_built();
-                let mut budget_abort = false;
-                let on_err = |e: &FprasError, aborted: &mut bool| {
-                    *aborted |= matches!(e, FprasError::BudgetExceeded { .. });
-                    println!("error: {e}");
-                };
-                match query {
-                    Query::Estimate(n) => match session.estimate(n) {
-                        Ok(est) => println!("estimate {n} = {est} (log2 {:.3})", est.log2()),
-                        Err(e) => on_err(&e, &mut budget_abort),
-                    },
-                    Query::Range(a, b) => match session.estimate_range(a..=b) {
-                        Ok(slices) => {
-                            for (ell, est) in (a..=b).zip(slices) {
-                                println!("estimate {ell} = {est} (log2 {:.3})", est.log2());
-                            }
-                        }
-                        Err(e) => on_err(&e, &mut budget_abort),
-                    },
-                    Query::Sample(n, count) => {
-                        let alphabet = tenants[cur].nfa.alphabet();
-                        for _ in 0..count {
-                            match session.sample(n, &mut sample_rng) {
-                                Ok(Some(w)) => println!("sample {n} = {}", w.display(alphabet)),
-                                // None is ambiguous: an empty slice can
-                                // never yield a word (stop), exhausted
-                                // retries are transient (keep drawing).
-                                Ok(None) => match session.slice_is_empty(n) {
-                                    Ok(true) => {
-                                        println!("sample {n} = (empty slice)");
-                                        break;
-                                    }
-                                    Ok(false) => println!("sample {n} = (retries exhausted)"),
-                                    Err(e) => {
-                                        on_err(&e, &mut budget_abort);
-                                        break;
-                                    }
-                                },
-                                Err(e) => {
-                                    on_err(&e, &mut budget_abort);
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                let built_delta = (session.levels_built() - built_before) as u64;
-                tenants[cur].levels_ledger += built_delta;
-                if budget_abort && admission.config().max_query_ops.is_some() {
-                    admission.record_budget_abort();
-                }
-            }
-        }
-    }
-
-    // Flush and close any trace file a `trace on` left active.
-    fpras_core::obs::take_sink();
-    print_session_summary(&registry.session_totals());
+    let result = serve_stream(&mut server, std::io::stdin().lock(), std::io::stdout().lock());
     if args.stats {
-        // Folding live sessions sums their walls (serial-equivalent
-        // time); wall_longest in the report keeps the largest single
-        // session's wall visible next to the total.
-        let mut merged = RunStats::default();
-        for session in registry.sessions() {
-            merged.merge(session.run_stats());
-            merged.merge(session.query_run_stats());
-        }
-        report_stats(&merged);
+        report_stats(&server.run_stats());
     }
-    match io_error {
-        Some(e) => {
+    match result {
+        Ok(()) => 0,
+        Err(StreamError::Read(e)) => {
             eprintln!("stdin read error: {e}");
             1
         }
-        None => 0,
+        Err(StreamError::Write(e)) => {
+            eprintln!("stdout write error: {e}");
+            1
+        }
     }
 }
 
@@ -1148,16 +587,7 @@ fn robp_main(argv: &[String]) {
         // every accepted word has length exactly `depth`.
         match count_exact(&robp.to_nfa(), n) {
             Ok(exact_count) => {
-                let exact_f = exact_count.to_f64();
-                let rel = if exact_f == 0.0 {
-                    if run.estimate().is_zero() {
-                        0.0
-                    } else {
-                        f64::INFINITY
-                    }
-                } else {
-                    (run.estimate().to_f64() - exact_f).abs() / exact_f
-                };
+                let rel = relative_error(run.estimate(), exact_count.to_f64());
                 println!("exact    |L(P)| = {exact_count}");
                 println!("  relative error {rel:.5} (target ε = {eps})");
             }
@@ -1236,9 +666,6 @@ fn main() {
             if args.no_batch {
                 params.batch_unions = false;
             }
-            if let Some(chunk) = args.steal_chunk {
-                params.steal_chunk = chunk;
-            }
             // One checker for every surface (engine, sessions, CLI):
             // fail fast with a clean message instead of a mid-run error.
             if let Err(e) = params.validate() {
@@ -1309,15 +736,7 @@ fn main() {
         if let Some(run) = &fpras_run {
             match count_exact(&nfa, args.n) {
                 Ok(exact) => {
-                    let rel = if exact.is_zero() {
-                        if run.estimate().is_zero() {
-                            0.0
-                        } else {
-                            f64::INFINITY
-                        }
-                    } else {
-                        (run.estimate().to_f64() - exact.to_f64()).abs() / exact.to_f64()
-                    };
+                    let rel = relative_error(run.estimate(), exact.to_f64());
                     println!("exact    |L(A_{})| = {exact}", args.n);
                     println!("  relative error {rel:.5} (target ε = {})", args.eps);
                 }

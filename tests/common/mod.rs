@@ -50,6 +50,21 @@ pub fn run_with_stdin_bytes(args: &[&str], input: &[u8]) -> (String, String, boo
     )
 }
 
+/// [`run`] with stdin read from `stdin` (a file, or a directory to
+/// make every read fail).
+pub fn run_with_stdin_file(args: &[&str], stdin: std::fs::File) -> (String, String, bool) {
+    let out = Command::new(env!("CARGO_BIN_EXE_nfa-count"))
+        .args(args)
+        .stdin(stdin)
+        .output()
+        .expect("binary runs");
+    (
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        out.status.success(),
+    )
+}
+
 /// Minimal structural validator for the hand-rolled JSON emitters
 /// (trace events, bench rows): the line must be exactly one object with
 /// balanced braces/brackets outside string literals and every string

@@ -123,35 +123,8 @@ fn stats_flag_reports_batching_counters() {
 }
 
 #[test]
-fn steal_chunk_flag_is_scheduling_only() {
-    // Different chunk sizes (including one forcing the sequential
-    // cutoff everywhere) must reproduce the threaded estimate exactly.
-    let base = ["--regex", "(0|1)*11(0|1)*", "-n", "10", "--seed", "7", "--threads", "4"];
-    let estimate = |s: &str| s.lines().find(|l| l.starts_with("estimate")).map(String::from);
-    let (stdout, stderr, ok) = run(&base);
-    assert!(ok, "stderr: {stderr}");
-    for chunk in ["1", "3", "1000"] {
-        let mut args = base.to_vec();
-        args.extend_from_slice(&["--steal-chunk", chunk]);
-        let (stdout2, stderr2, ok2) = run(&args);
-        assert!(ok2, "stderr: {stderr2}");
-        assert_eq!(
-            estimate(&stdout),
-            estimate(&stdout2),
-            "steal chunk {chunk} must not change the estimate"
-        );
-    }
-    // Chunk 0 is rejected by parameter validation.
-    let mut args = base.to_vec();
-    args.extend_from_slice(&["--steal-chunk", "0"]);
-    let (_, stderr0, ok0) = run(&args);
-    assert!(!ok0, "steal chunk 0 must be rejected");
-    assert!(stderr0.contains("steal_chunk"), "{stderr0}");
-}
-
-#[test]
 fn stats_and_no_batch_are_fpras_only() {
-    for flags in [&["--stats"][..], &["--no-batch"][..], &["--steal-chunk", "4"][..]] {
+    for flags in [&["--stats"][..], &["--no-batch"][..]] {
         let mut args = vec!["--regex", "1*", "-n", "8", "--method", "dp"];
         args.extend_from_slice(flags);
         let (_, stderr, ok) = run(&args);

@@ -3,7 +3,7 @@
 //! query loop, and the centralized parameter validation.
 
 mod common;
-use common::{run, run_with_stdin, run_with_stdin_bytes, write_fixture};
+use common::{run, run_with_stdin, run_with_stdin_bytes, run_with_stdin_file, write_fixture};
 
 fn estimate_line<'a>(stdout: &'a str, needle: &str) -> &'a str {
     stdout.lines().find(|l| l.contains(needle)).unwrap_or_else(|| panic!("no {needle}: {stdout}"))
@@ -326,14 +326,56 @@ fn serve_enforces_session_and_level_quotas() {
 
 #[test]
 fn serve_distinguishes_stdin_error_from_eof() {
-    // Invalid UTF-8 makes read_line fail: that is an I/O error, not an
-    // end of input — reported on stderr, nonzero exit (clean EOF stays
-    // exit 0, covered by serve_handles_eof_without_quit).
-    let (stdout, stderr, ok) =
-        run_with_stdin_bytes(&["serve", "--regex", "1*"], b"estimate 3\n\xff\xfe\n");
+    // Stdin opened on a directory makes every read fail (EISDIR): that
+    // is an I/O error, not an end of input — reported on stderr,
+    // nonzero exit (clean EOF stays exit 0, covered by
+    // serve_handles_eof_without_quit). That the work served before a
+    // read error is still summarized is pinned in-process, by
+    // `proptest_server.rs::stream_read_error_still_summarizes`.
+    let dir = std::fs::File::open(env!("CARGO_TARGET_TMPDIR")).expect("directory opens");
+    let (_, stderr, ok) = run_with_stdin_file(&["serve", "--regex", "1*"], dir);
     assert!(!ok, "an I/O error must not look like a clean exit");
     assert!(stderr.contains("stdin read error"), "{stderr}");
-    // Work done before the failure was still served and summarized.
+}
+
+#[test]
+fn serve_answers_a_non_utf8_line_and_keeps_serving() {
+    // A line that is not valid UTF-8 is one bad request, not the end
+    // of the input: one `error:` line, then the next line is served.
+    let (stdout, stderr, ok) =
+        run_with_stdin_bytes(&["serve"], b"open a --regex 1*\n\xffestimate 3\nestimate 3\n");
+    assert!(ok, "stderr: {stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert!(lines[0].starts_with("opened a "), "{stdout}");
+    assert_eq!(lines[1], "error: line is not valid UTF-8", "{stdout}");
+    assert!(lines[2].starts_with("estimate 3 = 1 "), "{stdout}");
+    assert_eq!(stdout.lines().filter(|l| l.starts_with("error:")).count(), 1, "{stdout}");
+}
+
+#[test]
+fn serve_open_cannot_exceed_the_server_settings() {
+    // The server's own --max-n/--eps/--delta are the ceiling of every
+    // `open`: one line asking for more work is refused before any
+    // automaton is loaded, and the server keeps serving.
+    let input = "open a --regex 1* --max-n 400\n\
+                 open b --regex (0|1)*1(0|1)(0|1) --eps 0.05\n\
+                 open c --regex 1* --delta 0.01\n\
+                 open d --file /nonexistent.nfa --max-n 65\n\
+                 open e --regex 1* --max-n 16 --eps 0.3 --delta 0.1\n\
+                 estimate 3\nquit\n";
+    let (stdout, stderr, ok) = run_with_stdin(&["serve"], input);
+    assert!(ok, "stderr: {stderr}");
+    let errors: Vec<&str> = stdout.lines().filter(|l| l.starts_with("error: ")).collect();
+    assert_eq!(
+        errors,
+        [
+            "error: --max-n 400 is above this server's --max-n 64",
+            "error: --eps 0.05 is below this server's --eps 0.2",
+            "error: --delta 0.01 is below this server's --delta 0.05",
+            "error: --max-n 65 is above this server's --max-n 64",
+        ],
+        "{stdout}"
+    );
+    assert!(stdout.contains("opened e (2 states"), "{stdout}");
     assert!(stdout.contains("estimate 3 = 1"), "{stdout}");
-    assert!(stdout.contains("session: queries=1"), "{stdout}");
 }
