@@ -33,17 +33,21 @@
 //! memo hit or a miss whose estimate went into the memo, and memo
 //! entries are first-wins and never change (a sampler-tier value is
 //! fixed by the frontier, D9). So the first step at a node stores, in
-//! the node's record, the `k` branch sizes, their total, the categorical
-//! draw's rescaled `f64` weights and the node's non-empty branch count.
-//! Every later step at that node (a *table hit*) counts those branches
-//! as memo hits — what a cold step would count now that every branch is
-//! in the memo — draws from the stored weights through the same
-//! `sample_weights` call, and updates `φ` as `φ · total / size[b]` —
-//! the cold step's expression, in its order, since [`ExtFloat`]
-//! normalises after every operation. So a table hit consumes the same
-//! RNG draws and produces the same bits and counters as the cold step it
-//! would replace. The memo-off paper path never compiles, keeping its
-//! fresh estimate per step.
+//! the node's record, the `k` branch sizes, their total, the integer
+//! draw thresholds of the categorical draw's rescaled `f64` weights
+//! ([`extend_thresholds`]) and the node's non-empty branch count. Every
+//! later step at that node (a *table hit*) counts those branches as memo
+//! hits — what a cold step would count now that every branch is in the
+//! memo — draws by comparing one RNG word against the thresholds
+//! ([`sample_thresholds`], which returns the cold step's
+//! `sample_weights` index from the same word), and updates `φ` as
+//! `φ · total / size[b]` — the cold step's expression, in its order. So
+//! a table hit consumes the same RNG draws and produces the same bits
+//! and counters as the cold step it would replace. Both arms carry `φ`
+//! as an [`ExtFloatChain`], which defers [`ExtFloat`]'s per-operation
+//! normalisation without moving a bit, and normalise it once for the
+//! base case. The memo-off paper path never compiles, keeping its fresh
+//! estimate per step.
 //!
 //! Records are keyed on the interner's process-unique `uid` (successor
 //! ids mean nothing under another interner; built levels never change,
@@ -80,7 +84,9 @@ use crate::params::Params;
 use crate::run_stats::RunStats;
 use crate::table::{splitmix64, BuildKeyHasher, MemoKey, RunTable, SampleOutcome};
 use fpras_automata::{StateId, StateSet, Word};
-use fpras_numeric::{sample_extfloat_weights_with, sample_weights, ExtFloat};
+use fpras_numeric::{
+    extend_thresholds, sample_extfloat_weights_with, sample_thresholds, ExtFloat, ExtFloatChain,
+};
 use rand::{rngs::SmallRng, Rng, RngExt, SeedableRng};
 use std::collections::HashMap;
 
@@ -214,9 +220,9 @@ struct NodeRecord {
 }
 
 /// A compiled node's step: what the cold step computed from the memo,
-/// in the form a warm step replays. Its `k` branch sizes and
-/// rescaled draw weights live at `table·k` in [`WalkTable::sizes`] and
-/// [`WalkTable::weights`].
+/// in the form a warm step replays. Its `k` branch sizes and draw
+/// thresholds live at `table·k` in [`WalkTable::sizes`] and
+/// [`WalkTable::thresholds`].
 struct BranchTable {
     /// Sum of the branch sizes, in the cold step's fold order.
     total: ExtFloat,
@@ -227,7 +233,7 @@ struct BranchTable {
 /// Per-scratch compiled walk — see the module docs. Memory per node:
 /// one map entry (a `u64` key and a `u32` slot), a 16-byte record and
 /// `k` `u32` successor slots; a compiled node adds a 24-byte branch
-/// table and `k` sizes (16 bytes) and weights (8 bytes).
+/// table and `k` sizes (16 bytes) and thresholds (8 bytes).
 #[derive(Default)]
 struct WalkTable {
     /// [`FrontierInterner::uid`] of the interner the slots' ids belong
@@ -235,8 +241,12 @@ struct WalkTable {
     interner: u64,
     /// Lineage id of the memo the branch tables were read from.
     lineage: u64,
-    /// Alphabet width: successor, size and weight rows are `k` long.
+    /// Alphabet width: successor, size and threshold rows are `k` long.
     k: usize,
+    /// The last start cell looked up and its slot; key 0 (no start
+    /// cell has it) until the first lookup. A cell's trials all start
+    /// at one node, so this spares them the map probe.
+    start: (u64, u32),
     /// Node key → slot.
     slots: HashMap<u64, u32, BuildKeyHasher>,
     /// Node records by slot.
@@ -249,8 +259,9 @@ struct WalkTable {
     tables: Vec<BranchTable>,
     /// Branch sizes, `k` per branch table.
     sizes: Vec<ExtFloat>,
-    /// Rescaled draw weights, `k` per branch table.
-    weights: Vec<f64>,
+    /// Draw thresholds ([`extend_thresholds`]) of the cold step's
+    /// rescaled weights, `k` per branch table.
+    thresholds: Vec<u64>,
 }
 
 impl WalkTable {
@@ -268,13 +279,21 @@ impl WalkTable {
         })
     }
 
+    /// The slot of the start cell `node`, through the one-entry cache.
+    fn start_slot(&mut self, node: u64) -> u32 {
+        if self.start.0 != node {
+            self.start = (node, self.slot(node));
+        }
+        self.start.1
+    }
+
     /// Compiles the node at `slot` from its cold step.
     fn compile(&mut self, slot: usize, sizes: &[ExtFloat], weights: &[f64], t: BranchTable) {
         self.records[slot].table =
             u32::try_from(self.tables.len()).expect("branch table index fits u32");
         self.tables.push(t);
         self.sizes.extend_from_slice(sizes);
-        self.weights.extend_from_slice(weights);
+        extend_thresholds(weights, &mut self.thresholds);
     }
 }
 
@@ -379,12 +398,12 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
         return SampleOutcome::DeadEnd;
     }
     // γ₀ = gamma_scale / N(qℓ) (Algorithm 3 line 23).
-    let mut phi = ExtFloat::from_f64(env.params.gamma_scale) / n_start;
+    let mut phi = ExtFloatChain::new(ExtFloat::from_f64(env.params.gamma_scale) / n_start);
 
     let k = env.substrate.width();
     scratch.bind(env.interner, memo, k);
     scratch.rev_syms.clear();
-    let mut slot = scratch.walk.slot(start_node(level, start)) as usize;
+    let mut slot = scratch.walk.start_slot(start_node(level, start)) as usize;
 
     for ell in (1..=level).rev() {
         stats.walk_steps += 1;
@@ -401,11 +420,8 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
             let rows = compiled as usize * k..(compiled as usize + 1) * k;
             stats.walk_table_hits += 1;
             stats.memo_hits += u64::from(t.hits);
-            let Some(choice) = sample_weights(rng, &walk.weights[rows.clone()]) else {
-                stats.fail_dead_end += 1;
-                return SampleOutcome::DeadEnd;
-            };
-            phi = phi * t.total / walk.sizes[rows][choice];
+            let choice = sample_thresholds(rng, &walk.thresholds[rows.clone()]);
+            phi.mul_div(t.total, walk.sizes[rows][choice]);
             choice
         } else {
             // Lines 8–11: per-symbol predecessor frontiers and union sizes.
@@ -445,7 +461,7 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
                 return SampleOutcome::DeadEnd;
             };
             // Line 16's recursive call carries φ / pr_b.
-            phi = phi * total / scratch.branch_sizes[choice];
+            phi.mul_div(total, scratch.branch_sizes[choice]);
             if env.params.memoize_unions {
                 let t = BranchTable { total, hits };
                 scratch.walk.compile(slot, &scratch.branch_sizes, &scratch.scaled, t);
@@ -466,6 +482,7 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
         },
         "sampled path must lead back to the initial state"
     );
+    let phi = phi.value();
     if phi > ExtFloat::ONE {
         stats.fail_phi_gt_one += 1;
         return SampleOutcome::FailPhi;
@@ -652,6 +669,21 @@ mod tests {
         assert_eq!(from_seeded, draw(&seeded, &mut SamplerScratch::new()).0);
         assert_eq!(from_lazy, draw(&lazy, &mut SamplerScratch::new()).0);
         assert_eq!(again, from_seeded);
+
+        // One draw at a time from each memo, at the same start cell: every
+        // call rebinds the scratch, so the cached start slot must not
+        // outlive the table it indexes.
+        let mut rngs = [SmallRng::seed_from_u64(17), SmallRng::seed_from_u64(17)];
+        let mut stats = RunStats::default();
+        let mut alternating = [Vec::new(), Vec::new()];
+        for _ in 0..64 {
+            for (i, memo) in [&seeded, &lazy].into_iter().enumerate() {
+                let rng = &mut rngs[i];
+                let out = sample_word(&env, table, memo, q_final, n, rng, &mut reused, &mut stats);
+                alternating[i].push(out);
+            }
+        }
+        assert_eq!(alternating, [from_seeded, from_lazy]);
     }
 
     /// Any memo answer compiles — a base hit, a level-overlay hit, or a
@@ -724,13 +756,20 @@ mod tests {
     }
 
     /// The per-node memory the module docs and DESIGN.md §2.5 quote: a
-    /// 16-byte record per node, a 24-byte branch table per compiled node
-    /// (plus `k` successor slots, sizes and weights in the flat rows).
+    /// 16-byte record per node, a 24-byte branch table per compiled node,
+    /// and per branch a 4-byte successor slot, a 16-byte size and an
+    /// 8-byte draw threshold in the flat rows.
     #[test]
     fn walk_record_sizes_are_pinned() {
+        fn row_bytes<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
         assert_eq!(std::mem::size_of::<NodeRecord>(), 16);
         assert_eq!(std::mem::size_of::<BranchTable>(), 24);
-        assert_eq!(std::mem::size_of::<ExtFloat>(), 16);
+        let walk = WalkTable::default();
+        assert_eq!(row_bytes(&walk.succ), 4);
+        assert_eq!(row_bytes(&walk.sizes), 16);
+        assert_eq!(row_bytes(&walk.thresholds), 8);
     }
 
     #[test]

@@ -23,6 +23,11 @@ use std::str::SplitWhitespace;
 /// would stream words forever and starve every other tenant.
 const MAX_SAMPLES_PER_LINE: usize = 4096;
 
+/// Longest request line [`serve_stream`] buffers, newline included.
+/// Requests are a few dozen bytes; without a cap one line lacking a
+/// newline would pin memory without bound.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Live sessions the registry holds when `max_sessions` is unset:
 /// enough for small multi-tenant scripts, bounded so a runaway client
 /// cannot pin unbounded memory (evicted sessions rebuild on demand —
@@ -735,10 +740,55 @@ pub enum StreamError {
     Write(io::Error),
 }
 
+/// What [`read_line`] found.
+enum LineRead {
+    /// End of input: no bytes before it.
+    End,
+    /// A line (newline included, if input did not end first).
+    Line,
+    /// A line longer than [`MAX_LINE_BYTES`], skipped.
+    TooLong,
+}
+
+/// Reads one line into `line`, which it clears first. A line longer
+/// than [`MAX_LINE_BYTES`] is skipped through its newline without
+/// being buffered, so `line` never grows past the cap.
+fn read_line(input: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<LineRead> {
+    line.clear();
+    let mut too_long = false;
+    loop {
+        let buf = match input.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let end = buf.iter().position(|&b| b == b'\n').map(|i| i + 1);
+        let taken = end.unwrap_or(buf.len());
+        if !too_long && line.len() + taken > MAX_LINE_BYTES {
+            too_long = true;
+            line.clear();
+        }
+        if !too_long {
+            // Exact growth: amortised doubling could overshoot the cap.
+            line.reserve_exact(taken);
+            line.extend_from_slice(&buf[..taken]);
+        }
+        input.consume(taken);
+        if end.is_some() || taken == 0 {
+            return Ok(match (too_long, line.is_empty()) {
+                (true, _) => LineRead::TooLong,
+                (false, true) => LineRead::End,
+                (false, false) => LineRead::Line,
+            });
+        }
+    }
+}
+
 /// Serves `input` line by line until end of input, `quit`, or an I/O
 /// failure: each line goes through [`Server::handle_line`] (lines are
 /// read as bytes, so a non-UTF-8 line is one `error:` reply, not the
-/// end of the stream) and `out` is flushed after every response. On
+/// end of the stream; a line over 64 KiB is one `error: line too long`
+/// reply, skipped unbuffered) and `out` is flushed after every response. On
 /// the way out it closes any trace file a `trace on` left open and
 /// writes the query summary — also after a read error, so the work
 /// served before it is still reported.
@@ -750,16 +800,18 @@ pub fn serve_stream(
     let mut line = Vec::new();
     let mut result = Ok(());
     loop {
-        line.clear();
-        match input.read_until(b'\n', &mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
+        let reply = match read_line(&mut input, &mut line) {
+            Ok(LineRead::End) => break,
+            Ok(LineRead::Line) => server.handle_line(&line, &mut out),
+            Ok(LineRead::TooLong) => {
+                writeln!(out, "error: line too long").map(|()| ControlFlow::Continue(()))
+            }
             Err(e) => {
                 result = Err(StreamError::Read(e));
                 break;
             }
-        }
-        match server.handle_line(&line, &mut out).and_then(|flow| out.flush().map(|()| flow)) {
+        };
+        match reply.and_then(|flow| out.flush().map(|()| flow)) {
             Ok(ControlFlow::Continue(())) => {}
             Ok(ControlFlow::Break(())) => break,
             Err(e) => {
@@ -773,4 +825,58 @@ pub fn serve_stream(
         .and_then(|()| out.flush())
         .map_err(StreamError::Write)?;
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A 1 MiB line with no newline until its end.
+    fn long_line_then(rest: &[u8]) -> Vec<u8> {
+        let mut input = vec![b'x'; 1 << 20];
+        input.push(b'\n');
+        input.extend_from_slice(rest);
+        input
+    }
+
+    #[test]
+    fn over_long_line_is_one_error_and_the_stream_goes_on() {
+        let mut server = Server::new(ServerConfig::default());
+        let mut input = b"open a --regex 1*\n".to_vec();
+        input.extend(long_line_then(b"estimate 3\n"));
+        let mut out = Vec::new();
+        serve_stream(&mut server, &input[..], &mut out).expect("clean end of input");
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(lines[0].starts_with("opened a "), "{out}");
+        assert_eq!(lines[1], "error: line too long", "{out}");
+        assert!(lines[2].starts_with("estimate 3 = 1 "), "{out}");
+        assert!(lines[3].starts_with("session: queries=1 "), "{out}");
+        assert_eq!(out.lines().filter(|l| l.starts_with("error:")).count(), 1, "{out}");
+    }
+
+    #[test]
+    fn line_buffer_never_grows_past_the_cap() {
+        // An 8 KiB reader buffer hands the long line over in pieces.
+        let input = long_line_then(b"estimate 3\n");
+        let mut input = io::BufReader::new(&input[..]);
+        let mut line = Vec::new();
+        assert!(matches!(read_line(&mut input, &mut line), Ok(LineRead::TooLong)));
+        assert!(line.capacity() <= MAX_LINE_BYTES, "capacity {}", line.capacity());
+        assert!(matches!(read_line(&mut input, &mut line), Ok(LineRead::Line)));
+        assert_eq!(line, b"estimate 3\n");
+        assert!(matches!(read_line(&mut input, &mut line), Ok(LineRead::End)));
+        // A line of exactly the cap is served; one byte more is not.
+        for (len, fits) in [(MAX_LINE_BYTES, true), (MAX_LINE_BYTES + 1, false)] {
+            let mut input = vec![b' '; len - 1];
+            input.push(b'\n');
+            let got = read_line(&mut io::BufReader::new(&input[..]), &mut line);
+            assert_eq!(matches!(got, Ok(LineRead::Line)), fits, "{len} bytes");
+        }
+        // An over-long last line without a newline is skipped too.
+        let input = vec![b'x'; MAX_LINE_BYTES + 1];
+        let mut input = io::BufReader::new(&input[..]);
+        assert!(matches!(read_line(&mut input, &mut line), Ok(LineRead::TooLong)));
+        assert!(matches!(read_line(&mut input, &mut line), Ok(LineRead::End)));
+    }
 }

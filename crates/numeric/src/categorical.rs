@@ -15,6 +15,10 @@
 //! cutpoint method) in front of the scan. The guide answers most draws
 //! with one lookup and returns exactly the scan's index, from the same
 //! single `u`, so guided and unguided draw sequences are bit-identical.
+//! The sampler's compiled walk replays one node's draw millions of
+//! times; for it [`extend_thresholds`] turns the weights into integer
+//! thresholds on the RNG word, and [`sample_thresholds`] returns the
+//! scan's index with integer compares alone.
 
 use crate::ExtFloat;
 use rand::{Rng, RngExt};
@@ -37,6 +41,102 @@ pub fn sample_weights<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> Option<u
     }
     // Floating-point slack: fall back to the last non-zero weight.
     weights.iter().rposition(|&w| w > 0.0)
+}
+
+/// The threshold no draw reaches, `2⁵³`: [`sample_weights`]'s uniform is
+/// `u = j·2⁻⁵³` with `j = next_u64() >> 11 < 2⁵³`.
+const NEVER: u64 = 1 << 53;
+
+/// An RNG whose every word is one fixed value: feeds a chosen draw `j`
+/// to [`sample_weights`] as the word `j << 11`.
+struct ConstWord(u64);
+
+impl Rng for ConstWord {
+    fn next_u64(&mut self) -> u64 {
+        self.0
+    }
+}
+
+/// Appends to `out` the integer thresholds of `weights`, one per index:
+/// `Jᵢ = min{ j : choice(j) > i }`, where `choice(j)` is the index
+/// [`sample_weights`] returns for the uniform `j·2⁻⁵³`, and `2⁵³` (no
+/// draw reaches it) where no draw goes past `i`, as for the last index. Then
+/// [`sample_thresholds`] returns `sample_weights`' index from the same
+/// RNG word.
+///
+/// The thresholds are exact by construction: `choice` is a
+/// nondecreasing step function of `j` (see [`WeightTable`]: `fl(u·Σw)`
+/// and every `fl(r − wᵢ)` are monotone in `u`, and the fallback index is
+/// at or after any a negative running value selects), and each `Jᵢ` is
+/// found by a search that asks `sample_weights` itself, fed a constant
+/// word. The search starts at `⌈Σ_{t≤i} wₜ / Σw · 2⁵³⌉`, which is usually
+/// within a few draws of `Jᵢ`, so it costs a handful of scans.
+///
+/// # Panics
+/// Panics if every weight is zero: such a vector has no draws.
+pub fn extend_thresholds(weights: &[f64], out: &mut Vec<u64>) {
+    let total: f64 = weights.iter().sum();
+    assert!(total > 0.0, "thresholds of an all-zero weight vector");
+    let mut lo = 0;
+    let mut cum = 0.0;
+    for (i, &w) in weights.iter().enumerate() {
+        cum += w;
+        let guess = (cum / total * NEVER as f64).ceil() as u64;
+        // `choice` is monotone, so `J_{i−1}` bounds `Jᵢ` from below.
+        lo = first_above(lo, guess, |j| sample_weights(&mut ConstWord(j << 11), weights) > Some(i));
+        out.push(lo);
+    }
+}
+
+/// The least `j ∈ [lo, NEVER]` with `above(j)`, for a monotone `above`
+/// that is false below `lo` and taken as true at [`NEVER`]: a gallop
+/// out from `guess`, then a bisection of the bracket it finds.
+fn first_above(mut lo: u64, guess: u64, above: impl Fn(u64) -> bool) -> u64 {
+    // Invariant: `above` is false below `lo` and true at `hi`.
+    let mut hi = NEVER;
+    let g = guess.clamp(lo, hi);
+    let mut step = 1;
+    if g == hi || above(g) {
+        hi = g;
+        while hi - lo > step {
+            if !above(hi - step) {
+                lo = hi - step + 1;
+                break;
+            }
+            hi -= step;
+            step *= 2;
+        }
+    } else {
+        lo = g + 1;
+        while hi - lo > step {
+            if above(lo + step - 1) {
+                hi = lo + step - 1;
+                break;
+            }
+            lo += step;
+            step *= 2;
+        }
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if above(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// Draws an index from thresholds built by [`extend_thresholds`]: one RNG
+/// word `j = next_u64() >> 11`, then the number of thresholds at or
+/// below `j`. Returns exactly the index [`sample_weights`] returns on the
+/// thresholds' weights from the same RNG state, and consumes the same
+/// word.
+#[inline]
+pub fn sample_thresholds<R: Rng + ?Sized>(rng: &mut R, thresholds: &[u64]) -> usize {
+    let j = rng.next_u64() >> 11;
+    thresholds.iter().map(|&t| usize::from(j >= t)).sum()
 }
 
 /// Marks a guide bucket whose draws do not all select the same index.
@@ -279,6 +379,79 @@ mod tests {
                         table.sample(&mut FixedUnit::new(u)),
                         sample_weights(&mut FixedUnit::new(u), &weights),
                         "bucket {} of {}, u = {}", j, buckets, u
+                    );
+                }
+            }
+        }
+    }
+
+    /// Weight vectors of 1–8 weights mixing zeros and ratios down to
+    /// 2⁻⁶⁰, at least one non-zero; with `single`, exactly one is.
+    fn threshold_weights(spec: &[(u8, f64, i32)], single: bool, pick: usize) -> Vec<f64> {
+        let mut weights: Vec<f64> = spec
+            .iter()
+            .map(|&(kind, m, e)| if kind == 0 { 0.0 } else { m * 2f64.powi(-e) })
+            .collect();
+        let keep = pick % weights.len();
+        if weights[keep] == 0.0 {
+            weights[keep] = spec[keep].1;
+        }
+        if single {
+            for (i, w) in weights.iter_mut().enumerate() {
+                if i != keep {
+                    *w = 0.0;
+                }
+            }
+        }
+        weights
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// From any RNG state, the threshold draw returns
+        /// `sample_weights`' index and consumes the same word.
+        #[test]
+        fn threshold_draw_matches_scan(
+            spec in proptest::collection::vec((0u8..3, 1.0f64..2.0, 0i32..=60), 1..9),
+            single in any::<bool>(),
+            pick in any::<usize>(),
+            seed in any::<u64>(),
+        ) {
+            let weights = threshold_weights(&spec, single, pick);
+            let mut thresholds = Vec::new();
+            extend_thresholds(&weights, &mut thresholds);
+            prop_assert_eq!(thresholds.len(), weights.len());
+            let mut a = SmallRng::seed_from_u64(seed);
+            let mut b = SmallRng::seed_from_u64(seed);
+            for _ in 0..64 {
+                prop_assert_eq!(
+                    Some(sample_thresholds(&mut a, &thresholds)),
+                    sample_weights(&mut b, &weights)
+                );
+            }
+            prop_assert_eq!(a.random::<u64>(), b.random::<u64>());
+        }
+
+        /// At every threshold's edges, `Jᵢ − 1`, `Jᵢ` and `Jᵢ + 1`, the
+        /// threshold draw and the scan agree: a threshold one draw off
+        /// would disagree at one of them.
+        #[test]
+        fn threshold_edges_match_scan(
+            spec in proptest::collection::vec((0u8..3, 1.0f64..2.0, 0i32..=60), 1..9),
+            single in any::<bool>(),
+            pick in any::<usize>(),
+        ) {
+            let weights = threshold_weights(&spec, single, pick);
+            let mut thresholds = Vec::new();
+            extend_thresholds(&weights, &mut thresholds);
+            prop_assert_eq!(thresholds.last(), Some(&NEVER));
+            for &t in &thresholds {
+                for j in [t.wrapping_sub(1), t, t + 1].into_iter().filter(|&j| j < NEVER) {
+                    prop_assert_eq!(
+                        Some(sample_thresholds(&mut ConstWord(j << 11), &thresholds)),
+                        sample_weights(&mut ConstWord(j << 11), &weights),
+                        "draw {} of weights {:?}, thresholds {:?}", j, weights, thresholds
                     );
                 }
             }

@@ -207,6 +207,60 @@ impl ExtFloat {
     }
 }
 
+/// Steps between an [`ExtFloatChain`]'s renormalisations. A step moves
+/// `log₂` of the raw mantissa by at most 1 (it multiplies by `a.m ∈ [1, 2)`
+/// and divides by `b.m ∈ [1, 2)`), so between renormalisations it stays
+/// within `2^±(PERIOD + 2)`, deep inside `f64`'s normal range.
+const CHAIN_PERIOD: u32 = 256;
+
+/// An [`ExtFloat`] under a chain of `x ← x · a / b` updates, with its
+/// normalisation deferred.
+///
+/// `ExtFloat`'s `x * a / b` normalises after the multiply and again
+/// after the divide. Both only scale the mantissa by a power of two, and
+/// in `f64`'s normal range such a scaling commutes with rounding:
+/// `fl(2ᵗ·y) = 2ᵗ·fl(y)`. So a chain that keeps a raw `f64` mantissa and
+/// an `i64` exponent, and per step does `m ← m·a.m / b.m` and
+/// `e ← e + a.e − b.e`, holds the *same value* as the `ExtFloat` fold at
+/// every step, and [`ExtFloatChain::value`] returns it bit for bit. The
+/// chain renormalises every 256 steps to stay in range.
+#[derive(Clone, Copy, Debug)]
+pub struct ExtFloatChain {
+    /// Raw mantissa: the value is `mantissa · 2^exp`, or 0.
+    mantissa: f64,
+    exp: i64,
+    /// Steps since the last renormalisation.
+    steps: u32,
+}
+
+impl ExtFloatChain {
+    /// A chain starting at `x`.
+    pub fn new(x: ExtFloat) -> Self {
+        ExtFloatChain { mantissa: x.mantissa, exp: x.exp, steps: 0 }
+    }
+
+    /// One step `x ← x * a / b`, with `ExtFloat`'s result bits.
+    ///
+    /// # Panics
+    /// Panics if `b` is zero, like `ExtFloat` division.
+    #[inline]
+    pub fn mul_div(&mut self, a: ExtFloat, b: ExtFloat) {
+        assert!(!b.is_zero(), "ExtFloat division by zero");
+        // A zero `x` or `a` makes the mantissa 0, which stays 0.
+        self.mantissa = self.mantissa * a.mantissa / b.mantissa;
+        self.exp += a.exp - b.exp;
+        self.steps += 1;
+        if self.steps == CHAIN_PERIOD {
+            *self = ExtFloatChain::new(self.value());
+        }
+    }
+
+    /// The chain's current value, normalised.
+    pub fn value(&self) -> ExtFloat {
+        ExtFloat { mantissa: self.mantissa, exp: self.exp }.normalized()
+    }
+}
+
 /// Splits a positive finite `f64` into `(mantissa ∈ [1,2), exponent)`.
 fn decompose(v: f64) -> (f64, i64) {
     debug_assert!(v > 0.0 && v.is_finite());
@@ -437,6 +491,43 @@ mod tests {
         let v = f64::MIN_POSITIVE / 4.0; // subnormal
         let ef = ExtFloat::from_f64(v);
         assert!(close(ef.to_f64(), v));
+    }
+
+    /// A value `m·2^e` with `m ∈ [1, 2)`, or zero for kind 0.
+    fn ext(kind: u8, m: f64, e: i64) -> ExtFloat {
+        if kind == 0 {
+            ExtFloat::ZERO
+        } else {
+            ExtFloat { mantissa: m, exp: e }
+        }
+    }
+
+    /// An `ExtFloat`'s exact bits.
+    fn bits(x: ExtFloat) -> (u64, i64) {
+        (x.mantissa.to_bits(), x.exp)
+    }
+
+    proptest! {
+        /// Every prefix of a chain of 257–1,000 `x ← x·a/b` steps, with
+        /// mantissas in `[1, 2)` and exponents spread to ±2⁴⁰, gives
+        /// the `ExtFloat` fold's bits, across renormalisations.
+        #[test]
+        fn deferred_chain_matches_extfloat_chain(
+            x in (0u8..20, 1.0f64..2.0, -(1i64 << 40)..(1i64 << 40)),
+            steps in proptest::collection::vec(
+                (0u8..40, 1.0f64..2.0, -(1i64 << 40)..(1i64 << 40), 1.0f64..2.0, -(1i64 << 40)..(1i64 << 40)),
+                257..1001,
+            ),
+        ) {
+            let mut folded = ext(x.0, x.1, x.2);
+            let mut chain = ExtFloatChain::new(folded);
+            for (i, &(kind, am, ae, bm, be)) in steps.iter().enumerate() {
+                let (a, b) = (ext(kind, am, ae), ext(1, bm, be));
+                folded = folded * a / b;
+                chain.mul_div(a, b);
+                prop_assert_eq!(bits(chain.value()), bits(folded), "after step {}", i + 1);
+            }
+        }
     }
 
     proptest! {

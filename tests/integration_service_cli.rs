@@ -353,6 +353,22 @@ fn serve_answers_a_non_utf8_line_and_keeps_serving() {
 }
 
 #[test]
+fn serve_answers_an_over_long_line_and_keeps_serving() {
+    // A 1 MiB line is one bad request: one `error:` line, its bytes
+    // skipped unbuffered, then the next line is served.
+    let mut input = b"open a --regex 1*\n".to_vec();
+    input.extend(std::iter::repeat_n(b'x', 1 << 20));
+    input.extend_from_slice(b"\nestimate 3\n");
+    let (stdout, stderr, ok) = run_with_stdin_bytes(&["serve"], &input);
+    assert!(ok, "stderr: {stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert!(lines[0].starts_with("opened a "), "{stdout}");
+    assert_eq!(lines[1], "error: line too long", "{stdout}");
+    assert!(lines[2].starts_with("estimate 3 = 1 "), "{stdout}");
+    assert_eq!(stdout.lines().filter(|l| l.starts_with("error:")).count(), 1, "{stdout}");
+}
+
+#[test]
 fn serve_open_cannot_exceed_the_server_settings() {
     // The server's own --max-n/--eps/--delta are the ceiling of every
     // `open`: one line asking for more work is refused before any
