@@ -14,7 +14,7 @@
 
 use crate::nfa::Nfa;
 use crate::stateset::StateSet;
-use crate::unroll::Unrolling;
+use crate::unroll::{HorizonTooLarge, Unrolling};
 use crate::word::Word;
 
 /// Lazy lexicographic iterator over `L(A_n)`.
@@ -34,16 +34,17 @@ struct Frame {
 }
 
 impl<'a> Enumerator<'a> {
-    /// Builds an enumerator for words of length exactly `n`.
-    pub fn new(nfa: &'a Nfa, n: usize) -> Self {
-        let unroll = Unrolling::new(nfa, n);
+    /// Builds an enumerator for words of length exactly `n`; fails when
+    /// the unrolling's per-level views for `n` cannot be reserved.
+    pub fn new(nfa: &'a Nfa, n: usize) -> Result<Self, HorizonTooLarge> {
+        let unroll = Unrolling::new(nfa, n)?;
         let root_reach = StateSet::singleton(nfa.num_states(), nfa.initial() as usize);
-        let mut stack = Vec::with_capacity(n + 1);
+        let mut stack = Vec::new();
         // Root is viable only if the language slice is non-empty.
         if unroll.language_nonempty() {
             stack.push(Frame { prefix: Vec::new(), reach: root_reach, next_sym: 0 });
         }
-        Enumerator { nfa, unroll, n, stack }
+        Ok(Enumerator { nfa, unroll, n, stack })
     }
 
     /// A viability check: can `reach` (after `depth` symbols) still reach
@@ -87,13 +88,18 @@ impl Iterator for Enumerator<'_> {
 }
 
 /// Convenience: collects `L(A_n)` up to `limit` words (in lexicographic
-/// order). `None` in the limit collects everything.
-pub fn enumerate_slice(nfa: &Nfa, n: usize, limit: Option<usize>) -> Vec<Word> {
-    let it = Enumerator::new(nfa, n);
-    match limit {
+/// order). `None` in the limit collects everything. Fails like
+/// [`Enumerator::new`].
+pub fn enumerate_slice(
+    nfa: &Nfa,
+    n: usize,
+    limit: Option<usize>,
+) -> Result<Vec<Word>, HorizonTooLarge> {
+    let it = Enumerator::new(nfa, n)?;
+    Ok(match limit {
         Some(cap) => it.take(cap).collect(),
         None => it.collect(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -124,7 +130,7 @@ mod tests {
     fn enumerates_exactly_the_language() {
         let nfa = contains_11();
         for n in 0..=9usize {
-            let words = enumerate_slice(&nfa, n, None);
+            let words = enumerate_slice(&nfa, n, None).unwrap();
             let expected = count_exact(&nfa, n).unwrap().to_u64().unwrap() as usize;
             assert_eq!(words.len(), expected, "n={n}");
             for w in &words {
@@ -136,7 +142,7 @@ mod tests {
     #[test]
     fn lexicographic_order_no_duplicates() {
         let nfa = contains_11();
-        let words = enumerate_slice(&nfa, 8, None);
+        let words = enumerate_slice(&nfa, 8, None).unwrap();
         for pair in words.windows(2) {
             assert!(pair[0] < pair[1], "{:?} !< {:?}", pair[0], pair[1]);
         }
@@ -145,15 +151,15 @@ mod tests {
     #[test]
     fn limit_respected() {
         let nfa = contains_11();
-        let words = enumerate_slice(&nfa, 10, Some(5));
+        let words = enumerate_slice(&nfa, 10, Some(5)).unwrap();
         assert_eq!(words.len(), 5);
     }
 
     #[test]
     fn empty_slice_yields_nothing() {
         let nfa = contains_11();
-        assert!(enumerate_slice(&nfa, 1, None).is_empty());
-        assert!(enumerate_slice(&nfa, 0, None).is_empty());
+        assert!(enumerate_slice(&nfa, 1, None).unwrap().is_empty());
+        assert!(enumerate_slice(&nfa, 0, None).unwrap().is_empty());
     }
 
     #[test]
@@ -164,7 +170,7 @@ mod tests {
         b.add_accepting(q);
         b.add_transition(q, 0, q);
         let nfa = b.build().unwrap();
-        let words = enumerate_slice(&nfa, 0, None);
+        let words = enumerate_slice(&nfa, 0, None).unwrap();
         assert_eq!(words, vec![Word::empty()]);
     }
 
@@ -186,12 +192,20 @@ mod tests {
                 b.add_transition(f, s, t);
             }
             let nfa = b.build().unwrap();
-            let enumerated = enumerate_slice(&nfa, n, None);
+            let enumerated = enumerate_slice(&nfa, n, None).unwrap();
             let brute: Vec<Word> = (0..(1u64 << n))
                 .map(|idx| Word::from_index(idx, n, 2))
                 .filter(|w| nfa.accepts(w))
                 .collect();
             prop_assert_eq!(enumerated, brute);
         }
+    }
+
+    /// A length whose views cannot be reserved is an error, not a panic.
+    #[test]
+    fn oversized_length_is_an_error() {
+        let nfa = contains_11();
+        let n = 1usize << 60;
+        assert_eq!(enumerate_slice(&nfa, n, Some(1)).unwrap_err(), HorizonTooLarge { n });
     }
 }

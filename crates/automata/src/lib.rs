@@ -63,5 +63,5 @@ pub use simulation::{
     backward_simulation, forward_simulation, quotient_backward, quotient_forward, reduce,
 };
 pub use stateset::StateSet;
-pub use unroll::Unrolling;
+pub use unroll::{HorizonTooLarge, Unrolling};
 pub use word::Word;

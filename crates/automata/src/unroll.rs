@@ -18,6 +18,22 @@ use crate::nfa::{Nfa, StateId};
 use crate::stateset::StateSet;
 use crate::word::Word;
 
+/// A horizon whose per-level views cannot be reserved: `n + 1` sets
+/// overflow the address space, or the allocator refused them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HorizonTooLarge {
+    /// The horizon asked for.
+    pub n: usize,
+}
+
+impl std::fmt::Display for HorizonTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "length {} needs more memory than can be reserved", self.n)
+    }
+}
+
+impl std::error::Error for HorizonTooLarge {}
+
 /// Per-level reachability view of `A_unroll` for a fixed horizon `n`.
 #[derive(Clone, Debug)]
 pub struct Unrolling {
@@ -32,15 +48,16 @@ pub struct Unrolling {
 }
 
 impl Unrolling {
-    /// Computes both families in `O(n·|Δ|)`.
-    pub fn new(nfa: &Nfa, n: usize) -> Self {
+    /// Computes both families in `O(n·|Δ|)`; fails, without touching
+    /// the memory, when the `n + 1` sets per family cannot be reserved.
+    pub fn new(nfa: &Nfa, n: usize) -> Result<Self, HorizonTooLarge> {
         let mut u = Unrolling {
             n: 0,
             reach: vec![StateSet::singleton(nfa.num_states(), nfa.initial() as usize)],
             dist: vec![nfa.accepting().clone()],
         };
-        u.extend_to(nfa, n);
-        u
+        u.extend_to(nfa, n)?;
+        Ok(u)
     }
 
     /// The horizon `n`.
@@ -58,14 +75,26 @@ impl Unrolling {
     /// set verbatim. Only the *interpretation* of `alive(ℓ)` (distance
     /// `n − ℓ`) shifts with the horizon, which is why incremental
     /// engine runs (`QuerySession`, DESIGN.md D11) must not consult it.
-    pub fn extend_to(&mut self, nfa: &Nfa, n: usize) {
+    ///
+    /// Both families are reserved up front, fallibly: a horizon whose
+    /// sets cannot be reserved fails here, before any set is computed,
+    /// and leaves the view as it was.
+    pub fn extend_to(&mut self, nfa: &Nfa, n: usize) -> Result<(), HorizonTooLarge> {
         if n <= self.n {
-            return;
+            return Ok(());
+        }
+        let len = n.checked_add(1).ok_or(HorizonTooLarge { n })?;
+        let reserved = [&mut self.reach, &mut self.dist]
+            .into_iter()
+            .try_for_each(|sets| sets.try_reserve_exact(len - sets.len()));
+        if reserved.is_err() {
+            self.reach.shrink_to_fit();
+            self.dist.shrink_to_fit();
+            return Err(HorizonTooLarge { n });
         }
         let m = nfa.num_states();
         let k = nfa.alphabet().size() as u8;
         let closure = |sets: &mut Vec<StateSet>, step: &dyn Fn(&StateSet, u8) -> StateSet| {
-            sets.reserve(n - sets.len() + 1);
             while sets.len() <= n {
                 let prev = sets.last().expect("families always hold index 0");
                 let mut cur = StateSet::empty(m);
@@ -78,6 +107,7 @@ impl Unrolling {
         closure(&mut self.reach, &|set, sym| nfa.step(set, sym));
         closure(&mut self.dist, &|set, sym| nfa.step_back(set, sym));
         self.n = n;
+        Ok(())
     }
 
     /// States `q` with `L(qℓ) ≠ ∅`.
@@ -165,7 +195,7 @@ mod tests {
     #[test]
     fn reach_levels() {
         let nfa = contains_11();
-        let u = Unrolling::new(&nfa, 4);
+        let u = Unrolling::new(&nfa, 4).unwrap();
         assert_eq!(u.reachable(0).iter().collect::<Vec<_>>(), vec![0]);
         assert_eq!(u.reachable(1).iter().collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(u.reachable(2).iter().collect::<Vec<_>>(), vec![0, 1, 2]);
@@ -175,7 +205,7 @@ mod tests {
     #[test]
     fn alive_levels() {
         let nfa = contains_11();
-        let u = Unrolling::new(&nfa, 3);
+        let u = Unrolling::new(&nfa, 3).unwrap();
         // At level 3 only the accepting state is alive.
         assert_eq!(u.alive(3).iter().collect::<Vec<_>>(), vec![2]);
         // At level 2: states that reach q2 in one step: q1 (via 1), q2 (loops).
@@ -187,7 +217,7 @@ mod tests {
     #[test]
     fn useful_combines_both() {
         let nfa = contains_11();
-        let u = Unrolling::new(&nfa, 2);
+        let u = Unrolling::new(&nfa, 2).unwrap();
         // n=2: only "11" is accepted. q1 at level 1 is reachable and alive.
         assert!(u.useful(1, 1));
         // q0 at level 2 is reachable but dead (cannot accept in 0 steps).
@@ -199,14 +229,14 @@ mod tests {
     fn empty_slice_detected() {
         let nfa = contains_11();
         // n=1: no length-1 word contains "11".
-        let u = Unrolling::new(&nfa, 1);
+        let u = Unrolling::new(&nfa, 1).unwrap();
         assert!(!u.language_nonempty());
     }
 
     #[test]
     fn witness_is_valid_and_deterministic() {
         let nfa = contains_11();
-        let u = Unrolling::new(&nfa, 5);
+        let u = Unrolling::new(&nfa, 5).unwrap();
         for level in 0..=5usize {
             for q in 0..3u32 {
                 match u.witness(&nfa, q, level) {
@@ -230,7 +260,7 @@ mod tests {
     #[test]
     fn witness_smallest_symbol_first() {
         let nfa = contains_11();
-        let u = Unrolling::new(&nfa, 3);
+        let u = Unrolling::new(&nfa, 3).unwrap();
         // Witness for q0 at level 3 should be all zeros (greedy smallest).
         let w = u.witness(&nfa, 0, 3).unwrap();
         assert_eq!(w.symbols(), &[0, 0, 0]);
@@ -245,10 +275,10 @@ mod tests {
         // Grow 0 → 3 → 7 and compare against fresh views at each stop:
         // reach must be extended in place (prefix-stable), alive must be
         // recomputed for the new horizon.
-        let mut grown = Unrolling::new(&nfa, 0);
+        let mut grown = Unrolling::new(&nfa, 0).unwrap();
         for horizon in [3usize, 7] {
-            grown.extend_to(&nfa, horizon);
-            let fresh = Unrolling::new(&nfa, horizon);
+            grown.extend_to(&nfa, horizon).unwrap();
+            let fresh = Unrolling::new(&nfa, horizon).unwrap();
             assert_eq!(grown.horizon(), horizon);
             for ell in 0..=horizon {
                 assert_eq!(
@@ -272,15 +302,30 @@ mod tests {
             assert_eq!(grown.language_nonempty(), fresh.language_nonempty());
         }
         // Shrinking is a no-op.
-        grown.extend_to(&nfa, 2);
+        grown.extend_to(&nfa, 2).unwrap();
         assert_eq!(grown.horizon(), 7);
     }
 
     #[test]
     fn witness_level_zero() {
         let nfa = contains_11();
-        let u = Unrolling::new(&nfa, 2);
+        let u = Unrolling::new(&nfa, 2).unwrap();
         assert_eq!(u.witness(&nfa, 0, 0), Some(Word::empty()));
         assert_eq!(u.witness(&nfa, 1, 0), None);
+    }
+
+    /// A horizon whose sets cannot be reserved fails in the size
+    /// computation, before any memory is touched, and leaves a grown
+    /// view as it was.
+    #[test]
+    fn oversized_horizon_is_an_error() {
+        let nfa = contains_11();
+        for n in [1usize << 60, usize::MAX] {
+            assert_eq!(Unrolling::new(&nfa, n).unwrap_err(), HorizonTooLarge { n });
+        }
+        let mut u = Unrolling::new(&nfa, 4).unwrap();
+        assert_eq!(u.extend_to(&nfa, 1 << 60), Err(HorizonTooLarge { n: 1 << 60 }));
+        assert_eq!(u.horizon(), 4);
+        assert_eq!(u.reachable(4).iter().collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 }

@@ -232,7 +232,7 @@ impl AcjrRun {
             .iter()
             .next()
             .expect("normalized automaton has an accepting state") as StateId;
-        let unroll = Unrolling::new(&normalized, n);
+        let unroll = Unrolling::new(&normalized, n)?;
         if !unroll.language_nonempty() {
             stats.wall = start.elapsed();
             return Ok(AcjrRun {
@@ -248,7 +248,7 @@ impl AcjrRun {
         let masks = StepMasks::new(&normalized);
         let m = normalized.num_states();
         let k = normalized.alphabet().size() as u8;
-        let mut table = RunTable::new(m, n);
+        let mut table = RunTable::new(m, n)?;
         let mut memo = UnionMemo::new();
 
         let init = normalized.initial() as usize;

@@ -2,13 +2,17 @@
 //!
 //! Usage:
 //! ```text
-//! experiments [--quick] [--json [PATH]] [--scaling-smoke] [e1 e2 … | all]
+//! experiments [--quick] [--json [PATH]] [--check FILE] [--scaling-smoke] [e1 e2 … | all]
 //! ```
 //! With no selector, runs the full suite. `--quick` shrinks trial counts
 //! for smoke testing; EXPERIMENTS.md numbers come from the default mode.
 //! `--json` additionally writes the machine-readable counter matrix
 //! (`BENCH_counter.json` unless a path follows the flag) and skips the
 //! Markdown suite when no experiment selector is given alongside it.
+//! `--check FILE` regenerates the counter matrix and compares its exact,
+//! thread-invariant columns (`fpras_bench::json::CHECKED_COLUMNS`)
+//! against the committed `FILE`, exiting nonzero on any drift; wall
+//! columns are not compared.
 //! `--scaling-smoke` runs only the work-stealing scaling guard (D10):
 //! one wide fixture at `threads = 1` vs `threads = 4`, exiting nonzero
 //! when multi-threading has regressed to flat scaling (skipped on
@@ -29,12 +33,21 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let mut json: Option<Option<String>> = None;
     let mut scaling = false;
+    let mut check: Option<String> = None;
     let mut selected: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => {}
             "--scaling-smoke" => scaling = true,
+            "--check" => {
+                let Some(path) = args.get(i + 1) else {
+                    eprintln!("--check needs a FILE");
+                    std::process::exit(2);
+                };
+                check = Some(path.clone());
+                i += 1;
+            }
             "--json" => {
                 // Optional path operand: the next arg, unless it is a
                 // flag or an experiment selector.
@@ -62,6 +75,19 @@ fn main() {
             }
             Err(msg) => {
                 eprintln!("scaling smoke FAILED: {msg}");
+                std::process::exit(1);
+            }
+        }
+    }
+
+    if let Some(path) = &check {
+        match fpras_bench::check_counter_json(path, quick, 42) {
+            Ok(msg) => {
+                println!("counter check: {msg}");
+                return;
+            }
+            Err(drifts) => {
+                eprintln!("counter check FAILED against {path}:\n{drifts}");
                 std::process::exit(1);
             }
         }

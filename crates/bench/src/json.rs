@@ -490,6 +490,153 @@ pub fn write_counter_json(path: Option<&str>, quick: bool, seed: u64) -> std::io
     Ok(path)
 }
 
+/// The columns [`check_counter_json`] compares: exact, and identical at
+/// every thread count and on every host. Wall-clock columns are not
+/// compared, nor is `intern_hits` at `threads ≥ 2` (which worker
+/// interns a frontier first depends on the schedule); at one thread it
+/// is exact, so it is compared there.
+pub const CHECKED_COLUMNS: &[&str] = &[
+    "estimate",
+    "ops",
+    "appunion_calls",
+    "cells_deduped",
+    "distinct_frontiers",
+    "levels_reused",
+    "queries_served",
+    "quota_rejections",
+];
+
+/// Regenerates the counter matrix and compares it with the committed
+/// document at `path` on [`CHECKED_COLUMNS`]: same rows, keyed by
+/// `(instance, method, threads)`, and the same value text in every
+/// checked column. Returns a one-line summary, or every drift found.
+pub fn check_counter_json(path: &str, quick: bool, seed: u64) -> Result<String, String> {
+    let committed =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let want = parse_rows(&committed).map_err(|e| format!("{path}: {e}"))?;
+    let got = parse_rows(&to_json(&counter_matrix(quick, seed))).expect("to_json is parseable");
+    let drifts = compare_rows(&want, &got);
+    if drifts.is_empty() {
+        Ok(format!("{} rows match {path} on {}", got.len(), CHECKED_COLUMNS.join(", ")))
+    } else {
+        Err(drifts.join("\n"))
+    }
+}
+
+/// One row of a counter-matrix document: each column's name and the
+/// raw text of its value.
+type RawRow = Vec<(String, String)>;
+
+/// The raw value text of `column` in `row`.
+fn column<'r>(row: &'r RawRow, column: &str) -> Option<&'r str> {
+    row.iter().find(|(name, _)| name == column).map(|(_, value)| value.as_str())
+}
+
+/// Every difference between the committed rows `want` and the
+/// regenerated rows `got` on the checked columns.
+fn compare_rows(want: &[RawRow], got: &[RawRow]) -> Vec<String> {
+    let key = |row: &RawRow| {
+        ["instance", "method", "threads"].map(|c| column(row, c).unwrap_or("?").to_string())
+    };
+    let mut drifts = Vec::new();
+    if want.len() != got.len() {
+        drifts.push(format!("{} rows committed, {} regenerated", want.len(), got.len()));
+    }
+    for row in got {
+        let k = key(row);
+        let Some(committed) = want.iter().find(|w| key(w) == k) else {
+            drifts.push(format!("{k:?}: no committed row"));
+            continue;
+        };
+        let single = column(row, "threads").is_some_and(|t| t == "0" || t == "1");
+        let columns = CHECKED_COLUMNS.iter().chain(single.then_some(&"intern_hits"));
+        for &c in columns {
+            let (w, g) = (column(committed, c), column(row, c));
+            if w != g {
+                drifts.push(format!("{k:?} {c}: committed {w:?}, regenerated {g:?}"));
+            }
+        }
+    }
+    drifts
+}
+
+/// Reads a document [`to_json`] writes: a JSON array of flat objects
+/// whose values are strings, numbers or `null`. String values keep
+/// their quotes and escapes, so equal text means equal value.
+fn parse_rows(doc: &str) -> Result<Vec<RawRow>, String> {
+    let bytes = doc.as_bytes();
+    let mut at = 0;
+    let skip_ws = |at: &mut usize| {
+        while bytes.get(*at).is_some_and(u8::is_ascii_whitespace) {
+            *at += 1;
+        }
+    };
+    let expect = |at: &mut usize, want: u8| {
+        skip_ws(at);
+        if bytes.get(*at) == Some(&want) {
+            *at += 1;
+            Ok(())
+        } else {
+            Err(format!("expected '{}' at byte {at}", want as char))
+        }
+    };
+    // A quoted string from `at`, returned with its quotes.
+    let string = |at: &mut usize| -> Result<String, String> {
+        expect(at, b'"')?;
+        let start = *at - 1;
+        while let Some(&b) = bytes.get(*at) {
+            *at += 1;
+            match b {
+                b'\\' => *at += 1,
+                b'"' => return Ok(doc[start..*at].to_string()),
+                _ => {}
+            }
+        }
+        Err("unterminated string".into())
+    };
+    let mut rows = Vec::new();
+    expect(&mut at, b'[')?;
+    skip_ws(&mut at);
+    if bytes.get(at) == Some(&b']') {
+        return Ok(rows);
+    }
+    loop {
+        expect(&mut at, b'{')?;
+        let mut row = RawRow::new();
+        loop {
+            let name = string(&mut at)?;
+            expect(&mut at, b':')?;
+            skip_ws(&mut at);
+            let value = if bytes.get(at) == Some(&b'"') {
+                string(&mut at)?
+            } else {
+                let start = at;
+                while bytes.get(at).is_some_and(|b| !matches!(b, b',' | b'}')) {
+                    at += 1;
+                }
+                doc[start..at].trim().to_string()
+            };
+            row.push((name.trim_matches('"').to_string(), value));
+            skip_ws(&mut at);
+            match bytes.get(at) {
+                Some(b',') => at += 1,
+                Some(b'}') => {
+                    at += 1;
+                    break;
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {at}")),
+            }
+        }
+        rows.push(row);
+        skip_ws(&mut at);
+        match bytes.get(at) {
+            Some(b',') => at += 1,
+            Some(b']') => return Ok(rows),
+            _ => return Err(format!("expected ',' or ']' at byte {at}")),
+        }
+    }
+}
+
 /// JSON string escaping (the subset our labels can contain).
 fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -521,9 +668,10 @@ fn number(v: f64) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn json_document_is_well_formed() {
-        let ms = vec![
+    /// Two rows: an engine row with every optional column set, and an
+    /// exact row with none.
+    fn sample_rows() -> Vec<CounterMeasurement> {
+        vec![
             CounterMeasurement {
                 instance: "i/n=4".into(),
                 method: "fpras(ours)".into(),
@@ -578,7 +726,12 @@ mod tests {
                 quota_rejections: 0,
                 reuse_rate: None,
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn json_document_is_well_formed() {
+        let ms = sample_rows();
         let doc = to_json(&ms);
         assert!(doc.starts_with("[\n"));
         assert!(doc.ends_with("]\n"));
@@ -612,6 +765,34 @@ mod tests {
         assert!(doc.contains("\"estimate_log2\": null"));
         assert_eq!(doc.matches('{').count(), 2);
         assert_eq!(doc.matches('}').count(), 2);
+    }
+
+    /// The check reads back what `to_json` writes, and flags a drift in
+    /// a checked column, a missing row, and `intern_hits` at one thread,
+    /// but not wall columns or `intern_hits` at two threads.
+    #[test]
+    fn check_flags_exact_drift_only() {
+        let ms = sample_rows();
+        let rows = parse_rows(&to_json(&ms)).unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(column(&rows[0], "instance"), Some("\"i/n=4\""));
+        assert_eq!(column(&rows[1], "instance"), Some("\"empty \\\"quoted\\\"\""));
+        assert_eq!(column(&rows[1], "estimate_log2"), Some("null"));
+        assert!(compare_rows(&rows, &rows).is_empty());
+        let drifted = |edit: fn(&mut Vec<CounterMeasurement>)| {
+            let mut changed = sample_rows();
+            edit(&mut changed);
+            compare_rows(&rows, &parse_rows(&to_json(&changed)).unwrap())
+        };
+        assert!(drifted(|m| m[0].wall_seconds = 9.0).is_empty(), "wall is not compared");
+        assert!(drifted(|m| m[0].intern_hits += 1).is_empty(), "threads 2: not compared");
+        assert_eq!(drifted(|m| m[1].intern_hits += 1).len(), 1, "threads 0: compared");
+        assert_eq!(drifted(|m| m[0].ops += 1).len(), 1);
+        assert_eq!(drifted(|m| m[0].estimate = 12.5).len(), 1);
+        assert_eq!(drifted(|m| m[1].quota_rejections = 3).len(), 1);
+        assert_eq!(drifted(|m| m.truncate(1)).len(), 1, "a missing row");
+        assert!(parse_rows("[{\"a\": 1,]").is_err());
+        assert_eq!(parse_rows("[]").unwrap().len(), 0);
     }
 
     #[test]

@@ -16,5 +16,7 @@ pub mod load;
 pub mod table;
 
 pub use experiments::{registry, Experiment};
-pub use json::{scaling_smoke, write_counter_json, CounterMeasurement, DEFAULT_JSON_PATH};
+pub use json::{
+    check_counter_json, scaling_smoke, write_counter_json, CounterMeasurement, DEFAULT_JSON_PATH,
+};
 pub use load::load_harness_rows;

@@ -171,7 +171,7 @@ mod tests {
         let normalized = ops::with_single_accepting(&trimmed);
         let q_final = normalized.accepting().iter().next().expect("accepting state") as StateId;
         let interner = FrontierInterner::new(normalized.num_states());
-        (NfaSubstrate::new(normalized, q_final, n), interner)
+        (NfaSubstrate::new(normalized, q_final, n).unwrap(), interner)
     }
 
     #[test]

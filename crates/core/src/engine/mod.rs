@@ -59,13 +59,14 @@ use crate::intern::FrontierInterner;
 use crate::params::Params;
 use crate::run_stats::RunStats;
 use crate::sample_set::SampleSet;
-use crate::sampler::{sample_word, SamplerEnv, SamplerScratch};
+use crate::sampler::{sample_words, SamplerEnv, SamplerScratch};
 use crate::table::{RunTable, SampleOutcome};
 use fpras_automata::ops::{trim, with_single_accepting};
 use fpras_automata::robp::Robp;
 use fpras_automata::{Nfa, StateId, StateSet};
 use fpras_numeric::ExtFloat;
 use rand::{rngs::SmallRng, Rng, RngExt};
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 pub use batch::{FrontierGroup, LevelPlan};
@@ -235,8 +236,9 @@ pub fn assemble_count_cell<R: Rng + ?Sized>(
 }
 
 /// Sample pass for one `(q, ℓ)` cell (Algorithm 3 lines 20–30): draws up
-/// to `ns` words by Algorithm 2 within `xns` attempts, padding with the
-/// cell's witness word when short.
+/// to `ns` words by Algorithm 2 within `xns` attempts — one retry loop,
+/// so one sampler epoch (DESIGN.md D21) — padding with the cell's
+/// witness word when short.
 pub(crate) fn sample_cell<R: Rng + ?Sized>(
     ctx: &EngineCtx<'_>,
     table: &RunTable,
@@ -256,22 +258,17 @@ pub(crate) fn sample_cell<R: Rng + ?Sized>(
     let mut stats = RunStats::default();
     // Exactly `ns` rows: `ns` genuine samples, or fewer plus one pad row.
     let mut samples = SampleSet::with_capacity(ctx.m, params.ns);
-    let mut attempts = 0usize;
-    while samples.genuine_len() < params.ns && attempts < params.xns {
-        attempts += 1;
-        match sample_word(&env, table, memo, q, ell, rng, scratch, &mut stats) {
-            SampleOutcome::Word(w) => {
-                let reach = ctx.substrate.reach(&w);
-                debug_assert!(
-                    reach.contains(q as usize),
-                    "sampled word must reach its cell's state"
-                );
-                samples.push(&reach);
+    sample_words(&env, table, memo, q, ell, params.xns, rng, scratch, &mut stats, |out| {
+        if let SampleOutcome::Word(w) = out {
+            let reach = ctx.substrate.reach(&w);
+            debug_assert!(reach.contains(q as usize), "sampled word must reach its cell's state");
+            samples.push(&reach);
+            if samples.genuine_len() == params.ns {
+                return ControlFlow::Break(());
             }
-            SampleOutcome::DeadEnd => break,
-            SampleOutcome::FailPhi | SampleOutcome::FailCoin => {}
         }
-    }
+        ControlFlow::Continue(())
+    });
     let genuine = samples.genuine_len();
     let padded = params.ns - genuine;
     if padded > 0 {
@@ -524,7 +521,7 @@ pub fn run_parallel(
     let Some((normalized, q_final)) = normalize_for_run(nfa) else {
         return Ok(degenerate(ExtFloat::ZERO, false));
     };
-    let substrate = NfaSubstrate::new(normalized, q_final, n);
+    let substrate = NfaSubstrate::new(normalized, q_final, n)?;
     if !substrate.language_nonempty() {
         return Ok(degenerate(ExtFloat::ZERO, false));
     }
@@ -563,7 +560,7 @@ fn run_on_substrate(
         sampler_seed,
     };
 
-    let mut table = RunTable::new(m, n);
+    let mut table = RunTable::new(m, n)?;
     let mut memo = UnionMemo::new();
     let mut stats = RunStats::default();
 

@@ -26,6 +26,7 @@
 //! the `∩ reachable(ℓ-1)` intersection itself, exactly where it always
 //! did, so set contents and op accounting are unchanged.
 
+use crate::error::FprasError;
 use fpras_automata::{Nfa, StateSet, StepMasks, Unrolling, Word};
 
 /// A leveled DAG the engine can count and sample over.
@@ -61,10 +62,11 @@ pub trait LeveledSubstrate: Send + Sync {
     fn horizon(&self) -> usize;
 
     /// Grows the per-level views to cover `0..=n` (no-op when already
-    /// covered). Substrates with an intrinsic depth (an nROBP reads each
-    /// variable once, so its level count is fixed) may refuse larger
-    /// horizons by panicking; callers gate on [`Self::horizon`] first.
-    fn ensure_horizon(&mut self, n: usize);
+    /// covered), or fails when they cannot be reserved. Substrates with
+    /// an intrinsic depth (an nROBP reads each variable once, so its
+    /// level count is fixed) may refuse larger horizons by panicking;
+    /// callers gate on [`Self::horizon`] first.
+    fn ensure_horizon(&mut self, n: usize) -> Result<(), FprasError>;
 
     /// Cells at `level` reachable from the source — `L(c^ℓ) ≠ ∅`.
     fn reachable(&self, level: usize) -> &StateSet;
@@ -106,11 +108,12 @@ pub struct NfaSubstrate {
 
 impl NfaSubstrate {
     /// Wraps a *normalized* automaton (see `engine::normalize_for_run`)
-    /// with views covering levels `0..=n`.
-    pub fn new(nfa: Nfa, q_final: u32, n: usize) -> Self {
-        let unroll = Unrolling::new(&nfa, n);
+    /// with views covering levels `0..=n`; fails when they cannot be
+    /// reserved.
+    pub fn new(nfa: Nfa, q_final: u32, n: usize) -> Result<Self, FprasError> {
+        let unroll = Unrolling::new(&nfa, n)?;
         let masks = StepMasks::new(&nfa);
-        NfaSubstrate { nfa, unroll, masks, q_final }
+        Ok(NfaSubstrate { nfa, unroll, masks, q_final })
     }
 
     /// True iff `L(A_n)` is non-empty at the current horizon.
@@ -144,8 +147,8 @@ impl LeveledSubstrate for NfaSubstrate {
         self.unroll.horizon()
     }
 
-    fn ensure_horizon(&mut self, n: usize) {
-        self.unroll.extend_to(&self.nfa, n);
+    fn ensure_horizon(&mut self, n: usize) -> Result<(), FprasError> {
+        Ok(self.unroll.extend_to(&self.nfa, n)?)
     }
 
     fn reachable(&self, level: usize) -> &StateSet {
@@ -273,12 +276,13 @@ impl LeveledSubstrate for RobpSubstrate {
         self.depth
     }
 
-    fn ensure_horizon(&mut self, n: usize) {
+    fn ensure_horizon(&mut self, n: usize) -> Result<(), FprasError> {
         assert!(
             n <= self.depth,
             "an nROBP reads each variable once: horizon {n} exceeds its depth {}",
             self.depth
         );
+        Ok(())
     }
 
     fn reachable(&self, level: usize) -> &StateSet {

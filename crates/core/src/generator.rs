@@ -9,8 +9,7 @@
 //! counterpart of the paper's regular-path-query *sampling* application.
 
 use crate::counter::FprasRun;
-use crate::sampler::{SamplerEnv, SamplerScratch};
-use crate::table::SampleOutcome;
+use crate::sampler::{sample_one, SamplerEnv, SamplerScratch};
 use fpras_automata::Word;
 use rand::Rng;
 
@@ -59,7 +58,9 @@ impl UniformGenerator {
     ///
     /// Returns `None` when the language slice is empty or every retry
     /// failed (probability `≤ (1 − 2/(3e²))^limit` under accurate
-    /// estimates).
+    /// estimates). Each call is one retry loop of the sampler, and so
+    /// its own epoch (DESIGN.md D21): whether a retry ends before walking
+    /// depends only on the call's own retries.
     pub fn generate<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Word> {
         // Degenerate runs: empty language or the n = 0 special case.
         let Some(inner) = self.run.inner.as_mut() else {
@@ -73,23 +74,17 @@ impl UniformGenerator {
             interner: &inner.interner,
             sampler_seed: inner.sampler_seed,
         };
-        for _ in 0..self.retry_limit {
-            match crate::sampler::sample_word(
-                &env,
-                &inner.table,
-                &inner.memo,
-                q_final,
-                n,
-                rng,
-                &mut self.scratch,
-                &mut self.run.stats,
-            ) {
-                SampleOutcome::Word(w) => return Some(w),
-                SampleOutcome::DeadEnd => return None,
-                SampleOutcome::FailPhi | SampleOutcome::FailCoin => {}
-            }
-        }
-        None
+        sample_one(
+            &env,
+            &inner.table,
+            &inner.memo,
+            q_final,
+            n,
+            self.retry_limit,
+            rng,
+            &mut self.scratch,
+            &mut self.run.stats,
+        )
     }
 
     /// Draws up to `count` words (fewer only on repeated failure).
@@ -103,6 +98,7 @@ mod tests {
     use super::*;
     use crate::counter::FprasRun;
     use crate::params::Params;
+    use crate::table::SampleOutcome;
     use fpras_automata::exact::count_exact;
     use fpras_automata::{Alphabet, Nfa, NfaBuilder};
     use fpras_numeric::stats::tv_to_uniform;
@@ -178,6 +174,59 @@ mod tests {
         let tv = tv_to_uniform(&counts, support);
         // Practical-profile estimates put TV well under the eps used.
         assert!(tv < 0.1, "TV distance {tv}");
+    }
+
+    /// Words drawn in one epoch — one retry loop, so trials exit before
+    /// walking once the start node has closed — are as close to uniform
+    /// as separate draws: the coin is drawn first and an exit only
+    /// replaces a tails outcome, so the law of the words is unchanged.
+    #[test]
+    fn one_epoch_draws_close_to_uniform() {
+        use crate::sampler::sample_words;
+        use crate::RunStats;
+        use std::ops::ControlFlow;
+        let regex = fpras_automata::regex::compile_regex(
+            "(0|1)*1(0|1)(0|1)(0|1)((00)*|(111)*)",
+            &Alphabet::binary(),
+        )
+        .unwrap();
+        for (nfa, n) in [(contains_11(), 5), (regex, 8)] {
+            let support = count_exact(&nfa, n).unwrap().to_u64().unwrap() as usize;
+            let (mut g, mut rng) = generator_for(&nfa, n, 1234);
+            let inner = g.run.inner.as_ref().unwrap();
+            let env = SamplerEnv {
+                params: &g.run.params,
+                substrate: &*inner.substrate,
+                interner: &inner.interner,
+                sampler_seed: inner.sampler_seed,
+            };
+            let mut stats = RunStats::default();
+            let mut counts: HashMap<u64, u64> = HashMap::new();
+            let (table, memo, q_final) = (&inner.table, &inner.memo, inner.q_final);
+            let scratch = &mut g.scratch;
+            sample_words(
+                &env,
+                table,
+                memo,
+                q_final,
+                n,
+                120_000,
+                &mut rng,
+                scratch,
+                &mut stats,
+                |out| {
+                    if let SampleOutcome::Word(w) = out {
+                        *counts.entry(w.to_index(2)).or_insert(0) += 1;
+                    }
+                    ControlFlow::Continue(())
+                },
+            );
+            assert!(stats.trials_unwalked > 60_000, "exits fired {} times", stats.trials_unwalked);
+            assert!(stats.sample_success > 20_000, "{} words", stats.sample_success);
+            assert_eq!(counts.len(), support, "every accepted word should appear");
+            let tv = tv_to_uniform(&counts, support);
+            assert!(tv < 0.1, "n = {n}: TV distance {tv}");
+        }
     }
 
     #[test]

@@ -206,6 +206,12 @@ pub struct RunStats {
     pub fail_phi_gt_one: u64,
     /// Failures of the final coin flip (`Fail₂`).
     pub fail_rejected: u64,
+    /// Of [`fail_rejected`](RunStats::fail_rejected), the trials whose
+    /// coin was settled at the start node, without walking: the coin is
+    /// drawn first, and an exact bound on every continuation's `φ`
+    /// proved tails (DESIGN.md D21). Exits depend only on the calling
+    /// loop's own trials, so this is identical at every thread count.
+    pub trials_unwalked: u64,
     /// Failures because every branch estimate was zero (possible only
     /// under noise injection or exhausted estimates).
     pub fail_dead_end: u64,
@@ -327,6 +333,7 @@ impl RunStats {
         self.sample_success += other.sample_success;
         self.fail_phi_gt_one += other.fail_phi_gt_one;
         self.fail_rejected += other.fail_rejected;
+        self.trials_unwalked += other.trials_unwalked;
         self.fail_dead_end += other.fail_dead_end;
         self.walk_steps += other.walk_steps;
         self.walk_nodes_built += other.walk_nodes_built;

@@ -56,6 +56,26 @@
 //! memo of one lineage only grows. Under any other key the table starts
 //! over. See DESIGN.md §2.5 and D17.
 //!
+//! # Coin first (D21)
+//!
+//! The base case's coin `u` is independent of the walk, so every trial
+//! draws it before its first step. A compiled node caches its bound
+//! `hi`: the largest product of `total / size[b]` along its positive
+//! branches down to level 0. Once the start node is *closed* — it and
+//! its whole positive sub-DAG walked in this retry loop, hence compiled —
+//! a trial whose coin is at least `φ₀ · hi` (with a margin that covers
+//! both sides' rounding, `exit_bound`) would end in `FailCoin` on every
+//! path, so it ends there without walking (`trials_unwalked`).
+//!
+//! Closure counts only what the loop itself walked: `sample_words`
+//! opens an *epoch* on the scratch, every step stamps its node with it,
+//! and a node stamped in an earlier epoch does not count. So whether a
+//! trial exits depends on the loop's own trials, never on which cells
+//! the worker's scratch ran before, and exits — like every other
+//! counter that is part of the output — are identical at every thread
+//! count. `sample_words` is the one retry loop: the engine's sample
+//! pass, the generator and a session's `sample` all draw through it.
+//!
 //! # Frontier-keyed union randomness (D9)
 //!
 //! When memoization is on, the `AppUnion` randomness for a sampler-side
@@ -89,12 +109,13 @@ use fpras_numeric::{
 };
 use rand::{rngs::SmallRng, Rng, RngExt, SeedableRng};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// The read-only context one sampler invocation runs against: the
 /// resolved parameters, the run's leveled substrate (stepping kernels +
 /// per-level reachability filter — D14), the run's frontier interner,
 /// and the frontier-keyed union seed. Bundled so the deep call chain
-/// (`sample_word` → `union_size` → `app_union`) passes one
+/// (`sample_words` → `walk` → `union_size` → `app_union`) passes one
 /// reference instead of five.
 pub(crate) struct SamplerEnv<'a> {
     /// Resolved run parameters.
@@ -107,7 +128,7 @@ pub(crate) struct SamplerEnv<'a> {
     pub sampler_seed: u64,
 }
 
-/// Reusable working memory for [`sample_word`]: the compiled walk, the
+/// Reusable working memory for [`sample_words`]: the compiled walk, the
 /// cold-path frontier buffers, the per-symbol branch sizes, the
 /// reversed symbol trail, the categorical draw's rescale buffer, and the
 /// nested `AppUnion` scratch. A fresh scratch is equivalent to a reused
@@ -116,6 +137,18 @@ pub(crate) struct SamplerEnv<'a> {
 /// allocates only for the nodes it builds and the words it returns.
 pub(crate) struct SamplerScratch {
     walk: WalkTable,
+    /// The open epoch: one retry loop's trials. A walk step stamps its
+    /// node with it, and only nodes stamped in the open epoch count
+    /// towards a start node's closure. Never 0 once a loop has opened,
+    /// so a stamp of 0 means "never stamped".
+    epoch: u32,
+    /// The closure search of the open epoch: its DFS stack of
+    /// `(slot, level, next symbol)` frames.
+    closing: Vec<(u32, u32, u32)>,
+    /// The node `(slot, level)` the closure search stopped at, resumed
+    /// once a walk has stamped and compiled it; `None` once the start
+    /// node is closed, or when no search runs.
+    blocker: Option<(u32, u32)>,
     /// Set of the node being built, or of a frontier whose union is
     /// estimated afresh.
     frontier: StateSet,
@@ -129,10 +162,13 @@ pub(crate) struct SamplerScratch {
 
 impl SamplerScratch {
     /// An empty scratch; bound to an interner and a memo on first
-    /// `sample_word` call.
+    /// [`sample_words`] call.
     pub(crate) fn new() -> Self {
         SamplerScratch {
             walk: WalkTable::default(),
+            epoch: 0,
+            closing: Vec::new(),
+            blocker: None,
             frontier: StateSet::empty(0),
             branch: StateSet::empty(0),
             branch_sizes: Vec::new(),
@@ -189,7 +225,103 @@ impl SamplerScratch {
             };
         }
     }
+
+    /// Opens a new epoch whose closure search starts at the start node
+    /// `(slot, level)`; above [`MAX_EXIT_LEVEL`] no search runs. On wrap
+    /// every stamp is cleared, so no stamp of an old epoch can pass for
+    /// one of the new.
+    fn open_epoch(&mut self, slot: u32, level: usize) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.walk.records.iter_mut().for_each(|r| r.stamp = 0);
+            self.walk.tables.iter_mut().for_each(|t| t.closed = 0);
+            self.epoch = 1;
+        }
+        self.closing.clear();
+        self.blocker = (level <= MAX_EXIT_LEVEL).then_some((slot, level as u32));
+    }
+
+    /// True iff the closure search is blocked at a node that a walk of
+    /// this epoch has since stamped and compiled, so it can go on.
+    #[inline]
+    fn blocker_ready(&self) -> bool {
+        self.blocker.is_some_and(|(slot, _)| self.walk.visited(slot, self.epoch))
+    }
+
+    /// Resumes the closure search (its blocker is ready): a depth-first
+    /// pass over the start node's positive branches that closes each
+    /// node once all its positive successors are closed, caching the
+    /// node's bound on its first closing. Returns the start node's bound
+    /// once it closes, or `None` after stopping at the next node this
+    /// epoch has not visited (the new blocker). Each node is pushed at
+    /// most once per epoch and each branch scanned once, so a whole
+    /// epoch's search costs no more than the nodes its walks visited.
+    fn resume_closure(&mut self) -> Option<ExtFloat> {
+        let (epoch, k) = (self.epoch, self.walk.k);
+        let (slot, ell) = self.blocker.take().expect("a blocked search");
+        self.closing.push((slot, ell, 0));
+        loop {
+            let &mut (slot, ell, ref mut sym) = self.closing.last_mut().expect("a frame");
+            let t = self.walk.records[slot as usize].table as usize;
+            let mut pushed = None;
+            while (*sym as usize) < k {
+                let b = *sym as usize;
+                *sym += 1;
+                let child = self.walk.succ[slot as usize * k + b];
+                if ell == 1
+                    || self.walk.sizes[t * k + b].is_zero()
+                    || self.walk.closed(child, epoch)
+                {
+                    continue; // level 0, a branch never drawn, or closed
+                }
+                if !self.walk.visited(child, epoch) {
+                    self.blocker = Some((child, ell - 1));
+                    return None;
+                }
+                pushed = Some((child, ell - 1, 0));
+                break;
+            }
+            if let Some(frame) = pushed {
+                self.closing.push(frame);
+                continue;
+            }
+            let hi = self.walk.close(slot, ell, epoch);
+            self.closing.pop();
+            if self.closing.is_empty() {
+                return Some(hi);
+            }
+        }
+    }
 }
+
+/// Deepest start level at which a trial may exit before walking.
+/// [`exit_bound`]'s margin `1 + 2⁻³⁰` covers the roundings of a walk and
+/// of its bound up to here: see [`exit_bound`].
+const MAX_EXIT_LEVEL: usize = 1 << 20;
+
+/// The exit test's threshold for a trial with start probability `phi0`
+/// from a closed start node with bound `hi`: a coin `u ≥` it proves the
+/// walk would end in `FailCoin`.
+///
+/// Every walk from the node ends with `φ = φ₀ · Π total/size[b]` along
+/// its path, and `hi` is that product's maximum over paths. Both are
+/// rounded, with the same inputs: the walk rounds twice per step
+/// ([`ExtFloatChain::mul_div`]; its renormalisations are exact) and once
+/// more in the coin's `to_f64`; `hi` rounds twice per level, and this
+/// function three times (the product, `to_f64`, the margin). So at start
+/// level `ℓ` the walk's coin threshold is at most the exact product times
+/// `(1 + 2⁻⁵³)^(2ℓ+1)`, and this threshold at least the exact maximum
+/// times `(1 − 2⁻⁵³)^(2ℓ+3) · (1 + 2⁻³⁰)`. For `ℓ ≤ 2²⁰` the margin
+/// outweighs the `4ℓ + 4 ≤ 2²² + 4` roundings, so `u ≥` threshold gives
+/// `φ ≤ u < 1` (never `Fail₁`) and a tails coin on every path. A product
+/// below `f64`'s normal range is raised to `f64::MIN_POSITIVE`: a
+/// positive coin is at least `2⁻⁵³`, far above any such `φ`.
+fn exit_bound(phi0: ExtFloat, hi: ExtFloat) -> f64 {
+    ((phi0 * hi).to_f64() * EXIT_MARGIN).max(f64::MIN_POSITIVE)
+}
+
+/// [`exit_bound`]'s margin, `1 + 2⁻³⁰`.
+const EXIT_MARGIN: f64 = 1.0 + 1.0 / (1u64 << 30) as f64;
 
 /// Successor slot of a branch whose predecessor frontier is empty.
 const EMPTY_BRANCH: u32 = u32::MAX;
@@ -217,6 +349,8 @@ struct NodeRecord {
     node: u64,
     /// Index into [`WalkTable::tables`], or [`NO_TABLE`].
     table: u32,
+    /// The last epoch a walk stepped from this node; 0 for none.
+    stamp: u32,
 }
 
 /// A compiled node's step: what the cold step computed from the memo,
@@ -226,13 +360,20 @@ struct NodeRecord {
 struct BranchTable {
     /// Sum of the branch sizes, in the cold step's fold order.
     total: ExtFloat,
+    /// The node's bound `hi`: the largest product of `total/size[b]`
+    /// along any path of positive branches down to level 0, where
+    /// `hi = 1`. Zero until the node first closes; a compiled row never
+    /// changes under one walk-table key, so neither does `hi`.
+    hi: ExtFloat,
     /// Memo hits a replay counts: the node's non-empty branches.
     hits: u32,
+    /// The last epoch in which this node was closed; 0 for none.
+    closed: u32,
 }
 
 /// Per-scratch compiled walk — see the module docs. Memory per node:
 /// one map entry (a `u64` key and a `u32` slot), a 16-byte record and
-/// `k` `u32` successor slots; a compiled node adds a 24-byte branch
+/// `k` `u32` successor slots; a compiled node adds a 40-byte branch
 /// table and `k` sizes (16 bytes) and thresholds (8 bytes).
 #[derive(Default)]
 struct WalkTable {
@@ -273,7 +414,7 @@ impl WalkTable {
                 .ok()
                 .filter(|&s| s < UNBUILT)
                 .expect("walk table slot fits below the sentinels");
-            records.push(NodeRecord { node, table: NO_TABLE });
+            records.push(NodeRecord { node, table: NO_TABLE, stamp: 0 });
             succ.resize(succ.len() + *k, UNBUILT);
             slot
         })
@@ -294,6 +435,51 @@ impl WalkTable {
         self.tables.push(t);
         self.sizes.extend_from_slice(sizes);
         extend_thresholds(weights, &mut self.thresholds);
+    }
+
+    /// True iff a walk stepped from the node at `slot` in `epoch` and
+    /// the node is compiled.
+    #[inline]
+    fn visited(&self, slot: u32, epoch: u32) -> bool {
+        let r = &self.records[slot as usize];
+        r.stamp == epoch && r.table != NO_TABLE
+    }
+
+    /// True iff the node at `slot` is closed in `epoch`.
+    fn closed(&self, slot: u32, epoch: u32) -> bool {
+        self.visited(slot, epoch)
+            && self.tables[self.records[slot as usize].table as usize].closed == epoch
+    }
+
+    /// Closes the node at `slot` (level `ell`) in `epoch` — every
+    /// positive successor is closed — and returns its bound, computing
+    /// and caching it on the node's first closing.
+    fn close(&mut self, slot: u32, ell: u32, epoch: u32) -> ExtFloat {
+        let k = self.k;
+        let t = self.records[slot as usize].table as usize;
+        if self.tables[t].hi.is_zero() {
+            let total = self.tables[t].total;
+            let mut hi = ExtFloat::ZERO;
+            for b in 0..k {
+                let size = self.sizes[t * k + b];
+                if size.is_zero() {
+                    continue;
+                }
+                let below = if ell == 1 {
+                    ExtFloat::ONE
+                } else {
+                    let child = self.records[self.succ[slot as usize * k + b] as usize].table;
+                    self.tables[child as usize].hi
+                };
+                let path = total / size * below;
+                if path > hi {
+                    hi = path;
+                }
+            }
+            self.tables[t].hi = hi;
+        }
+        self.tables[t].closed = epoch;
+        self.tables[t].hi
     }
 }
 
@@ -377,33 +563,152 @@ fn union_size<R: Rng + ?Sized>(
     .value
 }
 
-/// Runs one trial of Algorithm 2 from the singleton frontier `{start}` at
-/// `level`, i.e. the call `sample(ℓ, {qℓ}, λ, γ₀, β, η)` of Algorithm 3
-/// line 23.
+/// Runs Algorithm 2's trials from the singleton frontier `{start}` at
+/// `level` — the calls `sample(ℓ, {qℓ}, λ, γ₀, β, η)` of Algorithm 3
+/// line 23 — until `on` breaks, a trial ends in `DeadEnd`, or `attempts`
+/// trials ran. Every outcome goes to `on`, `DeadEnd` included.
+///
+/// This is the one retry loop: the engine's sample pass, the generator
+/// and a session's `sample` all draw through it. It opens one epoch on
+/// the scratch, so which trials exit before walking depends only on the
+/// loop's own trials, never on what the scratch ran before.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sample_word<R: Rng + ?Sized>(
+pub(crate) fn sample_words<R: Rng + ?Sized>(
     env: &SamplerEnv<'_>,
     table: &RunTable,
     memo: &UnionMemo,
     start: StateId,
     level: usize,
+    attempts: usize,
+    rng: &mut R,
+    scratch: &mut SamplerScratch,
+    stats: &mut RunStats,
+    mut on: impl FnMut(SampleOutcome) -> ControlFlow<()>,
+) {
+    let mut trials = Trials::open(env, table, memo, start, level, scratch);
+    for _ in 0..attempts {
+        let out = trials.next(env, table, memo, rng, scratch, stats);
+        let dead = matches!(out, SampleOutcome::DeadEnd);
+        if on(out).is_break() || dead {
+            break;
+        }
+    }
+}
+
+/// The first word of [`sample_words`]' trials: `None` when `attempts`
+/// trials drew none or one ended in `DeadEnd`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sample_one<R: Rng + ?Sized>(
+    env: &SamplerEnv<'_>,
+    table: &RunTable,
+    memo: &UnionMemo,
+    start: StateId,
+    level: usize,
+    attempts: usize,
+    rng: &mut R,
+    scratch: &mut SamplerScratch,
+    stats: &mut RunStats,
+) -> Option<Word> {
+    let mut word = None;
+    sample_words(env, table, memo, start, level, attempts, rng, scratch, stats, |out| {
+        if let SampleOutcome::Word(w) = out {
+            word = Some(w);
+            return ControlFlow::Break(());
+        }
+        ControlFlow::Continue(())
+    });
+    word
+}
+
+/// One epoch of trials from one start cell.
+struct Trials {
+    /// The start node's slot.
+    slot: usize,
+    level: usize,
+    /// `γ₀ = gamma_scale / N(qℓ)` (Algorithm 3 line 23); zero for a
+    /// dead start cell.
+    phi0: ExtFloat,
+    /// A coin at or above this ends the trial in `FailCoin` before it
+    /// walks ([`exit_bound`]); infinite until the start node closes.
+    exit_at: f64,
+}
+
+impl Trials {
+    /// Binds `scratch` and opens its epoch for trials from `(start, level)`.
+    fn open(
+        env: &SamplerEnv<'_>,
+        table: &RunTable,
+        memo: &UnionMemo,
+        start: StateId,
+        level: usize,
+        scratch: &mut SamplerScratch,
+    ) -> Self {
+        let n_start = table.cell(level, start as usize).n_est;
+        let phi0 = if n_start.is_zero() {
+            ExtFloat::ZERO
+        } else {
+            ExtFloat::from_f64(env.params.gamma_scale) / n_start
+        };
+        scratch.bind(env.interner, memo, env.substrate.width());
+        let slot = scratch.walk.start_slot(start_node(level, start));
+        scratch.open_epoch(slot, level);
+        Trials { slot: slot as usize, level, phi0, exit_at: f64::INFINITY }
+    }
+
+    /// One trial: the coin first, then — unless the coin alone proves a
+    /// tails outcome — the walk.
+    fn next<R: Rng + ?Sized>(
+        &mut self,
+        env: &SamplerEnv<'_>,
+        table: &RunTable,
+        memo: &UnionMemo,
+        rng: &mut R,
+        scratch: &mut SamplerScratch,
+        stats: &mut RunStats,
+    ) -> SampleOutcome {
+        stats.sample_calls += 1;
+        if self.phi0.is_zero() {
+            stats.fail_dead_end += 1;
+            return SampleOutcome::DeadEnd;
+        }
+        if scratch.blocker_ready() {
+            if let Some(hi) = scratch.resume_closure() {
+                self.exit_at = exit_bound(self.phi0, hi);
+            }
+        }
+        // The base case's coin (lines 4–6), drawn before the walk: it is
+        // independent of the walk, so the joint law is unchanged.
+        let u = rng.random_range(0.0..1.0);
+        if u >= self.exit_at {
+            stats.trials_unwalked += 1;
+            stats.fail_rejected += 1;
+            return SampleOutcome::FailCoin;
+        }
+        walk(env, table, memo, self.slot, self.level, self.phi0, u, rng, scratch, stats)
+    }
+}
+
+/// Walks one trial from the start node at `slot` (level `level`, start
+/// probability `phi0`) down to level 0 and settles it against the coin
+/// `u`. The scratch is bound; every step stamps its node with the
+/// scratch's epoch.
+#[allow(clippy::too_many_arguments)]
+fn walk<R: Rng + ?Sized>(
+    env: &SamplerEnv<'_>,
+    table: &RunTable,
+    memo: &UnionMemo,
+    mut slot: usize,
+    level: usize,
+    phi0: ExtFloat,
+    u: f64,
     rng: &mut R,
     scratch: &mut SamplerScratch,
     stats: &mut RunStats,
 ) -> SampleOutcome {
-    stats.sample_calls += 1;
-    let n_start = table.cell(level, start as usize).n_est;
-    if n_start.is_zero() {
-        stats.fail_dead_end += 1;
-        return SampleOutcome::DeadEnd;
-    }
-    // γ₀ = gamma_scale / N(qℓ) (Algorithm 3 line 23).
-    let mut phi = ExtFloatChain::new(ExtFloat::from_f64(env.params.gamma_scale) / n_start);
-
-    let k = env.substrate.width();
-    scratch.bind(env.interner, memo, k);
+    let k = scratch.walk.k;
+    let epoch = scratch.epoch;
+    let mut phi = ExtFloatChain::new(phi0);
     scratch.rev_syms.clear();
-    let mut slot = scratch.walk.start_slot(start_node(level, start)) as usize;
 
     for ell in (1..=level).rev() {
         stats.walk_steps += 1;
@@ -411,7 +716,9 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
         if scratch.walk.succ[at] == UNBUILT {
             scratch.build(env, slot, ell, stats);
         }
-        let compiled = scratch.walk.records[slot].table;
+        let record = &mut scratch.walk.records[slot];
+        record.stamp = epoch;
+        let compiled = record.table;
         let choice = if compiled != NO_TABLE {
             // A table hit: the cold step's counters, draw and φ update,
             // replayed from the node's record.
@@ -463,7 +770,7 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
             // Line 16's recursive call carries φ / pr_b.
             phi.mul_div(total, scratch.branch_sizes[choice]);
             if env.params.memoize_unions {
-                let t = BranchTable { total, hits };
+                let t = BranchTable { total, hi: ExtFloat::ZERO, hits, closed: 0 };
                 scratch.walk.compile(slot, &scratch.branch_sizes, &scratch.scaled, t);
             }
             choice
@@ -487,7 +794,7 @@ pub(crate) fn sample_word<R: Rng + ?Sized>(
         stats.fail_phi_gt_one += 1;
         return SampleOutcome::FailPhi;
     }
-    if rng.random_range(0.0..1.0) < phi.to_f64() {
+    if u < phi.to_f64() {
         stats.sample_success += 1;
         // The one allocation of a successful trial: the returned word
         // must own its symbols.
@@ -505,6 +812,30 @@ mod tests {
     use crate::engine::memo::MemoTier;
     use fpras_automata::{Alphabet, Nfa, NfaBuilder};
     use rand::{rngs::SmallRng, SeedableRng};
+
+    /// `epochs` retry loops of `trials` trials each from `(start, level)`,
+    /// every outcome kept.
+    #[allow(clippy::too_many_arguments)]
+    fn draws(
+        env: &SamplerEnv<'_>,
+        table: &RunTable,
+        memo: &UnionMemo,
+        start: StateId,
+        level: usize,
+        (epochs, trials): (usize, usize),
+        rng: &mut SmallRng,
+        scratch: &mut SamplerScratch,
+        stats: &mut RunStats,
+    ) -> Vec<SampleOutcome> {
+        let mut outs = Vec::new();
+        for _ in 0..epochs {
+            sample_words(env, table, memo, start, level, trials, rng, scratch, stats, |out| {
+                outs.push(out);
+                ControlFlow::Continue(())
+            });
+        }
+        outs
+    }
 
     /// End-to-end sampler behaviour is exercised through `FprasRun` (the
     /// table must be populated level by level first); these tests focus on
@@ -532,8 +863,9 @@ mod tests {
         let mut scratch = SamplerScratch::new();
         let mut stats = RunStats::default();
         let mut successes = 0;
-        for _ in 0..200 {
-            match sample_word(&env, table, &memo, 0, 6, &mut rng, &mut scratch, &mut stats) {
+        let outs = draws(&env, table, &memo, 0, 6, (1, 200), &mut rng, &mut scratch, &mut stats);
+        for out in outs {
+            match out {
                 SampleOutcome::Word(w) => {
                     assert_eq!(w.len(), 6);
                     successes += 1;
@@ -578,10 +910,10 @@ mod tests {
             let memo = UnionMemo::new();
             let mut rng = SmallRng::seed_from_u64(17);
             let mut stats = RunStats::default();
-            let outs: Vec<SampleOutcome> = (0..64)
-                .map(|_| sample_word(&env, table, &memo, q_final, n, &mut rng, scratch, &mut stats))
-                .collect();
+            let outs =
+                draws(&env, table, &memo, q_final, n, (1, 1000), &mut rng, scratch, &mut stats);
             assert!(outs.iter().any(|o| matches!(o, SampleOutcome::Word(_))));
+            assert!(stats.trials_unwalked > 0, "the draws must exit before walking");
             outs
         };
         // The second run's interner sees every singleton first, in
@@ -630,14 +962,14 @@ mod tests {
         let m = table.num_states();
         let interner = FrontierInterner::new(m);
         let env = SamplerEnv { params: &params, substrate, interner: &interner, sampler_seed: 99 };
-        // 64 draws and the steps served by compiled records.
+        // Four epochs of 500 trials, the steps served by compiled records
+        // and the trials that exited before walking.
+        const EPOCHS: (usize, usize) = (4, 500);
         let draw = |memo: &UnionMemo, scratch: &mut SamplerScratch| {
             let mut rng = SmallRng::seed_from_u64(17);
             let mut stats = RunStats::default();
-            let outs: Vec<SampleOutcome> = (0..64)
-                .map(|_| sample_word(&env, table, memo, q_final, n, &mut rng, scratch, &mut stats))
-                .collect();
-            (outs, stats.walk_table_hits)
+            let outs = draws(&env, table, memo, q_final, n, EPOCHS, &mut rng, scratch, &mut stats);
+            (outs, (stats.walk_table_hits, stats.trials_unwalked))
         };
         // A branch of the walk's first step: every draw queries it.
         let start = StateSet::singleton(m, q_final as usize);
@@ -661,26 +993,31 @@ mod tests {
         assert_ne!(a.value, b.value);
 
         let mut reused = SamplerScratch::new();
-        let (from_seeded, hits) = draw(&seeded, &mut reused);
+        let (from_seeded, (hits, _)) = draw(&seeded, &mut reused);
         assert!(hits > 0, "the first memo's draws must compile records");
-        let (from_lazy, _) = draw(&lazy, &mut reused);
+        // The seeded branch's tiny size puts the bound above any coin, so
+        // only the second memo's draws exit: a bound the first memo's
+        // table cached must not leak into the second's.
+        let (from_lazy, (_, unwalked)) = draw(&lazy, &mut reused);
+        assert!(unwalked > 0, "the second memo's draws must exit before walking");
         let (again, _) = draw(&seeded, &mut reused);
         assert_ne!(from_seeded, from_lazy, "the memos differ, so must the draws");
         assert_eq!(from_seeded, draw(&seeded, &mut SamplerScratch::new()).0);
         assert_eq!(from_lazy, draw(&lazy, &mut SamplerScratch::new()).0);
         assert_eq!(again, from_seeded);
 
-        // One draw at a time from each memo, at the same start cell: every
-        // call rebinds the scratch, so the cached start slot must not
-        // outlive the table it indexes.
+        // One epoch at a time from each memo, at the same start cell:
+        // every loop rebinds the scratch, so neither the cached start slot
+        // nor a cached bound may outlive the table it belongs to.
         let mut rngs = [SmallRng::seed_from_u64(17), SmallRng::seed_from_u64(17)];
         let mut stats = RunStats::default();
         let mut alternating = [Vec::new(), Vec::new()];
-        for _ in 0..64 {
+        for _ in 0..EPOCHS.0 {
             for (i, memo) in [&seeded, &lazy].into_iter().enumerate() {
-                let rng = &mut rngs[i];
-                let out = sample_word(&env, table, memo, q_final, n, rng, &mut reused, &mut stats);
-                alternating[i].push(out);
+                let (rng, scratch) = (&mut rngs[i], &mut reused);
+                let one = (1, EPOCHS.1);
+                alternating[i]
+                    .extend(draws(&env, table, memo, q_final, n, one, rng, scratch, &mut stats));
             }
         }
         assert_eq!(alternating, [from_seeded, from_lazy]);
@@ -707,9 +1044,7 @@ mod tests {
         let draw = |memo: &UnionMemo, scratch: &mut SamplerScratch| {
             let mut rng = SmallRng::seed_from_u64(17);
             let mut stats = RunStats::default();
-            let outs: Vec<SampleOutcome> = (0..64)
-                .map(|_| sample_word(&env, table, memo, q_final, n, &mut rng, scratch, &mut stats))
-                .collect();
+            let outs = draws(&env, table, memo, q_final, n, (1, 64), &mut rng, scratch, &mut stats);
             (outs, stats)
         };
         let (cold_outs, cold) = draw(&memo, &mut SamplerScratch::new());
@@ -755,8 +1090,182 @@ mod tests {
         assert_eq!(got, draw(&mut fresh, 12, 2));
     }
 
+    /// Small finished runs to draw from: a regex with a 2⁻⁸-deep branch
+    /// structure, `contains 11`, and a dense random NFA.
+    fn exit_fixtures() -> Vec<(Nfa, usize)> {
+        let regex = fpras_automata::regex::compile_regex(
+            "(0|1)*1(0|1)(0|1)(0|1)((00)*|(111)*)",
+            &Alphabet::binary(),
+        )
+        .unwrap();
+        let contains_11 =
+            fpras_automata::regex::compile_regex("(0|1)*11(0|1)*", &Alphabet::binary()).unwrap();
+        let dense = dense_nfa();
+        vec![(regex, 10), (contains_11, 8), (dense, 7)]
+    }
+
+    /// A dense 12-state binary NFA (every state reaches every state on
+    /// some symbol), built without the workloads crate.
+    fn dense_nfa() -> Nfa {
+        let mut b = NfaBuilder::new(Alphabet::binary());
+        let qs: Vec<_> = (0..12).map(|_| b.add_state()).collect();
+        b.set_initial(qs[0]);
+        b.add_accepting(qs[11]);
+        for (i, &p) in qs.iter().enumerate() {
+            for (j, &q) in qs.iter().enumerate() {
+                if (i * 7 + j * 3) % 5 < 2 {
+                    b.add_transition(p, ((i + j) % 2) as u8, q);
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// Every path of a closed sub-DAG, walked with the walk's own
+    /// arithmetic ([`ExtFloatChain`] from `φ₀`, then the coin's
+    /// `to_f64`), stays at or below the exit threshold of the node's
+    /// cached bound — and the bound is the paths' maximum, not a loose
+    /// cap. Checked for the run's own `φ₀` and for a `φ₀` so small the
+    /// product leaves `f64`'s normal range.
+    #[test]
+    fn every_path_product_is_within_the_exit_bound() {
+        for (nfa, n) in exit_fixtures() {
+            let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
+            let run = FprasRun::run(&nfa, n, &params, &mut SmallRng::seed_from_u64(5)).unwrap();
+            let (table, substrate) = run.parts_for_test();
+            let q_final = run.inner.as_ref().unwrap().q_final;
+            let interner = FrontierInterner::new(table.num_states());
+            let env =
+                SamplerEnv { params: &params, substrate, interner: &interner, sampler_seed: 99 };
+            let memo = UnionMemo::new();
+            let mut scratch = SamplerScratch::new();
+            let mut stats = RunStats::default();
+            let mut rng = SmallRng::seed_from_u64(3);
+            draws(&env, table, &memo, q_final, n, (1, 4000), &mut rng, &mut scratch, &mut stats);
+            assert!(stats.trials_unwalked > 0, "the start node must close");
+
+            let walk = &scratch.walk;
+            let k = walk.k;
+            let phi0 =
+                ExtFloat::from_f64(params.gamma_scale) / table.cell(n, q_final as usize).n_est;
+            let mut closed = 0;
+            for slot in 0..walk.records.len() as u32 {
+                if !walk.closed(slot, scratch.epoch) {
+                    continue;
+                }
+                closed += 1;
+                let level = ((walk.records[slot as usize].node >> 32) & 0x7fff_ffff) as usize;
+                let hi = walk.tables[walk.records[slot as usize].table as usize].hi;
+                for p in [phi0, ExtFloat::pow2(-1100)] {
+                    // Depth-first over every positive path: (slot, level, φ).
+                    let mut stack = vec![(slot, level, ExtFloatChain::new(p))];
+                    let mut max = ExtFloat::ZERO;
+                    while let Some((at, ell, phi)) = stack.pop() {
+                        if ell == 0 {
+                            let phi = phi.value();
+                            assert!(phi.to_f64() <= exit_bound(p, hi), "a path exceeds the bound");
+                            assert!(phi <= ExtFloat::ONE || exit_bound(p, hi) >= 1.0);
+                            max = if phi > max { phi } else { max };
+                            continue;
+                        }
+                        let t = walk.records[at as usize].table as usize;
+                        for b in 0..k {
+                            let size = walk.sizes[t * k + b];
+                            if !size.is_zero() {
+                                let mut next = phi;
+                                next.mul_div(walk.tables[t].total, size);
+                                stack.push((walk.succ[at as usize * k + b], ell - 1, next));
+                            }
+                        }
+                    }
+                    // The largest path reaches the bound up to rounding.
+                    assert!(max.ratio(&(p * hi)) > 1.0 - 1e-12, "the bound is loose");
+                }
+            }
+            assert!(closed > 1, "a closed sub-DAG has more than its start node");
+        }
+    }
+
+    /// An exit only ever replaces a trial that would have ended in
+    /// `FailCoin`: every trial that exits is replayed — same coin, same
+    /// RNG stream after it — through the walk, on a scratch of its own,
+    /// and must end in `FailCoin` there too. The exit consumes the coin
+    /// and nothing else.
+    #[test]
+    fn every_exit_would_have_walked_to_fail_coin() {
+        let mut exits = 0;
+        for (nfa, n) in exit_fixtures() {
+            let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
+            let run = FprasRun::run(&nfa, n, &params, &mut SmallRng::seed_from_u64(5)).unwrap();
+            let (table, substrate) = run.parts_for_test();
+            let q_final = run.inner.as_ref().unwrap().q_final;
+            let interner = FrontierInterner::new(table.num_states());
+            let env =
+                SamplerEnv { params: &params, substrate, interner: &interner, sampler_seed: 99 };
+            let memo = UnionMemo::new();
+            let (mut scratch, mut replay) = (SamplerScratch::new(), SamplerScratch::new());
+            let (mut stats, mut replay_stats) = (RunStats::default(), RunStats::default());
+            for seed in 0..4 {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut trials = Trials::open(&env, table, &memo, q_final, n, &mut scratch);
+                replay.bind(&interner, &memo, substrate.width());
+                let start = replay.walk.start_slot(start_node(n, q_final)) as usize;
+                for _ in 0..2000 {
+                    let before = rng.clone();
+                    let unwalked = stats.trials_unwalked;
+                    let out = trials.next(&env, table, &memo, &mut rng, &mut scratch, &mut stats);
+                    if stats.trials_unwalked == unwalked {
+                        continue;
+                    }
+                    exits += 1;
+                    assert_eq!(out, SampleOutcome::FailCoin);
+                    let mut probe = before;
+                    let u = probe.random_range(0.0..1.0);
+                    assert_eq!(probe.clone().next_u64(), rng.clone().next_u64(), "one coin");
+                    let (phi0, ctx) = (trials.phi0, (&mut replay, &mut replay_stats));
+                    let replayed =
+                        walk(&env, table, &memo, start, n, phi0, u, &mut probe, ctx.0, ctx.1);
+                    assert_eq!(replayed, SampleOutcome::FailCoin, "an exit hid a word");
+                }
+            }
+            assert_eq!(replay_stats.memo_misses, 0, "exits skip no memo miss");
+        }
+        assert!(exits > 100, "only {exits} exits fired");
+    }
+
+    /// An epoch counter that wraps clears every stamp: a scratch whose
+    /// counter wraps on its next loop, and whose table holds an old
+    /// epoch 1's stamps on the whole sub-DAG, draws what a fresh scratch
+    /// draws — stale stamps would close the start node at once.
+    #[test]
+    fn epoch_wrap_clears_stamps() {
+        let (nfa, n) = exit_fixtures().swap_remove(0);
+        let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
+        let run = FprasRun::run(&nfa, n, &params, &mut SmallRng::seed_from_u64(5)).unwrap();
+        let (table, substrate) = run.parts_for_test();
+        let q_final = run.inner.as_ref().unwrap().q_final;
+        let interner = FrontierInterner::new(table.num_states());
+        let env = SamplerEnv { params: &params, substrate, interner: &interner, sampler_seed: 99 };
+        let memo = UnionMemo::new();
+        let mut stats = RunStats::default();
+        let mut old = SamplerScratch::new();
+        let mut rng = SmallRng::seed_from_u64(1);
+        draws(&env, table, &memo, q_final, n, (1, 4000), &mut rng, &mut old, &mut stats);
+        assert!(stats.trials_unwalked > 0, "the old epoch must close its start node");
+        old.epoch = u32::MAX;
+        let draw = |scratch: &mut SamplerScratch, stats: &mut RunStats| {
+            let mut rng = SmallRng::seed_from_u64(2);
+            draws(&env, table, &memo, q_final, n, (2, 300), &mut rng, scratch, stats)
+        };
+        let (mut fresh_stats, mut old_stats) = (RunStats::default(), RunStats::default());
+        let fresh = draw(&mut SamplerScratch::new(), &mut fresh_stats);
+        assert_eq!(draw(&mut old, &mut old_stats), fresh);
+        assert_eq!(old.epoch, 2, "the counter wrapped");
+        assert_eq!(old_stats.trials_unwalked, fresh_stats.trials_unwalked);
+    }
+
     /// The per-node memory the module docs and DESIGN.md §2.5 quote: a
-    /// 16-byte record per node, a 24-byte branch table per compiled node,
+    /// 16-byte record per node, a 40-byte branch table per compiled node,
     /// and per branch a 4-byte successor slot, a 16-byte size and an
     /// 8-byte draw threshold in the flat rows.
     #[test]
@@ -765,7 +1274,7 @@ mod tests {
             std::mem::size_of::<T>()
         }
         assert_eq!(std::mem::size_of::<NodeRecord>(), 16);
-        assert_eq!(std::mem::size_of::<BranchTable>(), 24);
+        assert_eq!(std::mem::size_of::<BranchTable>(), 40);
         let walk = WalkTable::default();
         assert_eq!(row_bytes(&walk.succ), 4);
         assert_eq!(row_bytes(&walk.sizes), 16);
@@ -788,9 +1297,10 @@ mod tests {
         // pretend are dead by sampling a state id that was never populated:
         // the all-words NFA has one state, so instead check a level with a
         // zero estimate via a fresh table.
-        let empty_table = RunTable::new(1, 4);
-        let out = sample_word(&env, &empty_table, &memo, 0, 4, &mut rng, &mut scratch, &mut stats);
-        assert_eq!(out, SampleOutcome::DeadEnd);
+        let empty_table = RunTable::new(1, 4).unwrap();
+        let outs =
+            draws(&env, &empty_table, &memo, 0, 4, (1, 10), &mut rng, &mut scratch, &mut stats);
+        assert_eq!(outs, [SampleOutcome::DeadEnd], "a dead end ends the loop");
         let _ = table;
     }
 }

@@ -879,4 +879,26 @@ mod tests {
         assert!(matches!(read_line(&mut input, &mut line), Ok(LineRead::TooLong)));
         assert!(matches!(read_line(&mut input, &mut line), Ok(LineRead::End)));
     }
+
+    /// A length whose per-level views cannot be reserved gets one
+    /// `error:` reply, and the server keeps serving. `2⁶⁰` fails in the
+    /// size computation, so nothing is allocated.
+    #[test]
+    fn oversized_length_is_one_error_and_the_server_goes_on() {
+        let spec = SessionSpec { max_n: 1 << 60, ..SessionSpec::default() };
+        let mut server = Server::new(ServerConfig { spec, ..ServerConfig::default() });
+        let input = b"open a --regex 1*\nestimate 1152921504606846976\n\
+                      open b --regex 1* --max-n 8\nestimate 3\n";
+        let mut out = Vec::new();
+        serve_stream(&mut server, &input[..], &mut out).expect("clean end of input");
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(lines[0].starts_with("opened a "), "{out}");
+        assert_eq!(
+            lines[1], "error: length 1152921504606846976 needs more memory than can be reserved",
+            "{out}"
+        );
+        assert!(lines[2].starts_with("opened b "), "{out}");
+        assert!(lines[3].starts_with("estimate 3 = 1 "), "{out}");
+    }
 }

@@ -11,9 +11,9 @@ use crate::intern::FrontierInterner;
 use crate::obs::LatencyHistogram;
 use crate::params::Params;
 use crate::run_stats::RunStats;
-use crate::sampler::{sample_word, SamplerEnv, SamplerScratch};
+use crate::sampler::{sample_one, SamplerEnv, SamplerScratch};
 use crate::service::{SessionPolicy, Source};
-use crate::table::{RunTable, SampleOutcome};
+use crate::table::RunTable;
 use fpras_automata::{StateId, Word};
 use fpras_numeric::ExtFloat;
 use rand::Rng;
@@ -209,9 +209,12 @@ impl QuerySession {
             match source.into() {
                 Source::Nfa(nfa) => (
                     nfa.is_accepting(nfa.initial()),
-                    normalize_for_run(nfa).map(|(normalized, q_final)| {
-                        Box::new(NfaSubstrate::new(normalized, q_final, 0)) as _
-                    }),
+                    match normalize_for_run(nfa) {
+                        Some((normalized, q_final)) => {
+                            Some(Box::new(NfaSubstrate::new(normalized, q_final, 0)?) as _)
+                        }
+                        None => None,
+                    },
                 ),
                 Source::Robp(robp) => {
                     if params.n_hint > robp.depth() {
@@ -229,11 +232,11 @@ impl QuerySession {
             };
         let policy = policy.normalized();
         let SessionPolicy::Deterministic { seed, .. } = policy;
-        let inner = substrate.map(|substrate| {
+        let inner = substrate.map(|substrate| -> Result<_, FprasError> {
             let m = substrate.universe();
-            let mut table = RunTable::new(m, 0);
+            let mut table = RunTable::new(m, 0)?;
             seed_level_zero(&mut table, &*substrate, &params);
-            SessionInner {
+            Ok(SessionInner {
                 interner: FrontierInterner::new(m),
                 table,
                 memo: UnionMemo::new(),
@@ -242,8 +245,9 @@ impl QuerySession {
                 scratch: SamplerScratch::new(),
                 built: 0,
                 substrate,
-            }
+            })
         });
+        let inner = inner.transpose()?;
         Ok(QuerySession {
             params,
             policy,
@@ -374,8 +378,8 @@ impl QuerySession {
         }
         let start = std::time::Instant::now();
         let SessionInner { substrate, interner, table, memo, sampler_seed, built, .. } = inner;
-        substrate.ensure_horizon(n);
-        table.grow(n);
+        substrate.ensure_horizon(n)?;
+        table.grow(n)?;
         let ctx = EngineCtx {
             params: &self.params,
             substrate: &**substrate,
@@ -514,7 +518,10 @@ impl QuerySession {
     /// against the level-building op budget.
     ///
     /// Returns `None` when the slice is empty or every retry failed
-    /// (same contract as [`crate::UniformGenerator::generate`]).
+    /// (same contract as [`crate::UniformGenerator::generate`]). Each
+    /// call is its own sampler epoch (DESIGN.md D21), so what earlier
+    /// calls walked never changes a later call's draws: a kept session
+    /// draws what a fresh one does.
     pub fn sample<R: Rng + ?Sized>(
         &mut self,
         n: usize,
@@ -536,32 +543,23 @@ impl QuerySession {
             return Ok(None);
         };
         let start = std::time::Instant::now();
-        let mut out = Ok(None);
         let env = SamplerEnv {
             params: &self.params,
             substrate: &*inner.substrate,
             interner: &inner.interner,
             sampler_seed: inner.sampler_seed,
         };
-        for _ in 0..DEFAULT_RETRY_LIMIT {
-            match sample_word(
-                &env,
-                &inner.table,
-                &inner.memo,
-                inner.q_final,
-                n,
-                rng,
-                &mut inner.scratch,
-                &mut self.query_stats,
-            ) {
-                SampleOutcome::Word(w) => {
-                    out = Ok(Some(w));
-                    break;
-                }
-                SampleOutcome::DeadEnd => break,
-                SampleOutcome::FailPhi | SampleOutcome::FailCoin => {}
-            }
-        }
+        let out = Ok(sample_one(
+            &env,
+            &inner.table,
+            &inner.memo,
+            inner.q_final,
+            n,
+            DEFAULT_RETRY_LIMIT,
+            rng,
+            &mut inner.scratch,
+            &mut self.query_stats,
+        ));
         self.query_stats.wall += start.elapsed();
         self.query_stats.wall_max = self.query_stats.wall;
         self.stats.latency.record_duration(qstart.elapsed());

@@ -7,6 +7,7 @@
 //! seeded by the count phase and extended lazily during sampling
 //! (DESIGN.md §2.2).
 
+use crate::error::FprasError;
 use crate::intern::FrontierId;
 use crate::sample_set::SampleSet;
 use fpras_automata::Word;
@@ -29,14 +30,13 @@ pub struct RunTable {
 }
 
 impl RunTable {
-    /// Creates an all-zero table for `m` states and levels `0..=n`.
-    pub fn new(m: usize, n: usize) -> Self {
-        let mut cells = Vec::new();
-        cells.resize_with(m * (n + 1), || Cell {
-            n_est: ExtFloat::ZERO,
-            samples: SampleSet::empty(),
-        });
-        RunTable { m, cells }
+    /// Creates an all-zero table for `m` states and levels `0..=n`;
+    /// fails, without touching the memory, when the `m·(n + 1)` cells
+    /// cannot be reserved.
+    pub fn new(m: usize, n: usize) -> Result<Self, FprasError> {
+        let mut table = RunTable { m, cells: Vec::new() };
+        table.resize(n)?;
+        Ok(table)
     }
 
     /// Read access to `(q, ℓ)`.
@@ -65,13 +65,25 @@ impl RunTable {
     /// it already reaches that far). Existing cells are untouched, so a
     /// checkpointed run can grow its horizon in place
     /// ([`QuerySession`](crate::service::QuerySession), DESIGN.md D11).
-    pub fn grow(&mut self, n: usize) {
+    /// Fails like [`RunTable::new`], leaving the table as it was.
+    pub fn grow(&mut self, n: usize) -> Result<(), FprasError> {
         if n > self.max_level() {
-            self.cells.resize_with(self.m * (n + 1), || Cell {
-                n_est: ExtFloat::ZERO,
-                samples: SampleSet::empty(),
-            });
+            self.resize(n)?;
         }
+        Ok(())
+    }
+
+    /// Resizes to levels `0..=n`, reserving fallibly first.
+    fn resize(&mut self, n: usize) -> Result<(), FprasError> {
+        let len = n
+            .checked_add(1)
+            .and_then(|levels| levels.checked_mul(self.m))
+            .ok_or(FprasError::HorizonTooLarge { n })?;
+        self.cells
+            .try_reserve_exact(len.saturating_sub(self.cells.len()))
+            .map_err(|_| FprasError::HorizonTooLarge { n })?;
+        self.cells.resize_with(len, || Cell { n_est: ExtFloat::ZERO, samples: SampleSet::empty() });
+        Ok(())
     }
 }
 
@@ -224,7 +236,7 @@ mod tests {
 
     #[test]
     fn fresh_table_is_zero() {
-        let t = RunTable::new(3, 2);
+        let t = RunTable::new(3, 2).unwrap();
         for level in 0..=2 {
             for q in 0..3 {
                 assert!(t.cell(level, q).n_est.is_zero());
@@ -236,7 +248,7 @@ mod tests {
 
     #[test]
     fn cell_addressing_is_disjoint() {
-        let mut t = RunTable::new(2, 2);
+        let mut t = RunTable::new(2, 2).unwrap();
         t.cell_mut(1, 0).n_est = ExtFloat::from_u64(7);
         t.cell_mut(0, 1).n_est = ExtFloat::from_u64(9);
         assert_eq!(t.cell(1, 0).n_est.to_f64(), 7.0);
@@ -246,10 +258,10 @@ mod tests {
 
     #[test]
     fn grow_extends_with_zeroes_and_keeps_cells() {
-        let mut t = RunTable::new(2, 1);
+        let mut t = RunTable::new(2, 1).unwrap();
         assert_eq!(t.max_level(), 1);
         t.cell_mut(1, 1).n_est = ExtFloat::from_u64(5);
-        t.grow(3);
+        t.grow(3).unwrap();
         assert_eq!(t.max_level(), 3);
         assert_eq!(t.cell(1, 1).n_est.to_f64(), 5.0);
         for level in 2..=3 {
@@ -259,7 +271,7 @@ mod tests {
             }
         }
         // Shrinking is a no-op.
-        t.grow(0);
+        t.grow(0).unwrap();
         assert_eq!(t.max_level(), 3);
     }
 
@@ -303,5 +315,19 @@ mod tests {
         };
         assert_eq!(hash(&a), hash(&a));
         assert_ne!(hash(&a), hash(&b));
+    }
+
+    /// A table whose cells cannot be reserved fails in the size
+    /// computation, before any memory is touched; a failed grow leaves
+    /// the table as it was.
+    #[test]
+    fn oversized_table_is_an_error() {
+        for (m, n) in [(3, 1usize << 60), (1, usize::MAX), (usize::MAX, 1)] {
+            let err = RunTable::new(m, n).unwrap_err();
+            assert_eq!(err, FprasError::HorizonTooLarge { n });
+        }
+        let mut t = RunTable::new(2, 1).unwrap();
+        assert_eq!(t.grow(1 << 60), Err(FprasError::HorizonTooLarge { n: 1 << 60 }));
+        assert_eq!(t.max_level(), 1);
     }
 }

@@ -244,6 +244,7 @@ fn report_stats(s: &RunStats) {
     println!("  memo hit rate        {:.4}", s.memo_hit_rate());
     println!("  sample calls         {}", s.sample_calls);
     println!("  rejection rate       {:.4}", s.rejection_rate());
+    println!("  trials unwalked      {}", s.trials_unwalked);
     println!("  samples per cell     {:.2}", s.samples_per_cell());
     println!("  cells processed      {}", s.cells_processed);
     println!("  cells skipped        {}", s.cells_skipped);
@@ -650,7 +651,13 @@ fn main() {
     }
 
     if args.enumerate > 0 {
-        let words = enumerate_slice(&nfa, args.n, Some(args.enumerate));
+        let words = match enumerate_slice(&nfa, args.n, Some(args.enumerate)) {
+            Ok(words) => words,
+            Err(e) => {
+                eprintln!("enumeration failed: {e}");
+                std::process::exit(1);
+            }
+        };
         println!("first {} word(s) of L(A_{}):", words.len(), args.n);
         for w in &words {
             println!("  {}", w.display(nfa.alphabet()));

@@ -11,12 +11,19 @@
 //! These fixtures pin the exact output bits of a small `(nfa, params,
 //! seed)` matrix at threads 1/2/8. Any change to them is a *stream
 //! break* and needs an explicit decision, not a rerecord-and-move-on.
-//! The `GOLDEN` and `GOLDEN_ROBP` tables were last recorded when
-//! `AppUnion` began drawing its per-set trial counts as one multinomial
-//! instead of `t` categorical draws (DESIGN.md D16): the estimator's law
-//! is unchanged, but every union estimate, sampled word and op count
-//! moved with the new draws. The relational invariants (threads,
-//! batching, sessions, tracing) passed unchanged across that break.
+//! Every table here was last recorded when the sampler began drawing
+//! its acceptance coin before the walk, and ending a trial at its start
+//! node when an exact bound proves the coin tails (DESIGN.md D21): the
+//! coin is independent of the walk, so the sampler's law is unchanged,
+//! but each trial now reads its coin first and an exiting trial reads
+//! nothing else, so every sampled word, union estimate and op count that
+//! depends on the sample pass moved — the memo-off rows too, which never
+//! exit but draw the coin first. The relational invariants (threads,
+//! batching, sessions, tracing, reused scratch) passed unchanged across
+//! that break, and `golden_streams_survive_tracing` now also pins
+//! `trials_unwalked` and `memo_hits` across thread counts. The break
+//! before it was D16's, when `AppUnion` began drawing its per-set trial
+//! counts as one multinomial instead of `t` categorical draws.
 //!
 //! The caller-RNG entry points (`FprasRun::run`, `FprasRun::run_robp`)
 //! draw one master seed and run the engine at one thread (DESIGN.md
@@ -51,10 +58,10 @@ fn matrix() -> Vec<(&'static str, fpras_automata::Nfa, usize)> {
 /// One pinned observation: family label, seed, policy label, exact bits
 /// of the final estimate as `f64`.
 const GOLDEN: &[(&str, u64, &str, u64)] = &[
-    ("contains-11", 7, "det", 4650530302229222004),
-    ("contains-11", 99, "det", 4650905736607774919),
-    ("contains-101", 7, "det", 4644424692501905706),
-    ("contains-101", 99, "det", 4644177995967973863),
+    ("contains-11", 7, "det", 4650566958946808494),
+    ("contains-11", 99, "det", 4651128561237722234),
+    ("contains-101", 7, "det", 4644098937781306955),
+    ("contains-101", 99, "det", 4643929915689407912),
     ("ones-mod-3", 7, "det", 4640185359819341824),
     ("ones-mod-3", 99, "det", 4640185359819341824),
     ("4th-from-end", 7, "det", 4638707616191610880),
@@ -124,7 +131,8 @@ fn golden_streams_survive_tracing() {
         return; // recording runs own the table; nothing to rerecord here
     }
     // (one-thread walk steps, nodes built and table hits, two-thread
-    // walk steps, one- and two-thread union bit tests) per row.
+    // walk steps, one- and two-thread union bit tests, trials unwalked)
+    // per row.
     let walks = |serial: &FprasRun, det: &FprasRun| {
         let (s, d) = (serial.stats(), det.stats());
         assert!(s.walk_nodes_built > 0 && s.walk_nodes_built < s.walk_steps, "no walk reuse");
@@ -132,6 +140,8 @@ fn golden_streams_survive_tracing() {
         assert!(s.union_bit_tests > 0 && s.union_bit_tests <= s.membership_ops);
         assert!(d.union_bit_tests > 0 && d.union_bit_tests <= d.membership_ops);
         assert!(s.walk_table_hits > 0 && s.walk_table_hits < s.walk_steps, "no compiled steps");
+        assert_eq!(s.trials_unwalked, d.trials_unwalked, "exits depend on the thread count");
+        assert_eq!(s.memo_hits, d.memo_hits, "memo hits depend on the thread count");
         (
             s.walk_steps,
             s.walk_nodes_built,
@@ -139,6 +149,7 @@ fn golden_streams_survive_tracing() {
             d.walk_steps,
             s.union_bit_tests,
             d.union_bit_tests,
+            s.trials_unwalked,
         )
     };
     let mut untraced = Vec::new();
@@ -184,7 +195,8 @@ fn golden_streams_survive_tracing() {
 /// The nROBP fixture matrix: two seeded random programs spanning shape
 /// parameters and one robp-encoded NFA slice. These streams were first
 /// recorded when the `RobpSubstrate` front-end shipped (re-recorded at
-/// the multinomial break, see the module doc); they pin the substrate's
+/// the multinomial and coin-first breaks, see the module doc); they pin
+/// the substrate's
 /// set contents (reach sets, predecessor frontiers) the same
 /// way the NFA table pins the unrolling's.
 fn robp_matrix() -> Vec<(&'static str, Robp)> {
@@ -206,12 +218,12 @@ fn robp_matrix() -> Vec<(&'static str, Robp)> {
 
 /// Pinned nROBP observations, same shape as [`GOLDEN`].
 const GOLDEN_ROBP: &[(&str, u64, &str, u64)] = &[
-    ("robp-rand-8x4", 7, "det", 4641034886560060887),
-    ("robp-rand-8x4", 99, "det", 4640982381162429259),
-    ("robp-rand-6x3-k3", 7, "det", 4649922371316266843),
-    ("robp-rand-6x3-k3", 99, "det", 4649437058744498280),
-    ("robp-contains-11", 7, "det", 4641371499197305340),
-    ("robp-contains-11", 99, "det", 4641485106729098562),
+    ("robp-rand-8x4", 7, "det", 4640734157214019758),
+    ("robp-rand-8x4", 99, "det", 4640855649642118958),
+    ("robp-rand-6x3-k3", 7, "det", 4649713484421955873),
+    ("robp-rand-6x3-k3", 99, "det", 4649661561851416838),
+    ("robp-contains-11", 7, "det", 4641735891290519467),
+    ("robp-contains-11", 99, "det", 4641124769521474670),
 ];
 
 fn det_robp_estimate(robp: &Robp, seed: u64, threads: usize) -> u64 {
@@ -281,12 +293,13 @@ fn word_bits(w: &fpras_automata::Word) -> String {
 /// Pinned run observations: label, exact estimate bits, membership ops.
 /// First recorded before the sampler's walk cache existed, which
 /// reproduced every bit and every op; re-recorded at the multinomial
-/// break, and the `FprasRun::run` rows once more when that entry point
-/// moved onto the engine's one executor (see the module doc).
+/// break, the `FprasRun::run` rows once more when that entry point
+/// moved onto the engine's one executor, and all of them at the
+/// coin-first break (see the module doc).
 const GOLDEN_RUNS: &[(&str, u64, u64)] = &[
-    ("regex25-run", 4666611626289171686, 4366868),
-    ("regex25-det", 4666637746481825248, 4366868),
-    ("contains-101-memo-off", 4644446470810859334, 42449993),
+    ("regex25-run", 4666652383034849340, 4366868),
+    ("regex25-det", 4666625024146570422, 4366868),
+    ("contains-101-memo-off", 4644289683389437362, 40478611),
 ];
 
 /// Pinned sampler outputs: label and the first [`WORDS`] words drawn.
@@ -294,64 +307,64 @@ const GOLDEN_WORDS: &[(&str, [&str; WORDS])] = &[
     (
         "regex25-generate",
         [
-            "00010100101111",
-            "00011110001101",
-            "01010110111001",
-            "10010111000001",
-            "10110101000110",
-            "00011111100011",
-            "11010010011000",
-            "11101000111111",
-            "01111000101000",
-            "10110111001000",
-            "10100101100111",
-            "10100111100110",
-            "01101011111111",
-            "10110111100111",
-            "01111000001100",
-            "01101101101101",
+            "10001110110001",
+            "01011110100011",
+            "01110001001100",
+            "10011111001101",
+            "11000111110111",
+            "10010101110010",
+            "00111100010100",
+            "11110000111100",
+            "01010111110011",
+            "10111111010100",
+            "00100111110111",
+            "11010011110100",
+            "10101100010100",
+            "10010101011001",
+            "00110111101010",
+            "01100100100010",
         ],
     ),
     (
         "regex25-session",
         [
-            "10110100001100",
-            "11010100010100",
-            "10010000010100",
-            "11100101000000",
-            "11010101000000",
-            "10111101011111",
-            "11111101110101",
-            "11111010100000",
-            "01000110101110",
-            "00111011101000",
-            "01011010001000",
-            "10101110000101",
-            "01000100000100",
-            "11100101101111",
-            "10111011011111",
-            "01101101001001",
+            "01011010000100",
+            "00010111101000",
+            "11001100001001",
+            "01101110001010",
+            "11011111001011",
+            "01101010100000",
+            "00100001010111",
+            "00011101110101",
+            "11000101010011",
+            "10100111110110",
+            "00110111101011",
+            "10001111111101",
+            "11011111001110",
+            "01100101010011",
+            "01100100001101",
+            "11110110100001",
         ],
     ),
     (
         "contains-101-memo-off-generate",
         [
-            "101001010",
             "001010000",
-            "101000011",
-            "100110101",
-            "001101010",
-            "011011111",
-            "101100000",
-            "010111000",
-            "110101100",
-            "100101010",
-            "011010110",
-            "010111110",
-            "110111011",
-            "101000110",
-            "001001101",
-            "110110110",
+            "100110110",
+            "111110110",
+            "000101011",
+            "010111100",
+            "111001101",
+            "100010101",
+            "101000001",
+            "001101111",
+            "101101101",
+            "000101000",
+            "010010101",
+            "100101110",
+            "101010111",
+            "110101010",
+            "101111011",
         ],
     ),
 ];

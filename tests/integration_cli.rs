@@ -64,6 +64,25 @@ fn exit_code(args: &[&str]) -> (Option<i32>, String) {
     (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
 }
 
+/// A length whose per-level views cannot be reserved is one error line
+/// and exit 1, not a panic: `-n 2⁶⁰` used to die with `capacity
+/// overflow` (exit 101). It fails in the size computation, so the test
+/// allocates nothing.
+#[test]
+fn oversized_length_is_an_error_not_a_panic() {
+    for extra in [&[][..], &["--enumerate", "1"]] {
+        let mut args = vec!["--regex", "0|1", "-n", "1152921504606846976"];
+        args.extend_from_slice(extra);
+        let (code, stderr) = exit_code(&args);
+        assert_eq!(code, Some(1), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains("length 1152921504606846976 needs more memory than can be reserved"),
+            "{extra:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+    }
+}
+
 /// A `states` count above the cap is refused as a usage error before
 /// anything is allocated; `states 9999999999` used to abort the process
 /// on a 240 GB allocation.
