@@ -171,11 +171,11 @@ impl StepMasks {
         out
     }
 
-    /// The word-sized set reached from `set` via `word` (`m ≤ 64` only):
-    /// the whole walk in one register.
+    /// The word-sized set reached from `set` via the symbols `syms`
+    /// (`m ≤ 64` only): the whole walk in one register.
     #[inline]
-    fn byte_reach(&self, mut set: u64, word: &Word) -> u64 {
-        for &sym in word.symbols() {
+    fn byte_reach<'a>(&self, mut set: u64, syms: impl Iterator<Item = &'a Symbol>) -> u64 {
+        for &sym in syms {
             set = self.byte_step(&self.succ_bytes, sym, set);
         }
         set
@@ -202,17 +202,37 @@ impl StepMasks {
     pub fn reach(&self, word: &Word) -> StateSet {
         let mut start = StateSet::singleton(self.universe, self.initial);
         if self.bytes > 0 {
-            start.words_mut()[0] = self.byte_reach(start.words()[0], word);
+            start.words_mut()[0] = self.byte_reach(start.words()[0], word.symbols().iter());
             return start;
         }
         self.reach_from(&start, word)
+    }
+
+    /// [`StepMasks::reach`] of the word whose symbols `rev` holds last
+    /// first — the order the backward sampler draws them in — written
+    /// into `out`, with no [`Word`] built. `spare` is the other half of
+    /// the double buffer when `m > 64`; the two sets may trade buffers.
+    /// Both must range over this universe.
+    pub fn reach_trail_into(&self, rev: &[Symbol], out: &mut StateSet, spare: &mut StateSet) {
+        debug_assert_eq!(out.universe(), self.universe, "reach set of another universe");
+        debug_assert_eq!(spare.universe(), self.universe, "reach set of another universe");
+        if self.bytes > 0 {
+            out.words_mut()[0] = self.byte_reach(1 << self.initial, rev.iter().rev());
+            return;
+        }
+        out.clear();
+        out.insert(self.initial);
+        for &sym in rev.iter().rev() {
+            self.step_into(out, sym, spare);
+            std::mem::swap(out, spare);
+        }
     }
 
     /// States reachable via `word` starting from an arbitrary set.
     pub fn reach_from(&self, start: &StateSet, word: &Word) -> StateSet {
         let mut cur = start.clone();
         if self.bytes > 0 {
-            cur.words_mut()[0] = self.byte_reach(start.words()[0], word);
+            cur.words_mut()[0] = self.byte_reach(start.words()[0], word.symbols().iter());
             return cur;
         }
         // Double-buffered: two sets for the whole walk, not one per step.
@@ -376,13 +396,15 @@ mod tests {
         out
     }
 
-    /// Checks all four set kernels against the row-OR reference on `nfa`
-    /// from random sets and words drawn from `seed`.
+    /// Checks all five set kernels against the row-OR reference on `nfa`
+    /// from random sets and words drawn from `seed`; the sampler's trail
+    /// kernel reads each word reversed, into buffers that start full.
     fn check_kernels_match_rows(nfa: &Nfa, seed: u64) {
         use rand::{rngs::SmallRng, RngExt, SeedableRng};
         let masks = StepMasks::new(nfa);
         let (m, k) = (masks.universe, masks.k);
         let mut rng = SmallRng::seed_from_u64(seed);
+        let (mut trail_out, mut spare) = (StateSet::full(m), StateSet::full(m));
         for _ in 0..8 {
             let set = StateSet::from_iter(m, (0..m).filter(|_| rng.random_bool(0.3)));
             for sym in 0..k as u8 {
@@ -406,6 +428,9 @@ mod tests {
                 expect = row_or(&masks, &masks.succ_words, &expect, sym);
             }
             assert_eq!(masks.reach(&word).words(), expect.words());
+            let rev: Vec<Symbol> = word.symbols().iter().rev().copied().collect();
+            masks.reach_trail_into(&rev, &mut trail_out, &mut spare);
+            assert_eq!(trail_out.words(), expect.words());
         }
     }
 

@@ -83,7 +83,9 @@ fn bench_step(c: &mut Criterion) {
 /// pass stores with every sampled word (§4.3) — in the shapes of the two
 /// count workloads: the 25-state regex at `n = 28` and a dense 48-state
 /// NFA at `n = 10`. Both fit one word, so this is the byte-table path:
-/// `⌈m/8⌉` lookups per symbol.
+/// `⌈m/8⌉` lookups per symbol. `reach` simulates a built [`Word`];
+/// `reach_trail` is what the sample pass runs, the same simulation
+/// straight from the sampler's reversed symbol trail into a reused set.
 fn bench_reach(c: &mut Criterion) {
     let mut group = c.benchmark_group("reach");
     let regex = compile_regex(REGEX25, &Alphabet::binary()).expect("regex compiles");
@@ -103,6 +105,19 @@ fn bench_reach(c: &mut Criterion) {
                 let reach = masks.reach(&words[i % words.len()]);
                 i += 1;
                 reach.len()
+            });
+        });
+        let trails: Vec<Vec<u8>> =
+            words.iter().map(|w| w.symbols().iter().rev().copied().collect()).collect();
+        let m = nfa.num_states();
+        let (mut out, mut spare) = (StateSet::empty(m), StateSet::empty(m));
+        let label = format!("trail/m={m}/n={n}");
+        group.bench_with_input(BenchmarkId::from_parameter(label), &n, |b, _| {
+            let mut i = 0usize;
+            b.iter(|| {
+                masks.reach_trail_into(&trails[i % trails.len()], &mut out, &mut spare);
+                i += 1;
+                out.len()
             });
         });
     }

@@ -91,7 +91,7 @@ pub struct UnionEstimate {
 /// a reused one — every buffer is cleared and rebuilt per call — so
 /// callers thread one scratch through an entire pass and every call
 /// runs allocation-free.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct UnionScratch {
     /// Selection weights `sz_i / max sz` (line 6).
     weights: Vec<f64>,
@@ -211,7 +211,7 @@ pub fn app_union<R: Rng + ?Sized>(
         sample_multinomial(rng, t, weights, suffix, consumed);
         (t, false)
     };
-    stats.membership_ops += trials_run as u64;
+    stats.membership_ops = stats.membership_ops.saturating_add(trials_run as u64);
 
     // Line 9, tallied: set i's c draws are c / |S_i| full cycles of its
     // list plus the c mod |S_i| samples from its cursor on; the set's

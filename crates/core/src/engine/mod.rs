@@ -238,7 +238,9 @@ pub fn assemble_count_cell<R: Rng + ?Sized>(
 /// Sample pass for one `(q, ℓ)` cell (Algorithm 3 lines 20–30): draws up
 /// to `ns` words by Algorithm 2 within `xns` attempts — one retry loop,
 /// so one sampler epoch (DESIGN.md D21) — padding with the cell's
-/// witness word when short.
+/// witness word when short. An accepted trial's reach set is simulated
+/// straight from its symbol trail into one reused row (§4.3); no word is
+/// built.
 pub(crate) fn sample_cell<R: Rng + ?Sized>(
     ctx: &EngineCtx<'_>,
     table: &RunTable,
@@ -258,9 +260,10 @@ pub(crate) fn sample_cell<R: Rng + ?Sized>(
     let mut stats = RunStats::default();
     // Exactly `ns` rows: `ns` genuine samples, or fewer plus one pad row.
     let mut samples = SampleSet::with_capacity(ctx.m, params.ns);
+    let (mut reach, mut spare) = (StateSet::empty(ctx.m), StateSet::empty(ctx.m));
     sample_words(&env, table, memo, q, ell, params.xns, rng, scratch, &mut stats, |out| {
-        if let SampleOutcome::Word(w) = out {
-            let reach = ctx.substrate.reach(&w);
+        if let SampleOutcome::Word(trail) = out {
+            ctx.substrate.reach_trail_into(trail.rev_symbols(), &mut reach, &mut spare);
             debug_assert!(reach.contains(q as usize), "sampled word must reach its cell's state");
             samples.push(&reach);
             if samples.genuine_len() == params.ns {

@@ -94,6 +94,12 @@ pub trait LeveledSubstrate: Send + Sync {
     /// Cells reachable from the source via `word` — the membership
     /// oracle's per-word value (§4.3).
     fn reach(&self, word: &Word) -> StateSet;
+
+    /// [`Self::reach`] of the word whose symbols `rev` holds last first —
+    /// an accepted sampler trial's trail — written into `out` without
+    /// building the word. `spare` is a second set over the universe; the
+    /// two may trade buffers.
+    fn reach_trail_into(&self, rev: &[u8], out: &mut StateSet, spare: &mut StateSet);
 }
 
 /// The original substrate: a normalized NFA (trimmed, single accepting
@@ -174,6 +180,10 @@ impl LeveledSubstrate for NfaSubstrate {
 
     fn reach(&self, word: &Word) -> StateSet {
         self.masks.reach(word)
+    }
+
+    fn reach_trail_into(&self, rev: &[u8], out: &mut StateSet, spare: &mut StateSet) {
+        self.masks.reach_trail_into(rev, out, spare);
     }
 }
 
@@ -335,5 +345,43 @@ impl LeveledSubstrate for RobpSubstrate {
 
     fn reach(&self, word: &Word) -> StateSet {
         self.masks.reach(word)
+    }
+
+    fn reach_trail_into(&self, rev: &[u8], out: &mut StateSet, spare: &mut StateSet) {
+        self.masks.reach_trail_into(rev, out, spare);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fpras_workloads::{random_robp, RandomRobpConfig};
+    use proptest::prelude::*;
+    use rand::{rngs::SmallRng, RngExt, SeedableRng};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        /// On the nROBP substrate — one node per cell, so wide programs
+        /// pass one word — the trail kernel is `reach` of the word the
+        /// trail spells, for trails of the program's depth and shorter.
+        #[test]
+        fn robp_trail_reach_matches_word_reach(
+            depth in 1usize..=12,
+            width in 1usize..=12,
+            alphabet in 2usize..=3,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let config = RandomRobpConfig { depth, width, alphabet, density: 1.5, accepting: 1 };
+            let substrate = RobpSubstrate::new(&random_robp(&config, &mut rng));
+            let m = substrate.universe();
+            let (mut out, mut spare) = (StateSet::full(m), StateSet::full(m));
+            for _ in 0..8 {
+                let len = rng.random_range(0..=depth);
+                let rev: Vec<u8> = (0..len).map(|_| rng.random_range(0..alphabet) as u8).collect();
+                substrate.reach_trail_into(&rev, &mut out, &mut spare);
+                prop_assert_eq!(&out, &substrate.reach(&Word::from_reversed(rev)));
+            }
+        }
     }
 }

@@ -215,8 +215,8 @@ mod tests {
                 scratch,
                 &mut stats,
                 |out| {
-                    if let SampleOutcome::Word(w) = out {
-                        *counts.entry(w.to_index(2)).or_insert(0) += 1;
+                    if let SampleOutcome::Word(trail) = out {
+                        *counts.entry(trail.to_word().to_index(2)).or_insert(0) += 1;
                     }
                     ControlFlow::Continue(())
                 },

@@ -142,13 +142,13 @@ impl PoolStats {
             if self.worker_items.len() <= w {
                 self.worker_items.resize(w + 1, 0);
             }
-            self.worker_items[w] += v;
+            self.worker_items[w] = self.worker_items[w].saturating_add(v);
         }
         for (w, v) in ops.into_iter().enumerate() {
             if self.worker_ops.len() <= w {
                 self.worker_ops.resize(w + 1, 0);
             }
-            self.worker_ops[w] += v;
+            self.worker_ops[w] = self.worker_ops[w].saturating_add(v);
         }
     }
 
@@ -212,6 +212,13 @@ pub struct RunStats {
     /// proved tails (DESIGN.md D21). Exits depend only on the calling
     /// loop's own trials, so this is identical at every thread count.
     pub trials_unwalked: u64,
+    /// Of [`sample_success`](RunStats::sample_success), the trials that
+    /// walked without tracking `φ`: their coin, drawn first, was below
+    /// an exact bound under which every path from the closed start node
+    /// returns a word (DESIGN.md §2.5, D22). Like
+    /// [`trials_unwalked`](RunStats::trials_unwalked), identical at
+    /// every thread count.
+    pub walks_sure: u64,
     /// Failures because every branch estimate was zero (possible only
     /// under noise injection or exhausted estimates).
     pub fail_dead_end: u64,
@@ -280,6 +287,15 @@ impl RunStats {
         1.0 - self.sample_success as f64 / self.sample_calls as f64
     }
 
+    /// Walk steps per returned word: what one accepted sample cost the
+    /// sampler's walks, rejected trials included.
+    pub fn steps_per_word(&self) -> f64 {
+        if self.sample_success == 0 {
+            return 0.0;
+        }
+        self.walk_steps as f64 / self.sample_success as f64
+    }
+
     /// Memo hit rate of the sampler's union lookups.
     pub fn memo_hit_rate(&self) -> f64 {
         let total = self.memo_hits + self.memo_misses;
@@ -322,27 +338,30 @@ impl RunStats {
     /// `wall_max` tracks the largest single contribution, so both
     /// [`wall_total`](RunStats::wall_total) and
     /// [`wall_longest`](RunStats::wall_longest) stay meaningful after
-    /// folding many sessions together.
+    /// folding many sessions together. Counters saturate at `u64::MAX`
+    /// instead of wrapping: a session whose parameters were derived for
+    /// a huge length can run more ops than a `u64` counts.
     pub fn merge(&mut self, other: &RunStats) {
-        self.membership_ops += other.membership_ops;
-        self.union_bit_tests += other.union_bit_tests;
-        self.appunion_calls += other.appunion_calls;
-        self.memo_hits += other.memo_hits;
-        self.memo_misses += other.memo_misses;
-        self.sample_calls += other.sample_calls;
-        self.sample_success += other.sample_success;
-        self.fail_phi_gt_one += other.fail_phi_gt_one;
-        self.fail_rejected += other.fail_rejected;
-        self.trials_unwalked += other.trials_unwalked;
-        self.fail_dead_end += other.fail_dead_end;
-        self.walk_steps += other.walk_steps;
-        self.walk_nodes_built += other.walk_nodes_built;
-        self.walk_table_hits += other.walk_table_hits;
-        self.padded_cells += other.padded_cells;
-        self.padded_entries += other.padded_entries;
-        self.samples_stored += other.samples_stored;
-        self.cells_processed += other.cells_processed;
-        self.cells_skipped += other.cells_skipped;
+        self.membership_ops = self.membership_ops.saturating_add(other.membership_ops);
+        self.union_bit_tests = self.union_bit_tests.saturating_add(other.union_bit_tests);
+        self.appunion_calls = self.appunion_calls.saturating_add(other.appunion_calls);
+        self.memo_hits = self.memo_hits.saturating_add(other.memo_hits);
+        self.memo_misses = self.memo_misses.saturating_add(other.memo_misses);
+        self.sample_calls = self.sample_calls.saturating_add(other.sample_calls);
+        self.sample_success = self.sample_success.saturating_add(other.sample_success);
+        self.fail_phi_gt_one = self.fail_phi_gt_one.saturating_add(other.fail_phi_gt_one);
+        self.fail_rejected = self.fail_rejected.saturating_add(other.fail_rejected);
+        self.trials_unwalked = self.trials_unwalked.saturating_add(other.trials_unwalked);
+        self.walks_sure = self.walks_sure.saturating_add(other.walks_sure);
+        self.fail_dead_end = self.fail_dead_end.saturating_add(other.fail_dead_end);
+        self.walk_steps = self.walk_steps.saturating_add(other.walk_steps);
+        self.walk_nodes_built = self.walk_nodes_built.saturating_add(other.walk_nodes_built);
+        self.walk_table_hits = self.walk_table_hits.saturating_add(other.walk_table_hits);
+        self.padded_cells = self.padded_cells.saturating_add(other.padded_cells);
+        self.padded_entries = self.padded_entries.saturating_add(other.padded_entries);
+        self.samples_stored = self.samples_stored.saturating_add(other.samples_stored);
+        self.cells_processed = self.cells_processed.saturating_add(other.cells_processed);
+        self.cells_skipped = self.cells_skipped.saturating_add(other.cells_skipped);
         self.batch.merge(&other.batch);
         self.memo.merge(&other.memo);
         self.share.merge(&other.share);

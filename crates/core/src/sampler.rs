@@ -33,12 +33,13 @@
 //! memo hit or a miss whose estimate went into the memo, and memo
 //! entries are first-wins and never change (a sampler-tier value is
 //! fixed by the frontier, D9). So the first step at a node stores, in
-//! the node's record, the `k` branch sizes, their total, the integer
-//! draw thresholds of the categorical draw's rescaled `f64` weights
-//! ([`extend_thresholds`]) and the node's non-empty branch count. Every
-//! later step at that node (a *table hit*) counts those branches as memo
-//! hits — what a cold step would count now that every branch is in the
-//! memo — draws by comparing one RNG word against the thresholds
+//! the node's branch table, the `k` branch sizes and their total, and,
+//! in the node's slot row beside its successor slots, the integer draw
+//! thresholds of the categorical draw's rescaled `f64` weights
+//! ([`fill_thresholds`]). Every later step at that node (a *table hit*)
+//! counts the node's non-empty branches as memo hits — what a cold step
+//! would count now that every branch is in the memo — draws by
+//! comparing one RNG word against the thresholds
 //! ([`sample_thresholds`], which returns the cold step's
 //! `sample_weights` index from the same word), and updates `φ` as
 //! `φ · total / size[b]` — the cold step's expression, in its order. So
@@ -76,6 +77,25 @@
 //! count. `sample_words` is the one retry loop: the engine's sample
 //! pass, the generator and a session's `sample` all draw through it.
 //!
+//! # Sure success and the closed replay (D22)
+//!
+//! A closed node also caches `lo`, the smallest path product. When no
+//! path can reach `Fail₁` (the exit threshold is at most 1), a coin
+//! below `φ₀ · lo` (with the flipped margin, `sure_bound`) returns a word
+//! on every path, so such a trial walks without carrying `φ` at all
+//! (`walks_sure`). Every trial from a closed start node that does not
+//! exit runs one replay loop, generic over whether it tracks `φ`: every
+//! node a draw can reach is compiled and already stamped in this epoch,
+//! so a step is one threshold draw and one successor lookup by slot, with
+//! no build check, no compile and no stamp. The replay draws the same RNG
+//! words, picks the same branches and adds the same counters as the walk
+//! it replaces, so no bit moves.
+//!
+//! An accepted trial is handed to the caller as its `Trail`, the
+//! symbols last first: the engine's sample pass simulates the reach set
+//! it stores straight from it, and only the generator and a session's
+//! `sample` build a [`Word`].
+//!
 //! # Frontier-keyed union randomness (D9)
 //!
 //! When memoization is on, the `AppUnion` randomness for a sampler-side
@@ -105,7 +125,7 @@ use crate::run_stats::RunStats;
 use crate::table::{splitmix64, BuildKeyHasher, MemoKey, RunTable, SampleOutcome};
 use fpras_automata::{StateId, StateSet, Word};
 use fpras_numeric::{
-    extend_thresholds, sample_extfloat_weights_with, sample_thresholds, ExtFloat, ExtFloatChain,
+    fill_thresholds, sample_extfloat_weights_with, sample_thresholds, ExtFloat, ExtFloatChain,
 };
 use rand::{rngs::SmallRng, Rng, RngExt, SeedableRng};
 use std::collections::HashMap;
@@ -134,13 +154,15 @@ pub(crate) struct SamplerEnv<'a> {
 /// nested `AppUnion` scratch. A fresh scratch is equivalent to a reused
 /// one — the walk table changes how much work a step does, never its
 /// result — so callers keep one per worker and a whole sample pass
-/// allocates only for the nodes it builds and the words it returns.
+/// allocates only for the nodes it builds.
+#[derive(Clone)]
 pub(crate) struct SamplerScratch {
     walk: WalkTable,
     /// The open epoch: one retry loop's trials. A walk step stamps its
     /// node with it, and only nodes stamped in the open epoch count
     /// towards a start node's closure. Never 0 once a loop has opened,
-    /// so a stamp of 0 means "never stamped".
+    /// so a stamp of 0 means "never stamped", and at most [`MAX_EPOCH`],
+    /// so both of an epoch's stamps fit a `u32` ([`NodeRecord::stamp`]).
     epoch: u32,
     /// The closure search of the open epoch: its DFS stack of
     /// `(slot, level, next symbol)` frames.
@@ -155,6 +177,8 @@ pub(crate) struct SamplerScratch {
     /// One predecessor frontier of the node being built.
     branch: StateSet,
     branch_sizes: Vec<ExtFloat>,
+    /// The current trial's symbols, last first: an accepted trial's
+    /// [`Trail`].
     rev_syms: Vec<u8>,
     scaled: Vec<f64>,
     union: UnionScratch,
@@ -231,10 +255,9 @@ impl SamplerScratch {
     /// every stamp is cleared, so no stamp of an old epoch can pass for
     /// one of the new.
     fn open_epoch(&mut self, slot: u32, level: usize) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
+        self.epoch += 1;
+        if self.epoch > MAX_EPOCH {
             self.walk.records.iter_mut().for_each(|r| r.stamp = 0);
-            self.walk.tables.iter_mut().for_each(|t| t.closed = 0);
             self.epoch = 1;
         }
         self.closing.clear();
@@ -251,12 +274,12 @@ impl SamplerScratch {
     /// Resumes the closure search (its blocker is ready): a depth-first
     /// pass over the start node's positive branches that closes each
     /// node once all its positive successors are closed, caching the
-    /// node's bound on its first closing. Returns the start node's bound
-    /// once it closes, or `None` after stopping at the next node this
-    /// epoch has not visited (the new blocker). Each node is pushed at
-    /// most once per epoch and each branch scanned once, so a whole
+    /// node's bounds on its first closing. Returns the start node's
+    /// bounds once it closes, or `None` after stopping at the next node
+    /// this epoch has not visited (the new blocker). Each node is pushed
+    /// at most once per epoch and each branch scanned once, so a whole
     /// epoch's search costs no more than the nodes its walks visited.
-    fn resume_closure(&mut self) -> Option<ExtFloat> {
+    fn resume_closure(&mut self) -> Option<Bounds> {
         let (epoch, k) = (self.epoch, self.walk.k);
         let (slot, ell) = self.blocker.take().expect("a blocked search");
         self.closing.push((slot, ell, 0));
@@ -285,19 +308,35 @@ impl SamplerScratch {
                 self.closing.push(frame);
                 continue;
             }
-            let hi = self.walk.close(slot, ell, epoch);
+            let bounds = self.walk.close(slot, ell, epoch);
             self.closing.pop();
             if self.closing.is_empty() {
-                return Some(hi);
+                return Some(bounds);
             }
         }
     }
 }
 
-/// Deepest start level at which a trial may exit before walking.
-/// [`exit_bound`]'s margin `1 + 2⁻³⁰` covers the roundings of a walk and
-/// of its bound up to here: see [`exit_bound`].
+/// Largest epoch before the counter wraps: its closed stamp
+/// `2·MAX_EPOCH + 1` is `u32::MAX`.
+const MAX_EPOCH: u32 = u32::MAX / 2;
+
+/// Deepest start level at which a trial may exit before walking, or
+/// succeed without tracking `φ`. The margins `1 ± 2⁻³⁰` of
+/// [`exit_bound`] and [`sure_bound`] cover the roundings of a walk and
+/// of its bounds up to here.
 const MAX_EXIT_LEVEL: usize = 1 << 20;
+
+/// A closed node's bounds on the `φ` factor `Π total/size[b]` a walk
+/// from it collects down to level 0, where both are 1: `hi` the largest
+/// over its paths of positive branches, `lo` the smallest. Zero until the
+/// node first closes; a compiled row never changes under one walk-table
+/// key, so neither do its bounds.
+#[derive(Clone, Copy, Debug)]
+struct Bounds {
+    hi: ExtFloat,
+    lo: ExtFloat,
+}
 
 /// The exit test's threshold for a trial with start probability `phi0`
 /// from a closed start node with bound `hi`: a coin `u ≥` it proves the
@@ -323,6 +362,32 @@ fn exit_bound(phi0: ExtFloat, hi: ExtFloat) -> f64 {
 /// [`exit_bound`]'s margin, `1 + 2⁻³⁰`.
 const EXIT_MARGIN: f64 = 1.0 + 1.0 / (1u64 << 30) as f64;
 
+/// The sure test's threshold for a trial with start probability `phi0`
+/// from a closed start node with bound `lo`, whose exit threshold is at
+/// most 1: a coin `u <` it proves the walk would return a word.
+///
+/// [`exit_bound`]'s argument with the sign flipped. Every walk ends with
+/// `φ` at least the exact path product times `(1 − 2⁻⁵³)^(2ℓ+1)`, and
+/// this threshold is at most the exact minimum times
+/// `(1 + 2⁻⁵³)^(2ℓ+3) · (1 − 2⁻³⁰)`; for `ℓ ≤ 2²⁰` the margin outweighs
+/// the `4ℓ + 4` roundings, so `u <` threshold gives `u < φ` on every
+/// path. An exit threshold of at most 1 rules out `Fail₁` (`φ` stays
+/// below it on every path), so the trial returns a word whichever path
+/// it draws. A threshold below `f64`'s normal range is 0 — no coin is
+/// below it — so every `φ` it is compared with is normal and its
+/// `to_f64` exact.
+fn sure_bound(phi0: ExtFloat, lo: ExtFloat) -> f64 {
+    let sure = (phi0 * lo).to_f64() * SURE_MARGIN;
+    if sure >= f64::MIN_POSITIVE {
+        sure
+    } else {
+        0.0
+    }
+}
+
+/// [`sure_bound`]'s margin, `1 − 2⁻³⁰`.
+const SURE_MARGIN: f64 = 1.0 - 1.0 / (1u64 << 30) as f64;
+
 /// Successor slot of a branch whose predecessor frontier is empty.
 const EMPTY_BRANCH: u32 = u32::MAX;
 
@@ -343,39 +408,39 @@ fn start_node(level: usize, q: StateId) -> u64 {
 }
 
 /// One walk node's record: its key and, once compiled, its branch table.
-/// Its `k` successor slots live at `slot·k` in [`WalkTable::succ`].
+/// Its `k` successor slots and draw thresholds live at `slot·k` in
+/// [`WalkTable::succ`] and [`WalkTable::thresholds`].
+#[derive(Clone)]
 struct NodeRecord {
     /// The node: a packed `(level, id)` or a [`START_NODE`] key.
     node: u64,
     /// Index into [`WalkTable::tables`], or [`NO_TABLE`].
     table: u32,
-    /// The last epoch a walk stepped from this node; 0 for none.
+    /// `2·e` once a walk of epoch `e` stepped from this node, `2·e + 1`
+    /// once the node closed in `e`; 0 for neither. Stamps only grow
+    /// within an epoch, and every stamp of an earlier epoch is below
+    /// `2·e`.
     stamp: u32,
 }
 
 /// A compiled node's step: what the cold step computed from the memo,
-/// in the form a warm step replays. Its `k` branch sizes and draw
-/// thresholds live at `table·k` in [`WalkTable::sizes`] and
-/// [`WalkTable::thresholds`].
+/// in the form a warm step replays, and the node's bounds. Its `k`
+/// branch sizes live at `table·k` in [`WalkTable::sizes`]; its draw
+/// thresholds sit in the node's slot row. The memo hits a replay counts
+/// are the node's non-empty branches, read off its successor slots.
+#[derive(Clone)]
 struct BranchTable {
     /// Sum of the branch sizes, in the cold step's fold order.
     total: ExtFloat,
-    /// The node's bound `hi`: the largest product of `total/size[b]`
-    /// along any path of positive branches down to level 0, where
-    /// `hi = 1`. Zero until the node first closes; a compiled row never
-    /// changes under one walk-table key, so neither does `hi`.
-    hi: ExtFloat,
-    /// Memo hits a replay counts: the node's non-empty branches.
-    hits: u32,
-    /// The last epoch in which this node was closed; 0 for none.
-    closed: u32,
+    /// The node's bounds, cached on its first closing.
+    bounds: Bounds,
 }
 
 /// Per-scratch compiled walk — see the module docs. Memory per node:
-/// one map entry (a `u64` key and a `u32` slot), a 16-byte record and
-/// `k` `u32` successor slots; a compiled node adds a 40-byte branch
-/// table and `k` sizes (16 bytes) and thresholds (8 bytes).
-#[derive(Default)]
+/// one map entry (a `u64` key and a `u32` slot), a 16-byte record, `k`
+/// `u32` successor slots and `k − 1` `u64` draw thresholds; a compiled
+/// node adds a 48-byte branch table and `k` sizes (16 bytes).
+#[derive(Clone, Default)]
 struct WalkTable {
     /// [`FrontierInterner::uid`] of the interner the slots' ids belong
     /// to; 0 (no interner) until the first bind.
@@ -396,19 +461,21 @@ struct WalkTable {
     /// for an empty branch, all [`UNBUILT`] before the node's first
     /// visit.
     succ: Vec<u32>,
+    /// Draw thresholds ([`fill_thresholds`]) of the cold step's rescaled
+    /// weights, `k − 1` per node beside its successor slots (the last
+    /// branch's is implicit), so a replayed step reads its draw and its
+    /// successor by slot alone; zero until the node compiles.
+    thresholds: Vec<u64>,
     /// Branch tables of the compiled nodes.
     tables: Vec<BranchTable>,
     /// Branch sizes, `k` per branch table.
     sizes: Vec<ExtFloat>,
-    /// Draw thresholds ([`extend_thresholds`]) of the cold step's
-    /// rescaled weights, `k` per branch table.
-    thresholds: Vec<u64>,
 }
 
 impl WalkTable {
     /// The slot of `node`, adding an unbuilt record on first sight.
     fn slot(&mut self, node: u64) -> u32 {
-        let WalkTable { slots, records, succ, k, .. } = self;
+        let WalkTable { slots, records, succ, thresholds, k, .. } = self;
         *slots.entry(node).or_insert_with(|| {
             let slot = u32::try_from(records.len())
                 .ok()
@@ -416,6 +483,7 @@ impl WalkTable {
                 .expect("walk table slot fits below the sentinels");
             records.push(NodeRecord { node, table: NO_TABLE, stamp: 0 });
             succ.resize(succ.len() + *k, UNBUILT);
+            thresholds.resize(thresholds.len() + k.saturating_sub(1), 0);
             slot
         })
     }
@@ -434,7 +502,46 @@ impl WalkTable {
             u32::try_from(self.tables.len()).expect("branch table index fits u32");
         self.tables.push(t);
         self.sizes.extend_from_slice(sizes);
-        extend_thresholds(weights, &mut self.thresholds);
+        fill_thresholds(weights, self.threshold_row_mut(slot));
+    }
+
+    /// The draw thresholds of the node at `slot`: `k − 1` of them, the
+    /// last branch's (`2⁵³`, never reached) left implicit.
+    #[inline]
+    fn threshold_row(&self, slot: usize) -> &[u64] {
+        let w = self.k.saturating_sub(1);
+        &self.thresholds[slot * w..(slot + 1) * w]
+    }
+
+    fn threshold_row_mut(&mut self, slot: usize) -> &mut [u64] {
+        let w = self.k.saturating_sub(1);
+        &mut self.thresholds[slot * w..(slot + 1) * w]
+    }
+
+    /// One replayed step at the compiled node at `slot`: the cold step's
+    /// draw, from its thresholds and one RNG word, and with `PHI` its
+    /// `φ` update `φ · total / size[b]`. Returns the branch drawn.
+    #[inline]
+    fn replay_step<const PHI: bool, R: Rng + ?Sized>(
+        &self,
+        slot: usize,
+        rng: &mut R,
+        phi: &mut ExtFloatChain,
+    ) -> usize {
+        let choice = sample_thresholds(rng, self.threshold_row(slot));
+        if PHI {
+            let t = self.records[slot].table as usize;
+            phi.mul_div(self.tables[t].total, self.sizes[t * self.k + choice]);
+        }
+        choice
+    }
+
+    /// Memo hits a replayed step at the node at `slot` counts: its
+    /// non-empty branches, each a memo hit now.
+    #[inline]
+    fn hits(&self, slot: usize) -> u64 {
+        let row = &self.succ[slot * self.k..(slot + 1) * self.k];
+        row.iter().filter(|&&s| s != EMPTY_BRANCH).count() as u64
     }
 
     /// True iff a walk stepped from the node at `slot` in `epoch` and
@@ -442,44 +549,47 @@ impl WalkTable {
     #[inline]
     fn visited(&self, slot: u32, epoch: u32) -> bool {
         let r = &self.records[slot as usize];
-        r.stamp == epoch && r.table != NO_TABLE
+        r.stamp >= 2 * epoch && r.table != NO_TABLE
     }
 
     /// True iff the node at `slot` is closed in `epoch`.
     fn closed(&self, slot: u32, epoch: u32) -> bool {
-        self.visited(slot, epoch)
-            && self.tables[self.records[slot as usize].table as usize].closed == epoch
+        self.records[slot as usize].stamp == 2 * epoch + 1
     }
 
     /// Closes the node at `slot` (level `ell`) in `epoch` — every
-    /// positive successor is closed — and returns its bound, computing
-    /// and caching it on the node's first closing.
-    fn close(&mut self, slot: u32, ell: u32, epoch: u32) -> ExtFloat {
+    /// positive successor is closed — and returns its bounds, computing
+    /// and caching them on the node's first closing.
+    fn close(&mut self, slot: u32, ell: u32, epoch: u32) -> Bounds {
         let k = self.k;
         let t = self.records[slot as usize].table as usize;
-        if self.tables[t].hi.is_zero() {
+        if self.tables[t].bounds.hi.is_zero() {
             let total = self.tables[t].total;
-            let mut hi = ExtFloat::ZERO;
+            let (mut hi, mut lo) = (ExtFloat::ZERO, ExtFloat::ZERO);
             for b in 0..k {
                 let size = self.sizes[t * k + b];
                 if size.is_zero() {
                     continue;
                 }
                 let below = if ell == 1 {
-                    ExtFloat::ONE
+                    Bounds { hi: ExtFloat::ONE, lo: ExtFloat::ONE }
                 } else {
                     let child = self.records[self.succ[slot as usize * k + b] as usize].table;
-                    self.tables[child as usize].hi
+                    self.tables[child as usize].bounds
                 };
-                let path = total / size * below;
-                if path > hi {
-                    hi = path;
+                let step = total / size;
+                let (up, down) = (step * below.hi, step * below.lo);
+                if up > hi {
+                    hi = up;
+                }
+                if lo.is_zero() || down < lo {
+                    lo = down;
                 }
             }
-            self.tables[t].hi = hi;
+            self.tables[t].bounds = Bounds { hi, lo };
         }
-        self.tables[t].closed = epoch;
-        self.tables[t].hi
+        self.records[slot as usize].stamp = 2 * epoch + 1;
+        self.tables[t].bounds
     }
 }
 
@@ -563,10 +673,30 @@ fn union_size<R: Rng + ?Sized>(
     .value
 }
 
+/// The symbols of an accepted trial, last symbol first — the order the
+/// backward walk draws them in. Borrowed from the scratch for the
+/// duration of one [`sample_words`] callback.
+#[derive(Clone, Copy)]
+pub(crate) struct Trail<'a>(&'a [u8]);
+
+impl<'a> Trail<'a> {
+    /// The symbols, last first.
+    pub(crate) fn rev_symbols(self) -> &'a [u8] {
+        self.0
+    }
+
+    /// The word, in reading order.
+    pub(crate) fn to_word(self) -> Word {
+        Word::from_reversed(self.0.to_vec())
+    }
+}
+
 /// Runs Algorithm 2's trials from the singleton frontier `{start}` at
 /// `level` — the calls `sample(ℓ, {qℓ}, λ, γ₀, β, η)` of Algorithm 3
 /// line 23 — until `on` breaks, a trial ends in `DeadEnd`, or `attempts`
-/// trials ran. Every outcome goes to `on`, `DeadEnd` included.
+/// trials ran. Every outcome goes to `on`, `DeadEnd` included; an
+/// accepted trial hands over its [`Trail`], so a caller that needs only
+/// the word's reach set never builds a [`Word`].
 ///
 /// This is the one retry loop: the engine's sample pass, the generator
 /// and a session's `sample` all draw through it. It opens one epoch on
@@ -583,13 +713,13 @@ pub(crate) fn sample_words<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut SamplerScratch,
     stats: &mut RunStats,
-    mut on: impl FnMut(SampleOutcome) -> ControlFlow<()>,
+    mut on: impl FnMut(SampleOutcome<Trail<'_>>) -> ControlFlow<()>,
 ) {
     let mut trials = Trials::open(env, table, memo, start, level, scratch);
     for _ in 0..attempts {
         let out = trials.next(env, table, memo, rng, scratch, stats);
         let dead = matches!(out, SampleOutcome::DeadEnd);
-        if on(out).is_break() || dead {
+        if on(out.map_word(|()| Trail(&scratch.rev_syms))).is_break() || dead {
             break;
         }
     }
@@ -611,8 +741,8 @@ pub(crate) fn sample_one<R: Rng + ?Sized>(
 ) -> Option<Word> {
     let mut word = None;
     sample_words(env, table, memo, start, level, attempts, rng, scratch, stats, |out| {
-        if let SampleOutcome::Word(w) = out {
-            word = Some(w);
+        if let SampleOutcome::Word(trail) = out {
+            word = Some(trail.to_word());
             return ControlFlow::Break(());
         }
         ControlFlow::Continue(())
@@ -628,9 +758,16 @@ struct Trials {
     /// `γ₀ = gamma_scale / N(qℓ)` (Algorithm 3 line 23); zero for a
     /// dead start cell.
     phi0: ExtFloat,
+    /// True once the start node has closed in this epoch: every trial
+    /// that walks then replays compiled, stamped nodes ([`replay`]).
+    closed: bool,
     /// A coin at or above this ends the trial in `FailCoin` before it
     /// walks ([`exit_bound`]); infinite until the start node closes.
     exit_at: f64,
+    /// A coin below this returns a word on every path, so the trial
+    /// replays without tracking `φ` ([`sure_bound`]); zero until the
+    /// start node closes, and while some path could end in `Fail₁`.
+    sure_at: f64,
 }
 
 impl Trials {
@@ -652,11 +789,19 @@ impl Trials {
         scratch.bind(env.interner, memo, env.substrate.width());
         let slot = scratch.walk.start_slot(start_node(level, start));
         scratch.open_epoch(slot, level);
-        Trials { slot: slot as usize, level, phi0, exit_at: f64::INFINITY }
+        Trials {
+            slot: slot as usize,
+            level,
+            phi0,
+            closed: false,
+            exit_at: f64::INFINITY,
+            sure_at: 0.0,
+        }
     }
 
     /// One trial: the coin first, then — unless the coin alone proves a
-    /// tails outcome — the walk.
+    /// tails outcome — the walk, or the replay once the start node has
+    /// closed. The trial's symbols are left in the scratch's trail.
     fn next<R: Rng + ?Sized>(
         &mut self,
         env: &SamplerEnv<'_>,
@@ -665,15 +810,19 @@ impl Trials {
         rng: &mut R,
         scratch: &mut SamplerScratch,
         stats: &mut RunStats,
-    ) -> SampleOutcome {
+    ) -> SampleOutcome<()> {
         stats.sample_calls += 1;
         if self.phi0.is_zero() {
             stats.fail_dead_end += 1;
             return SampleOutcome::DeadEnd;
         }
         if scratch.blocker_ready() {
-            if let Some(hi) = scratch.resume_closure() {
+            if let Some(Bounds { hi, lo }) = scratch.resume_closure() {
+                self.closed = true;
                 self.exit_at = exit_bound(self.phi0, hi);
+                if self.exit_at <= 1.0 {
+                    self.sure_at = sure_bound(self.phi0, lo);
+                }
             }
         }
         // The base case's coin (lines 4–6), drawn before the walk: it is
@@ -684,7 +833,19 @@ impl Trials {
             stats.fail_rejected += 1;
             return SampleOutcome::FailCoin;
         }
-        walk(env, table, memo, self.slot, self.level, self.phi0, u, rng, scratch, stats)
+        if !self.closed {
+            return walk(
+                env, table, memo, self.slot, self.level, self.phi0, u, rng, scratch, stats,
+            );
+        }
+        let (walk, trail) = (&scratch.walk, &mut scratch.rev_syms);
+        let (slot, level, phi0) = (self.slot, self.level, self.phi0);
+        if u < self.sure_at {
+            stats.walks_sure += 1;
+            replay::<false, R>(walk, slot, level, phi0, u, rng, trail, stats)
+        } else {
+            replay::<true, R>(walk, slot, level, phi0, u, rng, trail, stats)
+        }
     }
 }
 
@@ -704,9 +865,9 @@ fn walk<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut SamplerScratch,
     stats: &mut RunStats,
-) -> SampleOutcome {
+) -> SampleOutcome<()> {
     let k = scratch.walk.k;
-    let epoch = scratch.epoch;
+    let visit = 2 * scratch.epoch;
     let mut phi = ExtFloatChain::new(phi0);
     scratch.rev_syms.clear();
 
@@ -717,22 +878,15 @@ fn walk<R: Rng + ?Sized>(
             scratch.build(env, slot, ell, stats);
         }
         let record = &mut scratch.walk.records[slot];
-        record.stamp = epoch;
-        let compiled = record.table;
-        let choice = if compiled != NO_TABLE {
+        record.stamp = record.stamp.max(visit);
+        let choice = if record.table != NO_TABLE {
             // A table hit: the cold step's counters, draw and φ update,
             // replayed from the node's record.
-            let walk = &scratch.walk;
-            let t = &walk.tables[compiled as usize];
-            let rows = compiled as usize * k..(compiled as usize + 1) * k;
             stats.walk_table_hits += 1;
-            stats.memo_hits += u64::from(t.hits);
-            let choice = sample_thresholds(rng, &walk.thresholds[rows.clone()]);
-            phi.mul_div(t.total, walk.sizes[rows][choice]);
-            choice
+            stats.memo_hits += scratch.walk.hits(slot);
+            scratch.walk.replay_step::<true, R>(slot, rng, &mut phi)
         } else {
             // Lines 8–11: per-symbol predecessor frontiers and union sizes.
-            let mut hits = 0u32;
             scratch.branch_sizes.clear();
             for sym in 0..k {
                 let next = scratch.walk.succ[at + sym];
@@ -740,7 +894,6 @@ fn walk<R: Rng + ?Sized>(
                     ExtFloat::ZERO
                 } else {
                     let node = scratch.walk.records[next as usize].node;
-                    hits += 1;
                     union_size(
                         env,
                         table,
@@ -770,7 +923,8 @@ fn walk<R: Rng + ?Sized>(
             // Line 16's recursive call carries φ / pr_b.
             phi.mul_div(total, scratch.branch_sizes[choice]);
             if env.params.memoize_unions {
-                let t = BranchTable { total, hi: ExtFloat::ZERO, hits, closed: 0 };
+                let zero = Bounds { hi: ExtFloat::ZERO, lo: ExtFloat::ZERO };
+                let t = BranchTable { total, bounds: zero };
                 scratch.walk.compile(slot, &scratch.branch_sizes, &scratch.scaled, t);
             }
             choice
@@ -789,16 +943,59 @@ fn walk<R: Rng + ?Sized>(
         },
         "sampled path must lead back to the initial state"
     );
-    let phi = phi.value();
+    settle(phi.value(), u, stats)
+}
+
+/// Replays one trial from the closed start node at `slot`: every node a
+/// draw can reach is compiled and already stamped in this epoch, so a
+/// step is one threshold draw and one successor lookup by slot, with no
+/// build check, no compile and no stamp. With `PHI` the trial carries
+/// `φ` exactly as [`walk`]'s table hits do and is settled against `u`;
+/// without it the coin was below [`sure_bound`], so the trial returns a
+/// word whatever path it draws. The draws, the trail and every counter
+/// are the ones [`walk`] would produce; the step counters are added once.
+#[allow(clippy::too_many_arguments)]
+fn replay<const PHI: bool, R: Rng + ?Sized>(
+    walk: &WalkTable,
+    mut slot: usize,
+    level: usize,
+    phi0: ExtFloat,
+    u: f64,
+    rng: &mut R,
+    trail: &mut Vec<u8>,
+    stats: &mut RunStats,
+) -> SampleOutcome<()> {
+    let k = walk.k;
+    let mut phi = ExtFloatChain::new(phi0);
+    let mut hits = 0;
+    trail.clear();
+    for _ in 0..level {
+        let choice = walk.replay_step::<PHI, R>(slot, rng, &mut phi);
+        hits += walk.hits(slot);
+        trail.push(choice as u8);
+        slot = walk.succ[slot * k + choice] as usize;
+    }
+    stats.walk_steps += level as u64;
+    stats.walk_table_hits += level as u64;
+    stats.memo_hits += hits;
+    if PHI {
+        settle(phi.value(), u, stats)
+    } else {
+        stats.sample_success += 1;
+        SampleOutcome::Word(())
+    }
+}
+
+/// The base case (lines 4–6): a word iff `φ ≤ 1` and the coin `u` is
+/// below `φ`.
+fn settle(phi: ExtFloat, u: f64, stats: &mut RunStats) -> SampleOutcome<()> {
     if phi > ExtFloat::ONE {
         stats.fail_phi_gt_one += 1;
         return SampleOutcome::FailPhi;
     }
     if u < phi.to_f64() {
         stats.sample_success += 1;
-        // The one allocation of a successful trial: the returned word
-        // must own its symbols.
-        SampleOutcome::Word(Word::from_reversed(scratch.rev_syms.clone()))
+        SampleOutcome::Word(())
     } else {
         stats.fail_rejected += 1;
         SampleOutcome::FailCoin
@@ -830,7 +1027,7 @@ mod tests {
         let mut outs = Vec::new();
         for _ in 0..epochs {
             sample_words(env, table, memo, start, level, trials, rng, scratch, stats, |out| {
-                outs.push(out);
+                outs.push(out.map_word(Trail::to_word));
                 ControlFlow::Continue(())
             });
         }
@@ -1155,7 +1352,7 @@ mod tests {
                 }
                 closed += 1;
                 let level = ((walk.records[slot as usize].node >> 32) & 0x7fff_ffff) as usize;
-                let hi = walk.tables[walk.records[slot as usize].table as usize].hi;
+                let hi = walk.tables[walk.records[slot as usize].table as usize].bounds.hi;
                 for p in [phi0, ExtFloat::pow2(-1100)] {
                     // Depth-first over every positive path: (slot, level, φ).
                     let mut stack = vec![(slot, level, ExtFloatChain::new(p))];
@@ -1233,6 +1430,143 @@ mod tests {
         assert!(exits > 100, "only {exits} exits fired");
     }
 
+    /// Every path of a closed sub-DAG, walked with the walk's own
+    /// arithmetic, ends with its coin threshold `φ.to_f64()` strictly
+    /// above the sure threshold of the node's cached `lo` — so a coin
+    /// below that threshold is below every path's — and `lo` is the
+    /// paths' minimum, not a loose floor. Checked for the run's own `φ₀`
+    /// and for a `φ₀` so small that no coin is sure.
+    #[test]
+    fn every_path_product_is_above_the_sure_bound() {
+        let mut sure_nodes = 0;
+        for (nfa, n) in exit_fixtures() {
+            let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
+            let run = FprasRun::run(&nfa, n, &params, &mut SmallRng::seed_from_u64(5)).unwrap();
+            let (table, substrate) = run.parts_for_test();
+            let q_final = run.inner.as_ref().unwrap().q_final;
+            let interner = FrontierInterner::new(table.num_states());
+            let env =
+                SamplerEnv { params: &params, substrate, interner: &interner, sampler_seed: 99 };
+            let memo = UnionMemo::new();
+            let mut scratch = SamplerScratch::new();
+            let mut stats = RunStats::default();
+            let mut rng = SmallRng::seed_from_u64(3);
+            draws(&env, table, &memo, q_final, n, (1, 4000), &mut rng, &mut scratch, &mut stats);
+            assert!(stats.walks_sure > 0, "the start node must close with sure coins");
+
+            let walk = &scratch.walk;
+            let k = walk.k;
+            let phi0 =
+                ExtFloat::from_f64(params.gamma_scale) / table.cell(n, q_final as usize).n_est;
+            for slot in 0..walk.records.len() as u32 {
+                if !walk.closed(slot, scratch.epoch) {
+                    continue;
+                }
+                let level = ((walk.records[slot as usize].node >> 32) & 0x7fff_ffff) as usize;
+                let lo = walk.tables[walk.records[slot as usize].table as usize].bounds.lo;
+                for p in [phi0, ExtFloat::pow2(-1100)] {
+                    let sure = sure_bound(p, lo);
+                    sure_nodes += usize::from(sure > 0.0);
+                    // Depth-first over every positive path: (slot, level, φ).
+                    let mut stack = vec![(slot, level, ExtFloatChain::new(p))];
+                    let mut min = ExtFloat::ZERO;
+                    while let Some((at, ell, phi)) = stack.pop() {
+                        if ell == 0 {
+                            let phi = phi.value();
+                            assert!(
+                                sure == 0.0 || sure < phi.to_f64(),
+                                "a path is at or below the sure bound"
+                            );
+                            min = if min.is_zero() || phi < min { phi } else { min };
+                            continue;
+                        }
+                        let t = walk.records[at as usize].table as usize;
+                        for b in 0..k {
+                            let size = walk.sizes[t * k + b];
+                            if !size.is_zero() {
+                                let mut next = phi;
+                                next.mul_div(walk.tables[t].total, size);
+                                stack.push((walk.succ[at as usize * k + b], ell - 1, next));
+                            }
+                        }
+                    }
+                    // The smallest path reaches the bound up to rounding.
+                    assert!(min.ratio(&(p * lo)) < 1.0 + 1e-12, "the bound is loose");
+                }
+            }
+        }
+        assert!(sure_nodes > 10, "only {sure_nodes} closed nodes admit sure coins");
+    }
+
+    /// A closed start node's trials replay: every trial that does not
+    /// exit, re-run from a clone of the scratch and of the RNG (same
+    /// coin) through the general walk, gives the same outcome, trail,
+    /// RNG state and counters — for the φ-free replays of sure coins and
+    /// for the φ-tracking ones alike.
+    #[test]
+    fn sure_walk_matches_the_general_walk() {
+        let (mut sure, mut tracked) = (0, 0);
+        for (nfa, n) in exit_fixtures() {
+            let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
+            let run = FprasRun::run(&nfa, n, &params, &mut SmallRng::seed_from_u64(5)).unwrap();
+            let (table, substrate) = run.parts_for_test();
+            let q_final = run.inner.as_ref().unwrap().q_final;
+            let interner = FrontierInterner::new(table.num_states());
+            let env =
+                SamplerEnv { params: &params, substrate, interner: &interner, sampler_seed: 99 };
+            let memo = UnionMemo::new();
+            let mut scratch = SamplerScratch::new();
+            let mut stats = RunStats::default();
+            let replays = sure + tracked;
+            for seed in 0..4 {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut trials = Trials::open(&env, table, &memo, q_final, n, &mut scratch);
+                for _ in 0..4000 {
+                    if !trials.closed {
+                        trials.next(&env, table, &memo, &mut rng, &mut scratch, &mut stats);
+                        continue;
+                    }
+                    let (mut probe, mut twin) = (rng.clone(), scratch.clone());
+                    let mut walked = stats.clone();
+                    let out = trials.next(&env, table, &memo, &mut rng, &mut scratch, &mut stats);
+                    if stats.trials_unwalked > walked.trials_unwalked {
+                        continue; // an exit: `every_exit_would_have_walked_to_fail_coin`
+                    }
+                    let was_sure = stats.walks_sure > walked.walks_sure;
+                    let u = probe.random_range(0.0..1.0);
+                    walked.sample_calls += 1;
+                    walked.walks_sure = stats.walks_sure;
+                    let (slot, phi0) = (trials.slot, trials.phi0);
+                    let again = walk(
+                        &env,
+                        table,
+                        &memo,
+                        slot,
+                        n,
+                        phi0,
+                        u,
+                        &mut probe,
+                        &mut twin,
+                        &mut walked,
+                    );
+                    assert_eq!(out, again, "outcome");
+                    assert_eq!(scratch.rev_syms, twin.rev_syms, "trail");
+                    assert_eq!(probe.next_u64(), rng.clone().next_u64(), "RNG state");
+                    assert_eq!(stats, walked, "counters");
+                    if was_sure {
+                        assert_eq!(out, SampleOutcome::Word(()), "a sure coin must return a word");
+                        sure += 1;
+                    } else {
+                        tracked += 1;
+                    }
+                }
+            }
+            assert!(sure + tracked - replays > 1_000, "{n}: {} replays", sure + tracked - replays);
+        }
+        assert!(sure + tracked > 10_000, "only {} replays", sure + tracked);
+        assert!(sure > 1_000 && tracked > 1_000, "{sure} sure, {tracked} tracked replays");
+    }
+
     /// An epoch counter that wraps clears every stamp: a scratch whose
     /// counter wraps on its next loop, and whose table holds an old
     /// epoch 1's stamps on the whole sub-DAG, draws what a fresh scratch
@@ -1252,7 +1586,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         draws(&env, table, &memo, q_final, n, (1, 4000), &mut rng, &mut old, &mut stats);
         assert!(stats.trials_unwalked > 0, "the old epoch must close its start node");
-        old.epoch = u32::MAX;
+        old.epoch = MAX_EPOCH;
         let draw = |scratch: &mut SamplerScratch, stats: &mut RunStats| {
             let mut rng = SmallRng::seed_from_u64(2);
             draws(&env, table, &memo, q_final, n, (2, 300), &mut rng, scratch, stats)
@@ -1265,16 +1599,17 @@ mod tests {
     }
 
     /// The per-node memory the module docs and DESIGN.md §2.5 quote: a
-    /// 16-byte record per node, a 40-byte branch table per compiled node,
-    /// and per branch a 4-byte successor slot, a 16-byte size and an
-    /// 8-byte draw threshold in the flat rows.
+    /// 16-byte record per node, a 48-byte branch table per compiled node,
+    /// per branch a 4-byte successor slot and (but the last) an 8-byte
+    /// draw threshold in the slot rows, and a 16-byte size per branch in
+    /// the table rows.
     #[test]
     fn walk_record_sizes_are_pinned() {
         fn row_bytes<T>(_: &[T]) -> usize {
             std::mem::size_of::<T>()
         }
         assert_eq!(std::mem::size_of::<NodeRecord>(), 16);
-        assert_eq!(std::mem::size_of::<BranchTable>(), 40);
+        assert_eq!(std::mem::size_of::<BranchTable>(), 48);
         let walk = WalkTable::default();
         assert_eq!(row_bytes(&walk.succ), 4);
         assert_eq!(row_bytes(&walk.sizes), 16);

@@ -619,6 +619,11 @@ impl Server {
             totals.levels_reused,
         )
         .counter(
+            "fpras_walks_sure_total",
+            "Sampler trials that returned a word without tracking phi (walks sure).",
+            totals.walks_sure,
+        )
+        .counter(
             "fpras_quota_rejections_total",
             "Opens and queries denied by the admission controller.",
             self.admission.stats().quota_rejections(),
@@ -898,6 +903,24 @@ mod tests {
             lines[1], "error: length 1152921504606846976 needs more memory than can be reserved",
             "{out}"
         );
+        assert!(lines[2].starts_with("opened b "), "{out}");
+        assert!(lines[3].starts_with("estimate 3 = 1 "), "{out}");
+    }
+
+    /// A session whose parameters are derived for a huge `max_n` runs
+    /// more membership ops than a `u64` counts; its counters saturate
+    /// instead of overflowing, and the server keeps serving.
+    #[test]
+    fn huge_max_n_saturates_counters_and_the_server_goes_on() {
+        let spec = SessionSpec { max_n: 1 << 60, ..SessionSpec::default() };
+        let mut server = Server::new(ServerConfig { spec, ..ServerConfig::default() });
+        let input = b"open a --regex 1*\nestimate 3\nopen b --regex 1* --max-n 8\nestimate 3\n";
+        let mut out = Vec::new();
+        serve_stream(&mut server, &input[..], &mut out).expect("clean end of input");
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(lines[0].starts_with("opened a "), "{out}");
+        assert!(lines[1].starts_with("estimate 3 = 1 "), "{out}");
         assert!(lines[2].starts_with("opened b "), "{out}");
         assert!(lines[3].starts_with("estimate 3 = 1 "), "{out}");
     }

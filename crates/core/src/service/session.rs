@@ -35,6 +35,10 @@ pub struct SessionStats {
     /// Levels a query needed that were already built — the work a
     /// fresh-run-per-query deployment would have paid again.
     pub levels_reused: u64,
+    /// Sampler trials that returned a word without tracking `φ`
+    /// ([`RunStats::walks_sure`]), level building and `sample` queries
+    /// together.
+    pub walks_sure: u64,
     /// Per-query latency distribution (answered queries only; refused
     /// and failed queries record nothing, like the counters above).
     /// Log-bucketed so registry aggregation is a lossless merge — see
@@ -50,6 +54,7 @@ impl SessionStats {
         self.sample_queries += other.sample_queries;
         self.levels_built += other.levels_built;
         self.levels_reused += other.levels_reused;
+        self.walks_sure = self.walks_sure.saturating_add(other.walks_sure);
         self.latency.merge(&other.latency);
     }
 
@@ -421,6 +426,7 @@ impl QuerySession {
         // The session's cumulative build wall is one merged contribution
         // when the registry folds sessions together (wall_longest).
         self.run_stats.wall_max = self.run_stats.wall;
+        self.note_walks_sure();
         crate::obs::emit_with(|| crate::obs::TraceEvent::RunEnd {
             ops: self.run_stats.membership_ops,
             wall_us: wall.as_micros() as u64,
@@ -562,8 +568,15 @@ impl QuerySession {
         ));
         self.query_stats.wall += start.elapsed();
         self.query_stats.wall_max = self.query_stats.wall;
+        self.note_walks_sure();
         self.stats.latency.record_duration(qstart.elapsed());
         out
+    }
+
+    /// Brings [`SessionStats::walks_sure`] up to the two run counters.
+    fn note_walks_sure(&mut self) {
+        self.stats.walks_sure =
+            self.run_stats.walks_sure.saturating_add(self.query_stats.walks_sure);
     }
 
     /// True iff the length-`n` slice is empty — a `sample(n)` that

@@ -216,17 +216,32 @@ impl std::hash::Hasher for KeyHasher {
 /// `BuildHasher` plugging [`KeyHasher`] into `HashMap`/`HashSet`.
 pub(crate) type BuildKeyHasher = std::hash::BuildHasherDefault<KeyHasher>;
 
-/// Outcome of one `sample()` invocation (Algorithm 2).
+/// Outcome of one `sample()` invocation (Algorithm 2). `W` is what an
+/// accepted trial carries: a [`Word`] by default; inside the sampler,
+/// the walk's symbol trail, so a caller that stores only reach sets
+/// never builds the word.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SampleOutcome {
+pub enum SampleOutcome<W = Word> {
     /// A word was produced.
-    Word(Word),
+    Word(W),
     /// `φ > 1` at the base — Theorem 2's `Fail₁`.
     FailPhi,
     /// The final acceptance coin came up tails — `Fail₂`.
     FailCoin,
     /// Every branch estimate was zero; no word can be emitted from here.
     DeadEnd,
+}
+
+impl<W> SampleOutcome<W> {
+    /// The same outcome, an accepted trial's payload mapped by `f`.
+    pub(crate) fn map_word<V>(self, f: impl FnOnce(W) -> V) -> SampleOutcome<V> {
+        match self {
+            SampleOutcome::Word(w) => SampleOutcome::Word(f(w)),
+            SampleOutcome::FailPhi => SampleOutcome::FailPhi,
+            SampleOutcome::FailCoin => SampleOutcome::FailCoin,
+            SampleOutcome::DeadEnd => SampleOutcome::DeadEnd,
+        }
+    }
 }
 
 #[cfg(test)]

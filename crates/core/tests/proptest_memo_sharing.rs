@@ -74,6 +74,7 @@ proptest! {
             prop_assert_eq!(runs[0].stats().union_bit_tests, run.stats().union_bit_tests);
             prop_assert_eq!(runs[0].stats().memo_hits, run.stats().memo_hits);
             prop_assert_eq!(runs[0].stats().trials_unwalked, run.stats().trials_unwalked);
+            prop_assert_eq!(runs[0].stats().walks_sure, run.stats().walks_sure);
             prop_assert_eq!(runs[0].stats().walk_steps, run.stats().walk_steps);
             prop_assert_eq!(runs[0].stats().memo_misses, run.stats().memo_misses);
             prop_assert_eq!(runs[0].stats().memo.commits, run.stats().memo.commits);

@@ -16,7 +16,7 @@
 //! with one lookup and returns exactly the scan's index, from the same
 //! single `u`, so guided and unguided draw sequences are bit-identical.
 //! The sampler's compiled walk replays one node's draw millions of
-//! times; for it [`extend_thresholds`] turns the weights into integer
+//! times; for it [`fill_thresholds`] turns the weights into integer
 //! thresholds on the RNG word, and [`sample_thresholds`] returns the
 //! scan's index with integer compares alone.
 
@@ -57,10 +57,11 @@ impl Rng for ConstWord {
     }
 }
 
-/// Appends to `out` the integer thresholds of `weights`, one per index:
-/// `Jᵢ = min{ j : choice(j) > i }`, where `choice(j)` is the index
-/// [`sample_weights`] returns for the uniform `j·2⁻⁵³`, and `2⁵³` (no
-/// draw reaches it) where no draw goes past `i`, as for the last index. Then
+/// Writes to `out` the integer thresholds of `weights`, one per index
+/// but the last: `Jᵢ = min{ j : choice(j) > i }`, where `choice(j)` is
+/// the index [`sample_weights`] returns for the uniform `j·2⁻⁵³`, and
+/// `2⁵³` (no draw reaches it) where no draw goes past `i`. The last
+/// index's threshold is always `2⁵³`, so it is not stored. Then
 /// [`sample_thresholds`] returns `sample_weights`' index from the same
 /// RNG word.
 ///
@@ -73,18 +74,20 @@ impl Rng for ConstWord {
 /// within a few draws of `Jᵢ`, so it costs a handful of scans.
 ///
 /// # Panics
-/// Panics if every weight is zero: such a vector has no draws.
-pub fn extend_thresholds(weights: &[f64], out: &mut Vec<u64>) {
+/// Panics if every weight is zero: such a vector has no draws; or if
+/// `out` is not one shorter than `weights`.
+pub fn fill_thresholds(weights: &[f64], out: &mut [u64]) {
     let total: f64 = weights.iter().sum();
     assert!(total > 0.0, "thresholds of an all-zero weight vector");
+    assert_eq!(out.len() + 1, weights.len(), "one threshold per weight but the last");
     let mut lo = 0;
     let mut cum = 0.0;
-    for (i, &w) in weights.iter().enumerate() {
+    for (i, (&w, t)) in weights.iter().zip(out).enumerate() {
         cum += w;
         let guess = (cum / total * NEVER as f64).ceil() as u64;
         // `choice` is monotone, so `J_{i−1}` bounds `Jᵢ` from below.
         lo = first_above(lo, guess, |j| sample_weights(&mut ConstWord(j << 11), weights) > Some(i));
-        out.push(lo);
+        *t = lo;
     }
 }
 
@@ -128,9 +131,9 @@ fn first_above(mut lo: u64, guess: u64, above: impl Fn(u64) -> bool) -> u64 {
     lo
 }
 
-/// Draws an index from thresholds built by [`extend_thresholds`]: one RNG
+/// Draws an index from thresholds built by [`fill_thresholds`]: one RNG
 /// word `j = next_u64() >> 11`, then the number of thresholds at or
-/// below `j`. Returns exactly the index [`sample_weights`] returns on the
+/// below `j` (the unstored last one, `2⁵³`, never is). Returns exactly the index [`sample_weights`] returns on the
 /// thresholds' weights from the same RNG state, and consumes the same
 /// word.
 #[inline]
@@ -419,9 +422,8 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let weights = threshold_weights(&spec, single, pick);
-            let mut thresholds = Vec::new();
-            extend_thresholds(&weights, &mut thresholds);
-            prop_assert_eq!(thresholds.len(), weights.len());
+            let mut thresholds = vec![0; weights.len() - 1];
+            fill_thresholds(&weights, &mut thresholds);
             let mut a = SmallRng::seed_from_u64(seed);
             let mut b = SmallRng::seed_from_u64(seed);
             for _ in 0..64 {
@@ -443,9 +445,10 @@ mod tests {
             pick in any::<usize>(),
         ) {
             let weights = threshold_weights(&spec, single, pick);
-            let mut thresholds = Vec::new();
-            extend_thresholds(&weights, &mut thresholds);
-            prop_assert_eq!(thresholds.last(), Some(&NEVER));
+            let mut thresholds = vec![0; weights.len() - 1];
+            fill_thresholds(&weights, &mut thresholds);
+            prop_assert!(thresholds.windows(2).all(|w| w[0] <= w[1]), "{:?}", thresholds);
+            prop_assert!(thresholds.iter().all(|&t| t <= NEVER), "{:?}", thresholds);
             for &t in &thresholds {
                 for j in [t.wrapping_sub(1), t, t + 1].into_iter().filter(|&j| j < NEVER) {
                     prop_assert_eq!(

@@ -27,7 +27,7 @@ pub mod stats;
 pub use biguint::BigUint;
 pub use binomial::sample_multinomial;
 pub use categorical::{
-    extend_thresholds, sample_extfloat_weights, sample_extfloat_weights_with, sample_thresholds,
+    fill_thresholds, sample_extfloat_weights, sample_extfloat_weights_with, sample_thresholds,
     sample_weights, WeightTable,
 };
 pub use extfloat::{ExtFloat, ExtFloatChain};

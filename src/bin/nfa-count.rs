@@ -245,6 +245,7 @@ fn report_stats(s: &RunStats) {
     println!("  sample calls         {}", s.sample_calls);
     println!("  rejection rate       {:.4}", s.rejection_rate());
     println!("  trials unwalked      {}", s.trials_unwalked);
+    println!("  walks sure           {}", s.walks_sure);
     println!("  samples per cell     {:.2}", s.samples_per_cell());
     println!("  cells processed      {}", s.cells_processed);
     println!("  cells skipped        {}", s.cells_skipped);
@@ -271,6 +272,7 @@ fn report_stats(s: &RunStats) {
     println!("  walk steps           {}", s.walk_steps);
     println!("  walk nodes built     {}", s.walk_nodes_built);
     println!("  walk table hits      {}", s.walk_table_hits);
+    println!("  steps per word       {:.2}", s.steps_per_word());
     match s.pool.ops_balance_ratio() {
         Some(r) => println!("  pool ops balance     {r:.3}"),
         None => println!("  pool ops balance     n/a"),
@@ -281,6 +283,21 @@ fn report_stats(s: &RunStats) {
     println!("  phase merge          {:?}", s.phase.merge);
     println!("  wall total           {:?}", s.wall_total());
     println!("  wall longest         {:?}", s.wall_longest());
+}
+
+/// The largest `--max-n` that `serve` and `query` accept. A session
+/// derives its parameters from its `max_n`: the per-level accuracy
+/// `ε/(2√max_n)` and sample sets of about `max_n/ε²` words, so its work
+/// per level grows with `max_n` — at `2⁶⁰` a length-3 query ran more
+/// membership ops than a `u64` counts. A larger value is a usage error.
+const MAX_SESSION_N: usize = 4096;
+
+/// Exits 2 with one error line when `max_n` is above [`MAX_SESSION_N`].
+fn check_max_n(max_n: usize) {
+    if max_n > MAX_SESSION_N {
+        eprintln!("--max-n {max_n} is above {MAX_SESSION_N}, the largest length a session serves");
+        std::process::exit(2);
+    }
 }
 
 /// Shared flags of the `serve`/`query` subcommands.
@@ -308,7 +325,7 @@ fn service_usage(cmd: &str) -> ! {
          run at the same length under the same --seed and --threads.\n\
          --max-n sizes the error-budget split and is a hard cap: lengths\n\
          above it are refused (`query` raises it to max(--lengths)\n\
-         automatically).{}",
+         automatically). It may not exceed {MAX_SESSION_N}.{}",
         if cmd == "serve" {
             "[--regex PATTERN | --file PATH]"
         } else {
@@ -426,6 +443,7 @@ fn parse_service_args(cmd: &str, argv: &[String]) -> ServiceArgs {
 fn query_main(argv: &[String]) {
     let mut args = parse_service_args("query", argv);
     args.spec.max_n = args.spec.max_n.max(args.lengths.iter().copied().max().unwrap_or(0));
+    check_max_n(args.spec.max_n);
     let nfa = load_automaton_or_exit(args.regex.as_deref(), args.file.as_deref());
     let mut session = QuerySession::new(&nfa, args.spec.params(&nfa), args.spec.policy())
         .unwrap_or_else(|e| {
@@ -456,6 +474,7 @@ fn query_main(argv: &[String]) {
 /// yet, so an `error:` line would vanish into a broken pipeline.
 fn serve_main(argv: &[String]) -> i32 {
     let args = parse_service_args("serve", argv);
+    check_max_n(args.spec.max_n);
     let mut server = Server::new(ServerConfig { spec: args.spec.clone(), quota: args.quota });
     if args.regex.is_some() || args.file.is_some() {
         let opened = load_automaton(args.regex.as_deref(), args.file.as_deref())

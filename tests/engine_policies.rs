@@ -35,6 +35,7 @@ fn deterministic_policy_bit_identical_across_1_2_8_16_threads() {
                 .map(|&t| run_parallel(&nfa, n, &params, seed, t).unwrap())
                 .collect();
             assert!(runs[0].stats().trials_unwalked > 0, "{label} seed {seed}: no trial exited");
+            assert!(runs[0].stats().walks_sure > 0, "{label} seed {seed}: no sure walk");
             for (i, run) in runs.iter().enumerate().skip(1) {
                 assert_eq!(
                     runs[0].estimate().to_f64(),
@@ -49,6 +50,7 @@ fn deterministic_policy_bit_identical_across_1_2_8_16_threads() {
                 assert_eq!(runs[0].stats().samples_stored, run.stats().samples_stored);
                 assert_eq!(runs[0].stats().memo_hits, run.stats().memo_hits);
                 assert_eq!(runs[0].stats().trials_unwalked, run.stats().trials_unwalked);
+                assert_eq!(runs[0].stats().walks_sure, run.stats().walks_sure);
                 assert_eq!(runs[0].stats().walk_steps, run.stats().walk_steps);
                 for ell in 0..=n {
                     for q in 0..m as u32 {

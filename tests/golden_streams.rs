@@ -121,8 +121,9 @@ fn golden_streams_match_pinned_bits() {
 /// enabled must reproduce the exact pinned bits. Tracing reads the
 /// computation — if enabling it shifts even one estimate bit, an RNG
 /// stream was touched from an observability hook. The work counters
-/// must not move either: `walk_steps` and `AppUnion`'s tally bit tests
-/// are part of the output at every thread count, and so are
+/// must not move either: `walk_steps`, `AppUnion`'s tally bit tests,
+/// `trials_unwalked` and `walks_sure` are part of the output at every
+/// thread count, and so are
 /// `walk_nodes_built` and `walk_table_hits` at one thread (at two
 /// threads they depend on which worker walked where).
 #[test]
@@ -131,8 +132,8 @@ fn golden_streams_survive_tracing() {
         return; // recording runs own the table; nothing to rerecord here
     }
     // (one-thread walk steps, nodes built and table hits, two-thread
-    // walk steps, one- and two-thread union bit tests, trials unwalked)
-    // per row.
+    // walk steps, one- and two-thread union bit tests, trials unwalked,
+    // walks sure) per row.
     let walks = |serial: &FprasRun, det: &FprasRun| {
         let (s, d) = (serial.stats(), det.stats());
         assert!(s.walk_nodes_built > 0 && s.walk_nodes_built < s.walk_steps, "no walk reuse");
@@ -141,6 +142,7 @@ fn golden_streams_survive_tracing() {
         assert!(d.union_bit_tests > 0 && d.union_bit_tests <= d.membership_ops);
         assert!(s.walk_table_hits > 0 && s.walk_table_hits < s.walk_steps, "no compiled steps");
         assert_eq!(s.trials_unwalked, d.trials_unwalked, "exits depend on the thread count");
+        assert_eq!(s.walks_sure, d.walks_sure, "sure walks depend on the thread count");
         assert_eq!(s.memo_hits, d.memo_hits, "memo hits depend on the thread count");
         (
             s.walk_steps,
@@ -150,6 +152,7 @@ fn golden_streams_survive_tracing() {
             s.union_bit_tests,
             d.union_bit_tests,
             s.trials_unwalked,
+            s.walks_sure,
         )
     };
     let mut untraced = Vec::new();

@@ -151,6 +151,18 @@ fn serve_metrics_emits_prometheus_text() {
     }
     // The session summary still prints the histogram-backed line.
     assert!(stdout.contains("latency: count=3"), "{stdout}");
+    // `walks sure` reads the same in `metrics` as in a `query --stats`
+    // run of the same session settings.
+    let sure = |text: &str, key: &str| -> u64 {
+        let line = text.lines().find(|l| l.trim_start().starts_with(key)).expect(key);
+        line.rsplit(' ').next().expect("value").parse().expect("count")
+    };
+    let served = sure(&stdout, "fpras_walks_sure_total ");
+    let (query, stderr, ok) =
+        run(&["query", "--regex", "(0|1)*11(0|1)*", "--seed", "5", "--lengths", "6", "--stats"]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(served > 0, "{stdout}");
+    assert_eq!(served, sure(&query, "walks sure"), "{query}");
 }
 
 #[test]

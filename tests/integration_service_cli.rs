@@ -120,6 +120,35 @@ fn invalid_params_rejected_by_all_surfaces() {
     assert!(stderr3.contains("invalid parameters"), "{stderr3}");
 }
 
+/// `serve` and `query` refuse a `--max-n` above the largest length a
+/// session serves (4096) — `query` also when `--lengths` raises it there
+/// — with one error line and exit 2, before any level is built; 4096
+/// itself is accepted.
+#[test]
+fn max_n_above_the_ceiling_is_a_usage_error() {
+    let code = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nfa-count"))
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("binary runs");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    for args in [
+        &["serve", "--max-n", "4097"][..],
+        &["serve", "--regex", "1*", "--max-n", "1152921504606846976"],
+        &["query", "--regex", "1*", "--lengths", "4", "--max-n", "4097"],
+        &["query", "--regex", "1*", "--lengths", "4,5000"],
+    ] {
+        let (status, stderr) = code(args);
+        assert_eq!(status, Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains("is above 4096"), "{args:?}: {stderr}");
+    }
+    let (status, stderr) = code(&["serve", "--max-n", "4096"]);
+    assert_eq!(status, Some(0), "{stderr}");
+}
+
 #[test]
 fn query_requires_lengths() {
     let (_, stderr, ok) = run(&["query", "--regex", "1*"]);
