@@ -400,7 +400,6 @@ pub fn to_json(measurements: &[CounterMeasurement]) -> String {
         s.push_str(&format!("\"intern_hits\": {}, ", m.intern_hits));
         s.push_str(&format!("\"phase_plan_s\": {}, ", number(m.phase.plan.as_secs_f64())));
         s.push_str(&format!("\"phase_count_s\": {}, ", number(m.phase.count.as_secs_f64())));
-        s.push_str(&format!("\"phase_share_s\": {}, ", number(m.phase.share.as_secs_f64())));
         s.push_str(&format!("\"phase_sample_s\": {}, ", number(m.phase.sample.as_secs_f64())));
         s.push_str(&format!("\"phase_merge_s\": {}, ", number(m.phase.merge.as_secs_f64())));
         s.push_str(&format!(
@@ -743,7 +742,6 @@ mod tests {
         assert!(doc.contains("\"intern_hits\": 42"));
         assert!(doc.contains("\"phase_plan_s\": 0.005"));
         assert!(doc.contains("\"phase_count_s\": 0.125"));
-        assert!(doc.contains("\"phase_share_s\": 0.01"));
         assert!(doc.contains("\"phase_sample_s\": 0.08"));
         assert!(doc.contains("\"phase_merge_s\": 0.03"));
         assert!(doc.contains("\"phase_count_s\": 0,"), "all-zero phase for exact rows");

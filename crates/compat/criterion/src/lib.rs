@@ -5,6 +5,10 @@
 //! groups, `bench_function` / `bench_with_input`, [`BenchmarkId`], and
 //! the `criterion_group!` / `criterion_main!` macros.
 //!
+//! As upstream, the first command-line argument that is not a flag is
+//! a filter: `cargo bench --bench kernels -- reach` runs only the
+//! benchmarks whose `group/id` name contains `reach`.
+//!
 //! Measurement is intentionally simple — per benchmark it runs a short
 //! warm-up, then `sample_size` timed samples, and prints min / mean /
 //! max wall time per iteration. There are no statistics, plots, or
@@ -78,7 +82,9 @@ impl BenchmarkGroup<'_> {
         F: FnOnce(&mut Bencher),
     {
         let full = format!("{}/{}", self.name, id);
-        run_one(&full, self.sample_size, f);
+        if self.criterion.selects(&full) {
+            run_one(&full, self.sample_size, f);
+        }
         self
     }
 
@@ -88,13 +94,14 @@ impl BenchmarkGroup<'_> {
         F: FnOnce(&mut Bencher, &I),
     {
         let full = format!("{}/{}", self.name, id);
-        run_one(&full, self.sample_size, |b| f(b, input));
+        if self.criterion.selects(&full) {
+            run_one(&full, self.sample_size, |b| f(b, input));
+        }
         self
     }
 
     /// Ends the group (formatting separator only).
     pub fn finish(&mut self) {
-        let _ = &self.criterion;
         eprintln!();
     }
 }
@@ -119,9 +126,29 @@ fn run_one<F: FnOnce(&mut Bencher)>(name: &str, sample_size: usize, f: F) {
 #[derive(Default)]
 pub struct Criterion {
     default_sample_size: usize,
+    /// Only benchmarks whose full name contains this run.
+    filter: Option<String>,
+}
+
+/// The benchmark filter on a bench binary's command line (program name
+/// excluded): its first argument that is not a flag. Cargo passes
+/// `--bench` itself, so flags are skipped.
+fn filter_from_args(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|arg| !arg.starts_with('-'))
 }
 
 impl Criterion {
+    /// Reads the benchmark filter from the process's command line.
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = filter_from_args(std::env::args().skip(1));
+        self
+    }
+
+    /// True iff the benchmark named `name` passes the filter.
+    fn selects(&self, name: &str) -> bool {
+        self.filter.as_deref().is_none_or(|filter| name.contains(filter))
+    }
+
     /// Opens a named group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let sample_size = if self.default_sample_size == 0 { 10 } else { self.default_sample_size };
@@ -140,7 +167,10 @@ impl Criterion {
         F: FnOnce(&mut Bencher),
     {
         let sample_size = if self.default_sample_size == 0 { 10 } else { self.default_sample_size };
-        run_one(&id.to_string(), sample_size, f);
+        let name = id.to_string();
+        if self.selects(&name) {
+            run_one(&name, sample_size, f);
+        }
         self
     }
 }
@@ -150,7 +180,7 @@ impl Criterion {
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
         pub fn $group() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $($target(&mut criterion);)+
         }
     };
@@ -181,6 +211,31 @@ mod tests {
         assert_eq!(calls, 4);
         group.bench_with_input(BenchmarkId::new("h", 7), &7, |b, &x| b.iter(|| assert_eq!(x, 7)));
         group.finish();
+    }
+
+    #[test]
+    fn filter_is_the_first_non_flag_argument() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(filter_from_args(args(&["--bench", "reach"])), Some("reach".into()));
+        assert_eq!(filter_from_args(args(&["--bench"])), None);
+        assert_eq!(filter_from_args(args(&[])), None);
+        let c = Criterion { filter: Some("reach".into()), ..Criterion::default() };
+        assert!(c.selects("reach/m=48"));
+        assert!(c.selects("sampler/reach_trail"));
+        assert!(!c.selects("sampler_walk/n=28"));
+        assert!(Criterion::default().selects("sampler_walk/n=28"));
+    }
+
+    #[test]
+    fn filtered_out_benchmarks_never_run() {
+        let mut c = Criterion { filter: Some("keep".into()), ..Criterion::default() };
+        let mut group = c.benchmark_group("g");
+        let (mut kept, mut skipped) = (0, 0);
+        group.bench_function("keep", |b| b.iter(|| kept += 1));
+        group.bench_function("skip", |b| b.iter(|| skipped += 1));
+        group.finish();
+        assert!(kept > 0);
+        assert_eq!(skipped, 0);
     }
 
     #[test]

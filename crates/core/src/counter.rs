@@ -2,10 +2,13 @@
 //!
 //! The DP itself lives in [`crate::engine`]: one level-synchronous loop
 //! (count pass, then sample pass per level) on the engine's one
-//! executor, [`Deterministic`](crate::engine::Deterministic). [`FprasRun`] is
-//! what a finished run hands back — the estimate, instrumentation, and
-//! the full `(N, S)` table, which doubles as an almost-uniform generator
-//! for `L(A_n)` (see [`crate::generator::UniformGenerator`]).
+//! executor, [`Deterministic`](crate::engine::Deterministic), filling
+//! one checkpointed run — the same one a
+//! [`QuerySession`](crate::service::QuerySession) extends. [`FprasRun`]
+//! is what a fresh run hands back: the estimate, instrumentation, and
+//! that checkpoint with its full `(N, S)` table, which doubles as an
+//! almost-uniform generator for `L(A_n)` (see
+//! [`crate::generator::UniformGenerator`]).
 //!
 //! Normalizations applied before the DP (DESIGN.md D7):
 //! * the automaton is trimmed to useful states — if nothing remains the
@@ -14,7 +17,7 @@
 //! * `n = 0` is answered directly (`λ ∈ L(A)` iff the initial state
 //!   accepts).
 
-use crate::engine::{run_parallel, run_robp_parallel, RunInner};
+use crate::engine::{run_parallel, run_robp_parallel, Run};
 use crate::error::FprasError;
 use crate::params::Params;
 use crate::run_stats::RunStats;
@@ -25,9 +28,9 @@ use rand::{Rng, RngExt};
 
 /// A completed FPRAS run: the estimate plus the full `(N, S)` table.
 pub struct FprasRun {
-    /// The normalized automaton the DP ran on (trimmed, single accepting
-    /// state). `None` for degenerate runs (empty language or `n = 0`).
-    pub(crate) inner: Option<RunInner>,
+    /// The checkpointed run the DP built, kept for the generator to draw
+    /// from. `None` for degenerate runs (empty language or `n = 0`).
+    pub(crate) inner: Option<Run>,
     pub(crate) n: usize,
     pub(crate) estimate: ExtFloat,
     pub(crate) params: Params,
@@ -108,9 +111,7 @@ impl FprasRun {
         let inner = self.inner.as_ref()?;
         let mut out = Vec::with_capacity(self.n + 1);
         out.push(if self.accepts_lambda { ExtFloat::ONE } else { ExtFloat::ZERO });
-        for ell in 1..=self.n {
-            out.push(inner.table.cell(ell, inner.q_final as usize).n_est);
-        }
+        out.extend((1..=self.n).map(|ell| inner.estimate(ell)));
         Some(out)
     }
 

@@ -18,7 +18,12 @@
 //!
 //! Every per-level computation (`run_group`, `assemble_count_cell`,
 //! `sample_cell`) lives here, so optimizations land in exactly one
-//! place.
+//! place. The table they fill is one checkpoint, the crate-private
+//! `Run` (`engine/run.rs`): fresh runs ([`run_parallel`],
+//! [`run_robp_parallel`]) open it and extend it to `n` once, the
+//! generator draws from it, and a
+//! [`QuerySession`](crate::service::QuerySession) keeps it and extends
+//! it again per query, all through the same four operations.
 //!
 //! # Batched union estimation (D8)
 //!
@@ -49,6 +54,7 @@ pub mod batch;
 pub mod memo;
 pub mod policy;
 pub mod pool;
+mod run;
 pub mod substrate;
 
 use crate::app_union;
@@ -61,7 +67,6 @@ use crate::run_stats::RunStats;
 use crate::sample_set::SampleSet;
 use crate::sampler::{sample_words, SamplerEnv, SamplerScratch};
 use crate::table::{RunTable, SampleOutcome};
-use fpras_automata::ops::{trim, with_single_accepting};
 use fpras_automata::robp::Robp;
 use fpras_automata::{Nfa, StateId, StateSet};
 use fpras_numeric::ExtFloat;
@@ -73,26 +78,9 @@ pub use batch::{FrontierGroup, LevelPlan};
 pub use memo::{MemoEntry, MemoTier, UnionMemo};
 pub use policy::Deterministic;
 pub use pool::{Pool, MAX_THREADS};
+pub(crate) use run::Run;
+pub use run::Source;
 pub use substrate::{LeveledSubstrate, NfaSubstrate, RobpSubstrate};
-
-/// The state a finished run keeps: the substrate the DP ran over (for
-/// the NFA front-end: the trimmed single-accepting automaton with its
-/// unrolling and stepping arenas), the filled `(N, S)` table, and the
-/// union memo the generator keeps extending.
-pub(crate) struct RunInner {
-    pub(crate) substrate: Box<dyn LeveledSubstrate>,
-    pub(crate) table: RunTable,
-    pub(crate) memo: UnionMemo,
-    /// The run's frontier interner: post-run sampler walks keep
-    /// interning against it, so memo keys stay consistent with the ids
-    /// minted during the run.
-    pub(crate) interner: FrontierInterner,
-    /// Seed of the run's frontier-keyed sampler union streams (D9); the
-    /// generator keeps using it so post-run memo misses stay congruent
-    /// with in-run estimates.
-    pub(crate) sampler_seed: u64,
-    pub(crate) q_final: StateId,
-}
 
 /// Immutable per-run context handed to the executor and cell computations.
 pub struct EngineCtx<'a> {
@@ -295,11 +283,10 @@ fn check_budget(params: &Params, stats: &RunStats) -> Result<(), FprasError> {
 /// groups and cells, the sample pass over the live cells, and the memo
 /// commit.
 ///
-/// This is the loop body of every run, extracted so a checkpointed run
-/// ([`crate::service::QuerySession`]) can resume at level `built + 1`
-/// and execute *exactly* the code a fresh run would — the whole
-/// bit-identity argument of DESIGN.md D11 rests on the two paths
-/// sharing this one function. Everything it reads is a function of
+/// This is the loop body of every run; its one caller is
+/// `Run::extend_to`, which fresh runs and sessions both call, so a
+/// session resuming at level `built + 1` executes *exactly* the code a
+/// fresh run would (DESIGN.md D11). Everything it reads is a function of
 /// `(params, level, table, memo)` — never of the run's current horizon
 /// — provided `params.trim_dead` is off (the alive-set filter is the
 /// one horizon-dependent input; sessions reject it).
@@ -426,35 +413,6 @@ pub(crate) fn run_level(
     check_budget(params, stats)
 }
 
-/// Normalizes an automaton for the DP (DESIGN.md D7): trims to useful
-/// states and folds the accepting states into one. Returns `None` when
-/// trimming leaves nothing (the language is empty at every length > 0).
-/// Shared by fresh runs and sessions so both run the DP on the same
-/// automaton.
-pub(crate) fn normalize_for_run(nfa: &Nfa) -> Option<(Nfa, StateId)> {
-    let trimmed = trim(nfa)?;
-    let normalized = with_single_accepting(&trimmed);
-    let q_final =
-        normalized.accepting().iter().next().expect("normalized automaton has an accepting state")
-            as StateId;
-    Some((normalized, q_final))
-}
-
-/// Writes level 0 of the DP (Algorithm 3 lines 6–10):
-/// `N(I⁰) = 1, S(I⁰) = (λ, λ, …)`. Shared by fresh runs and sessions,
-/// for every substrate (the source cell is always the sole level-0 seed).
-pub(crate) fn seed_level_zero(
-    table: &mut RunTable,
-    substrate: &dyn LeveledSubstrate,
-    params: &Params,
-) {
-    let m = substrate.universe();
-    let init = substrate.initial();
-    let cell = table.cell_mut(0, init);
-    cell.n_est = ExtFloat::ONE;
-    cell.samples = SampleSet::repeated(&StateSet::singleton(m, init), params.ns);
-}
-
 /// Runs the FPRAS on `nfa` for words of length `n`, with per-cell
 /// streams derived from `master_seed` and each pass fanned out over up
 /// to `threads` (≥ 1) workers.
@@ -500,117 +458,7 @@ pub fn run_parallel(
             params.n_hint
         )));
     }
-    let start = Instant::now();
-    let degenerate = |estimate: ExtFloat, accepts_lambda: bool| {
-        let wall = start.elapsed();
-        FprasRun {
-            inner: None,
-            n,
-            estimate,
-            params: params.clone(),
-            stats: RunStats { wall, wall_max: wall, ..RunStats::default() },
-            accepts_lambda,
-        }
-    };
-
-    // n = 0: the DP is about positive-length words; answer directly.
-    if n == 0 {
-        let accepts = nfa.is_accepting(nfa.initial());
-        let est = if accepts { ExtFloat::ONE } else { ExtFloat::ZERO };
-        return Ok(degenerate(est, accepts));
-    }
-
-    // Normalize: trim, then fold accepting states (DESIGN.md D7).
-    let Some((normalized, q_final)) = normalize_for_run(nfa) else {
-        return Ok(degenerate(ExtFloat::ZERO, false));
-    };
-    let substrate = NfaSubstrate::new(normalized, q_final, n)?;
-    if !substrate.language_nonempty() {
-        return Ok(degenerate(ExtFloat::ZERO, false));
-    }
-    let exec = Deterministic::new(master_seed, threads);
-    run_on_substrate(Box::new(substrate), n, params, &exec, nfa.is_accepting(nfa.initial()), start)
-}
-
-/// The substrate-generic run core: the level loop over an already-built
-/// [`LeveledSubstrate`] whose views cover `0..=n` and whose language is
-/// known non-empty at `n`. Front-end entry points ([`run_parallel`] for
-/// NFAs, [`run_robp_parallel`] for nROBPs) handle normalization and the
-/// degenerate cases, then delegate here.
-fn run_on_substrate(
-    substrate: Box<dyn LeveledSubstrate>,
-    n: usize,
-    params: &Params,
-    exec: &Deterministic,
-    accepts_lambda: bool,
-    start: Instant,
-) -> Result<FprasRun, FprasError> {
-    let m = substrate.universe();
-    let q_final = substrate.final_cell();
-    // One interner per run: every memo key below is minted here.
-    let interner = FrontierInterner::new(m);
-    // One seed per run for the frontier-keyed sampler union streams (D9).
-    let sampler_seed = policy::sampler_union_seed(exec.master_seed());
-    // Deliberately no run-horizon field: per-level work must be a
-    // function of `(Params, level, table, memo)` alone, or resumed
-    // sessions could not be bit-identical to fresh runs (D11).
-    let ctx = EngineCtx {
-        params,
-        substrate: &*substrate,
-        interner: &interner,
-        m,
-        k: substrate.width() as u8,
-        sampler_seed,
-    };
-
-    let mut table = RunTable::new(m, n)?;
-    let mut memo = UnionMemo::new();
-    let mut stats = RunStats::default();
-
-    crate::obs::emit_with(|| crate::obs::TraceEvent::RunStart {
-        substrate: ctx.substrate.kind(),
-        policy: "deterministic",
-        n,
-        from_level: 1,
-    });
-
-    seed_level_zero(&mut table, &*substrate, params);
-
-    for ell in 1..=n {
-        run_level(&ctx, &mut table, &mut memo, &mut stats, ell, exec)?;
-    }
-
-    let estimate = table.cell(n, q_final as usize).n_est;
-    // Executor evidence (D10): drained once per run. Scheduling-only —
-    // everything above is bit-identical for any thread count; these
-    // counters record how the work actually spread over the workers.
-    stats.pool.merge(&exec.take_pool_stats());
-    // Interner evidence (§2.5): snapshot of the run's key traffic.
-    stats.intern = interner.stats();
-    stats.wall = start.elapsed();
-    stats.wall_max = stats.wall;
-    if crate::obs::trace_enabled() {
-        if stats.pool.parallel_passes + stats.pool.sequential_passes > 0 {
-            crate::obs::emit_with(|| crate::obs::TraceEvent::PoolSummary {
-                parallel_passes: stats.pool.parallel_passes,
-                sequential_passes: stats.pool.sequential_passes,
-                items: stats.pool.parallel_items + stats.pool.sequential_items,
-                steals: stats.pool.steals,
-            });
-        }
-        crate::obs::emit_with(|| crate::obs::TraceEvent::RunEnd {
-            ops: stats.membership_ops,
-            wall_us: stats.wall.as_micros() as u64,
-        });
-    }
-    Ok(FprasRun {
-        inner: Some(RunInner { substrate, table, memo, interner, sampler_seed, q_final }),
-        n,
-        estimate,
-        params: params.clone(),
-        stats,
-        accepts_lambda,
-    })
+    run_fresh(Source::Nfa(nfa), n, params, master_seed, threads)
 }
 
 /// Runs the FPRAS over an nROBP, estimating the number of accepted
@@ -634,21 +482,47 @@ pub fn run_robp_parallel(
             params.n_hint
         )));
     }
+    run_fresh(Source::Robp(robp), n, params, master_seed, threads)
+}
+
+/// The fresh run behind both entry points: opens `source`, builds it to
+/// `n` on `threads` workers and wraps it, with `RunStats::wall` spanning
+/// the whole call. `n = 0` is answered directly (the DP is about
+/// positive-length words); a source that opens to nothing, or accepts
+/// nothing at `n`, becomes the zero run without a table.
+fn run_fresh(
+    source: Source<'_>,
+    n: usize,
+    params: &Params,
+    master_seed: u64,
+    threads: usize,
+) -> Result<FprasRun, FprasError> {
     let start = Instant::now();
-    let substrate = RobpSubstrate::new(robp);
-    if !substrate.language_nonempty() {
-        let wall = start.elapsed();
-        return Ok(FprasRun {
-            inner: None,
-            n,
-            estimate: ExtFloat::ZERO,
-            params: params.clone(),
-            stats: RunStats { wall, wall_max: wall, ..RunStats::default() },
-            accepts_lambda: false,
-        });
+    let mut stats = RunStats::default();
+    let mut inner = None;
+    if n > 0 {
+        if let Some(mut run) = Run::open(source, params, master_seed)? {
+            if run.accepts_at(n)? {
+                run.extend_to(n, params, &Deterministic::new(master_seed, threads), &mut stats)?;
+                inner = Some(run);
+            }
+        }
     }
-    let exec = Deterministic::new(master_seed, threads);
-    run_on_substrate(Box::new(substrate), n, params, &exec, false, start)
+    let accepts_lambda = source.accepts_lambda() && (n == 0 || inner.is_some());
+    stats.wall = start.elapsed();
+    stats.wall_max = stats.wall;
+    Ok(FprasRun {
+        estimate: match &inner {
+            Some(run) => run.estimate(n),
+            None if n == 0 && accepts_lambda => ExtFloat::ONE,
+            None => ExtFloat::ZERO,
+        },
+        accepts_lambda,
+        inner,
+        n,
+        params: params.clone(),
+        stats,
+    })
 }
 
 #[cfg(test)]

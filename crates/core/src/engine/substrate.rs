@@ -113,18 +113,13 @@ pub struct NfaSubstrate {
 }
 
 impl NfaSubstrate {
-    /// Wraps a *normalized* automaton (see `engine::normalize_for_run`)
+    /// Wraps a *normalized* automaton (trimmed, one accepting state)
     /// with views covering levels `0..=n`; fails when they cannot be
     /// reserved.
     pub fn new(nfa: Nfa, q_final: u32, n: usize) -> Result<Self, FprasError> {
         let unroll = Unrolling::new(&nfa, n)?;
         let masks = StepMasks::new(&nfa);
         Ok(NfaSubstrate { nfa, unroll, masks, q_final })
-    }
-
-    /// True iff `L(A_n)` is non-empty at the current horizon.
-    pub fn language_nonempty(&self) -> bool {
-        self.unroll.language_nonempty()
     }
 }
 
@@ -253,11 +248,6 @@ impl RobpSubstrate {
     /// The program's intrinsic level count.
     pub fn depth(&self) -> usize {
         self.depth
-    }
-
-    /// True iff the program accepts at least one assignment.
-    pub fn language_nonempty(&self) -> bool {
-        self.reach_sets[self.depth].contains(self.sink as usize)
     }
 }
 

@@ -7,13 +7,16 @@
 //! `γ₀` (Theorem 2(1)), so conditioning on non-⊥ gives an almost-uniform
 //! draw. This module packages that as a retrying generator API — the
 //! counterpart of the paper's regular-path-query *sampling* application.
+//! A generator draws through the run's one draw path, the one a
+//! [`QuerySession`](crate::service::QuerySession)'s `sample` takes, so
+//! a session at the same seed draws the same words.
 
 use crate::counter::FprasRun;
-use crate::sampler::{sample_one, SamplerEnv, SamplerScratch};
 use fpras_automata::Word;
 use rand::Rng;
 
-/// Default number of ⊥ results tolerated per draw before giving up.
+/// Number of ⊥ results tolerated per draw before giving up, for
+/// generators and session `sample` queries alike.
 /// Theorem 2(2) bounds the per-call failure probability by
 /// `1 − 2/(3e²) ≈ 0.91`, so 400 retries push the miss probability below
 /// `0.91⁴⁰⁰ < 10⁻¹⁶` even at the worst-case rate.
@@ -22,26 +25,18 @@ pub const DEFAULT_RETRY_LIMIT: usize = 400;
 /// An almost-uniform generator over `L(A_n)`.
 ///
 /// Wraps a completed [`FprasRun`]; each [`UniformGenerator::generate`]
-/// call replays Algorithm 2 from the accepting state. The generator
-/// mutates its internal union memo (when memoization is enabled), hence
-/// `&mut self`.
+/// call replays Algorithm 2 from the accepting state through the run's
+/// one draw path, the same one a session's `sample` takes. The generator
+/// mutates the run's union memo (when memoization is enabled) and
+/// sampler scratch, hence `&mut self`.
 pub struct UniformGenerator {
     run: FprasRun,
-    retry_limit: usize,
-    /// Reusable sampler buffers: allocated once, rebuilt per draw.
-    scratch: SamplerScratch,
 }
 
 impl UniformGenerator {
     /// Builds a generator from a finished run.
     pub fn new(run: FprasRun) -> Self {
-        UniformGenerator { run, retry_limit: DEFAULT_RETRY_LIMIT, scratch: SamplerScratch::new() }
-    }
-
-    /// Overrides the per-draw retry limit.
-    pub fn with_retry_limit(mut self, limit: usize) -> Self {
-        self.retry_limit = limit.max(1);
-        self
+        UniformGenerator { run }
     }
 
     /// Access to the underlying run (estimate, stats, parameters).
@@ -56,35 +51,19 @@ impl UniformGenerator {
 
     /// Draws one almost-uniform word from `L(A_n)`.
     ///
-    /// Returns `None` when the language slice is empty or every retry
-    /// failed (probability `≤ (1 − 2/(3e²))^limit` under accurate
-    /// estimates). Each call is one retry loop of the sampler, and so
-    /// its own epoch (DESIGN.md D21): whether a retry ends before walking
-    /// depends only on the call's own retries.
+    /// Returns `None` when the language slice is empty or every one of
+    /// [`DEFAULT_RETRY_LIMIT`] retries failed (probability
+    /// `≤ (1 − 2/(3e²))^limit` under accurate estimates). Each call is
+    /// one retry loop of the sampler, and so its own epoch (DESIGN.md
+    /// D21): whether a retry ends before walking depends only on the
+    /// call's own retries.
     pub fn generate<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Word> {
-        // Degenerate runs: empty language or the n = 0 special case.
-        let Some(inner) = self.run.inner.as_mut() else {
-            return if self.run.accepts_lambda { Some(Word::empty()) } else { None };
-        };
-        let n = self.run.n;
-        let q_final = inner.q_final;
-        let env = SamplerEnv {
-            params: &self.run.params,
-            substrate: &*inner.substrate,
-            interner: &inner.interner,
-            sampler_seed: inner.sampler_seed,
-        };
-        sample_one(
-            &env,
-            &inner.table,
-            &inner.memo,
-            q_final,
-            n,
-            self.retry_limit,
-            rng,
-            &mut self.scratch,
-            &mut self.run.stats,
-        )
+        let FprasRun { inner, n, params, stats, accepts_lambda, .. } = &mut self.run;
+        match inner {
+            Some(run) => run.draw(*n, params, rng, stats),
+            // Degenerate runs: empty language or the n = 0 special case.
+            None => accepts_lambda.then(Word::empty),
+        }
     }
 
     /// Draws up to `count` words (fewer only on repeated failure).
@@ -97,8 +76,11 @@ impl UniformGenerator {
 mod tests {
     use super::*;
     use crate::counter::FprasRun;
+    use crate::engine::Run;
     use crate::params::Params;
+    use crate::sampler::{sample_one, SamplerEnv};
     use crate::table::SampleOutcome;
+    use crate::RunStats;
     use fpras_automata::exact::count_exact;
     use fpras_automata::{Alphabet, Nfa, NfaBuilder};
     use fpras_numeric::stats::tv_to_uniform;
@@ -183,7 +165,6 @@ mod tests {
     #[test]
     fn one_epoch_draws_close_to_uniform() {
         use crate::sampler::sample_words;
-        use crate::RunStats;
         use std::ops::ControlFlow;
         let regex = fpras_automata::regex::compile_regex(
             "(0|1)*1(0|1)(0|1)(0|1)((00)*|(111)*)",
@@ -193,22 +174,22 @@ mod tests {
         for (nfa, n) in [(contains_11(), 5), (regex, 8)] {
             let support = count_exact(&nfa, n).unwrap().to_u64().unwrap() as usize;
             let (mut g, mut rng) = generator_for(&nfa, n, 1234);
-            let inner = g.run.inner.as_ref().unwrap();
+            let FprasRun { inner, params, .. } = &mut g.run;
+            let Run { substrate, interner, table, memo, sampler_seed, q_final, scratch, .. } =
+                inner.as_mut().unwrap();
             let env = SamplerEnv {
-                params: &g.run.params,
-                substrate: &*inner.substrate,
-                interner: &inner.interner,
-                sampler_seed: inner.sampler_seed,
+                params,
+                substrate: &**substrate,
+                interner,
+                sampler_seed: *sampler_seed,
             };
             let mut stats = RunStats::default();
             let mut counts: HashMap<u64, u64> = HashMap::new();
-            let (table, memo, q_final) = (&inner.table, &inner.memo, inner.q_final);
-            let scratch = &mut g.scratch;
             sample_words(
                 &env,
                 table,
                 memo,
-                q_final,
+                *q_final,
                 n,
                 120_000,
                 &mut rng,
@@ -241,14 +222,22 @@ mod tests {
         assert!(rate <= bound + 0.02, "rejection rate {rate} above bound {bound}");
     }
 
+    /// The retry loop stops at its attempt limit: with one attempt per
+    /// draw, some draws return `None`.
     #[test]
     fn retry_limit_respected() {
         let nfa = contains_11();
-        let (g, _rng) = generator_for(&nfa, 6, 5);
-        let mut g = g.with_retry_limit(1);
-        // With retry 1 some draws fail: count Nones over many attempts.
+        let (mut g, _rng) = generator_for(&nfa, 6, 5);
+        let FprasRun { inner, params, .. } = &mut g.run;
+        let Run { substrate, interner, table, memo, sampler_seed, q_final, scratch, .. } =
+            inner.as_mut().unwrap();
+        let env =
+            SamplerEnv { params, substrate: &**substrate, interner, sampler_seed: *sampler_seed };
+        let mut stats = RunStats::default();
         let mut rng = SmallRng::seed_from_u64(8);
-        let got: Vec<_> = (0..200).map(|_| g.generate(&mut rng)).collect();
+        let got: Vec<_> = (0..200)
+            .map(|_| sample_one(&env, table, memo, *q_final, 6, 1, &mut rng, scratch, &mut stats))
+            .collect();
         let some = got.iter().filter(|w| w.is_some()).count();
         let none = got.len() - some;
         assert!(some > 0, "some draws should succeed");

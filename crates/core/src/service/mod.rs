@@ -62,33 +62,7 @@ pub use server::{
 };
 pub use session::{QuerySession, SessionStats};
 
-use fpras_automata::robp::Robp;
-use fpras_automata::Nfa;
-
-/// What a session is compiled from: one of the engine's two leveled
-/// substrates (DESIGN.md D14). Every service entry point that needs an
-/// input takes `impl Into<Source>`, so `&Nfa` and `&Robp` both pass
-/// straight through one constructor, one key and one registry lookup.
-#[derive(Debug, Clone, Copy)]
-pub enum Source<'a> {
-    /// A word automaton: sessions answer `|L(A_n)|` for every `n`.
-    Nfa(&'a Nfa),
-    /// A non-deterministic read-once branching program: sessions answer
-    /// its assignment count at `n = depth`.
-    Robp(&'a Robp),
-}
-
-impl<'a> From<&'a Nfa> for Source<'a> {
-    fn from(nfa: &'a Nfa) -> Self {
-        Source::Nfa(nfa)
-    }
-}
-
-impl<'a> From<&'a Robp> for Source<'a> {
-    fn from(robp: &'a Robp) -> Self {
-        Source::Robp(robp)
-    }
-}
+pub use crate::engine::Source;
 
 impl Source<'_> {
     /// The structural fingerprint of the input: [`nfa_fingerprint`] or

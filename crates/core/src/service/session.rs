@@ -1,20 +1,20 @@
 //! A checkpointable engine run serving `(A, n)` queries incrementally.
+//!
+//! The run itself is the engine's one checkpoint, `engine::Run`: a
+//! session opens it exactly as a fresh run does, extends it level by
+//! level as queries reach further, and draws from it as a generator
+//! does. What stays here is what only a session has: poisoning after a
+//! budget abort, the `trim_dead` rejection, the nROBP depth guard, the
+//! shared pool, the per-query budget, query accounting and latency, and
+//! the `sample` work kept apart in `query_run_stats`.
 
-use crate::engine::policy::sampler_union_seed;
-use crate::engine::{
-    normalize_for_run, run_level, seed_level_zero, Deterministic, EngineCtx, LeveledSubstrate,
-    NfaSubstrate, Pool, RobpSubstrate, UnionMemo,
-};
+use crate::engine::{Deterministic, Pool, Run, Source};
 use crate::error::FprasError;
-use crate::generator::DEFAULT_RETRY_LIMIT;
-use crate::intern::FrontierInterner;
 use crate::obs::LatencyHistogram;
 use crate::params::Params;
 use crate::run_stats::RunStats;
-use crate::sampler::{sample_one, SamplerEnv, SamplerScratch};
-use crate::service::{SessionPolicy, Source};
-use crate::table::RunTable;
-use fpras_automata::{StateId, Word};
+use crate::service::SessionPolicy;
+use fpras_automata::Word;
 use fpras_numeric::ExtFloat;
 use rand::Rng;
 use std::sync::Arc;
@@ -90,26 +90,6 @@ impl std::fmt::Display for SessionStats {
     }
 }
 
-/// The live state of a non-degenerate session: the leveled substrate
-/// (D14) and the checkpointed engine run (everything `engine::run_level`
-/// needs to continue where the last query stopped).
-struct SessionInner {
-    substrate: Box<dyn LeveledSubstrate>,
-    /// The session-lifetime frontier interner: ids stay stable across
-    /// extensions, so memo keys minted at level `k` keep working when a
-    /// later query extends the run (the bit-identity invariant only
-    /// needs the *tags*, which are content-keyed either way).
-    interner: FrontierInterner,
-    table: RunTable,
-    memo: UnionMemo,
-    sampler_seed: u64,
-    q_final: StateId,
-    /// Reusable sampler buffers for `sample` queries.
-    scratch: SamplerScratch,
-    /// Levels `1..=built` are finished (level 0 is seeded at creation).
-    built: usize,
-}
-
 /// One automaton, compiled once, serving `estimate`/`sample` queries at
 /// many lengths from a single checkpointable engine run.
 ///
@@ -164,9 +144,11 @@ pub struct QuerySession {
     /// `λ ∈ L(A)` of the *original* automaton (length-0 queries are
     /// answered directly, like the engine's `n = 0` path).
     accepts_lambda: bool,
-    /// `None` when trimming removed every state: all positive-length
-    /// slices are empty and every estimate is zero.
-    inner: Option<SessionInner>,
+    /// The checkpointed engine run, the same one a fresh run builds.
+    /// `None` when the source opened to nothing (trimming removed every
+    /// state, or the program accepts no assignment): every
+    /// positive-length slice is empty and every estimate is zero.
+    inner: Option<Run>,
     stats: SessionStats,
     run_stats: RunStats,
     /// Counters of the work done *serving* `sample` queries, kept apart
@@ -210,54 +192,25 @@ impl QuerySession {
                     .into(),
             ));
         }
-        let (accepts_lambda, substrate): (bool, Option<Box<dyn LeveledSubstrate>>) =
-            match source.into() {
-                Source::Nfa(nfa) => (
-                    nfa.is_accepting(nfa.initial()),
-                    match normalize_for_run(nfa) {
-                        Some((normalized, q_final)) => {
-                            Some(Box::new(NfaSubstrate::new(normalized, q_final, 0)?) as _)
-                        }
-                        None => None,
-                    },
-                ),
-                Source::Robp(robp) => {
-                    if params.n_hint > robp.depth() {
-                        return Err(FprasError::InvalidParams(format!(
-                            "session derivation length (n_hint = {}) exceeds the program depth \
-                             {}: an nROBP reads each variable once, so no longer query could \
-                             ever be served",
-                            params.n_hint,
-                            robp.depth()
-                        )));
-                    }
-                    let substrate = RobpSubstrate::new(robp);
-                    (false, substrate.language_nonempty().then(|| Box::new(substrate) as _))
-                }
-            };
+        let source = source.into();
+        if let Source::Robp(robp) = source {
+            if params.n_hint > robp.depth() {
+                return Err(FprasError::InvalidParams(format!(
+                    "session derivation length (n_hint = {}) exceeds the program depth {}: an \
+                     nROBP reads each variable once, so no longer query could ever be served",
+                    params.n_hint,
+                    robp.depth()
+                )));
+            }
+        }
         let policy = policy.normalized();
         let SessionPolicy::Deterministic { seed, .. } = policy;
-        let inner = substrate.map(|substrate| -> Result<_, FprasError> {
-            let m = substrate.universe();
-            let mut table = RunTable::new(m, 0)?;
-            seed_level_zero(&mut table, &*substrate, &params);
-            Ok(SessionInner {
-                interner: FrontierInterner::new(m),
-                table,
-                memo: UnionMemo::new(),
-                sampler_seed: sampler_union_seed(seed),
-                q_final: substrate.final_cell(),
-                scratch: SamplerScratch::new(),
-                built: 0,
-                substrate,
-            })
-        });
-        let inner = inner.transpose()?;
+        let inner = Run::open(source, &params, seed)?;
         Ok(QuerySession {
             params,
             policy,
             shared_pool: None,
-            accepts_lambda,
+            accepts_lambda: source.accepts_lambda(),
             inner,
             stats: SessionStats::default(),
             run_stats: RunStats::default(),
@@ -331,7 +284,7 @@ impl QuerySession {
 
     /// Highest finished level — queries `≤` this are free.
     pub fn levels_built(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.built)
+        self.inner.as_ref().map_or(0, Run::levels_built)
     }
 
     /// Attaches a shared work-stealing [`Pool`]: every later extension
@@ -369,36 +322,15 @@ impl QuerySession {
 
     /// Extends the checkpointed run so levels `1..=n` are finished.
     ///
-    /// Runs `engine::run_level` — the same function a fresh run loops
-    /// over — for each missing level, with the session-owned policy and
-    /// cumulative stats. On a budget abort the session is poisoned (the
-    /// offending level is half-built) and every later query fails fast.
+    /// [`Run::extend_to`] — the call a fresh run makes — with the
+    /// session-owned policy and cumulative stats. On a budget abort the
+    /// session is poisoned (the offending level is half-built) and every
+    /// later query fails fast.
     fn ensure_built(&mut self, n: usize) -> Result<(), FprasError> {
         self.check_poisoned()?;
-        let Some(inner) = self.inner.as_mut() else {
+        let Some(run) = self.inner.as_mut().filter(|run| n > run.levels_built()) else {
             return Ok(());
         };
-        if n <= inner.built {
-            return Ok(());
-        }
-        let start = std::time::Instant::now();
-        let SessionInner { substrate, interner, table, memo, sampler_seed, built, .. } = inner;
-        substrate.ensure_horizon(n)?;
-        table.grow(n)?;
-        let ctx = EngineCtx {
-            params: &self.params,
-            substrate: &**substrate,
-            interner,
-            m: substrate.universe(),
-            k: substrate.width() as u8,
-            sampler_seed: *sampler_seed,
-        };
-        crate::obs::emit_with(|| crate::obs::TraceEvent::RunStart {
-            substrate: substrate.kind(),
-            policy: "deterministic",
-            n,
-            from_level: *built + 1,
-        });
         // Workers live only for this extension unless a serving
         // front-end attached a shared pool (see the `policy` field
         // docs); output is pool-instance independent.
@@ -407,31 +339,9 @@ impl QuerySession {
             Some(pool) => Deterministic::with_pool(seed, Arc::clone(pool)),
             None => Deterministic::new(seed, threads),
         };
-        let mut result = Ok(());
-        for ell in *built + 1..=n {
-            if let Err(e) = run_level(&ctx, table, memo, &mut self.run_stats, ell, &exec) {
-                result = Err(e);
-                break;
-            }
-            *built = ell;
-        }
-        // Executor evidence (D10), drained once per extension like a
-        // fresh run drains it once per run.
-        self.run_stats.pool.merge(&exec.take_pool_stats());
-        // Snapshot (not merge): the interner is cumulative over the
-        // session's whole life, so the latest reading is the total.
-        self.run_stats.intern = interner.stats();
-        let wall = start.elapsed();
-        self.run_stats.wall += wall;
-        // The session's cumulative build wall is one merged contribution
-        // when the registry folds sessions together (wall_longest).
-        self.run_stats.wall_max = self.run_stats.wall;
+        let result = run.extend_to(n, &self.params, &exec, &mut self.run_stats);
         self.note_walks_sure();
-        crate::obs::emit_with(|| crate::obs::TraceEvent::RunEnd {
-            ops: self.run_stats.membership_ops,
-            wall_us: wall.as_micros() as u64,
-        });
-        if result.is_err() {
+        if matches!(result, Err(FprasError::BudgetExceeded { .. })) {
             self.poisoned = true;
         }
         result
@@ -466,18 +376,20 @@ impl QuerySession {
         self.check_horizon(n)?;
         let qstart = std::time::Instant::now();
         let have = self.levels_built();
-        if n == 0 {
-            self.account_query(0, have, true);
-            self.stats.latency.record_duration(qstart.elapsed());
-            return Ok(if self.accepts_lambda { ExtFloat::ONE } else { ExtFloat::ZERO });
-        }
         self.ensure_built(n)?;
         self.account_query(n, have, true);
         self.stats.latency.record_duration(qstart.elapsed());
-        let Some(inner) = self.inner.as_ref() else {
-            return Ok(ExtFloat::ZERO);
-        };
-        Ok(inner.table.cell(n, inner.q_final as usize).n_est)
+        Ok(self.slice(n))
+    }
+
+    /// The length-`n` slice's answer, `n` built: `λ ∈ L` at `n = 0`,
+    /// else the run's estimate (zero when the source opened to nothing).
+    fn slice(&self, n: usize) -> ExtFloat {
+        match &self.inner {
+            _ if n == 0 && self.accepts_lambda => ExtFloat::ONE,
+            Some(run) if n > 0 => run.estimate(n),
+            _ => ExtFloat::ZERO,
+        }
     }
 
     /// Estimates every slice `|L(A_ℓ)|` for `ℓ ∈ a..=b` from the one
@@ -497,21 +409,7 @@ impl QuerySession {
         self.ensure_built(b)?;
         self.account_query(b, have, true);
         self.stats.latency.record_duration(qstart.elapsed());
-        Ok((a..=b)
-            .map(|ell| {
-                if ell == 0 {
-                    if self.accepts_lambda {
-                        ExtFloat::ONE
-                    } else {
-                        ExtFloat::ZERO
-                    }
-                } else {
-                    self.inner
-                        .as_ref()
-                        .map_or(ExtFloat::ZERO, |i| i.table.cell(ell, i.q_final as usize).n_est)
-                }
-            })
-            .collect())
+        Ok((a..=b).map(|ell| self.slice(ell)).collect())
     }
 
     /// Draws one almost-uniform word from `L(A_n)`, extending the run
@@ -544,28 +442,12 @@ impl QuerySession {
         }
         self.ensure_built(n)?;
         self.account_query(n, have, false);
-        let Some(inner) = self.inner.as_mut() else {
+        let Some(run) = self.inner.as_mut() else {
             self.stats.latency.record_duration(qstart.elapsed());
             return Ok(None);
         };
         let start = std::time::Instant::now();
-        let env = SamplerEnv {
-            params: &self.params,
-            substrate: &*inner.substrate,
-            interner: &inner.interner,
-            sampler_seed: inner.sampler_seed,
-        };
-        let out = Ok(sample_one(
-            &env,
-            &inner.table,
-            &inner.memo,
-            inner.q_final,
-            n,
-            DEFAULT_RETRY_LIMIT,
-            rng,
-            &mut inner.scratch,
-            &mut self.query_stats,
-        ));
+        let out = Ok(run.draw(n, &self.params, rng, &mut self.query_stats));
         self.query_stats.wall += start.elapsed();
         self.query_stats.wall_max = self.query_stats.wall;
         self.note_walks_sure();
@@ -588,14 +470,8 @@ impl QuerySession {
     pub fn slice_is_empty(&mut self, n: usize) -> Result<bool, FprasError> {
         self.check_poisoned()?;
         self.check_horizon(n)?;
-        if n == 0 {
-            return Ok(!self.accepts_lambda);
-        }
         self.ensure_built(n)?;
-        let Some(inner) = self.inner.as_ref() else {
-            return Ok(true);
-        };
-        Ok(inner.table.cell(n, inner.q_final as usize).n_est.is_zero())
+        Ok(self.slice(n).is_zero())
     }
 }
 

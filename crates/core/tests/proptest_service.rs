@@ -3,7 +3,7 @@
 //! The subsystem's load-bearing invariant: a [`QuerySession`] that has
 //! served **any** interleaving of smaller and larger queries answers
 //! `estimate(n)` bit-identically to a fresh engine run at `n` under the
-//! same seed and policy. Three property families enforce it on random
+//! same seed and policy. Four property families enforce it on random
 //! NFAs and random query orders:
 //!
 //! * **Session ≡ fresh, per query** — for every queried length, the
@@ -12,6 +12,10 @@
 //!   `FprasRun::run` for a session at the master seed that API draws
 //!   from its caller RNG — including re-queries of lengths the session
 //!   answered before extending further.
+//! * **Generator ≡ session draw** — a session built straight to the
+//!   largest length does the fresh run's work (ops, union calls and
+//!   sampler counters) and draws the words a [`UniformGenerator`] over
+//!   that fresh run draws from the same caller seed.
 //! * **Queries are inert** — interleaved `sample` queries (which
 //!   consume caller randomness and insert frontier-keyed memo entries)
 //!   must not perturb any later extension.
@@ -20,7 +24,7 @@
 //!   the same answers as dedicated sessions.
 
 use fpras_core::service::{QuerySession, ServiceRegistry, SessionKey, SessionPolicy};
-use fpras_core::{run_parallel, FprasRun, Params};
+use fpras_core::{run_parallel, FprasRun, Params, UniformGenerator};
 use fpras_workloads::{random_nfa, RandomNfaConfig};
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, RngExt, SeedableRng};
@@ -77,8 +81,10 @@ proptest! {
         states in 2usize..7,
         density_tenths in 10u32..26,
         lengths in proptest::collection::vec(1usize..9, 3..6),
+        max_n in 1usize..9,
         instance_seed in 0u64..1_000,
         run_seed in 0u64..1_000,
+        caller_seed in 0u64..1_000,
     ) {
         let config = RandomNfaConfig {
             states,
@@ -87,10 +93,38 @@ proptest! {
             accepting: 1,
         };
         let nfa = random_nfa(&config, &mut SmallRng::seed_from_u64(instance_seed));
-        let max_n = *lengths.iter().max().expect("non-empty");
         let params = session_params(states, max_n);
-        let mut lengths = lengths;
+        let mut lengths: Vec<usize> = lengths.into_iter().map(|n| n.min(max_n)).collect();
         lengths.push(lengths[0]);
+        for threads in [1usize, 2, 8] {
+            // Built straight to max_n, a session is the fresh run's
+            // table: the same work, and the same words drawn from it.
+            let policy = SessionPolicy::Deterministic { seed: run_seed, threads };
+            let mut session = QuerySession::new(&nfa, params.clone(), policy).unwrap();
+            let got = session.estimate(max_n).unwrap();
+            let fresh = run_parallel(&nfa, max_n, &params, run_seed, threads).unwrap();
+            prop_assert_eq!(got, fresh.estimate(), "t = {}, n = {}", threads, max_n);
+            if fresh.slice_estimates().is_some() {
+                let (a, b) = (session.run_stats(), fresh.stats());
+                prop_assert_eq!(a.membership_ops, b.membership_ops);
+                prop_assert_eq!(a.appunion_calls, b.appunion_calls);
+                prop_assert_eq!(a.walk_steps, b.walk_steps);
+                prop_assert_eq!(a.trials_unwalked, b.trials_unwalked);
+                prop_assert_eq!(a.walks_sure, b.walks_sure);
+            }
+            let mut generator = UniformGenerator::new(fresh);
+            let mut session_rng = SmallRng::seed_from_u64(caller_seed);
+            let mut generator_rng = SmallRng::seed_from_u64(caller_seed);
+            for draw in 0..8 {
+                prop_assert_eq!(
+                    session.sample(max_n, &mut session_rng).unwrap(),
+                    generator.generate(&mut generator_rng),
+                    "t = {}, draw {}",
+                    threads,
+                    draw
+                );
+            }
+        }
         for threads in [1usize, 2, 8] {
             let mut session = QuerySession::new(
                 &nfa,

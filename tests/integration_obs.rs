@@ -5,7 +5,13 @@
 
 mod common;
 use common::{assert_well_formed_json_object, run, run_with_stdin};
+use fpras_automata::regex::compile_regex;
+use fpras_automata::Alphabet;
+use fpras_core::obs::{install_sink, take_sink, TraceEvent, TraceSink};
+use fpras_core::service::{QuerySession, SessionPolicy};
+use fpras_core::{run_parallel, Params};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 /// A unique path under the cargo tmp dir (tests run concurrently).
 fn tmp_path(name: &str) -> PathBuf {
@@ -173,4 +179,58 @@ fn serve_metrics_counts_quota_rejections() {
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("fpras_quota_rejections_total 1"), "{stdout}");
     assert!(stdout.contains("fpras_queries_served_total 1"), "{stdout}");
+}
+
+/// A sink sharing its event log with the test that installed it.
+struct SharedSink(Arc<Mutex<Vec<TraceEvent>>>);
+
+impl TraceSink for SharedSink {
+    fn emit(&mut self, event: &TraceEvent) {
+        self.0.lock().expect("shared sink lock").push(event.clone());
+    }
+}
+
+/// The trace events `body` emits, with wall times zeroed. This is the
+/// only test in this binary that emits in-process, so the process-global
+/// sink sees no other test's events.
+fn trace_of(body: impl FnOnce()) -> Vec<TraceEvent> {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    install_sink(Box::new(SharedSink(Arc::clone(&log))));
+    body();
+    drop(take_sink());
+    let events = std::mem::take(&mut *log.lock().expect("shared sink lock"));
+    events
+        .into_iter()
+        .map(|event| match event {
+            TraceEvent::RunEnd { ops, .. } => TraceEvent::RunEnd { ops, wall_us: 0 },
+            TraceEvent::Pass { level, phase, items, walk_table_hits, .. } => {
+                TraceEvent::Pass { level, phase, items, wall_us: 0, walk_table_hits }
+            }
+            other => other,
+        })
+        .collect()
+}
+
+/// A fresh run at `n` and a new session's first `estimate(n)` build the
+/// same checkpointed run, so they trace the same events with the same
+/// fields apart from walls — the session's extension included
+/// `pool_summary`.
+#[test]
+fn fresh_run_and_first_session_extension_trace_alike() {
+    let nfa = compile_regex("(0|1)*11(0|1)*", &Alphabet::binary()).expect("regex compiles");
+    let n = 8;
+    let params = Params::for_session(0.3, 0.1, nfa.num_states(), n);
+    let fresh = trace_of(|| {
+        run_parallel(&nfa, n, &params, 7, 1).expect("fresh run");
+    });
+    let policy = SessionPolicy::Deterministic { seed: 7, threads: 1 };
+    let mut session = QuerySession::new(&nfa, params.clone(), policy).expect("session");
+    let extended = trace_of(|| {
+        session.estimate(n).expect("first estimate");
+    });
+    assert_eq!(fresh, extended);
+    assert!(matches!(fresh.first(), Some(TraceEvent::RunStart { n: 8, from_level: 1, .. })));
+    assert!(matches!(fresh.last(), Some(TraceEvent::RunEnd { .. })));
+    let summaries = fresh.iter().filter(|e| matches!(e, TraceEvent::PoolSummary { .. })).count();
+    assert_eq!(summaries, 1, "{fresh:?}");
 }
