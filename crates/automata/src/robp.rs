@@ -271,11 +271,12 @@ impl RobpBuilder {
     /// Adds one node at `level`, returning its id.
     ///
     /// # Panics
-    /// Panics if `level > depth`.
+    /// Panics if `level > depth` or `level > u32::MAX` (levels are
+    /// stored as `u32`).
     pub fn add_node(&mut self, level: usize) -> NodeId {
         assert!(level <= self.depth, "node level {level} exceeds depth {}", self.depth);
         let id = self.levels.len() as NodeId;
-        self.levels.push(level as u32);
+        self.levels.push(u32::try_from(level).expect("node level fits u32"));
         id
     }
 
@@ -317,8 +318,8 @@ impl RobpBuilder {
         assert!((to as usize) < self.levels.len(), "target node {to} does not exist");
         assert!((sym as usize) < self.alphabet.size(), "symbol {sym} outside alphabet");
         assert_eq!(
-            self.levels[to as usize],
-            self.levels[from as usize] + 1,
+            Some(self.levels[to as usize]),
+            self.levels[from as usize].checked_add(1),
             "edge {from} -> {to} must advance exactly one level"
         );
         self.edges.push((from, sym, to));
@@ -430,6 +431,9 @@ pub fn from_text(text: &str) -> Result<Robp, ParseRobpError> {
                     .get(1)
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| err(lineno, "depth needs a count".into()))?;
+                if u32::try_from(d).is_err() {
+                    return Err(err(lineno, format!("depth {d} is above {}", u32::MAX)));
+                }
                 depth = Some(d);
             }
             "levels" => {
@@ -507,7 +511,7 @@ pub fn from_text(text: &str) -> Result<Robp, ParseRobpError> {
                         if (from as usize) >= b.num_nodes() || (to as usize) >= b.num_nodes() {
                             return Err(err(lineno, "edge endpoint out of range".into()));
                         }
-                        if b.levels[to as usize] != b.levels[from as usize] + 1 {
+                        if b.levels[from as usize].checked_add(1) != Some(b.levels[to as usize]) {
                             return Err(err(
                                 lineno,
                                 format!("edge {from} -> {to} must advance exactly one level"),
@@ -714,6 +718,20 @@ mod tests {
         let e = from_text("alphabet 01\ndepth 2\nlevels 0 1\naccepting 1\n").unwrap_err();
         assert_eq!(e.line, 4, "{e}");
         assert!(e.message.contains("must be at the last level"), "{e}");
+    }
+
+    /// Levels are stored as `u32`: a deeper `depth` is a parse error on
+    /// its line (it used to be truncated), and an edge out of the last
+    /// storable level is refused without overflowing.
+    #[test]
+    fn levels_beyond_u32_are_parse_errors() {
+        let e = from_text("alphabet 01\ndepth 4294967296\nlevels 0 1\n").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("depth 4294967296 is above 4294967295"), "{e}");
+        let text = "alphabet 01\ndepth 4294967295\nlevels 0 4294967295 4294967295\nedge 1 0 2\n";
+        let e = from_text(text).unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
+        assert!(e.message.contains("advance exactly one level"), "{e}");
     }
 
     /// `source` on a node off level 0 is a parse error on its line.

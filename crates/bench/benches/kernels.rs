@@ -3,7 +3,7 @@
 //! simulation (`reach`), the `AppUnion` prefix-mask build shape, the
 //! full trial loop with a reused [`UnionScratch`], and warm sampler
 //! walks (compiled-record replays, categorical draws). These are the
-//! pieces the count/sample/share passes execute millions of times per
+//! pieces the count/sample passes execute millions of times per
 //! run; `cargo bench --bench kernels` tracks their per-call cost so a
 //! regression to per-key allocation shows up as a step change.
 
@@ -29,8 +29,8 @@ fn frontiers(universe: usize, count: usize, seed: u64) -> Vec<StateSet> {
         .collect()
 }
 
-/// Intern-hit lookup: the per-key cost every memo probe, plan build,
-/// and share pre-pass pays after a frontier's first appearance.
+/// Intern-hit lookup: the per-key cost every memo probe and plan build
+/// pays after a frontier's first appearance.
 fn bench_intern(c: &mut Criterion) {
     let mut group = c.benchmark_group("intern_lookup");
     for universe in [48usize, 192] {

@@ -568,6 +568,28 @@ mod tests {
         assert!(run_parallel(&nfa, 1, &params, 0, 4).unwrap().estimate().is_zero());
     }
 
+    /// An nROBP whose per-level views cannot be reserved is an `Err`
+    /// from a fresh run and from a session, not an abort: `2³²` sets per family are 128 GiB each, which the
+    /// allocator refuses before anything is touched. This six-line
+    /// program used to end the process with `memory allocation … failed`.
+    #[test]
+    fn robp_too_deep_to_reserve_is_an_error() {
+        let text = "alphabet 01\ndepth 4294967295\nlevels 0 1 4294967295\n\
+                    source 0\naccepting 2\nedge 0 0 1\n";
+        let robp = fpras_automata::robp::from_text(text).unwrap();
+        let params = Params::practical(0.3, 0.1, robp.num_nodes(), robp.depth());
+        assert_eq!(
+            run_robp_parallel(&robp, &params, 1, 1).err(),
+            Some(FprasError::HorizonTooLarge { n: 4294967295 })
+        );
+        let params = Params::for_session(0.3, 0.1, robp.num_nodes(), robp.depth());
+        let policy = crate::SessionPolicy::Deterministic { seed: 1, threads: 1 };
+        assert_eq!(
+            crate::QuerySession::new(&robp, params, policy).err(),
+            Some(FprasError::HorizonTooLarge { n: 4294967295 })
+        );
+    }
+
     #[test]
     fn budget_guard_trips() {
         let nfa = contains_11();

@@ -142,7 +142,7 @@ impl Run {
                 Some((normalized, q_final)) => Box::new(NfaSubstrate::new(normalized, q_final, 0)?),
                 None => return Ok(None),
             },
-            Source::Robp(robp) => Box::new(RobpSubstrate::new(robp)),
+            Source::Robp(robp) => Box::new(RobpSubstrate::new(robp)?),
         };
         let m = substrate.universe();
         let mut table = RunTable::new(m, 0)?;

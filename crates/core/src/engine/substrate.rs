@@ -7,8 +7,8 @@
 //! structure; Meel et al.'s nROBP FPRAS (arXiv 2406.16515) and the
 //! #CFG/#DNNF results (arXiv 2406.18224) run the identical
 //! count/sample machinery on others. [`LeveledSubstrate`] is that
-//! contract: everything the engine (`run_level`, `LevelPlan` batching,
-//! the share pre-pass), the sampler, and the witness-padding step read
+//! contract: everything the engine (`run_level`, `LevelPlan` batching),
+//! the sampler, and the witness-padding step read
 //! about the input goes through this trait, so the whole pipeline is
 //! generic over the substrate.
 //!
@@ -82,8 +82,8 @@ pub trait LeveledSubstrate: Send + Sync {
     fn pred_of_cell_into(&self, q: u32, sym: u8, out: &mut StateSet);
 
     /// Writes the raw backward step `⋃_{c ∈ of} Pred(c, sym)` into `out`
-    /// (cleared first) — Algorithm 2 line 9. Unfiltered: the sampler and
-    /// the share pre-pass intersect with the reachable set themselves.
+    /// (cleared first) — Algorithm 2 line 9. Unfiltered: the sampler
+    /// intersects with the reachable set itself.
     fn step_back_into(&self, of: &StateSet, sym: u8, out: &mut StateSet);
 
     /// A deterministic word of length `level` in `L(q^level)`, or `None`
@@ -207,16 +207,22 @@ pub struct RobpSubstrate {
 }
 
 impl RobpSubstrate {
-    /// Builds the substrate views of one program.
-    pub fn new(robp: &fpras_automata::robp::Robp) -> Self {
+    /// Builds the substrate views of one program; fails, like
+    /// [`NfaSubstrate::new`], when the `depth + 1` sets per family cannot
+    /// be reserved. Both families are reserved before any set is built.
+    pub fn new(robp: &fpras_automata::robp::Robp) -> Result<Self, FprasError> {
+        let depth = robp.depth();
+        let (mut reach_sets, mut alive_rev) = (Vec::new(), Vec::new());
+        for sets in [&mut reach_sets, &mut alive_rev] {
+            sets.try_reserve_exact(depth.saturating_add(1))
+                .map_err(|_| FprasError::HorizonTooLarge { n: depth })?;
+        }
         let graph = robp.to_nfa();
         let masks = StepMasks::new(&graph);
         let m = graph.num_states();
         let k = graph.alphabet().size() as u8;
-        let depth = robp.depth();
         // Forward closure, one level per step: nodes are level-unique,
         // so the frontier at step ℓ is exactly the level-ℓ reach set.
-        let mut reach_sets = Vec::with_capacity(depth + 1);
         reach_sets.push(StateSet::singleton(m, graph.initial() as usize));
         for _ in 0..depth {
             let prev = reach_sets.last().expect("level 0 seeded");
@@ -229,7 +235,6 @@ impl RobpSubstrate {
             reach_sets.push(cur);
         }
         // Backward closure from the sink, mirrored.
-        let mut alive_rev = Vec::with_capacity(depth + 1);
         alive_rev.push(StateSet::singleton(m, robp.sink() as usize));
         for _ in 0..depth {
             let prev = alive_rev.last().expect("sink level seeded");
@@ -242,7 +247,14 @@ impl RobpSubstrate {
             alive_rev.push(cur);
         }
         alive_rev.reverse();
-        RobpSubstrate { graph, masks, reach_sets, alive_sets: alive_rev, depth, sink: robp.sink() }
+        Ok(RobpSubstrate {
+            graph,
+            masks,
+            reach_sets,
+            alive_sets: alive_rev,
+            depth,
+            sink: robp.sink(),
+        })
     }
 
     /// The program's intrinsic level count.
@@ -363,7 +375,7 @@ mod tests {
         ) {
             let mut rng = SmallRng::seed_from_u64(seed);
             let config = RandomRobpConfig { depth, width, alphabet, density: 1.5, accepting: 1 };
-            let substrate = RobpSubstrate::new(&random_robp(&config, &mut rng));
+            let substrate = RobpSubstrate::new(&random_robp(&config, &mut rng)).unwrap();
             let m = substrate.universe();
             let (mut out, mut spare) = (StateSet::full(m), StateSet::full(m));
             for _ in 0..8 {

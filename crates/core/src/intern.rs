@@ -2,12 +2,11 @@
 //!
 //! Every layer of the union-estimation hot path keys work by a frontier
 //! set: the batched count pass groups `(cell, symbol)` pairs by their
-//! predecessor frontier (DESIGN.md D8), the sampler memoizes union
-//! estimates per `(level, frontier)` (D4), and the sharing pre-pass
-//! dedups hot frontiers (D9). Before this module each of those keys
-//! carried its own `Box<[u64]>` copy of the frontier's bitset words —
-//! one heap allocation per key construction, and a full word-slice walk
-//! on every hash-map probe.
+//! predecessor frontier (DESIGN.md D8), and the sampler memoizes union
+//! estimates per `(level, frontier)` (D4, D9). Before this module each
+//! of those keys carried its own `Box<[u64]>` copy of the frontier's
+//! bitset words — one heap allocation per key construction, and a full
+//! word-slice walk on every hash-map probe.
 //!
 //! The [`FrontierInterner`] replaces that with hash-consing: each
 //! *distinct* frontier is stored once, in a single contiguous word

@@ -57,8 +57,8 @@ mod session;
 pub use quota::{AdmissionController, QuotaConfig, QuotaDenied, QuotaStats};
 pub use registry::{nfa_fingerprint, robp_fingerprint, ServiceRegistry, ServiceStats, SessionKey};
 pub use server::{
-    load_automaton, parse_flag_value, parse_threads, serve_stream, Query, Reply, ServeError,
-    Server, ServerConfig, SessionSpec, StreamError,
+    load_automaton, parse_flag_value, serve_stream, Query, Reply, ServeError, Server, ServerConfig,
+    SessionArgs, SessionSpec, StreamError,
 };
 pub use session::{QuerySession, SessionStats};
 

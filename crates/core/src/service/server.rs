@@ -35,7 +35,7 @@ const MAX_LINE_BYTES: usize = 64 * 1024;
 const DEFAULT_REGISTRY_CAPACITY: usize = 8;
 
 /// Parses `flag`'s value, naming the flag and the offending token in
-/// the error — the one flag-value check of the argv parsers and the
+/// the error — the one flag-value check of the argv parser and the
 /// `open` line.
 pub fn parse_flag_value<T: std::str::FromStr>(flag: &str, raw: Option<&str>) -> Result<T, String> {
     let raw = raw.ok_or_else(|| format!("missing value for {flag}"))?;
@@ -45,7 +45,7 @@ pub fn parse_flag_value<T: std::str::FromStr>(flag: &str, raw: Option<&str>) -> 
 /// Parses a `--threads` value and bounds it to `1..=MAX_THREADS`: every
 /// worker past the first is an OS thread, so each input boundary (argv
 /// flags and `open` lines) refuses counts outside that range.
-pub fn parse_threads(raw: Option<&str>) -> Result<usize, String> {
+fn parse_threads(raw: Option<&str>) -> Result<usize, String> {
     let threads: usize = parse_flag_value("--threads", raw)?;
     if (1..=MAX_THREADS).contains(&threads) {
         Ok(threads)
@@ -129,6 +129,56 @@ impl SessionSpec {
             }
         }
         Ok(())
+    }
+}
+
+/// The flags every command that builds a run shares: the automaton
+/// source (`--regex`, `--file`) and the [`SessionSpec`] (`--eps`,
+/// `--delta`, `--seed`, `--threads`, `--max-n`). `nfa-count`'s argv and
+/// the serve `open` line both parse them through [`SessionArgs::apply`],
+/// so each has one parser and one error message.
+#[derive(Debug, Default)]
+pub struct SessionArgs {
+    /// `--regex`: a binary-alphabet pattern.
+    pub regex: Option<String>,
+    /// `--file`: a path to an automaton (or, for `nfa-count robp`, a
+    /// program) in text format.
+    pub file: Option<String>,
+    /// The session settings.
+    pub spec: SessionSpec,
+}
+
+impl SessionArgs {
+    /// Applies `flag` with its `value` (the next word, if any). `Ok(false)`
+    /// when `flag` is not one of the shared flags, so the caller can try
+    /// its own; `Err` names the flag and the bad or missing value.
+    ///
+    /// ```
+    /// use fpras_core::service::SessionArgs;
+    ///
+    /// let mut args = SessionArgs::default();
+    /// assert_eq!(args.apply("--eps", Some("0.1")), Ok(true));
+    /// assert_eq!(args.apply("-n", Some("8")), Ok(false));
+    /// assert_eq!(args.apply("--seed", Some("x")), Err("invalid value \"x\" for --seed".into()));
+    /// assert_eq!(args.spec.eps, 0.1);
+    /// ```
+    pub fn apply(&mut self, flag: &str, value: Option<&str>) -> Result<bool, String> {
+        match flag {
+            "--regex" => self.regex = Some(parse_flag_value(flag, value)?),
+            "--file" => self.file = Some(parse_flag_value(flag, value)?),
+            "--eps" => self.spec.eps = parse_flag_value(flag, value)?,
+            "--delta" => self.spec.delta = parse_flag_value(flag, value)?,
+            "--seed" => self.spec.seed = parse_flag_value(flag, value)?,
+            "--threads" => self.spec.threads = parse_threads(value)?,
+            "--max-n" => self.spec.max_n = parse_flag_value(flag, value)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Loads the automaton the source flags name ([`load_automaton`]).
+    pub fn load(&self) -> Result<Nfa, String> {
+        load_automaton(self.regex.as_deref(), self.file.as_deref())
     }
 }
 
@@ -506,25 +556,16 @@ impl Server {
             Some(name) if !name.starts_with("--") => name,
             _ => return Err("usage: open NAME (--regex P | --file F) [flags]".into()),
         };
-        let mut spec = self.spec.clone();
-        let (mut regex, mut file) = (None, None);
+        let mut args = SessionArgs { spec: self.spec.clone(), ..SessionArgs::default() };
         while let Some(flag) = words.next() {
-            match flag {
-                "--regex" => regex = Some(parse_flag_value::<String>(flag, words.next())?),
-                "--file" => file = Some(parse_flag_value::<String>(flag, words.next())?),
-                "--eps" => spec.eps = parse_flag_value(flag, words.next())?,
-                "--delta" => spec.delta = parse_flag_value(flag, words.next())?,
-                "--seed" => spec.seed = parse_flag_value(flag, words.next())?,
-                "--threads" => spec.threads = parse_threads(words.next())?,
-                "--max-n" => spec.max_n = parse_flag_value(flag, words.next())?,
-                other => return Err(format!("unknown open flag {other:?}").into()),
+            if !args.apply(flag, words.next())? {
+                return Err(format!("unknown open flag {flag:?}").into());
             }
         }
-        if regex.is_none() && file.is_none() {
+        if args.regex.is_none() && args.file.is_none() {
             return Err("open requires --regex or --file".into());
         }
-        let line =
-            self.open_with(name, spec, || load_automaton(regex.as_deref(), file.as_deref()))?;
+        let line = self.open_with(name, args.spec.clone(), || args.load())?;
         writeln!(out, "{line}")?;
         Ok(())
     }

@@ -189,7 +189,7 @@ impl MemoKey {
 }
 
 /// A `std::hash::Hasher` specialized for the integer keys of the hot
-/// maps (memo layers, level-plan index, share-pass dedup): one
+/// maps (memo layers, level-plan index): one
 /// SplitMix64 round per written word, no byte-buffer state. `MemoKey`
 /// hashes itself as a single `u64`, so a probe is one mix instead of
 /// SipHash over a boxed slice.

@@ -8,25 +8,32 @@
 //! nfa-count --regex '0*1' -n 20 --method bdd     # exact via BDD
 //! nfa-count --regex '1*' -n 8 --enumerate 10     # list the first words
 //! nfa-count --file machine.nfa -n 8 --dot        # emit Graphviz and exit
+//! nfa-count robp --file prog.robp --exact              # count an nROBP's assignments
 //! nfa-count query --regex '1(0|1)*' --lengths 8,4,12   # one session, many lengths
 //! echo 'estimate 16' | nfa-count serve --regex '1*'    # stdin query loop
 //! printf 'open a --regex 1*\nestimate 8\n' | nfa-count serve  # multi-session
-//! nfa-count robp --file prog.robp --exact              # count an nROBP's assignments
 //! ```
+//!
+//! One front end serves the four commands. One argv loop parses every
+//! command; each command takes its own set of flags (any other is an
+//! `unknown argument` usage error, exit 2) and keeps its own usage text.
+//! The flags they share — `--regex --file --eps --delta --seed --threads
+//! --max-n` — go through `fpras_core::service::SessionArgs::apply`, the
+//! same function the serve `open` line uses, so each has one parser and
+//! one error message.
 //!
 //! Methods: `fpras` (default, Algorithm 3 through the level-synchronous
 //! engine on `--threads T` workers, 1 to `MAX_THREADS`, with output
-//! independent of `T`),
-//! `path-is` (unbiased path importance sampling), `dp` (exact
-//! determinization DP), `bdd` (exact BDD model counting). `parallel` is
-//! accepted as a deprecated alias for `fpras` with multi-threading. The
-//! NFA file format is documented in `fpras_automata::parse`.
+//! independent of `T`), `path-is` (unbiased path importance sampling),
+//! `dp` (exact determinization DP), `bdd` (exact BDD model counting).
+//! The NFA file format is documented in `fpras_automata::parse`.
 //!
-//! The `robp` subcommand runs the same engine over the other leveled
-//! substrate (DESIGN.md D14): a non-deterministic read-once branching
-//! program in the text format of `fpras_automata::robp`, whose depth
-//! fixes the query length (every accepted assignment reads all
-//! variables).
+//! The `robp` subcommand runs the default command's FPRAS count path
+//! over the other leveled substrate (DESIGN.md D14): a non-deterministic
+//! read-once branching program in the text format of
+//! `fpras_automata::robp`, whose depth fixes the query length (every
+//! accepted assignment reads all variables). Only the counted set's
+//! label (`L(A_n)` or `L(P)`) and the empty-slice note differ.
 //!
 //! The `query` subcommand answers many lengths from **one**
 //! `fpras_core::service::QuerySession` (levels built once, reused by
@@ -40,181 +47,255 @@
 //! process exit.
 
 use fpras_automata::exact::count_exact;
-use fpras_automata::{dot, enumerate_slice, Nfa};
+use fpras_automata::{dot, enumerate_slice, robp};
 use fpras_baselines::path_importance_sampling;
 use fpras_core::service::{
-    load_automaton, parse_flag_value, parse_threads, serve_stream, QuerySession, QuotaConfig,
-    ServeError, Server, ServerConfig, SessionSpec, StreamError,
+    parse_flag_value, serve_stream, QuerySession, QuotaConfig, ServeError, Server, ServerConfig,
+    SessionArgs, Source, StreamError,
 };
 use fpras_core::{
     run_parallel, run_robp_parallel, JsonlSink, Params, RunStats, UniformGenerator, MAX_THREADS,
 };
 use fpras_numeric::ExtFloat;
 use rand::{rngs::SmallRng, SeedableRng};
+use std::fmt::Display;
 
-struct Args {
-    regex: Option<String>,
-    file: Option<String>,
-    n: usize,
-    eps: f64,
-    delta: f64,
-    seed: u64,
-    sample: usize,
-    exact: bool,
-    method: Method,
-    threads: Option<usize>,
-    enumerate: usize,
-    dot: bool,
-    stats: bool,
-    no_batch: bool,
-    trace_out: Option<String>,
+/// The commands: `Count` is the default one-shot counter, the others
+/// are named by the first argument.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Command {
+    Count,
+    Robp,
+    Query,
+    Serve,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 enum Method {
+    #[default]
     Fpras,
     PathIs,
     ExactDp,
     ExactBdd,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: nfa-count (--regex PATTERN | --file PATH) -n LENGTH\n\
-         \t[--method fpras|path-is|dp|bdd] [--threads T=1]\n\
-         \t[--eps E=0.2] [--delta D=0.05] [--seed S=42] [--sample K]\n\
-         \t[--enumerate K] [--exact] [--dot] [--stats] [--no-batch]\n\
-         \t[--trace-out FILE]\n\
-         \n\
-         --threads runs the FPRAS engine on T workers, 1 to {MAX_THREADS}\n\
-         (output depends only on --seed, never on T). --no-batch\n\
-         disables batched union estimation (same output, more work;\n\
-         for benchmarking).\n\
-         --stats prints the full run counters, including the batching,\n\
-         memo, executor, and phase-wall numbers.\n\
-         --trace-out streams structured run events (level passes, memo\n\
-         commits, pool summaries) to FILE as JSON lines; tracing is\n\
-         observation-only and never changes an estimate bit."
-    );
-    std::process::exit(2)
+/// Every command's flags; each command reads the ones it takes.
+#[derive(Default)]
+struct Args {
+    /// `--regex --file --eps --delta --seed --threads --max-n`.
+    session: SessionArgs,
+    n: Option<usize>,
+    sample: usize,
+    enumerate: usize,
+    exact: bool,
+    dot: bool,
+    stats: bool,
+    no_batch: bool,
+    trace_out: Option<String>,
+    method: Method,
+    /// `query --lengths`.
+    lengths: Vec<usize>,
+    /// `serve` quotas: `--max-sessions`, `--max-total-levels`,
+    /// `--max-query-ops`.
+    quota: QuotaConfig,
 }
 
-/// [`parse_threads`] for the argv parsers: reports the error on stderr
-/// and returns `None`, like [`parse_value_or_report`].
-fn parse_threads_or_report(raw: &str) -> Option<usize> {
-    parse_threads(Some(raw)).map_err(|e| eprintln!("{e}")).ok()
-}
-
-/// [`parse_flag_value`] for the argv parsers: reports the error on
-/// stderr and returns `None` so the caller can exit through its own
-/// usage text.
-fn parse_value_or_report<T: std::str::FromStr>(flag: &str, raw: &str) -> Option<T> {
-    match parse_flag_value(flag, Some(raw)) {
-        Ok(v) => Some(v),
-        Err(e) => {
-            eprintln!("{e}");
-            None
-        }
-    }
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        regex: None,
-        file: None,
-        n: usize::MAX,
-        eps: 0.2,
-        delta: 0.05,
-        seed: 42,
-        sample: 0,
-        exact: false,
-        method: Method::Fpras,
-        threads: None,
-        enumerate: 0,
-        dot: false,
-        stats: false,
-        no_batch: false,
-        trace_out: None,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    macro_rules! num {
-        ($flag:literal, $i:expr) => {
-            parse_value_or_report($flag, &value($i)).unwrap_or_else(|| usage())
-        };
-    }
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--regex" => args.regex = Some(value(&mut i)),
-            "--file" => args.file = Some(value(&mut i)),
-            "-n" | "--length" => args.n = num!("-n", &mut i),
-            "--eps" => args.eps = num!("--eps", &mut i),
-            "--delta" => args.delta = num!("--delta", &mut i),
-            "--seed" => args.seed = num!("--seed", &mut i),
-            "--sample" => args.sample = num!("--sample", &mut i),
-            "--threads" => {
-                args.threads =
-                    Some(parse_threads_or_report(&value(&mut i)).unwrap_or_else(|| usage()))
+impl Command {
+    /// True iff this command takes `flag`.
+    fn takes(self, flag: &str) -> bool {
+        const SHARED: &[&str] = &["--file", "--eps", "--delta", "--seed", "--threads", "--stats"];
+        let own: &[&str] = match self {
+            Command::Count => &[
+                "--regex",
+                "-n",
+                "--length",
+                "--sample",
+                "--enumerate",
+                "--exact",
+                "--dot",
+                "--no-batch",
+                "--trace-out",
+                "--method",
+            ],
+            Command::Robp => &["--sample", "--exact"],
+            Command::Query => &["--regex", "--max-n", "--lengths"],
+            Command::Serve => {
+                &["--regex", "--max-n", "--max-sessions", "--max-total-levels", "--max-query-ops"]
             }
-            "--enumerate" => args.enumerate = num!("--enumerate", &mut i),
-            "--exact" => args.exact = true,
-            "--dot" => args.dot = true,
-            "--stats" => args.stats = true,
-            "--no-batch" => args.no_batch = true,
-            "--trace-out" => args.trace_out = Some(value(&mut i)),
-            "--method" => {
-                args.method = match value(&mut i).as_str() {
-                    "fpras" => Method::Fpras,
-                    "parallel" => {
-                        // Deprecated alias: same engine on four
-                        // workers; honor an explicit --threads if given.
-                        eprintln!(
-                            "note: --method parallel is deprecated; use \
-                             --method fpras --threads T"
-                        );
-                        if args.threads.is_none() {
-                            args.threads = Some(4);
+        };
+        SHARED.contains(&flag) || own.contains(&flag)
+    }
+
+    /// Prints this command's usage text and exits 2.
+    fn usage(self) -> ! {
+        match self {
+            Command::Count => eprintln!(
+                "usage: nfa-count (--regex PATTERN | --file PATH) -n LENGTH\n\
+                 \t[--method fpras|path-is|dp|bdd] [--threads T=1]\n\
+                 \t[--eps E=0.2] [--delta D=0.05] [--seed S=42] [--sample K]\n\
+                 \t[--enumerate K] [--exact] [--dot] [--stats] [--no-batch]\n\
+                 \t[--trace-out FILE]\n\
+                 \n\
+                 --threads runs the FPRAS engine on T workers, 1 to {MAX_THREADS}\n\
+                 (output depends only on --seed, never on T). --no-batch\n\
+                 disables batched union estimation (same output, more work;\n\
+                 for benchmarking).\n\
+                 --stats prints the full run counters, including the batching,\n\
+                 memo, executor, and phase-wall numbers.\n\
+                 --trace-out streams structured run events (level passes, memo\n\
+                 commits, pool summaries) to FILE as JSON lines; tracing is\n\
+                 observation-only and never changes an estimate bit."
+            ),
+            Command::Robp => eprintln!(
+                "usage: nfa-count robp --file PATH\n\
+                 \t[--eps E=0.2] [--delta D=0.05] [--seed S=42] [--threads T=1]\n\
+                 \t[--sample K] [--exact] [--stats]\n\
+                 \n\
+                 Counts the accepted assignments of a non-deterministic\n\
+                 read-once branching program (text format: see\n\
+                 fpras_automata::robp) on the default command's FPRAS count\n\
+                 path, run over the program's leveled DAG directly. The\n\
+                 program's depth fixes the word length; --threads sets the\n\
+                 worker count (1 to {MAX_THREADS}) exactly as the default\n\
+                 command does, with output independent of T."
+            ),
+            Command::Query | Command::Serve => {
+                let serve = self == Command::Serve;
+                eprintln!(
+                    "usage: nfa-count {} {}\n\
+                     \t{}[--eps E=0.2] [--delta D=0.05] [--seed S=42]\n\
+                     \t[--threads T=1] [--max-n N=64] [--stats]{}\n\
+                     \n\
+                     One QuerySession serves every length: levels are built once and\n\
+                     reused by later queries; answers are bit-identical to a fresh\n\
+                     run at the same length under the same --seed and --threads.\n\
+                     --max-n sizes the error-budget split and is a hard cap: lengths\n\
+                     above it are refused (`query` raises it to max(--lengths)\n\
+                     automatically). It may not exceed {MAX_SESSION_N}.{}",
+                    if serve { "serve" } else { "query" },
+                    if serve {
+                        "[--regex PATTERN | --file PATH]"
+                    } else {
+                        "(--regex PATTERN | --file PATH)"
+                    },
+                    if serve { "" } else { "--lengths N1,N2,… " },
+                    if serve {
+                        "\n\t[--max-sessions K] [--max-total-levels L] [--max-query-ops B]"
+                    } else {
+                        ""
+                    },
+                    if serve {
+                        "\n\nserve reads commands from stdin, one per line:\n\
+                         \topen NAME (--regex P | --file F) [--seed S] [--threads T]\n\
+                         \t          [--eps E] [--delta D] [--max-n N]\n\
+                         \tuse NAME | close NAME\n\
+                         \testimate N | range A B | sample N [COUNT] | stats | quit\n\
+                         \tmetrics            (Prometheus text exposition snapshot)\n\
+                         \ttrace on FILE | trace off   (JSONL run-event tracing)\n\
+                         Named sessions multiplex onto one registry and one shared\n\
+                         worker pool; --regex/--file at startup opens session\n\
+                         \"default\". The server's --max-n, --eps and --delta are the\n\
+                         ceiling of every `open`: a larger --max-n or a smaller --eps\n\
+                         or --delta is refused. Bad lines (including lines that are\n\
+                         not valid UTF-8) and quota denials answer with one\n\
+                         `error: …` line each — the process never exits on them."
+                    } else {
+                        ""
+                    }
+                )
+            }
+        }
+        std::process::exit(2)
+    }
+}
+
+impl Args {
+    /// Applies one flag of `cmd`, taking its value from `words` when it
+    /// has one. `Err` is the one-line message for a flag `cmd` does not
+    /// take or a missing or bad value.
+    fn apply<'a>(
+        &mut self,
+        cmd: Command,
+        flag: &str,
+        words: &mut impl Iterator<Item = &'a str>,
+    ) -> Result<(), String> {
+        if !cmd.takes(flag) {
+            return Err(format!("unknown argument {flag:?}"));
+        }
+        match flag {
+            "--exact" => self.exact = true,
+            "--dot" => self.dot = true,
+            "--stats" => self.stats = true,
+            "--no-batch" => self.no_batch = true,
+            _ => {
+                let value = words.next();
+                if self.session.apply(flag, value)? {
+                    return Ok(());
+                }
+                match flag {
+                    "-n" | "--length" => self.n = Some(parse_flag_value("-n", value)?),
+                    "--sample" => self.sample = parse_flag_value(flag, value)?,
+                    "--enumerate" => self.enumerate = parse_flag_value(flag, value)?,
+                    "--trace-out" => self.trace_out = Some(parse_flag_value(flag, value)?),
+                    "--method" => {
+                        self.method = match parse_flag_value::<String>(flag, value)?.as_str() {
+                            "fpras" => Method::Fpras,
+                            "path-is" => Method::PathIs,
+                            "dp" => Method::ExactDp,
+                            "bdd" => Method::ExactBdd,
+                            other => return Err(format!("unknown method {other:?}")),
                         }
-                        Method::Fpras
                     }
-                    "path-is" => Method::PathIs,
-                    "dp" => Method::ExactDp,
-                    "bdd" => Method::ExactBdd,
-                    other => {
-                        eprintln!("unknown method {other:?}");
-                        usage()
+                    "--lengths" => {
+                        self.lengths = parse_flag_value::<String>(flag, value)?
+                            .split(',')
+                            .map(|s| parse_flag_value(flag, Some(s.trim())))
+                            .collect::<Result<_, _>>()?
                     }
+                    "--max-sessions" => {
+                        self.quota.max_sessions = Some(parse_flag_value(flag, value)?)
+                    }
+                    "--max-total-levels" => {
+                        self.quota.max_total_levels = Some(parse_flag_value(flag, value)?)
+                    }
+                    "--max-query-ops" => {
+                        self.quota.max_query_ops = Some(parse_flag_value(flag, value)?)
+                    }
+                    _ => return Err(format!("unknown argument {flag:?}")),
                 }
             }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage()
-            }
         }
-        i += 1;
+        Ok(())
     }
-    if args.n == usize::MAX || (args.regex.is_none() == args.file.is_none()) {
-        usage();
+
+    /// True iff exactly one of `--regex`/`--file` was given.
+    fn one_source(&self) -> bool {
+        self.session.regex.is_some() != self.session.file.is_some()
     }
-    if args.method != Method::Fpras && (args.stats || args.no_batch || args.trace_out.is_some()) {
-        eprintln!("--stats, --no-batch and --trace-out require --method fpras");
-        usage();
+}
+
+/// The one argv loop: parses `argv` as `cmd`'s flags. `--help`, a flag
+/// `cmd` does not take, or a missing or bad value prints `cmd`'s usage
+/// and exits 2.
+fn parse_args(cmd: Command, argv: &[String]) -> Args {
+    let mut args = Args::default();
+    let mut words = argv.iter().map(String::as_str);
+    while let Some(flag) = words.next() {
+        if matches!(flag, "--help" | "-h") {
+            cmd.usage();
+        }
+        if let Err(e) = args.apply(cmd, flag, &mut words) {
+            eprintln!("{e}");
+            cmd.usage();
+        }
     }
     args
 }
 
-/// [`load_automaton`] for the one-shot paths: any failure is a usage
-/// error (exit 2).
-fn load_automaton_or_exit(regex_pattern: Option<&str>, file: Option<&str>) -> Nfa {
-    load_automaton(regex_pattern, file).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+/// Prints `msg` on stderr and exits with `code`.
+fn exit_with(code: i32, msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(code)
 }
 
 /// `|estimate − exact| / exact` for `--exact`, with 0/0 = 0 and x/0 = ∞.
@@ -230,8 +311,8 @@ fn relative_error(estimate: ExtFloat, exact: f64) -> f64 {
     }
 }
 
-fn report_estimate(n: usize, estimate: ExtFloat) {
-    println!("estimate |L(A_{n})| ≈ {estimate}");
+fn report_estimate(label: &str, estimate: ExtFloat) {
+    println!("estimate |{label}| ≈ {estimate}");
     println!("  log2 ≈ {:.3}", estimate.log2());
 }
 
@@ -285,6 +366,177 @@ fn report_stats(s: &RunStats) {
     println!("  wall longest         {:?}", s.wall_longest());
 }
 
+/// The FPRAS count path of both one-shot commands: Algorithm 3 over the
+/// NFA's length-`n` slice or the nROBP's assignments (`n` = its depth),
+/// then the estimate, the `--stats` counters, the `--exact` cross-check
+/// and the `--sample` witnesses. `label` names the counted set
+/// (`L(A_n)` or `L(P)`); `empty` is the note printed when it has no
+/// word. A parameter error exits 2, a failed run 1.
+fn fpras_count(args: &Args, source: Source<'_>, n: usize, label: &str, empty: &str) {
+    let spec = &args.session.spec;
+    let (cells, alphabet) = match source {
+        Source::Nfa(nfa) => (nfa.num_states(), nfa.alphabet()),
+        Source::Robp(robp) => (robp.num_nodes(), robp.alphabet()),
+    };
+    let mut params = Params::practical(spec.eps, spec.delta, cells, n);
+    if args.no_batch {
+        params.batch_unions = false;
+    }
+    // One checker for every surface (engine, sessions, CLI): fail fast
+    // with a clean message instead of a mid-run error.
+    if let Err(e) = params.validate() {
+        exit_with(2, e);
+    }
+    // Bit-identical for every thread count.
+    let run = match source {
+        Source::Nfa(nfa) => run_parallel(nfa, n, &params, spec.seed, spec.threads),
+        Source::Robp(robp) => run_robp_parallel(robp, &params, spec.seed, spec.threads),
+    }
+    .unwrap_or_else(|e| exit_with(1, format!("FPRAS failed: {e}")));
+    report_estimate(label, run.estimate());
+    eprintln!(
+        "  (deterministic×{} policy, {} membership ops, {:.1} samples/cell, {:?})",
+        spec.threads,
+        run.stats().membership_ops,
+        run.stats().samples_per_cell(),
+        run.stats().wall
+    );
+    if args.stats {
+        report_stats(run.stats());
+    }
+
+    if args.exact {
+        // An nROBP's node graph doubles as its exact oracle: in a leveled
+        // DAG every accepted word has length exactly `depth`.
+        let exact = match source {
+            Source::Nfa(nfa) => count_exact(nfa, n),
+            Source::Robp(robp) => count_exact(&robp.to_nfa(), n),
+        };
+        match exact {
+            Ok(exact) => {
+                let rel = relative_error(run.estimate(), exact.to_f64());
+                println!("exact    |{label}| = {exact}");
+                println!("  relative error {rel:.5} (target ε = {})", spec.eps);
+            }
+            Err(e) => eprintln!("exact counter unavailable: {e}"),
+        }
+    }
+
+    if args.sample > 0 {
+        let mut generator = UniformGenerator::new(run);
+        let mut rng = SmallRng::seed_from_u64(spec.seed);
+        println!("samples:");
+        for _ in 0..args.sample {
+            match generator.generate(&mut rng) {
+                Some(w) => println!("  {}", w.display(alphabet)),
+                None => {
+                    println!("  ({empty})");
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// The default command: one length of one automaton, by `--method`.
+fn count_nfa(args: &Args) {
+    let (Some(n), true) = (args.n, args.one_source()) else { Command::Count.usage() };
+    if args.method != Method::Fpras && (args.stats || args.no_batch || args.trace_out.is_some()) {
+        eprintln!("--stats, --no-batch and --trace-out require --method fpras");
+        Command::Count.usage();
+    }
+    if let Some(path) = &args.trace_out {
+        let sink = JsonlSink::create(path)
+            .unwrap_or_else(|e| exit_with(2, format!("cannot open trace file {path}: {e}")));
+        fpras_core::obs::install_sink(Box::new(sink));
+    }
+    let nfa = args.session.load().unwrap_or_else(|e| exit_with(2, e));
+    eprintln!(
+        "automaton: {} states, {} transitions, alphabet {:?}",
+        nfa.num_states(),
+        nfa.num_transitions(),
+        nfa.alphabet()
+    );
+
+    if args.dot {
+        print!("{}", dot::to_dot(&nfa));
+        return;
+    }
+
+    if args.enumerate > 0 {
+        let words = enumerate_slice(&nfa, n, Some(args.enumerate))
+            .unwrap_or_else(|e| exit_with(1, format!("enumeration failed: {e}")));
+        println!("first {} word(s) of L(A_{n}):", words.len());
+        for w in &words {
+            println!("  {}", w.display(nfa.alphabet()));
+        }
+    }
+
+    let label = format!("L(A_{n})");
+    let (eps, delta) = (args.session.spec.eps, args.session.spec.delta);
+    match args.method {
+        Method::Fpras => {
+            fpras_count(args, Source::Nfa(&nfa), n, &label, "language slice is empty");
+        }
+        Method::PathIs => {
+            // Trial budget chosen like naive MC's: Chernoff at density 1.
+            let trials = ((3.0 * (2.0 / delta).ln()) / (eps * eps)).ceil() as u64;
+            let mut rng = SmallRng::seed_from_u64(args.session.spec.seed);
+            match path_importance_sampling(&nfa, n, trials.max(100), &mut rng) {
+                Some(r) => {
+                    report_estimate(&label, r.estimate);
+                    eprintln!(
+                        "  ({} trials, rel. std. error {:.4}, max ambiguity {:.0})",
+                        r.trials, r.rel_std_error, r.max_ambiguity
+                    );
+                    if r.rel_std_error > eps / 2.0 {
+                        eprintln!(
+                            "  warning: high variance — the instance is ambiguous; \
+                             prefer --method fpras"
+                        );
+                    }
+                }
+                None => report_estimate(&label, ExtFloat::ZERO),
+            }
+        }
+        Method::ExactDp => match count_exact(&nfa, n) {
+            Ok(c) => println!("exact |{label}| = {c}"),
+            Err(e) => exit_with(1, format!("exact DP failed: {e}")),
+        },
+        Method::ExactBdd => match fpras_bdd::compile_slice(&nfa, n) {
+            Ok(compiled) => {
+                println!("exact |{label}| = {}", compiled.count());
+                eprintln!("  ({} BDD nodes)", compiled.bdd.num_nodes());
+            }
+            Err(e) => exit_with(1, format!("BDD compilation failed: {e}")),
+        },
+    }
+    if args.method != Method::Fpras && args.sample > 0 {
+        eprintln!("--sample requires --method fpras");
+    }
+    // Flush and close the --trace-out sink (the process would otherwise
+    // exit without draining the buffered writer).
+    fpras_core::obs::take_sink();
+}
+
+/// `nfa-count robp`: the default command's count path over an nROBP.
+/// An unreadable or malformed program exits 2, like an NFA file.
+fn count_robp(args: &Args) {
+    let Some(path) = &args.session.file else { Command::Robp.usage() };
+    let robp = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| robp::from_text(&text).map_err(|e| format!("cannot parse {path}: {e}")))
+        .unwrap_or_else(|e| exit_with(2, e));
+    eprintln!(
+        "program: {} nodes, {} edges, depth {}, alphabet {:?}",
+        robp.num_nodes(),
+        robp.num_edges(),
+        robp.depth(),
+        robp.alphabet()
+    );
+    fpras_count(args, Source::Robp(&robp), robp.depth(), "L(P)", "the program accepts nothing");
+}
+
 /// The largest `--max-n` that `serve` and `query` accept. A session
 /// derives its parameters from its `max_n`: the per-level accuracy
 /// `ε/(2√max_n)` and sample sets of about `max_n/ε²` words, so its work
@@ -295,143 +547,13 @@ const MAX_SESSION_N: usize = 4096;
 /// Exits 2 with one error line when `max_n` is above [`MAX_SESSION_N`].
 fn check_max_n(max_n: usize) {
     if max_n > MAX_SESSION_N {
-        eprintln!("--max-n {max_n} is above {MAX_SESSION_N}, the largest length a session serves");
-        std::process::exit(2);
+        exit_with(
+            2,
+            format!(
+                "--max-n {max_n} is above {MAX_SESSION_N}, the largest length a session serves"
+            ),
+        );
     }
-}
-
-/// Shared flags of the `serve`/`query` subcommands.
-struct ServiceArgs {
-    regex: Option<String>,
-    file: Option<String>,
-    /// The session settings (`serve`: every tenant's default and
-    /// ceiling; `query` raises `max_n` to the largest requested length).
-    spec: SessionSpec,
-    lengths: Vec<usize>,
-    stats: bool,
-    /// `serve` quotas: `--max-sessions`, `--max-total-levels`,
-    /// `--max-query-ops`.
-    quota: QuotaConfig,
-}
-
-fn service_usage(cmd: &str) -> ! {
-    eprintln!(
-        "usage: nfa-count {cmd} {}\n\
-         \t{}[--eps E=0.2] [--delta D=0.05] [--seed S=42]\n\
-         \t[--threads T=1] [--max-n N=64] [--stats]{}\n\
-         \n\
-         One QuerySession serves every length: levels are built once and\n\
-         reused by later queries; answers are bit-identical to a fresh\n\
-         run at the same length under the same --seed and --threads.\n\
-         --max-n sizes the error-budget split and is a hard cap: lengths\n\
-         above it are refused (`query` raises it to max(--lengths)\n\
-         automatically). It may not exceed {MAX_SESSION_N}.{}",
-        if cmd == "serve" {
-            "[--regex PATTERN | --file PATH]"
-        } else {
-            "(--regex PATTERN | --file PATH)"
-        },
-        if cmd == "query" { "--lengths N1,N2,… " } else { "" },
-        if cmd == "serve" {
-            "\n\t[--max-sessions K] [--max-total-levels L] [--max-query-ops B]"
-        } else {
-            ""
-        },
-        if cmd == "serve" {
-            "\n\nserve reads commands from stdin, one per line:\n\
-             \topen NAME (--regex P | --file F) [--seed S] [--threads T]\n\
-             \t          [--eps E] [--delta D] [--max-n N]\n\
-             \tuse NAME | close NAME\n\
-             \testimate N | range A B | sample N [COUNT] | stats | quit\n\
-             \tmetrics            (Prometheus text exposition snapshot)\n\
-             \ttrace on FILE | trace off   (JSONL run-event tracing)\n\
-             Named sessions multiplex onto one registry and one shared\n\
-             worker pool; --regex/--file at startup opens session\n\
-             \"default\". The server's --max-n, --eps and --delta are the\n\
-             ceiling of every `open`: a larger --max-n or a smaller --eps\n\
-             or --delta is refused. Bad lines (including lines that are\n\
-             not valid UTF-8) and quota denials answer with one\n\
-             `error: …` line each — the process never exits on them."
-        } else {
-            ""
-        }
-    );
-    std::process::exit(2)
-}
-
-fn parse_service_args(cmd: &str, argv: &[String]) -> ServiceArgs {
-    let mut args = ServiceArgs {
-        regex: None,
-        file: None,
-        spec: SessionSpec::default(),
-        lengths: Vec::new(),
-        stats: false,
-        quota: QuotaConfig::default(),
-    };
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| service_usage(cmd))
-    };
-    // The same parse-and-report helper the top-level parser uses: one
-    // numeric-validation path, two usage texts.
-    macro_rules! num {
-        ($flag:literal, $i:expr) => {
-            parse_value_or_report($flag, &value($i)).unwrap_or_else(|| service_usage(cmd))
-        };
-    }
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--regex" => args.regex = Some(value(&mut i)),
-            "--file" => args.file = Some(value(&mut i)),
-            "--eps" => args.spec.eps = num!("--eps", &mut i),
-            "--delta" => args.spec.delta = num!("--delta", &mut i),
-            "--seed" => args.spec.seed = num!("--seed", &mut i),
-            "--threads" => {
-                args.spec.threads =
-                    parse_threads_or_report(&value(&mut i)).unwrap_or_else(|| service_usage(cmd))
-            }
-            "--max-n" => args.spec.max_n = num!("--max-n", &mut i),
-            "--stats" => args.stats = true,
-            "--max-sessions" if cmd == "serve" => {
-                args.quota.max_sessions = Some(num!("--max-sessions", &mut i))
-            }
-            "--max-total-levels" if cmd == "serve" => {
-                args.quota.max_total_levels = Some(num!("--max-total-levels", &mut i))
-            }
-            "--max-query-ops" if cmd == "serve" => {
-                args.quota.max_query_ops = Some(num!("--max-query-ops", &mut i))
-            }
-            "--lengths" if cmd == "query" => {
-                args.lengths = value(&mut i)
-                    .split(',')
-                    .map(|s| {
-                        parse_value_or_report("--lengths", s.trim())
-                            .unwrap_or_else(|| service_usage(cmd))
-                    })
-                    .collect();
-            }
-            "--help" | "-h" => service_usage(cmd),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                service_usage(cmd)
-            }
-        }
-        i += 1;
-    }
-    // `query` needs exactly one automaton source up front; `serve` can
-    // start empty (sessions are opened over the protocol) but still
-    // rejects contradictory sources.
-    let both = args.regex.is_some() && args.file.is_some();
-    let neither = args.regex.is_none() && args.file.is_none();
-    if both || (neither && cmd != "serve") {
-        service_usage(cmd);
-    }
-    if cmd == "query" && args.lengths.is_empty() {
-        eprintln!("query requires --lengths");
-        service_usage(cmd);
-    }
-    args
 }
 
 /// `nfa-count query`: one session answers a list of lengths in order.
@@ -440,23 +562,25 @@ fn parse_service_args(cmd: &str, argv: &[String]) -> ServiceArgs {
 /// level is built. The exit report is the reuse summary and, under
 /// `--stats`, the build counters merged with the sample-serving work
 /// (tracked apart so serving never spends the build budget).
-fn query_main(argv: &[String]) {
-    let mut args = parse_service_args("query", argv);
-    args.spec.max_n = args.spec.max_n.max(args.lengths.iter().copied().max().unwrap_or(0));
-    check_max_n(args.spec.max_n);
-    let nfa = load_automaton_or_exit(args.regex.as_deref(), args.file.as_deref());
-    let mut session = QuerySession::new(&nfa, args.spec.params(&nfa), args.spec.policy())
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
+fn query_main(mut args: Args) {
+    if !args.one_source() {
+        Command::Query.usage();
+    }
+    if args.lengths.is_empty() {
+        eprintln!("query requires --lengths");
+        Command::Query.usage();
+    }
+    let spec = &mut args.session.spec;
+    spec.max_n = spec.max_n.max(args.lengths.iter().copied().max().unwrap_or(0));
+    check_max_n(spec.max_n);
+    let nfa = args.session.load().unwrap_or_else(|e| exit_with(2, e));
+    let spec = &args.session.spec;
+    let mut session = QuerySession::new(&nfa, spec.params(&nfa), spec.policy())
+        .unwrap_or_else(|e| exit_with(2, e));
     for &n in &args.lengths {
         match session.estimate(n) {
             Ok(est) => println!("estimate |L(A_{n})| ≈ {est} (log2 ≈ {:.3})", est.log2()),
-            Err(e) => {
-                eprintln!("query n={n} failed: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => exit_with(1, format!("query n={n} failed: {e}")),
         }
     }
     println!("{}", session.stats());
@@ -472,14 +596,19 @@ fn query_main(argv: &[String]) {
 /// mid-stream (an I/O error is not an end of input), 2 when the
 /// startup `default` session cannot be opened — no client is listening
 /// yet, so an `error:` line would vanish into a broken pipeline.
-fn serve_main(argv: &[String]) -> i32 {
-    let args = parse_service_args("serve", argv);
-    check_max_n(args.spec.max_n);
-    let mut server = Server::new(ServerConfig { spec: args.spec.clone(), quota: args.quota });
-    if args.regex.is_some() || args.file.is_some() {
-        let opened = load_automaton(args.regex.as_deref(), args.file.as_deref())
+fn serve_main(args: Args) -> i32 {
+    if args.session.regex.is_some() && args.session.file.is_some() {
+        Command::Serve.usage();
+    }
+    let spec = args.session.spec.clone();
+    check_max_n(spec.max_n);
+    let mut server = Server::new(ServerConfig { spec: spec.clone(), quota: args.quota });
+    if args.session.regex.is_some() || args.session.file.is_some() {
+        let opened = args
+            .session
+            .load()
             .map_err(ServeError::Usage)
-            .and_then(|nfa| server.open("default", nfa, args.spec.clone()));
+            .and_then(|nfa| server.open("default", nfa, spec));
         if let Err(e) = opened {
             eprintln!("{e}");
             return 2;
@@ -507,288 +636,22 @@ fn serve_main(argv: &[String]) -> i32 {
     }
 }
 
-fn robp_usage() -> ! {
-    eprintln!(
-        "usage: nfa-count robp --file PATH\n\
-         \t[--eps E=0.2] [--delta D=0.05] [--seed S=42] [--threads T=1]\n\
-         \t[--sample K] [--exact] [--stats]\n\
-         \n\
-         Counts the accepted assignments of a non-deterministic\n\
-         read-once branching program (text format: see\n\
-         fpras_automata::robp) with the same level-synchronous FPRAS\n\
-         engine, run over the program's leveled DAG directly. The\n\
-         program's depth fixes the word length; --threads sets the\n\
-         worker count (1 to {MAX_THREADS}) exactly as the top-level\n\
-         command does, with output independent of T."
-    );
-    std::process::exit(2)
-}
-
-/// `nfa-count robp`: the one-shot counter for the nROBP substrate.
-fn robp_main(argv: &[String]) {
-    let mut file: Option<String> = None;
-    let (mut eps, mut delta, mut seed) = (0.2f64, 0.05f64, 42u64);
-    let mut threads = 1usize;
-    let mut sample = 0usize;
-    let (mut exact, mut stats) = (false, false);
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| robp_usage())
-    };
-    macro_rules! num {
-        ($flag:literal, $i:expr) => {
-            parse_value_or_report($flag, &value($i)).unwrap_or_else(|| robp_usage())
-        };
-    }
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--file" => file = Some(value(&mut i)),
-            "--eps" => eps = num!("--eps", &mut i),
-            "--delta" => delta = num!("--delta", &mut i),
-            "--seed" => seed = num!("--seed", &mut i),
-            "--threads" => {
-                threads = parse_threads_or_report(&value(&mut i)).unwrap_or_else(|| robp_usage())
-            }
-            "--sample" => sample = num!("--sample", &mut i),
-            "--exact" => exact = true,
-            "--stats" => stats = true,
-            "--help" | "-h" => robp_usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                robp_usage()
-            }
-        }
-        i += 1;
-    }
-    let Some(path) = file else { robp_usage() };
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let robp = fpras_automata::robp::from_text(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(2);
-    });
-    let n = robp.depth();
-    eprintln!(
-        "program: {} nodes, {} edges, depth {n}, alphabet {:?}",
-        robp.num_nodes(),
-        robp.num_edges(),
-        robp.alphabet()
-    );
-
-    let params = Params::practical(eps, delta, robp.num_nodes(), n);
-    if let Err(e) = params.validate() {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let run = match run_robp_parallel(&robp, &params, seed, threads) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("FPRAS failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("estimate |L(P)| ≈ {}", run.estimate());
-    println!("  log2 ≈ {:.3}", run.estimate().log2());
-    eprintln!(
-        "  (deterministic×{threads} policy, {} membership ops, {:.1} samples/cell, {:?})",
-        run.stats().membership_ops,
-        run.stats().samples_per_cell(),
-        run.stats().wall
-    );
-    if stats {
-        report_stats(run.stats());
-    }
-
-    if exact {
-        // The node graph doubles as the exact oracle: in a leveled DAG
-        // every accepted word has length exactly `depth`.
-        match count_exact(&robp.to_nfa(), n) {
-            Ok(exact_count) => {
-                let rel = relative_error(run.estimate(), exact_count.to_f64());
-                println!("exact    |L(P)| = {exact_count}");
-                println!("  relative error {rel:.5} (target ε = {eps})");
-            }
-            Err(e) => eprintln!("exact counter unavailable: {e}"),
-        }
-    }
-
-    if sample > 0 {
-        let alphabet = robp.alphabet().clone();
-        let mut generator = UniformGenerator::new(run);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        println!("samples:");
-        for _ in 0..sample {
-            match generator.generate(&mut rng) {
-                Some(w) => println!("  {}", w.display(&alphabet)),
-                None => {
-                    println!("  (the program accepts nothing)");
-                    break;
-                }
-            }
-        }
-    }
-}
-
 fn main() {
-    // Subcommand dispatch: `serve` and `query` are the service surface,
-    // `robp` the branching-program substrate; anything else is the
-    // classic one-shot CLI.
+    // The first argument names the command (`serve` and `query` are the
+    // service surface, `robp` the branching-program substrate); anything
+    // else is the default one-shot counter.
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("serve") => std::process::exit(serve_main(&argv[1..])),
-        Some("query") => return query_main(&argv[1..]),
-        Some("robp") => return robp_main(&argv[1..]),
-        _ => {}
+    let (cmd, flags) = match argv.first().map(String::as_str) {
+        Some("robp") => (Command::Robp, &argv[1..]),
+        Some("query") => (Command::Query, &argv[1..]),
+        Some("serve") => (Command::Serve, &argv[1..]),
+        _ => (Command::Count, &argv[..]),
+    };
+    let args = parse_args(cmd, flags);
+    match cmd {
+        Command::Count => count_nfa(&args),
+        Command::Robp => count_robp(&args),
+        Command::Query => query_main(args),
+        Command::Serve => std::process::exit(serve_main(args)),
     }
-
-    let args = parse_args();
-    if let Some(path) = &args.trace_out {
-        match JsonlSink::create(path) {
-            Ok(sink) => {
-                fpras_core::obs::install_sink(Box::new(sink));
-            }
-            Err(e) => {
-                eprintln!("cannot open trace file {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let nfa = load_automaton_or_exit(args.regex.as_deref(), args.file.as_deref());
-    eprintln!(
-        "automaton: {} states, {} transitions, alphabet {:?}",
-        nfa.num_states(),
-        nfa.num_transitions(),
-        nfa.alphabet()
-    );
-
-    if args.dot {
-        print!("{}", dot::to_dot(&nfa));
-        return;
-    }
-
-    if args.enumerate > 0 {
-        let words = match enumerate_slice(&nfa, args.n, Some(args.enumerate)) {
-            Ok(words) => words,
-            Err(e) => {
-                eprintln!("enumeration failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        println!("first {} word(s) of L(A_{}):", words.len(), args.n);
-        for w in &words {
-            println!("  {}", w.display(nfa.alphabet()));
-        }
-    }
-
-    let mut rng = SmallRng::seed_from_u64(args.seed);
-    // The FPRAS variants keep their run for sampling; other methods don't.
-    let mut fpras_run: Option<fpras_core::FprasRun> = None;
-    match args.method {
-        Method::Fpras => {
-            let mut params = Params::practical(args.eps, args.delta, nfa.num_states(), args.n);
-            if args.no_batch {
-                params.batch_unions = false;
-            }
-            // One checker for every surface (engine, sessions, CLI):
-            // fail fast with a clean message instead of a mid-run error.
-            if let Err(e) = params.validate() {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-            // Bit-identical for every thread count.
-            let threads = args.threads.unwrap_or(1);
-            let run = match run_parallel(&nfa, args.n, &params, args.seed, threads) {
-                Ok(run) => run,
-                Err(e) => {
-                    eprintln!("FPRAS failed: {e}");
-                    std::process::exit(1);
-                }
-            };
-            report_estimate(args.n, run.estimate());
-            eprintln!(
-                "  (deterministic×{threads} policy, {} membership ops, {:.1} samples/cell, {:?})",
-                run.stats().membership_ops,
-                run.stats().samples_per_cell(),
-                run.stats().wall
-            );
-            if args.stats {
-                report_stats(run.stats());
-            }
-            fpras_run = Some(run);
-        }
-        Method::PathIs => {
-            // Trial budget chosen like naive MC's: Chernoff at density 1.
-            let trials = ((3.0 * (2.0 / args.delta).ln()) / (args.eps * args.eps)).ceil() as u64;
-            match path_importance_sampling(&nfa, args.n, trials.max(100), &mut rng) {
-                Some(r) => {
-                    report_estimate(args.n, r.estimate);
-                    eprintln!(
-                        "  ({} trials, rel. std. error {:.4}, max ambiguity {:.0})",
-                        r.trials, r.rel_std_error, r.max_ambiguity
-                    );
-                    if r.rel_std_error > args.eps / 2.0 {
-                        eprintln!(
-                            "  warning: high variance — the instance is ambiguous; \
-                             prefer --method fpras"
-                        );
-                    }
-                }
-                None => report_estimate(args.n, ExtFloat::ZERO),
-            }
-        }
-        Method::ExactDp => match count_exact(&nfa, args.n) {
-            Ok(c) => println!("exact |L(A_{})| = {c}", args.n),
-            Err(e) => {
-                eprintln!("exact DP failed: {e}");
-                std::process::exit(1);
-            }
-        },
-        Method::ExactBdd => match fpras_bdd::compile_slice(&nfa, args.n) {
-            Ok(compiled) => {
-                println!("exact |L(A_{})| = {}", args.n, compiled.count());
-                eprintln!("  ({} BDD nodes)", compiled.bdd.num_nodes());
-            }
-            Err(e) => {
-                eprintln!("BDD compilation failed: {e}");
-                std::process::exit(1);
-            }
-        },
-    }
-
-    if args.exact {
-        if let Some(run) = &fpras_run {
-            match count_exact(&nfa, args.n) {
-                Ok(exact) => {
-                    let rel = relative_error(run.estimate(), exact.to_f64());
-                    println!("exact    |L(A_{})| = {exact}", args.n);
-                    println!("  relative error {rel:.5} (target ε = {})", args.eps);
-                }
-                Err(e) => eprintln!("exact counter unavailable: {e}"),
-            }
-        }
-    }
-
-    if args.sample > 0 {
-        if let Some(run) = fpras_run {
-            let mut generator = UniformGenerator::new(run);
-            println!("samples:");
-            for _ in 0..args.sample {
-                match generator.generate(&mut rng) {
-                    Some(w) => println!("  {}", w.display(nfa.alphabet())),
-                    None => {
-                        println!("  (language slice is empty)");
-                        break;
-                    }
-                }
-            }
-        } else {
-            eprintln!("--sample requires --method fpras");
-        }
-    }
-    // Flush and close the --trace-out sink (the process would otherwise
-    // exit without draining the buffered writer).
-    fpras_core::obs::take_sink();
 }

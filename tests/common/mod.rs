@@ -14,6 +14,14 @@ use std::process::{Command, Stdio};
 /// canonical text-format fixture.
 pub const EXAMPLE_NFA: &str = include_str!("../../examples/data/contains11.nfa");
 
+/// Path of the shipped example nROBP (`examples/data/parity.robp`),
+/// the `nfa-count robp` input fixture.
+pub const EXAMPLE_ROBP_PATH: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data/parity.robp");
+
+/// The shipped example nROBP's text.
+pub const EXAMPLE_ROBP: &str = include_str!("../../examples/data/parity.robp");
+
 /// Runs the `nfa-count` binary to completion and returns
 /// `(stdout, stderr, success)`.
 pub fn run(args: &[&str]) -> (String, String, bool) {

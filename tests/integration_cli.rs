@@ -3,25 +3,11 @@
 //! executable (`CARGO_BIN_EXE_nfa-count`).
 
 mod common;
-use common::{run, write_fixture};
-
-/// A two-variable parity program: accepts exactly `00` and `11`.
-const PARITY_ROBP: &str = "\
-alphabet 01
-depth 2
-levels 0 1 1 2
-source 0
-accepting 3
-edge 0 0 1
-edge 0 1 2
-edge 1 0 3
-edge 2 1 3
-";
+use common::{run, run_with_stdin, write_fixture, EXAMPLE_ROBP_PATH as PARITY_ROBP};
 
 #[test]
 fn robp_subcommand_counts_samples_and_crosschecks() {
-    let path = write_fixture("parity.robp", PARITY_ROBP);
-    let file = path.to_str().expect("utf-8 path");
+    let file = PARITY_ROBP;
     let args = ["robp", "--file", file, "--exact", "--sample", "3", "--seed", "5"];
     let (stdout, stderr, ok) = run(&args);
     assert!(ok, "stderr: {stderr}");
@@ -41,9 +27,13 @@ fn robp_subcommand_counts_samples_and_crosschecks() {
 
 #[test]
 fn robp_subcommand_rejects_missing_and_bad_input() {
-    let (_, stderr, ok) = run(&["robp"]);
-    assert!(!ok, "robp without --file must fail");
+    let (code, stderr) = exit_code(&["robp"]);
+    assert_eq!(code, Some(2), "robp without --file is a usage error: {stderr}");
     assert!(stderr.contains("--file"), "{stderr}");
+    // An unreadable program is a usage error, like an unreadable `.nfa`.
+    let (code, stderr) = exit_code(&["robp", "--file", "no-such-program.robp"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("cannot read no-such-program.robp"), "{stderr}");
     let bad = write_fixture("bad.robp", "alphabet 01\ndepth 1\nlevels 0 9\n");
     let (_, _, ok) = run(&["robp", "--file", bad.to_str().unwrap()]);
     assert!(!ok, "malformed program must fail");
@@ -81,6 +71,30 @@ fn oversized_length_is_an_error_not_a_panic() {
         );
         assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
     }
+}
+
+/// An nROBP whose per-level views cannot be reserved is one error line
+/// and exit 1, like an NFA length: this six-line program used to abort
+/// the process (exit 134) on a 128 GiB allocation. The run is capped at
+/// 4 GB of address space, so the reservation fails on any host.
+#[test]
+fn oversized_robp_is_an_error_not_an_abort() {
+    let path = write_fixture(
+        "deep.robp",
+        "alphabet 01\ndepth 4294967295\nlevels 0 1 4294967295\nsource 0\naccepting 2\nedge 0 0 1\n",
+    );
+    let out = std::process::Command::new("sh")
+        .args(["-c", "ulimit -v 4000000 && exec \"$0\" \"$@\""])
+        .args([env!("CARGO_BIN_EXE_nfa-count"), "robp", "--file", path.to_str().unwrap()])
+        .output()
+        .expect("sh runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("length 4294967295 needs more memory than can be reserved"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// A `states` count above the cap is refused as a usage error before
@@ -229,10 +243,10 @@ fn threads_outside_one_to_max_are_usage_errors() {
     // Every worker past the first is an OS thread: each `--threads`
     // flag refuses 0 and anything above the cap before spawning one.
     let count = ["--regex", "1(0|1)*", "-n", "8"];
-    let robp = write_fixture("threads-parity.robp", PARITY_ROBP);
-    let robp = ["robp", "--file", robp.to_str().expect("utf-8 path")];
+    let robp = ["robp", "--file", PARITY_ROBP];
+    let query = ["query", "--regex", "1*", "--lengths", "3"];
     let serve = ["serve"];
-    for base in [&count[..], &robp[..], &serve[..]] {
+    for base in [&count[..], &robp[..], &query[..], &serve[..]] {
         for threads in ["0", "100000"] {
             let mut args = base.to_vec();
             args.extend_from_slice(&["--threads", threads]);
@@ -243,13 +257,67 @@ fn threads_outside_one_to_max_are_usage_errors() {
     }
 }
 
+/// Every command parses the shared flags through one function, so a bad
+/// value gets one message everywhere: on its own stderr line with exit 2
+/// on argv, as one `error:` line on a serve `open` line.
 #[test]
-fn parallel_alias_still_accepted() {
-    let (stdout, stderr, ok) =
-        run(&["--regex", "1(0|1)*", "-n", "8", "--method", "parallel", "--seed", "3"]);
-    assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("estimate |L(A_8)|"), "{stdout}");
-    assert!(stderr.contains("deprecated"), "{stderr}");
+fn shared_flags_have_one_message_on_every_surface() {
+    let count = ["--regex", "1(0|1)*", "-n", "8"];
+    let robp = ["robp", "--file", PARITY_ROBP];
+    let query = ["query", "--regex", "1*", "--lengths", "3"];
+    let serve = ["serve"];
+    for (flag, value, message) in [
+        ("--eps", "huge", "invalid value \"huge\" for --eps"),
+        ("--seed", "-1", "invalid value \"-1\" for --seed"),
+        ("--delta", "x", "invalid value \"x\" for --delta"),
+        ("--threads", "0", "--threads must be between 1 and 64, got 0"),
+    ] {
+        for base in [&count[..], &robp[..], &query[..], &serve[..]] {
+            let mut args = base.to_vec();
+            args.extend_from_slice(&[flag, value]);
+            let (code, stderr) = exit_code(&args);
+            assert_eq!(code, Some(2), "{args:?}: {stderr}");
+            assert!(stderr.lines().any(|l| l == message), "{args:?}: {stderr}");
+        }
+        let line = format!("open a --regex 1* {flag} {value}\n");
+        let (stdout, stderr, ok) = run_with_stdin(&["serve"], &line);
+        assert!(ok, "{stderr}");
+        let errors: Vec<&str> = stdout.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors, [format!("error: {message}")], "{stdout}");
+    }
+    // A flag missing its value names the flag on every surface.
+    let (code, stderr) = exit_code(&["robp", "--file", PARITY_ROBP, "--eps"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.lines().any(|l| l == "missing value for --eps"), "{stderr}");
+    let (stdout, _, _) = run_with_stdin(&["serve"], "open a --regex 1* --eps\n");
+    assert!(stdout.lines().any(|l| l == "error: missing value for --eps"), "{stdout}");
+}
+
+/// Each command takes its own flags: one that it does not take is an
+/// `unknown argument` usage error, even when another command takes it.
+#[test]
+fn flags_a_command_does_not_take_are_unknown_arguments() {
+    let robp = ["robp", "--file", PARITY_ROBP];
+    let query = ["query", "--regex", "1*", "--lengths", "3"];
+    let count = ["--regex", "1*", "-n", "3"];
+    for (base, extra) in [
+        (&robp[..], &["-n", "4"][..]),
+        (&robp[..], &["--regex", "1*"][..]),
+        (&robp[..], &["--max-n", "8"][..]),
+        (&query[..], &["--dot"][..]),
+        (&query[..], &["--max-sessions", "2"][..]),
+        (&count[..], &["--max-n", "8"][..]),
+        (&count[..], &["--lengths", "3"][..]),
+        (&["serve"][..], &["--sample", "3"][..]),
+    ] {
+        let mut args = base.to_vec();
+        args.extend_from_slice(extra);
+        let (code, stderr) = exit_code(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        let unknown = format!("unknown argument {:?}", extra[0]);
+        assert!(stderr.lines().any(|l| l == unknown), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: nfa-count"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -273,9 +341,12 @@ fn bad_usage_fails_fast() {
     assert!(!ok);
     assert!(stderr.contains("usage:"), "{stderr}");
 
-    let (_, stderr, ok) = run(&["--regex", "1*", "-n", "4", "--method", "quantum"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown method"), "{stderr}");
+    // `parallel`, once a deprecated alias of `fpras`, is gone too.
+    for method in ["quantum", "parallel"] {
+        let (code, stderr) = exit_code(&["--regex", "1*", "-n", "4", "--method", method]);
+        assert_eq!(code, Some(2), "{method}: {stderr}");
+        assert!(stderr.contains(&format!("unknown method {method:?}")), "{stderr}");
+    }
 
     let (_, stderr, ok) = run(&["--regex", "((", "-n", "4"]);
     assert!(!ok);

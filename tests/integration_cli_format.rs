@@ -1,12 +1,13 @@
-//! The shipped `.nfa` text format: the example file must parse, count
-//! correctly, and round-trip — this is the CLI's input contract.
+//! The shipped `.nfa` and `.robp` text formats: the example files must
+//! parse, count correctly, and round-trip — this is the CLI's input
+//! contract.
 
 use fpras_automata::exact::count_exact;
 use fpras_automata::parse::{from_text, to_text};
 use fpras_core::estimate_count;
 
 mod common;
-use common::EXAMPLE_NFA as EXAMPLE;
+use common::{EXAMPLE_NFA as EXAMPLE, EXAMPLE_ROBP};
 
 #[test]
 fn shipped_example_parses_and_counts() {
@@ -23,4 +24,14 @@ fn shipped_example_round_trips() {
     let nfa = from_text(EXAMPLE).unwrap();
     let text = to_text(&nfa);
     assert_eq!(from_text(&text).unwrap(), nfa);
+}
+
+#[test]
+fn shipped_robp_example_parses_counts_and_round_trips() {
+    let robp = fpras_automata::robp::from_text(EXAMPLE_ROBP).expect("shipped program must parse");
+    assert_eq!((robp.num_nodes(), robp.depth()), (4, 2));
+    // Exactly `00` and `11` are accepted.
+    assert_eq!(count_exact(&robp.to_nfa(), 2).unwrap().to_u64(), Some(2));
+    let text = fpras_automata::robp::to_text(&robp);
+    assert_eq!(fpras_automata::robp::from_text(&text).unwrap(), robp);
 }
